@@ -17,6 +17,7 @@ an SPD system whose residual translates directly into the divergence defect:
 reported charge_scale = ||rhs||_2 / cell_volume is for.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,18 @@ from .mesh import CellField, FaceField, cell_divergence
 DEFAULT_TOL = 1e-12
 
 
+@functools.lru_cache(maxsize=8)
 def fv_laplacian(grid, coef_x, coef_y):
     """SPD matrix of the two-point flux operator with zero-flux boundaries.
 
     Row c holds sum_faces t_f (phi_c - phi_nbr) with transmissibilities
     t = coef * face_length / distance; boundary faces contribute nothing
     (their fluxes are data and live on the right side).
+
+    Memoized on (grid, coef_x, coef_y), so every Gauss and Darcy solve of a
+    run reuses one matrix: grids hash by identity and are never mutated after
+    construction, so a key cannot go stale, and the shared matrix's data,
+    indices and indptr are read-only, so no caller can corrupt a later solve.
     """
     nx, ny = grid.nx, grid.ny
     n = grid.n_cells
@@ -55,10 +62,11 @@ def fv_laplacian(grid, coef_x, coef_y):
         add(idx[:-1, :].ravel(), idx[1:, :].ravel(), ty)
     if not rows:
         # single cell: the pure-Neumann operator is identically zero
-        return SparseMatrix.from_coo(n, n, np.array([0]), np.array([0]), np.array([0.0]))
-    return SparseMatrix.from_coo(
-        n, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+        rows, cols, vals = [np.array([0])], [np.array([0])], [np.array([0.0])]
+    A = SparseMatrix.from_coo(n, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    for a in (A.data, A.indices, A.indptr):
+        a.flags.writeable = False
+    return A
 
 
 @dataclass

@@ -12,9 +12,10 @@ drops below tol.  After convergence the field and flow are rebuilt from the
 converged concentrations so the stored state is internally consistent.
 
 advance() walks the step sequence 0 -> T_end, halving dt for a step whose
-sweep fails to converge (up to 10 halvings; the shortened step is accepted
-and subsequent steps resume the nominal dt), evaluates the boundary schedule
-at each new time, and runs the monitors on every accepted state.
+sweep fails to converge or whose linear solve fails (GummelError or
+SolverError; up to 10 halvings; the shortened step is accepted and
+subsequent steps resume the nominal dt), evaluates the boundary schedule at
+each new time, and runs the monitors on every accepted state.
 """
 
 import math
@@ -26,6 +27,7 @@ from . import monitors
 from .bounds import BoundsEvaluator
 from .darcy import solve_darcy
 from .gauss import solve_gauss
+from .linalg import SolverError
 from .mesh import CellField
 from .transport import Concentrations, free_charge, step_transport
 
@@ -223,10 +225,11 @@ def advance(
 ):
     """March from 0 to T_end; returns SimResult with one State per accepted step.
 
-    A step whose sweep fails to converge is retried at half the step size, up
-    to 10 halvings, and the shortened step is accepted as a real step; the
-    persistent failure after 10 halvings re-raises GummelError.  The final
-    step is clipped to land on T_end exactly.
+    A step whose sweep fails to converge (GummelError) or whose Krylov solve
+    fails (SolverError) is retried at half the step size, up to 10 halvings,
+    and the shortened step is accepted as a real step; a failure that
+    persists after 10 halvings is re-raised.  The final step is clipped to
+    land on T_end exactly.
     """
     T_end = params.T_end if T_end is None else float(T_end)
     dt = params.dt if dt is None else float(dt)
@@ -260,7 +263,7 @@ def advance(
                     probe_extra_sweep=probe_extra_sweep,
                 )
                 break
-            except GummelError:
+            except (GummelError, SolverError):
                 halvings += 1
                 if halvings > MAX_HALVINGS:
                     raise

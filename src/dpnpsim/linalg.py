@@ -47,9 +47,11 @@ class SolveReport:
 class SparseMatrix:
     """Validated CSR matrix.
 
-    Invariants checked on construction: indptr has length rows+1 and is
-    nondecreasing, column indices are strictly increasing within each row and
-    in range, and all stored values are finite.
+    Canonicalization on construction (tocsr, sum_duplicates, sort_indices)
+    makes the column indices of each row strictly increasing, with duplicate
+    entries summed.  Checked on construction: indptr has length rows+1, starts
+    at 0 and is nondecreasing, column indices are in range, and all stored
+    values are finite.
     """
 
     def __init__(self, csr):
@@ -66,10 +68,6 @@ class SparseMatrix:
         if csr.indices.size:
             if csr.indices.min() < 0 or csr.indices.max() >= n_cols:
                 raise ValueError("column index out of range")
-            for r in range(n_rows):
-                row = csr.indices[csr.indptr[r]:csr.indptr[r + 1]]
-                if row.size > 1 and np.any(np.diff(row) <= 0):
-                    raise ValueError("column indices must be strictly increasing in row %d" % r)
         if not np.all(np.isfinite(csr.data)):
             raise ValueError("matrix values must be finite")
         self.csr = csr
@@ -113,10 +111,6 @@ class SparseMatrix:
         return self.csr.toarray()
 
 
-def _as_csr(A):
-    return A.csr if isinstance(A, SparseMatrix) else sp.csr_matrix(A)
-
-
 def project_zero_mean(values, weights):
     """Subtract the weighted mean so that sum(weights * out) == 0."""
     values = np.asarray(values, dtype=float)
@@ -146,7 +140,7 @@ _FLOOR_EPS = 4.0 * np.finfo(float).eps
 
 
 def solve_spd(A, b, tol=DEFAULT_TOL, max_iter=None):
-    """Jacobi-preconditioned CG for symmetric positive (semi)definite systems.
+    """Jacobi-preconditioned CG for a symmetric positive (semi)definite SparseMatrix A.
 
     Returns (x, SolveReport); converged means the true residual satisfies
     ||b - A x|| <= max(tol ||b||, floor), where the floor is the rounding
@@ -156,7 +150,7 @@ def solve_spd(A, b, tol=DEFAULT_TOL, max_iter=None):
     converged as the arithmetic allows.  Raises SolverError when max_iter
     (default 10 * n) is exhausted first.
     """
-    csr = _as_csr(A)
+    csr = A.csr
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if max_iter is None:
@@ -236,13 +230,13 @@ def solve_spd(A, b, tol=DEFAULT_TOL, max_iter=None):
 
 
 def solve_nonsym(A, b, tol=DEFAULT_TOL, max_iter=None):
-    """Jacobi-preconditioned BiCGStab for nonsymmetric systems.
+    """Jacobi-preconditioned BiCGStab for a nonsymmetric SparseMatrix A.
 
     Same contract as solve_spd (including the rounding floor on the stopping
     test); used for the drift-diffusion transport matrices, which are
     nonsymmetric M-matrices.
     """
-    csr = _as_csr(A)
+    csr = A.csr
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if max_iter is None:

@@ -122,12 +122,8 @@ class RunOutput:
     summary: dict
 
 
-def run(cfg, out_dir=None):
-    """Advance the configured simulation and write every output file."""
-    target = out_dir or cfg.out_dir
-    os.makedirs(target, exist_ok=True)
-    t_start = time.perf_counter()
-    result = gummel.advance(
+def _advance(cfg):
+    return gummel.advance(
         cfg.grid,
         cfg.params,
         cfg.initial,
@@ -139,6 +135,14 @@ def run(cfg, out_dir=None):
         lin_tol=cfg.lin_tol,
         lin_tol_transport=cfg.lin_tol_transport,
     )
+
+
+def run(cfg, out_dir=None):
+    """Advance the configured simulation and write every output file."""
+    target = out_dir or cfg.out_dir
+    os.makedirs(target, exist_ok=True)
+    t_start = time.perf_counter()
+    result = _advance(cfg)
     wall = time.perf_counter() - t_start
 
     files = []
@@ -192,18 +196,7 @@ def run_summary(cfg, result, wall_time):
 
 def check(cfg):
     """Run without writing files; return (ok, human-readable verdict lines)."""
-    result = gummel.advance(
-        cfg.grid,
-        cfg.params,
-        cfg.initial,
-        cfg.schedule,
-        tol=cfg.tol,
-        max_sweeps=cfg.max_sweeps,
-        damping=cfg.damping,
-        init_iterate=cfg.init_iterate,
-        lin_tol=cfg.lin_tol,
-        lin_tol_transport=cfg.lin_tol_transport,
-    )
+    result = _advance(cfg)
     monitors = result.monitors
     lines = []
     ok = True

@@ -32,6 +32,16 @@ def test_single_cell_assembly_is_zero():
     assert np.allclose(fv_laplacian(g, 1.0, 1.0).toarray(), [[0.0]])
 
 
+def test_assembly_is_memoized_and_read_only():
+    g = build_grid(3, 2, 1.0, 1.0)
+    A = fv_laplacian(g, 0.7, 1.3)
+    assert fv_laplacian(g, 0.7, 1.3) is A
+    assert fv_laplacian(build_grid(3, 2, 1.0, 1.0), 0.7, 1.3) is not A  # keyed on the grid instance
+    for arr in (A.data, A.indices, A.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
 def test_assembly_rows_sum_to_zero_and_symmetric():
     g = build_grid(5, 4, 1.5, 1.0)
     A = fv_laplacian(g, 0.7, 1.3).toarray()

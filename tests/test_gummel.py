@@ -13,18 +13,21 @@ Key scenarios:
 
   * A step too large for the allotted sweeps is halved until it converges;
     the shortened steps are accepted and the march still lands exactly on
-    the requested end time.
+    the requested end time.  A failed Krylov solve (SolverError) is halved
+    the same way.
 """
 
 import numpy as np
 import pytest
 
+from dpnpsim import gummel
 from dpnpsim.gummel import (
     GummelError,
     advance,
     gummel_step,
     initial_state,
 )
+from dpnpsim.linalg import SolveReport, SolverError
 from dpnpsim.mesh import CellField, build_grid
 from dpnpsim.params import PhysParams, ReactionSpec
 from dpnpsim.schedule import constant_schedule
@@ -209,3 +212,34 @@ def test_advance_raises_after_exhausting_halvings():
     sched = constant_schedule(g, sigma={"left": 0.05, "right": -0.05})
     with pytest.raises(GummelError):
         advance(g, p, init, sched, T_end=0.1, dt=0.1, tol=1e-300, max_sweeps=1)
+
+
+def test_advance_halves_dt_on_linear_solver_failure(monkeypatch):
+    # a Krylov failure is handled like a stalled sweep: retry at half the step
+    g, p, init, sched = coupled_setup(n=6)
+    real_step_transport = gummel.step_transport
+    failed = SolverError("no convergence", SolveReport(1, 1.0, False, (1.0,)))
+
+    def failing_at_nominal_dt(*args, **kwargs):
+        if args[7] == 0.02:  # the eighth positional argument is dt
+            raise failed
+        return real_step_transport(*args, **kwargs)
+
+    monkeypatch.setattr(gummel, "step_transport", failing_at_nominal_dt)
+    res = advance(g, p, init, sched, T_end=0.02, dt=0.02)
+    assert res.reports[0].halvings == 1
+    assert res.states[1].time == pytest.approx(0.01, abs=1e-15)
+    assert res.states[-1].time == pytest.approx(0.02, abs=1e-12)
+    assert all(r.converged for r in res.reports)
+
+    tried = []
+
+    def always_failing(*args, **kwargs):
+        tried.append(args[7])
+        raise failed
+
+    monkeypatch.setattr(gummel, "step_transport", always_failing)
+    with pytest.raises(SolverError):
+        advance(g, p, init, sched, T_end=0.02, dt=0.02)
+    assert len(tried) == gummel.MAX_HALVINGS + 1  # the nominal step and 10 halvings
+    assert tried[-1] == pytest.approx(0.02 / 2**10)

@@ -68,6 +68,15 @@ def test_sparse_matrix_round_trip_and_matvec():
     assert np.allclose(A.toarray(), [[1.0, 0.0, 2.0], [0.0, 7.0, 0.0]])
     assert np.allclose(A @ np.array([1.0, 1.0, 1.0]), [3.0, 7.0])
     assert np.allclose(SparseMatrix.from_coo(2, 2, [0, 1], [0, 1], [5.0, 6.0]).diagonal(), [5.0, 6.0])
+    # shuffled and duplicated columns come out canonical: strictly increasing
+    # column indices in each row, duplicates summed
+    B = SparseMatrix.from_coo(
+        2, 4, [0, 0, 0, 0, 1, 1, 1], [3, 1, 3, 0, 2, 0, 2], [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+    )
+    for r in range(2):
+        assert np.all(np.diff(B.indices[B.indptr[r]:B.indptr[r + 1]]) > 0)
+    assert B.nnz == 5
+    assert np.array_equal(B.toarray(), [[8.0, 2.0, 0.0, 5.0], [32.0, 0.0, 80.0, 0.0]])
 
 
 def test_sparse_matrix_rejects_nonfinite():
