@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SolveReport, SparseMatrix, project_zero_mean, solve_spd
+from .linalg import SolveReport, project_zero_mean, solve_spd, two_point_matrix
 from .mesh import CellField, FaceField, cell_divergence
 
 DEFAULT_TOL = 1e-12
@@ -41,29 +41,9 @@ def fv_laplacian(grid, coef_x, coef_y):
     construction, so a key cannot go stale, and the shared matrix's data,
     indices and indptr are read-only, so no caller can corrupt a later solve.
     """
-    nx, ny = grid.nx, grid.ny
-    n = grid.n_cells
-    idx = np.arange(n).reshape(ny, nx)
     tx = coef_x * grid.hy / grid.hx
     ty = coef_y * grid.hx / grid.hy
-
-    rows, cols, vals = [], [], []
-
-    def add(a, b, t):
-        k = a.size
-        rows.extend((a, a, b, b))
-        cols.extend((a, b, b, a))
-        tt = np.full(k, t)
-        vals.extend((tt, -tt, tt, -tt))
-
-    if nx > 1:
-        add(idx[:, :-1].ravel(), idx[:, 1:].ravel(), tx)
-    if ny > 1:
-        add(idx[:-1, :].ravel(), idx[1:, :].ravel(), ty)
-    if not rows:
-        # single cell: the pure-Neumann operator is identically zero
-        rows, cols, vals = [np.array([0])], [np.array([0])], [np.array([0.0])]
-    A = SparseMatrix.from_coo(n, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    A = two_point_matrix(grid, 0.0, (tx, tx), (ty, ty))
     for a in (A.data, A.indices, A.indptr):
         a.flags.writeable = False
     return A

@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .gauss import gauss_residual
 from .mesh import cell_divergence
 from .transport import free_charge
 
@@ -189,10 +190,7 @@ def check_state(grid, params, bounds_eval, state, prev, dt, data):
     mass1, mass2 = _mass_balance(grid, params, state, prev, dt, data)
     mass_ok = max(mass1, mass2) <= 1e-10
 
-    rho_f = free_charge(params, conc)
-    div_e = cell_divergence(grid, state.electro.e_faces).values
-    rho_used = rho_f.values + data.rho_b.values - state.electro.charge_shift
-    gauss_res = float(np.abs(div_e - rho_used).max())
+    gauss_res = gauss_residual(grid, state.electro, free_charge(params, conc), data.rho_b)
     gauss_thr = 10.0 * state.electro.lin_tol * state.electro.charge_scale
     gauss_ok = gauss_res <= max(gauss_thr, 1e-15)
 

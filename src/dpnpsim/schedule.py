@@ -81,9 +81,6 @@ class BoundarySpec:
         """Boundary integral of the unramped values (Darcy compatibility)."""
         return self.base.boundary_integral()
 
-    def abs_balance(self):
-        return self.base.abs_integral()
-
 
 @dataclass
 class StepData:

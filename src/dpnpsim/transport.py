@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SparseMatrix, solve_nonsym
+from .linalg import solve_nonsym, two_point_matrix
 from .mesh import CellField
 
 DEFAULT_TOL = 1e-14
@@ -99,43 +99,19 @@ class TransportResult:
 
 def _species_system(grid, params, c_prev_vals, ufx, ufy, g, dt, k_rate, production, source):
     """Assemble the implicit SG system for one species; returns (matrix, rhs)."""
-    nx, ny = grid.nx, grid.ny
-    n = grid.n_cells
     dx, dy = params.D
     hx, hy = grid.hx, grid.hy
     vol = grid.cell_volume
     theta = params.theta
-    idx = np.arange(n).reshape(ny, nx)
 
-    diag = np.full(n, theta * vol / dt + theta * vol * k_rate)
-    rows = [idx.ravel()]
-    cols = [idx.ravel()]
-    vals = [diag]
-
-    if nx > 1:
-        P = ufx[:, 1:-1] * hx / dx
-        Bm = bernoulli(-P).ravel()
-        Bp = bernoulli(P).ravel()
-        wL = (dx / hx) * hy * Bm
-        wR = (dx / hx) * hy * Bp
-        cL = idx[:, :-1].ravel()
-        cR = idx[:, 1:].ravel()
-        rows.extend((cL, cL, cR, cR))
-        cols.extend((cL, cR, cR, cL))
-        vals.extend((wL, -wR, wR, -wL))
-    if ny > 1:
-        P = ufy[1:-1, :] * hy / dy
-        Bm = bernoulli(-P).ravel()
-        Bp = bernoulli(P).ravel()
-        wB = (dy / hy) * hx * Bm
-        wT = (dy / hy) * hx * Bp
-        cB = idx[:-1, :].ravel()
-        cT = idx[1:, :].ravel()
-        rows.extend((cB, cB, cT, cT))
-        cols.extend((cB, cT, cT, cB))
-        vals.extend((wB, -wT, wT, -wB))
-
-    A = SparseMatrix.from_coo(n, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    Px = ufx[:, 1:-1] * hx / dx
+    Py = ufy[1:-1, :] * hy / dy
+    A = two_point_matrix(
+        grid,
+        theta * vol / dt + theta * vol * k_rate,
+        ((dx / hx) * hy * bernoulli(-Px), (dx / hx) * hy * bernoulli(Px)),
+        ((dy / hy) * hx * bernoulli(-Py), (dy / hy) * hx * bernoulli(Py)),
+    )
 
     rhs = theta * vol / dt * c_prev_vals + theta * vol * production
     if source is not None:

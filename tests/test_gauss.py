@@ -29,7 +29,9 @@ def test_two_cell_assembly_by_hand():
 
 def test_single_cell_assembly_is_zero():
     g = build_grid(1, 1, 1.0, 1.0)
-    assert np.allclose(fv_laplacian(g, 1.0, 1.0).toarray(), [[0.0]])
+    A = fv_laplacian(g, 1.0, 1.0)
+    assert A.shape == (1, 1)
+    assert np.array_equal(A.toarray(), [[0.0]])
 
 
 def test_assembly_is_memoized_and_read_only():

@@ -1,15 +1,17 @@
-"""Sparse storage, zero-mean projection, and the two Krylov solvers.
+"""Sparse storage, two-point-flux assembly, zero-mean projection, and the two Krylov solvers.
 
 Frozen oracles: the weighted zero-mean projection of values (0, 1, 2) with
 weights (1, 1, 2) subtracts the weighted mean 1.25; a symmetric tridiagonal
 system with unit off-diagonal couplings has a hand-checkable solution;
 random SPD and nonsymmetric systems are cross-checked against dense
-numpy.linalg.solve.
+numpy.linalg.solve; two-point matrices on a 2x2 grid and a 1x3 strip are
+stamped by hand.
 
 Contract details under test: reported residual histories are the running
 best (nonincreasing), reported residuals are true residuals ||b - A x||,
-failures raise SolverError carrying the report, and b = 0 short-circuits to
-x = 0 with a converged single-entry history.
+failures raise SolverError carrying the report, b = 0 short-circuits to
+x = 0 with a converged single-entry history, and both solvers stop after the
+same number of breakdown restarts.
 """
 
 import numpy as np
@@ -23,7 +25,9 @@ from dpnpsim.linalg import (
     project_zero_mean,
     solve_nonsym,
     solve_spd,
+    two_point_matrix,
 )
+from dpnpsim.mesh import build_grid
 
 
 def laplacian_1d(n, shift=0.0):
@@ -82,6 +86,25 @@ def test_sparse_matrix_round_trip_and_matvec():
 def test_sparse_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         SparseMatrix.from_coo(1, 1, [0], [0], [np.nan])
+
+
+def test_two_point_matrix_by_hand():
+    # cells numbered row-major: [[0, 1], [2, 3]]; x-faces (0,1), (2,3) and
+    # y-faces (0,2), (1,3); face (a, b) adds w_minus at (a, a) and w_plus at
+    # (b, b), and -w_plus at (a, b) and -w_minus at (b, a)
+    A = two_point_matrix(
+        build_grid(2, 2, 1.0, 1.0),
+        0.5,
+        (np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]])),
+        (np.array([[5.0, 6.0]]), np.array([[7.0, 8.0]])),
+    )
+    assert np.array_equal(
+        A.toarray(),
+        [[6.5, -3.0, -7.0, 0.0], [-1.0, 9.5, 0.0, -8.0], [-5.0, 0.0, 9.5, -4.0], [0.0, -6.0, -2.0, 12.5]],
+    )
+    # a vertical strip has y-faces only: the x weights stamp nothing
+    B = two_point_matrix(build_grid(1, 3, 1.0, 3.0), 1.0, (9.0, 9.0), (np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]])))
+    assert np.array_equal(B.toarray(), [[2.0, -3.0, 0.0], [-1.0, 6.0, -4.0], [0.0, -2.0, 5.0]])
 
 
 def test_solve_spd_tridiagonal_hand_solution():
@@ -157,6 +180,28 @@ def test_solve_nonsym_zero_rhs_and_cap():
     assert np.all(x == 0.0) and rep.converged
     with pytest.raises(SolverError):
         solve_nonsym(laplacian_1d(60, shift=0.0), np.ones(60), tol=1e-14, max_iter=1)
+
+
+def test_breakdown_restarts_share_one_cap():
+    """Both solvers give up after the same number of breakdown restarts.
+
+    CG on diag(1, -1) with b = (1, 1) meets p.Ap = 0, and BiCGStab on the
+    skew matrix [[0, 1], [-1, 0]] with b = (1, 0) meets r_hat.v = 0, on
+    every restart from x = 0.  Each breakdown costs one iteration, so a cap
+    of five restarts ends both solves in the sixth iteration with nothing
+    but the initial residual in the history.
+    """
+    cases = (
+        (solve_spd, SparseMatrix.from_coo(2, 2, [0, 1], [0, 1], [1.0, -1.0]), np.array([1.0, 1.0])),
+        (solve_nonsym, SparseMatrix.from_coo(2, 2, [0, 1], [1, 0], [1.0, -1.0]), np.array([1.0, 0.0])),
+    )
+    for solve, A, b in cases:
+        with pytest.raises(SolverError) as err:
+            solve(A, b)
+        rep = err.value.report
+        assert not rep.converged
+        assert rep.iterations == 6
+        assert rep.history == (np.linalg.norm(b),)
 
 
 def test_singular_neumann_system_solvable_after_projection():
