@@ -56,22 +56,12 @@ def _cmd_run(args):
     cfg = _load(args.config)
     if cfg is None:
         return 2
-    try:
-        out = runner.run(cfg, out_dir=args.out)
-    except (GummelError, SolverError) as exc:
-        print("run failed: %s" % exc, file=sys.stderr)
-        return 1
+    out = runner.run(cfg, out_dir=args.out)
     s = out.summary
     print("wrote %d files to %s" % (len(out.files), out.out_dir))
     print(
-        "steps: %d   sweeps: %d   halvings: %d   monitors: %s   wall: %.3fs"
-        % (
-            s["steps"],
-            s["total_sweeps"],
-            s["total_halvings"],
-            "ok" if s["all_monitors_ok"] else "FAILED",
-            s["wall_time_s"],
-        )
+        "%s   monitors: %s   wall: %.3fs"
+        % (runner.counts_line(s), "ok" if s["all_monitors_ok"] else "FAILED", s["wall_time_s"])
     )
     return 0
 
@@ -80,11 +70,7 @@ def _cmd_check(args):
     cfg = _load(args.config)
     if cfg is None:
         return 2
-    try:
-        ok, lines = runner.check(cfg)
-    except (GummelError, SolverError) as exc:
-        print("check failed: %s" % exc, file=sys.stderr)
-        return 1
+    ok, lines = runner.check(cfg)
     for line in lines:
         print(line)
     return 0 if ok else 1
@@ -148,7 +134,11 @@ def main(argv=None):
     p_bounds.set_defaults(func=_cmd_bounds)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (GummelError, SolverError) as exc:  # the march broke down: exit 1, as documented above
+        print("%s failed: %s" % (args.command, exc), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ each new time, and runs the monitors on every accepted state.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class State:
     conc: Concentrations
     applied_r1: np.ndarray = None
     applied_r2: np.ndarray = None
-    consistent: bool = True  # field/flow rebuilt from this state's own charge
 
 
 @dataclass(frozen=True)
@@ -58,6 +57,7 @@ class GummelReport:
     converged: bool
     halvings: int = 0
     extra_sweep_residual: float = None
+    wasted_sweeps: int = 0  # sweeps of the attempts that failed with GummelError
 
 
 class GummelError(RuntimeError):
@@ -78,19 +78,24 @@ def _increment(params, grid, conc_new, conc_old):
 def _damped(grid, damping, raw, old):
     if damping == 1.0:
         return raw
-    lam = damping
     return Concentrations(
-        CellField(grid, lam * raw.c1.values + (1.0 - lam) * old.c1.values),
-        CellField(grid, lam * raw.c2.values + (1.0 - lam) * old.c2.values),
+        CellField(grid, damping * raw.c1.values + (1.0 - damping) * old.c1.values),
+        CellField(grid, damping * raw.c2.values + (1.0 - damping) * old.c2.values),
     )
+
+
+def _fields(grid, params, conc, data, lin_tol):
+    """Field and flow solved from the free charge of conc: (ElectroState, FlowState)."""
+    rho_f = free_charge(params, conc)
+    electro = solve_gauss(grid, params, rho_f, data.rho_b, data.sigma, tol=lin_tol)
+    flow = solve_darcy(grid, params, rho_f, electro.e_faces, data.f, tol=lin_tol)
+    return electro, flow
 
 
 def initial_state(grid, params, initial, data, lin_tol=DEFAULT_LIN_TOL):
     """Consistent t = 0 state: field and flow solved from the initial charge."""
-    rho_f = free_charge(params, initial)
-    electro = solve_gauss(grid, params, rho_f, data.rho_b, data.sigma, tol=lin_tol)
-    flow = solve_darcy(grid, params, rho_f, electro.e_faces, data.f, tol=lin_tol)
-    return State(0.0, electro, flow, initial, None, None, True)
+    electro, flow = _fields(grid, params, initial, data, lin_tol)
+    return State(0.0, electro, flow, initial)
 
 
 def gummel_step(
@@ -124,13 +129,8 @@ def gummel_step(
     else:
         c_k = Concentrations(CellField.zeros(grid), CellField.zeros(grid))
 
-    residuals = []
-    last = None
-    converged = False
-    for _ in range(max_sweeps):
-        rho_f = free_charge(params, c_k)
-        electro = solve_gauss(grid, params, rho_f, data.rho_b, data.sigma, tol=lin_tol)
-        flow = solve_darcy(grid, params, rho_f, electro.e_faces, data.f, tol=lin_tol)
+    def sweep(electro, flow, c_lag):
+        """Transport step with frozen field and flow: (TransportResult, damped iterate)."""
         result = step_transport(
             grid,
             params,
@@ -140,60 +140,35 @@ def gummel_step(
             data.g1,
             data.g2,
             dt,
-            c_lag=c_k,
+            c_lag=c_lag,
             sources=data.sources,
             tol=lin_tol_transport,
         )
-        c_next = _damped(grid, damping, result.conc, c_k)
-        res = _increment(params, grid, c_next, c_k)
-        residuals.append(res)
-        c_k = c_next
-        last = result
-        if res <= tol:
-            converged = True
-            break
+        return result, _damped(grid, damping, result.conc, c_lag)
 
-    if not converged:
-        report = GummelReport(len(residuals), tuple(residuals), False)
+    residuals = []
+    for _ in range(max_sweeps):
+        result, c_next = sweep(*_fields(grid, params, c_k, data, lin_tol), c_k)
+        residuals.append(_increment(params, grid, c_next, c_k))
+        c_k = c_next
+        if residuals[-1] <= tol:
+            break
+    else:
         raise GummelError(
             "Gummel sweep did not converge: residual %.3e > tol %.3e after %d sweeps"
             % (residuals[-1], tol, len(residuals)),
-            report,
+            GummelReport(len(residuals), tuple(residuals), False),
         )
 
     # rebuild the elliptic fields from the converged concentrations
-    rho_f = free_charge(params, c_k)
-    electro = solve_gauss(grid, params, rho_f, data.rho_b, data.sigma, tol=lin_tol)
-    flow = solve_darcy(grid, params, rho_f, electro.e_faces, data.f, tol=lin_tol)
+    electro, flow = _fields(grid, params, c_k, data, lin_tol)
 
     extra = None
     if probe_extra_sweep:
-        probe = step_transport(
-            grid,
-            params,
-            c_prev,
-            flow.q_faces,
-            electro.e_faces,
-            data.g1,
-            data.g2,
-            dt,
-            c_lag=c_k,
-            sources=data.sources,
-            tol=lin_tol_transport,
-        )
-        extra = _increment(params, grid, _damped(grid, damping, probe.conc, c_k), c_k)
+        extra = _increment(params, grid, sweep(electro, flow, c_k)[1], c_k)
 
-    state = State(
-        time=state_prev.time + dt,
-        electro=electro,
-        flow=flow,
-        conc=c_k,
-        applied_r1=last.r1,
-        applied_r2=last.r2,
-        consistent=True,
-    )
-    report = GummelReport(len(residuals), tuple(residuals), True, 0, extra)
-    return state, report
+    state = State(state_prev.time + dt, electro, flow, c_k, result.r1, result.r2)
+    return state, GummelReport(len(residuals), tuple(residuals), True, 0, extra)
 
 
 @dataclass
@@ -229,7 +204,9 @@ def advance(
     fails (SolverError) is retried at half the step size, up to 10 halvings,
     and the shortened step is accepted as a real step; a failure that
     persists after 10 halvings is re-raised.  The final step is clipped to
-    land on T_end exactly.
+    land on T_end exactly.  Each accepted step's report counts its halvings
+    and, as wasted_sweeps, the sweeps its failed GummelError attempts ran; an
+    attempt ended by SolverError counts as a halving only.
     """
     T_end = params.T_end if T_end is None else float(T_end)
     dt = params.dt if dt is None else float(dt)
@@ -244,7 +221,7 @@ def advance(
     eps = 1e-12 * max(1.0, T_end)
     while t < T_end - eps:
         dt_try = min(dt, T_end - t)
-        halvings = 0
+        halvings = wasted = 0
         while True:
             data = schedule.at(t + dt_try)
             try:
@@ -263,12 +240,14 @@ def advance(
                     probe_extra_sweep=probe_extra_sweep,
                 )
                 break
-            except (GummelError, SolverError):
+            except (GummelError, SolverError) as exc:
                 halvings += 1
                 if halvings > MAX_HALVINGS:
                     raise
+                if isinstance(exc, GummelError):
+                    wasted += exc.report.sweeps
                 dt_try *= 0.5
-        rep = GummelReport(rep.sweeps, rep.residuals, rep.converged, halvings, rep.extra_sweep_residual)
+        rep = replace(rep, halvings=halvings, wasted_sweeps=wasted)
         if monitor:
             monitor_rows.append(
                 monitors.check_state(grid, params, evaluator, new_state, state, dt_try, data)

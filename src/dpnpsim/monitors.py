@@ -80,7 +80,6 @@ class MonitorReport:
     """One row of runtime checks for one accepted step."""
 
     time: float
-    case: str  # "converged" (charge from this state's c) or "lagged"
     min_c1: float
     min_c2: float
     max_c1: float
@@ -120,10 +119,8 @@ class MonitorReport:
             v = getattr(self, f.name)
             if isinstance(v, (bool, np.bool_)):
                 out.append("1" if v else "0")
-            elif isinstance(v, (int, float, np.floating)):
+            else:  # every other field is a number
                 out.append(repr(float(v)))
-            else:
-                out.append(str(v))
         return out
 
 
@@ -176,12 +173,10 @@ def check_state(grid, params, bounds_eval, state, prev, dt, data):
 
     summands = _sign_summands(params, conc)
     sign_min = float(summands.min())
-    if nonneg_ok:
-        sign_value = sign_condition(params, conc)  # raising form: failure here is a bug
-        sign_ok = True
-    else:
-        sign_value = float(summands.sum() * grid.cell_volume)
-        sign_ok = sign_min >= SIGN_FUZZ
+    sign_value = float(summands.sum() * grid.cell_volume)
+    sign_ok = sign_min >= SIGN_FUZZ
+    if nonneg_ok and not sign_ok:
+        sign_condition(params, conc)  # raises: on an admissible state this is a bug
 
     energy = weighted_energy(params, conc)
     energy_bound = bounds_eval.energy_bound_sq(state.time)
@@ -205,7 +200,6 @@ def check_state(grid, params, bounds_eval, state, prev, dt, data):
 
     return MonitorReport(
         time=state.time,
-        case="converged" if state.consistent else "lagged",
         min_c1=min_c1,
         min_c2=min_c2,
         max_c1=max_c1,

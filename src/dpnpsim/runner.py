@@ -9,7 +9,8 @@ A run produces, inside the configured output directory:
                         and flag
   bounds.txt            the evaluated a-priori constants and the data norms
                         they were computed from
-  summary.json          step/sweep statistics, monitor verdict, wall time
+  summary.json          step/sweep/halving statistics (with the sweeps spent
+                        on failed attempts), monitor verdict, wall time
 
 Floats are written with repr(), so rerunning the same configuration
 reproduces the CSV files byte for byte (summary.json contains the wall time
@@ -173,23 +174,38 @@ def run(cfg, out_dir=None):
     return RunOutput(result=result, out_dir=target, files=files, summary=summary)
 
 
-def run_summary(cfg, result, wall_time):
+def _tally(result):
+    """Totals of the march, keyed as in summary.json, and per flag the failing monitor rows."""
     reports = result.reports
-    monitors = result.monitors
-    flag_failures = {
-        flag: sum(1 for m in monitors if not getattr(m, flag)) for flag in MonitorReport.FLAGS
+    totals = {
+        "steps": len(reports),
+        "total_sweeps": sum(r.sweeps for r in reports),
+        "total_halvings": sum(r.halvings for r in reports),
+        "total_wasted_sweeps": sum(r.wasted_sweeps for r in reports),
     }
+    failing = {flag: [m for m in result.monitors if not getattr(m, flag)] for flag in MonitorReport.FLAGS}
+    return totals, failing
+
+
+def counts_line(totals):
+    """The footer that run and check print, from _tally's totals (or summary.json)."""
+    return (
+        "steps: %(steps)d   sweeps: %(total_sweeps)d   halvings: %(total_halvings)d   "
+        "wasted: %(total_wasted_sweeps)d" % totals
+    )
+
+
+def run_summary(cfg, result, wall_time):
+    totals, failing = _tally(result)
     return {
         "grid": [cfg.grid.nx, cfg.grid.ny],
         "domain": [cfg.grid.lx, cfg.grid.ly],
         "t_end": result.states[-1].time,
-        "steps": len(reports),
-        "total_sweeps": sum(r.sweeps for r in reports),
-        "max_sweeps_in_step": max((r.sweeps for r in reports), default=0),
-        "total_halvings": sum(r.halvings for r in reports),
-        "monitor_rows": len(monitors),
-        "monitor_failures": flag_failures,
-        "all_monitors_ok": all(m.all_ok() for m in monitors),
+        **totals,
+        "max_sweeps_in_step": max((r.sweeps for r in result.reports), default=0),
+        "monitor_rows": len(result.monitors),
+        "monitor_failures": {flag: len(bad) for flag, bad in failing.items()},
+        "all_monitors_ok": not any(failing.values()),
         "wall_time_s": wall_time,
     }
 
@@ -197,20 +213,12 @@ def run_summary(cfg, result, wall_time):
 def check(cfg):
     """Run without writing files; return (ok, human-readable verdict lines)."""
     result = _advance(cfg)
-    monitors = result.monitors
+    totals, failing = _tally(result)
     lines = []
-    ok = True
-    for flag in MonitorReport.FLAGS:
-        bad = [m for m in monitors if not getattr(m, flag)]
-        status = "PASS" if not bad else "FAIL"
-        ok = ok and not bad
+    for flag, bad in failing.items():
         detail = ""
         if bad:
-            detail = "  (%d of %d steps, first at t=%s)" % (len(bad), len(monitors), _fmt(bad[0].time))
-        lines.append("%s  %-12s%s" % (status, flag.removesuffix("_ok"), detail))
-    lines.append("steps: %d   sweeps: %d   halvings: %d" % (
-        len(result.reports),
-        sum(r.sweeps for r in result.reports),
-        sum(r.halvings for r in result.reports),
-    ))
-    return ok, lines
+            detail = "  (%d of %d steps, first at t=%s)" % (len(bad), len(result.monitors), _fmt(bad[0].time))
+        lines.append("%s  %-12s%s" % ("FAIL" if bad else "PASS", flag.removesuffix("_ok"), detail))
+    lines.append(counts_line(totals))
+    return not any(failing.values()), lines

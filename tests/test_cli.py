@@ -9,6 +9,7 @@ records the wall time).
 
 import json
 import os
+import re
 
 import pytest
 
@@ -85,6 +86,7 @@ def test_run_writes_all_outputs(tmp_path, capsys):
         "total_sweeps",
         "max_sweeps_in_step",
         "total_halvings",
+        "total_wasted_sweeps",
         "monitor_rows",
         "monitor_failures",
         "all_monitors_ok",
@@ -118,6 +120,19 @@ def test_check_passes_on_sound_config(tmp_path, capsys):
     assert out.count("PASS") == len(MonitorReport.FLAGS)
     assert "FAIL" not in out
     assert "steps: 3" in out
+
+
+def test_run_and_check_print_the_same_counts_footer(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    run_out = capsys.readouterr().out
+    assert main(["check", cfg]) == 0
+    check_out = capsys.readouterr().out
+    summary = json.loads(read(str(out / "summary.json")))
+    footer = "steps: 3   sweeps: %d   halvings: 0   wasted: 0" % summary["total_sweeps"]
+    pattern = r"steps: \d+ +sweeps: \d+ +halvings: \d+ +wasted: \d+"
+    assert re.findall(pattern, run_out) == re.findall(pattern, check_out) == [footer]
 
 
 def test_check_fails_when_a_monitor_trips(tmp_path, capsys):

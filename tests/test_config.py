@@ -20,6 +20,8 @@ from dpnpsim.config import (
     load_config,
     parse_config,
 )
+from dpnpsim.darcy import IncompatibleFlowData, balanced, solve_darcy
+from dpnpsim.mesh import BoundaryField, build_grid
 
 
 def base_doc():
@@ -205,6 +207,31 @@ def test_expression_whitelist():
     for expr, fragment in rejected:
         with pytest.raises(ExpressionError, match=fragment):
             compile_expression(expr)
+
+
+def test_expression_evaluates_bit_equal_to_numpy():
+    fn = compile_expression("-x**2 + 3*y/(1 + x) - sqrt(abs(sin(pi*x) - cos(-y))) * exp(-(x - y))")
+    x = np.linspace(-0.9, 2.0, 13)
+    y = np.linspace(3.0, -1.0, 13)
+    expected = -(x**2.0) + 3.0 * y / (1.0 + x)
+    expected -= np.sqrt(np.abs(np.sin(np.pi * x) - np.cos(-y))) * np.exp(-(x - y))
+    assert np.array_equal(fn(x, y), expected)
+
+
+def test_flux_balance_rule_is_shared_with_the_darcy_solve():
+    # one rule: parse_config flags the f data exactly when solve_darcy refuses it
+    grid = build_grid(8, 4, 2.0, 1.0)
+    for net, ok in ((1e-10, True), (1e-9, False)):  # net flux against a tolerance of 1e-10 * 2
+        doc = base_doc()
+        doc["boundary"]["f"] = {"left": -1.0, "right": 1.0 + net}
+        assert balanced(BoundaryField(grid, left=-1.0, right=1.0 + net)) is ok
+        if ok:
+            parse_config(json.dumps(doc))
+            continue
+        with pytest.raises(ConfigError, match="zero total flux"):
+            parse_config(json.dumps(doc))
+        with pytest.raises(IncompatibleFlowData):
+            solve_darcy(grid, None, None, None, BoundaryField(grid, left=-1.0, right=1.0 + net))
 
 
 def test_expression_violations_flow_into_config_error():

@@ -70,7 +70,6 @@ def test_initial_state_is_consistent_at_t0():
     g, p, init, sched = coupled_setup()
     st = initial_state(g, p, init, sched.at(0.0))
     assert st.time == 0.0
-    assert st.consistent
     assert st.conc is init
     assert st.electro.phi.values.shape == (g.ny, g.nx)
     assert st.flow.q_faces.fx.shape == (g.ny, g.nx + 1)
@@ -118,7 +117,6 @@ def test_converged_state_carries_applied_rates_and_time():
     st0 = initial_state(g, p, init, sched.at(0.0))
     st1, rep = gummel_step(g, p, st0, sched.at(0.02), 0.02, tol=1e-10, max_sweeps=50)
     assert st1.time == pytest.approx(0.02)
-    assert st1.consistent
     assert rep.converged and rep.residuals[-1] <= 1e-10
     # production uses the lagged iterate, consumption the new one, so the
     # exchange rates cancel only to the sweep tolerance
@@ -147,7 +145,6 @@ def test_all_monitors_pass_on_mild_coupled_run():
     for m in res.monitors:
         for flag in type(m).FLAGS:
             assert getattr(m, flag), "%s failed at t=%g" % (flag, m.time)
-        assert m.case == "converged"
 
 
 def test_probe_extra_sweep_residual_stays_below_tol():
@@ -199,6 +196,8 @@ def test_advance_halves_dt_until_the_sweep_converges():
     res = advance(g, p, init, sched, T_end=0.1, dt=0.1, tol=1e-8, max_sweeps=6)
     halvings = [r.halvings for r in res.reports]
     assert max(halvings) >= 3
+    # every failed attempt ran its whole budget of 6 sweeps before dt halved
+    assert sum(r.wasted_sweeps for r in res.reports) == 6 * sum(halvings)
     assert len(res.reports) > 2  # shortened steps were accepted as real steps
     assert res.states[-1].time == pytest.approx(0.1, abs=1e-12)
     assert all(r.converged for r in res.reports)
@@ -228,6 +227,7 @@ def test_advance_halves_dt_on_linear_solver_failure(monkeypatch):
     monkeypatch.setattr(gummel, "step_transport", failing_at_nominal_dt)
     res = advance(g, p, init, sched, T_end=0.02, dt=0.02)
     assert res.reports[0].halvings == 1
+    assert res.reports[0].wasted_sweeps == 0  # a failed linear solve is a halving only
     assert res.states[1].time == pytest.approx(0.01, abs=1e-15)
     assert res.states[-1].time == pytest.approx(0.02, abs=1e-12)
     assert all(r.converged for r in res.reports)
