@@ -35,8 +35,6 @@ def _parse_grids(text):
             grids.append((int(nx), int(ny)))
         else:
             grids.append(int(part))
-    if not grids:
-        raise ValueError("empty grid list")
     return grids
 
 
@@ -78,7 +76,7 @@ def _cmd_check(args):
 
 def _cmd_mms(args):
     try:
-        grids = _parse_grids(args.grids)
+        grids = mms_mod.check_grids(_parse_grids(args.grids))
     except ValueError as exc:
         print("bad grid list %r: %s" % (args.grids, exc), file=sys.stderr)
         return 2

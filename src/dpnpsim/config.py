@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .darcy import balanced
+from .gummel import SweepSettings
 from .mesh import SIDES, BoundaryField, CellField, Grid, build_grid
 from .params import PhysParams, ReactionSpec
 from .schedule import BoundarySpec, Ramp, Schedule
@@ -95,7 +96,7 @@ def compile_expression(text):
     def build(node):
         """Validate node (before its operands) and return its closure (x, y) -> value."""
         if isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
+            if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
                 raise ExpressionError("expression %r uses a non-numeric constant %r" % (text, node.value))
             value = float(node.value)
             return lambda x, y: value
@@ -137,12 +138,7 @@ class RunConfig:
     params: PhysParams
     initial: Concentrations
     schedule: Schedule
-    tol: float
-    max_sweeps: int
-    damping: float
-    init_iterate: str
-    lin_tol: float
-    lin_tol_transport: float
+    settings: SweepSettings
     out_dir: str
     snapshot_stride: int
     raw: dict = field(repr=False, default_factory=dict)
@@ -387,18 +383,20 @@ def parse_config(source):
     tm = r.block(doc, "time", _TIME_KEYS, required=True)
     t_end = r.number(tm, "time", "t_end", required=True, low_strict=0.0)
     dt = r.number(tm, "time", "dt", required=True, low_strict=0.0)
-    tol = r.number(tm, "time", "tol", default=1e-10, low_strict=0.0)
-    max_sweeps = r.integer(tm, "time", "max_sweeps", default=50, low=1)
-    damping = r.number(tm, "time", "damping", default=1.0)
-    if damping is not None and not 0.0 < damping <= 1.0:
+    # each key is checked here, not by SweepSettings, so that every bad key is reported
+    defaults = SweepSettings()
+    tol = r.number(tm, "time", "tol", default=defaults.tol, low_strict=0.0)
+    max_sweeps = r.integer(tm, "time", "max_sweeps", default=defaults.max_sweeps, low=1)
+    damping = r.number(tm, "time", "damping", default=defaults.damping)
+    if not 0.0 < damping <= 1.0:
         r.flag("time.damping must lie in (0, 1], got %g" % damping)
-        damping = 1.0
-    init_iterate = tm.get("init_iterate", "previous")
+        damping = defaults.damping
+    init_iterate = tm.get("init_iterate", defaults.init_iterate)
     if init_iterate not in ("previous", "zero"):
         r.flag("time.init_iterate must be 'previous' or 'zero', got %r" % init_iterate)
-        init_iterate = "previous"
-    lin_tol = r.number(tm, "time", "lin_tol", default=1e-12, low_strict=0.0)
-    lin_tol_transport = r.number(tm, "time", "lin_tol_transport", default=1e-14, low_strict=0.0)
+        init_iterate = defaults.init_iterate
+    lin_tol = r.number(tm, "time", "lin_tol", default=defaults.lin_tol, low_strict=0.0)
+    lin_tol_transport = r.number(tm, "time", "lin_tol_transport", default=defaults.lin_tol_transport, low_strict=0.0)
     if t_end is not None and dt is not None and dt > t_end:
         r.flag("time.dt must not exceed time.t_end, got dt=%g, t_end=%g" % (dt, t_end))
         dt = t_end
@@ -486,12 +484,7 @@ def parse_config(source):
         params=params,
         initial=initial,
         schedule=schedule,
-        tol=tol,
-        max_sweeps=max_sweeps,
-        damping=damping,
-        init_iterate=init_iterate,
-        lin_tol=lin_tol,
-        lin_tol_transport=lin_tol_transport,
+        settings=SweepSettings(tol, max_sweeps, damping, init_iterate, lin_tol, lin_tol_transport),
         out_dir=out_dir,
         snapshot_stride=stride,
         raw=doc,

@@ -31,9 +31,26 @@ from .linalg import SolverError
 from .mesh import CellField
 from .transport import Concentrations, free_charge, step_transport
 
-DEFAULT_LIN_TOL = 1e-12
-DEFAULT_LIN_TOL_TRANSPORT = 1e-14
 MAX_HALVINGS = 10
+
+
+@dataclass(frozen=True)
+class SweepSettings:
+    """Settings of the Gummel sweep; the field defaults are the production values."""
+
+    tol: float = 1e-10  # weighted increment at which the sweep stops
+    max_sweeps: int = 50
+    damping: float = 1.0
+    init_iterate: str = "previous"  # sweep start: "previous" time level or "zero"
+    lin_tol: float = 1e-12  # Gauss and Darcy linear solves
+    lin_tol_transport: float = 1e-14
+    probe_extra_sweep: bool = False  # record the increment of one sweep past convergence
+
+    def __post_init__(self):
+        if not (0.0 < self.damping <= 1.0):
+            raise ValueError("damping must lie in (0, 1], got %g" % self.damping)
+        if self.init_iterate not in ("previous", "zero"):
+            raise ValueError("init_iterate must be 'previous' or 'zero', got %r" % (self.init_iterate,))
 
 
 @dataclass
@@ -92,39 +109,20 @@ def _fields(grid, params, conc, data, lin_tol):
     return electro, flow
 
 
-def initial_state(grid, params, initial, data, lin_tol=DEFAULT_LIN_TOL):
+def initial_state(grid, params, initial, data, lin_tol=SweepSettings.lin_tol):
     """Consistent t = 0 state: field and flow solved from the initial charge."""
     electro, flow = _fields(grid, params, initial, data, lin_tol)
     return State(0.0, electro, flow, initial)
 
 
-def gummel_step(
-    grid,
-    params,
-    state_prev,
-    data,
-    dt,
-    tol,
-    max_sweeps,
-    damping=1.0,
-    init_iterate="previous",
-    lin_tol=DEFAULT_LIN_TOL,
-    lin_tol_transport=DEFAULT_LIN_TOL_TRANSPORT,
-    probe_extra_sweep=False,
-):
+def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
     """One implicit step from state_prev with all data evaluated at the new time.
 
-    init_iterate chooses the sweep start: "previous" (the previous time
-    level, the production default) or "zero".  Returns (State, GummelReport);
-    raises GummelError when max_sweeps sweeps do not reach tol.
+    Returns (State, GummelReport); raises GummelError when settings.max_sweeps
+    sweeps do not reach settings.tol.
     """
-    if not (0.0 < damping <= 1.0):
-        raise ValueError("damping must lie in (0, 1], got %g" % damping)
-    if init_iterate not in ("previous", "zero"):
-        raise ValueError("init_iterate must be 'previous' or 'zero', got %r" % (init_iterate,))
-
     c_prev = state_prev.conc
-    if init_iterate == "previous":
+    if settings.init_iterate == "previous":
         c_k = c_prev
     else:
         c_k = Concentrations(CellField.zeros(grid), CellField.zeros(grid))
@@ -142,29 +140,29 @@ def gummel_step(
             dt,
             c_lag=c_lag,
             sources=data.sources,
-            tol=lin_tol_transport,
+            tol=settings.lin_tol_transport,
         )
-        return result, _damped(grid, damping, result.conc, c_lag)
+        return result, _damped(grid, settings.damping, result.conc, c_lag)
 
     residuals = []
-    for _ in range(max_sweeps):
-        result, c_next = sweep(*_fields(grid, params, c_k, data, lin_tol), c_k)
+    for _ in range(settings.max_sweeps):
+        result, c_next = sweep(*_fields(grid, params, c_k, data, settings.lin_tol), c_k)
         residuals.append(_increment(params, grid, c_next, c_k))
         c_k = c_next
-        if residuals[-1] <= tol:
+        if residuals[-1] <= settings.tol:
             break
     else:
         raise GummelError(
             "Gummel sweep did not converge: residual %.3e > tol %.3e after %d sweeps"
-            % (residuals[-1], tol, len(residuals)),
+            % (residuals[-1], settings.tol, len(residuals)),
             GummelReport(len(residuals), tuple(residuals), False),
         )
 
     # rebuild the elliptic fields from the converged concentrations
-    electro, flow = _fields(grid, params, c_k, data, lin_tol)
+    electro, flow = _fields(grid, params, c_k, data, settings.lin_tol)
 
     extra = None
-    if probe_extra_sweep:
+    if settings.probe_extra_sweep:
         extra = _increment(params, grid, sweep(electro, flow, c_k)[1], c_k)
 
     state = State(state_prev.time + dt, electro, flow, c_k, result.r1, result.r2)
@@ -182,22 +180,7 @@ class SimResult:
     ledger: object
 
 
-def advance(
-    grid,
-    params,
-    initial,
-    schedule,
-    T_end=None,
-    dt=None,
-    tol=1e-10,
-    max_sweeps=50,
-    damping=1.0,
-    init_iterate="previous",
-    lin_tol=DEFAULT_LIN_TOL,
-    lin_tol_transport=DEFAULT_LIN_TOL_TRANSPORT,
-    probe_extra_sweep=False,
-    monitor=True,
-):
+def advance(grid, params, initial, schedule, settings=SweepSettings(), T_end=None, dt=None, monitor=True):
     """March from 0 to T_end; returns SimResult with one State per accepted step.
 
     A step whose sweep fails to converge (GummelError) or whose Krylov solve
@@ -211,7 +194,7 @@ def advance(
     T_end = params.T_end if T_end is None else float(T_end)
     dt = params.dt if dt is None else float(dt)
 
-    state = initial_state(grid, params, initial, schedule.at(0.0), lin_tol=lin_tol)
+    state = initial_state(grid, params, initial, schedule.at(0.0), lin_tol=settings.lin_tol)
     evaluator = BoundsEvaluator(grid, params, schedule, initial, T_end) if monitor else None
 
     states = [state]
@@ -225,20 +208,7 @@ def advance(
         while True:
             data = schedule.at(t + dt_try)
             try:
-                new_state, rep = gummel_step(
-                    grid,
-                    params,
-                    state,
-                    data,
-                    dt_try,
-                    tol,
-                    max_sweeps,
-                    damping=damping,
-                    init_iterate=init_iterate,
-                    lin_tol=lin_tol,
-                    lin_tol_transport=lin_tol_transport,
-                    probe_extra_sweep=probe_extra_sweep,
-                )
+                new_state, rep = gummel_step(grid, params, state, data, dt_try, settings)
                 break
             except (GummelError, SolverError) as exc:
                 halvings += 1

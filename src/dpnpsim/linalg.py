@@ -59,25 +59,15 @@ class SparseMatrix:
 
     Canonicalization on construction (tocsr, sum_duplicates, sort_indices)
     makes the column indices of each row strictly increasing, with duplicate
-    entries summed.  Checked on construction: indptr has length rows+1, starts
-    at 0 and is nondecreasing, column indices are in range, and all stored
-    values are finite.
+    entries summed.  Checked on construction: all stored values are finite.
+    Index ranges need no check here: from_coo is the only constructor, and
+    scipy's coo_matrix rejects negative or out-of-range indices.
     """
 
     def __init__(self, csr):
-        if not sp.issparse(csr):
-            raise TypeError("SparseMatrix wraps a scipy sparse matrix")
         csr = csr.tocsr()
         csr.sum_duplicates()
         csr.sort_indices()
-        n_rows, n_cols = csr.shape
-        if csr.indptr.shape != (n_rows + 1,) or csr.indptr[0] != 0:
-            raise ValueError("malformed indptr")
-        if np.any(np.diff(csr.indptr) < 0):
-            raise ValueError("indptr must be nondecreasing")
-        if csr.indices.size:
-            if csr.indices.min() < 0 or csr.indices.max() >= n_cols:
-                raise ValueError("column index out of range")
         if not np.all(np.isfinite(csr.data)):
             raise ValueError("matrix values must be finite")
         self.csr = csr

@@ -102,13 +102,6 @@ class CellField:
         xx, yy = grid.cell_centers()
         return cls(grid, np.broadcast_to(np.asarray(fn(xx, yy), dtype=float), xx.shape).copy())
 
-    def ravel(self):
-        """Flat (n_cells,) view, row-major in j then i."""
-        return self.values.reshape(-1)
-
-    def copy(self):
-        return CellField(self.grid, self.values.copy())
-
     def volume_integral(self):
         return float(self.values.sum() * self.grid.cell_volume)
 
@@ -124,9 +117,6 @@ class FaceField:
     @classmethod
     def zeros(cls, grid):
         return cls(grid, np.zeros((grid.ny, grid.nx + 1)), np.zeros((grid.ny + 1, grid.nx)))
-
-    def copy(self):
-        return FaceField(self.grid, self.fx.copy(), self.fy.copy())
 
     def set_boundary_outward(self, bf):
         """Stamp outward-convention boundary values onto the boundary faces."""
@@ -171,10 +161,6 @@ class BoundaryField:
     @classmethod
     def zeros(cls, grid):
         return cls(grid)
-
-    def sides(self):
-        for name in SIDES:
-            yield name, getattr(self, name)
 
     def boundary_integral(self):
         """Integral of the outward values over the whole boundary."""

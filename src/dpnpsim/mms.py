@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gummel import gummel_step, initial_state
+from .gummel import SweepSettings, gummel_step, initial_state
 from .darcy import solve_darcy
 from .gauss import solve_gauss
 from .linalg import project_zero_mean
@@ -275,7 +275,7 @@ def _run_coupled(grid, params):
         sources=(source(params.z1, a[0], X, Y, t1), source(params.z2, a[1], X, Y, t1)),
     )
     state0 = initial_state(grid, params, initial, data)
-    state, report = gummel_step(grid, params, state0, data, dt, tol=1e-11, max_sweeps=50)
+    state, report = gummel_step(grid, params, state0, data, dt, SweepSettings(tol=1e-11))
 
     phi_ex = X**2 - X + 1.0 / 6.0
     p_ex = X**2 - Y**2
@@ -296,25 +296,36 @@ _RUNNERS = {
 }
 
 
+def check_grids(grids):
+    """Grid list as (nx, ny) pairs; entries are ints (n -> n x n) or pairs.
+
+    Raises ValueError for an empty list, a size below 1, or two consecutive
+    grids with the same spacing h = max(hx, hy) on the unit square, where
+    the observed order log(e0 / e1) / log(h0 / h1) is undefined.
+    """
+    pairs = [(g, g) if isinstance(g, int) else (int(g[0]), int(g[1])) for g in grids]
+    if not pairs:
+        raise ValueError("need at least one grid")
+    for nx, ny in pairs:
+        if nx < 1 or ny < 1:
+            raise ValueError("grid %dx%d needs nx >= 1 and ny >= 1" % (nx, ny))
+    for (nx0, ny0), (nx1, ny1) in zip(pairs, pairs[1:]):
+        if max(1.0 / nx0, 1.0 / ny0) == max(1.0 / nx1, 1.0 / ny1):
+            raise ValueError("consecutive grids %dx%d and %dx%d have the same spacing h" % (nx0, ny0, nx1, ny1))
+    return pairs
+
+
 def run_mms(case, grids, params=None):
     """Run one manufactured case over a grid list; returns a ConvergenceTable.
 
-    grids entries are ints (n -> n x n) or (nx, ny) pairs; the domain is the
+    grids is checked by check_grids before any solve; the domain is the
     unit square.  params defaults to the unit material data.
     """
     if case not in _RUNNERS:
         raise ValueError("unknown manufactured case %r; choose from %s" % (case, ", ".join(CASES)))
+    norm_grids = check_grids(grids)
     if params is None:
         params = PhysParams()
-    norm_grids = []
-    for g in grids:
-        if isinstance(g, int):
-            norm_grids.append((g, g))
-        else:
-            nx, ny = g
-            norm_grids.append((int(nx), int(ny)))
-    if not norm_grids:
-        raise ValueError("need at least one grid")
 
     errors = {}
     hs = []

@@ -58,61 +58,59 @@ def _write_csv(path, rows):
             fh.write(",".join(row) + "\n")
 
 
-def bounds_text(ledger):
+def _bounds_table(ledger):
+    """The bounds report in order as (constants, data norms).
+
+    Each entry is (text label, CSV name, value); a norm taken per species
+    is a pair of values, written as NAME_1 and NAME_2 in the CSV.
+    """
     n = ledger.norms
-    lines = [
-        "a-priori constants (T = %s)" % _fmt(ledger.T),
-        "",
-        "  B0        = %s" % _fmt(ledger.B0),
-        "  B0_energy = %s" % _fmt(ledger.B0_energy),
-        "  B0_moser  = %s" % _fmt(ledger.B0_moser),
-        "  C0_hat    = %s" % _fmt(ledger.C0_hat),
-        "  C0_hat_energy = %s" % _fmt(ledger.C0_hat_energy),
-        "  C0        = %s" % _fmt(ledger.C0),
-        "  CM        = %s" % _fmt(ledger.CM),
-        "  log10(CM) = %s" % _fmt(ledger.cm_log10),
-        "  Ce        = %s" % _fmt(ledger.Ce),
-        "  Cf        = %s" % _fmt(ledger.Cf),
-        "",
-        "data norms",
-        "  sigma_inf = %s" % _fmt(n.sigma_inf),
-        "  f_inf     = %s" % _fmt(n.f_inf),
-        "  rhob_inf  = %s" % _fmt(n.rhob_inf),
-        "  g_inf     = %s, %s" % (_fmt(n.g_inf[0]), _fmt(n.g_inf[1])),
-        "  g_l2      = %s, %s" % (_fmt(n.g_l2[0]), _fmt(n.g_l2[1])),
-        "  c0_l2     = %s, %s" % (_fmt(n.c0_l2[0]), _fmt(n.c0_l2[1])),
-        "  c0_inf    = %s, %s" % (_fmt(n.c0_inf[0]), _fmt(n.c0_inf[1])),
+    constants = [
+        ("B0", "B0", ledger.B0),
+        ("B0_energy", "B0_energy", ledger.B0_energy),
+        ("B0_moser", "B0_moser", ledger.B0_moser),
+        ("C0_hat", "C0_hat", ledger.C0_hat),
+        ("C0_hat_energy", "C0_hat_energy", ledger.C0_hat_energy),
+        ("C0", "C0", ledger.C0),
+        ("CM", "CM", ledger.CM),
+        ("log10(CM)", "log10_CM", ledger.cm_log10),
+        ("Ce", "Ce", ledger.Ce),
+        ("Cf", "Cf", ledger.Cf),
     ]
-    return "\n".join(lines) + "\n"
+    norms = [
+        ("sigma_inf", "sigma_inf", n.sigma_inf),
+        ("f_inf", "f_inf", n.f_inf),
+        ("rhob_inf", "rhob_inf", n.rhob_inf),
+        ("g_inf", "g_inf", n.g_inf),
+        ("g_l2", "g_l2", n.g_l2),
+        ("c0_l2", "c0_l2", n.c0_l2),
+        ("c0_inf", "c0_inf", n.c0_inf),
+    ]
+    return constants, norms
+
+
+def bounds_text(ledger):
+    constants, norms = _bounds_table(ledger)
+
+    def section(items):
+        return [
+            "  %-9s = %s" % (label, ", ".join(map(_fmt, v)) if isinstance(v, tuple) else _fmt(v))
+            for label, _, v in items
+        ]
+
+    lines = ["a-priori constants (T = %s)" % _fmt(ledger.T), ""] + section(constants) + ["", "data norms"]
+    return "\n".join(lines + section(norms)) + "\n"
 
 
 def bounds_csv_rows(ledger):
-    n = ledger.norms
-    items = [
-        ("T", ledger.T),
-        ("B0", ledger.B0),
-        ("B0_energy", ledger.B0_energy),
-        ("B0_moser", ledger.B0_moser),
-        ("C0_hat", ledger.C0_hat),
-        ("C0_hat_energy", ledger.C0_hat_energy),
-        ("C0", ledger.C0),
-        ("CM", ledger.CM),
-        ("log10_CM", ledger.cm_log10),
-        ("Ce", ledger.Ce),
-        ("Cf", ledger.Cf),
-        ("sigma_inf", n.sigma_inf),
-        ("f_inf", n.f_inf),
-        ("rhob_inf", n.rhob_inf),
-        ("g_inf_1", n.g_inf[0]),
-        ("g_inf_2", n.g_inf[1]),
-        ("g_l2_1", n.g_l2[0]),
-        ("g_l2_2", n.g_l2[1]),
-        ("c0_l2_1", n.c0_l2[0]),
-        ("c0_l2_2", n.c0_l2[1]),
-        ("c0_inf_1", n.c0_inf[0]),
-        ("c0_inf_2", n.c0_inf[1]),
-    ]
-    return [["quantity", "value"]] + [[k, _fmt(v)] for k, v in items]
+    constants, norms = _bounds_table(ledger)
+    rows = [["quantity", "value"], ["T", _fmt(ledger.T)]]
+    for _, name, value in constants + norms:
+        if isinstance(value, tuple):
+            rows += [["%s_%d" % (name, k), _fmt(v)] for k, v in enumerate(value, start=1)]
+        else:
+            rows.append([name, _fmt(value)])
+    return rows
 
 
 @dataclass
@@ -124,18 +122,7 @@ class RunOutput:
 
 
 def _advance(cfg):
-    return gummel.advance(
-        cfg.grid,
-        cfg.params,
-        cfg.initial,
-        cfg.schedule,
-        tol=cfg.tol,
-        max_sweeps=cfg.max_sweeps,
-        damping=cfg.damping,
-        init_iterate=cfg.init_iterate,
-        lin_tol=cfg.lin_tol,
-        lin_tol_transport=cfg.lin_tol_transport,
-    )
+    return gummel.advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
 
 
 def run(cfg, out_dir=None):

@@ -37,9 +37,6 @@ class Concentrations:
     c1: CellField
     c2: CellField
 
-    def species(self):
-        return (self.c1, self.c2)
-
     def min(self):
         return float(min(self.c1.values.min(), self.c2.values.min()))
 

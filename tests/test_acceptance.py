@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from dpnpsim.bounds import BoundsEvaluator
-from dpnpsim.gummel import advance
+from dpnpsim.gummel import SweepSettings, advance
 from dpnpsim.linalg import SparseMatrix, solve_nonsym, solve_spd
 from dpnpsim.mesh import CellField, build_grid
 from dpnpsim.mms import run_mms
@@ -101,10 +101,9 @@ def suite():
             params,
             initial,
             schedule,
+            SweepSettings(tol=SUITE_TOL, probe_extra_sweep=True),
             T_end=SUITE_STEPS * SUITE_DT,
             dt=SUITE_DT,
-            tol=SUITE_TOL,
-            probe_extra_sweep=True,
         )
         runs.append((grid, params, initial, schedule, result))
         if (i + 1) % 10 == 0:
@@ -184,10 +183,9 @@ def test_08_uniqueness_proxy(suite):
             params,
             initial,
             schedule,
+            SweepSettings(tol=SUITE_TOL, init_iterate="zero"),
             T_end=SUITE_STEPS * SUITE_DT,
             dt=SUITE_DT,
-            tol=SUITE_TOL,
-            init_iterate="zero",
             monitor=False,
         )
         a, b = result.states[-1].conc, other.states[-1].conc
@@ -215,7 +213,7 @@ def test_09_symmetric_electrolyte():
         g2=BoundarySpec(grid, left=0.05),
         rho_b=CellField.zeros(grid),
     )
-    result = advance(grid, params, initial, schedule, T_end=0.1, dt=0.005, tol=1e-10)
+    result = advance(grid, params, initial, schedule, SweepSettings(tol=1e-10), T_end=0.1, dt=0.005)
     final = result.states[-1].conc
     gap = float(np.abs(final.c1.values - final.c2.values).max())
     ok = gap <= 1e-8

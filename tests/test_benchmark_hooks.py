@@ -1,0 +1,47 @@
+"""The benchmark's tracer reaches every call site it wraps.
+
+perfbench/tracer.py patches dpnpsim from outside, by module global: for
+example gummel.solve_gauss, gummel.step_transport and transport.solve_nonsym.
+A call site that is renamed, or that stops going through that global, is
+silently missed and its counters read zero.  The patches are process-wide,
+so the tracer is installed in a fresh interpreter, which runs runner.check
+on a tiny configuration and prints the tracer's counts.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = """
+import json, sys
+import dpnpsim, tracer
+t = tracer.Tracer()
+tracer.install(t, dpnpsim)
+ok, lines = dpnpsim.runner.check(dpnpsim.config.parse_config(sys.argv[1]))
+print(json.dumps({name: t.values[name] for name in tracer.REQUIRED_COUNTS}))
+"""
+
+TINY = {
+    "grid": {"nx": 6, "ny": 6},
+    "physics": {"kappa": 0.1, "z1": 1, "z2": -2, "reaction": {"kind": "exchange", "rate": 0.1}},
+    "initial": {"c1": {"kind": "expression", "expr": "0.5 + 0.2*cos(pi*x)"}, "c2": 0.3},
+    "boundary": {"g1": {"left": 0.05}, "f": {"left": -0.1, "right": 0.1}},
+    "time": {"t_end": 0.02, "dt": 0.01},
+}
+
+
+def test_every_required_benchmark_hook_fires():
+    path = os.pathsep.join([os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")])
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(TINY)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout.splitlines()[-1])
+    assert set(counts) and not [name for name, n in counts.items() if not n], counts

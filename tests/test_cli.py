@@ -13,7 +13,9 @@ import re
 
 import pytest
 
+from dpnpsim import runner
 from dpnpsim.cli import main
+from dpnpsim.config import load_config
 from dpnpsim.monitors import MonitorReport
 
 
@@ -135,6 +137,17 @@ def test_run_and_check_print_the_same_counts_footer(tmp_path, capsys):
     assert re.findall(pattern, run_out) == re.findall(pattern, check_out) == [footer]
 
 
+def test_config_damping_reaches_the_march(tmp_path):
+    # damping only slows the sweep, so a smaller value must cost more sweeps
+    sweeps = {}
+    for damping in (1.0, 0.5):
+        cfg = load_config(write_cfg(tmp_path, time={"t_end": 0.02, "dt": 0.01, "damping": damping}))
+        ok, lines = runner.check(cfg)
+        assert ok
+        sweeps[damping] = int(re.search(r"sweeps: (\d+)", lines[-1]).group(1))
+    assert sweeps[0.5] > sweeps[1.0]
+
+
 def test_check_fails_when_a_monitor_trips(tmp_path, capsys):
     # a sloppy transport solve leaves a visible mass defect
     cfg = write_cfg(tmp_path, time={"t_end": 0.02, "dt": 0.01, "lin_tol_transport": 1e-5})
@@ -187,8 +200,9 @@ def test_mms_accepts_rectangular_grid_list(capsys):
 
 
 def test_mms_rejects_bad_grid_list(capsys):
-    assert main(["mms", "poisson", "--grids", "eight"]) == 2
-    assert "bad grid list" in capsys.readouterr().err
+    for grids in ("eight", "0", "-4", "8,8", "8x16,16x8"):
+        assert main(["mms", "poisson", "--grids", grids]) == 2
+        assert "bad grid list" in capsys.readouterr().err
 
 
 def test_mms_rejects_unknown_case(capsys):

@@ -21,6 +21,7 @@ from dpnpsim.config import (
     parse_config,
 )
 from dpnpsim.darcy import IncompatibleFlowData, balanced, solve_darcy
+from dpnpsim.gummel import SweepSettings
 from dpnpsim.mesh import BoundaryField, build_grid
 
 
@@ -97,12 +98,13 @@ def test_defaults_fill_in():
         "time": {"t_end": 0.1, "dt": 0.05},
     }
     cfg = parse_config(doc)  # dicts are accepted directly
-    assert cfg.tol == 1e-10
-    assert cfg.max_sweeps == 50
-    assert cfg.damping == 1.0
-    assert cfg.init_iterate == "previous"
-    assert cfg.lin_tol == 1e-12
-    assert cfg.lin_tol_transport == 1e-14
+    assert cfg.settings == SweepSettings()  # the sweep defaults live in SweepSettings alone
+    assert cfg.settings.tol == 1e-10
+    assert cfg.settings.max_sweeps == 50
+    assert cfg.settings.damping == 1.0
+    assert cfg.settings.init_iterate == "previous"
+    assert cfg.settings.lin_tol == 1e-12
+    assert cfg.settings.lin_tol_transport == 1e-14
     assert cfg.out_dir == "out"
     assert cfg.snapshot_stride == 1
     assert cfg.params.theta == 1.0 and cfg.params.kappa == 1.0
@@ -121,6 +123,8 @@ def test_all_violations_reported_at_once():
     doc["physics"]["bogus"] = 1
     doc["boundary"]["g1"]["left"] = -0.5
     doc["time"]["dt"] = 0.5  # exceeds t_end
+    doc["time"]["damping"] = 0.0
+    doc["time"]["init_iterate"] = "warm"
     doc["extra_block"] = {}
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(doc))
@@ -131,6 +135,8 @@ def test_all_violations_reported_at_once():
     assert "unknown key 'bogus'" in v
     assert "inflow and must be nonnegative" in v
     assert "dt must not exceed time.t_end" in v
+    assert "time.damping must lie in (0, 1]" in v
+    assert "time.init_iterate must be 'previous' or 'zero'" in v
     assert "unknown top-level block 'extra_block'" in v
     assert len(exc.value.violations) >= 7
     # the exception message lists each violation on its own line
@@ -201,6 +207,7 @@ def test_expression_whitelist():
         ("x.real", "forbidden syntax"),
         ("x < y", "forbidden syntax"),
         ("'a'", "non-numeric constant"),
+        ("True + x", "non-numeric constant"),
         ("sin(", "does not parse"),
         ("[1, 2]", "forbidden syntax"),
     ]

@@ -23,6 +23,7 @@ import pytest
 from dpnpsim import gummel
 from dpnpsim.gummel import (
     GummelError,
+    SweepSettings,
     advance,
     gummel_step,
     initial_state,
@@ -85,7 +86,7 @@ def test_decoupled_limit_converges_in_exactly_two_sweeps():
     init = Concentrations(c0, CellField(g, c0.values.copy()))
     sched = constant_schedule(g, f={"left": -0.1, "right": 0.1})
     st0 = initial_state(g, p, init, sched.at(0.0))
-    _, rep = gummel_step(g, p, st0, sched.at(0.01), 0.01, tol=1e-10, max_sweeps=50)
+    _, rep = gummel_step(g, p, st0, sched.at(0.01), 0.01, SweepSettings(tol=1e-10, max_sweeps=50))
     assert rep.sweeps == 2
     assert rep.residuals[0] > 1e-3
     assert rep.residuals[1] == 0.0
@@ -96,16 +97,16 @@ def test_step_validates_damping_and_init_iterate():
     g, p, init, sched = coupled_setup(6)
     st0 = initial_state(g, p, init, sched.at(0.0))
     with pytest.raises(ValueError, match="damping"):
-        gummel_step(g, p, st0, sched.at(0.01), 0.01, 1e-8, 10, damping=0.0)
+        gummel_step(g, p, st0, sched.at(0.01), 0.01, SweepSettings(1e-8, 10, damping=0.0))
     with pytest.raises(ValueError, match="init_iterate"):
-        gummel_step(g, p, st0, sched.at(0.01), 0.01, 1e-8, 10, init_iterate="warm")
+        gummel_step(g, p, st0, sched.at(0.01), 0.01, SweepSettings(1e-8, 10, init_iterate="warm"))
 
 
 def test_step_raises_with_report_when_sweeps_exhausted():
     g, p, init, sched = coupled_setup(6)
     st0 = initial_state(g, p, init, sched.at(0.0))
     with pytest.raises(GummelError) as exc:
-        gummel_step(g, p, st0, sched.at(0.01), 0.01, tol=1e-300, max_sweeps=3)
+        gummel_step(g, p, st0, sched.at(0.01), 0.01, SweepSettings(tol=1e-300, max_sweeps=3))
     rep = exc.value.report
     assert rep.sweeps == 3
     assert not rep.converged
@@ -115,7 +116,7 @@ def test_step_raises_with_report_when_sweeps_exhausted():
 def test_converged_state_carries_applied_rates_and_time():
     g, p, init, sched = coupled_setup(8)
     st0 = initial_state(g, p, init, sched.at(0.0))
-    st1, rep = gummel_step(g, p, st0, sched.at(0.02), 0.02, tol=1e-10, max_sweeps=50)
+    st1, rep = gummel_step(g, p, st0, sched.at(0.02), 0.02, SweepSettings(tol=1e-10, max_sweeps=50))
     assert st1.time == pytest.approx(0.02)
     assert rep.converged and rep.residuals[-1] <= 1e-10
     # production uses the lagged iterate, consumption the new one, so the
@@ -126,7 +127,7 @@ def test_converged_state_carries_applied_rates_and_time():
 
 def test_advance_lands_exactly_on_T_end_with_clipped_final_step():
     g, p, init, sched = coupled_setup(8)
-    res = advance(g, p, init, sched, T_end=0.05, dt=0.02, tol=1e-10)
+    res = advance(g, p, init, sched, SweepSettings(tol=1e-10), T_end=0.05, dt=0.02)
     times = [s.time for s in res.states]
     assert times[0] == 0.0
     assert len(res.states) == len(res.reports) + 1
@@ -141,7 +142,7 @@ def test_advance_lands_exactly_on_T_end_with_clipped_final_step():
 
 def test_all_monitors_pass_on_mild_coupled_run():
     g, p, init, sched = coupled_setup()
-    res = advance(g, p, init, sched, T_end=0.05, dt=0.01, tol=1e-10)
+    res = advance(g, p, init, sched, SweepSettings(tol=1e-10), T_end=0.05, dt=0.01)
     for m in res.monitors:
         for flag in type(m).FLAGS:
             assert getattr(m, flag), "%s failed at t=%g" % (flag, m.time)
@@ -149,9 +150,7 @@ def test_all_monitors_pass_on_mild_coupled_run():
 
 def test_probe_extra_sweep_residual_stays_below_tol():
     g, p, init, sched = coupled_setup()
-    res = advance(
-        g, p, init, sched, T_end=0.05, dt=0.01, tol=1e-10, probe_extra_sweep=True
-    )
+    res = advance(g, p, init, sched, SweepSettings(tol=1e-10, probe_extra_sweep=True), T_end=0.05, dt=0.01)
     for rep in res.reports:
         assert rep.extra_sweep_residual is not None
         assert rep.extra_sweep_residual <= 1e-10
@@ -160,10 +159,10 @@ def test_probe_extra_sweep_residual_stays_below_tol():
 def test_damping_and_zero_init_reach_the_same_fixed_point():
     g, p, init, sched = coupled_setup()
     tol = 1e-10
-    kw = dict(T_end=0.05, dt=0.01, tol=tol, monitor=False)
-    base = advance(g, p, init, sched, **kw)
-    damped = advance(g, p, init, sched, damping=0.7, **kw)
-    zeroed = advance(g, p, init, sched, init_iterate="zero", **kw)
+    kw = dict(T_end=0.05, dt=0.01, monitor=False)
+    base = advance(g, p, init, sched, SweepSettings(tol=tol), **kw)
+    damped = advance(g, p, init, sched, SweepSettings(tol=tol, damping=0.7), **kw)
+    zeroed = advance(g, p, init, sched, SweepSettings(tol=tol, init_iterate="zero"), **kw)
     assert weighted_dist(g, p, base.states[-1], damped.states[-1]) <= 10 * tol
     assert weighted_dist(g, p, base.states[-1], zeroed.states[-1]) <= 10 * tol
     # damping slows the sweep but must not change the answer
@@ -180,7 +179,7 @@ def test_symmetric_electrolyte_keeps_species_identical():
     sched = constant_schedule(
         g, f={"bottom": -0.2, "top": 0.2}, g1={"left": 0.05}, g2={"left": 0.05}
     )
-    res = advance(g, p, init, sched, T_end=0.05, dt=0.01, tol=1e-10)
+    res = advance(g, p, init, sched, SweepSettings(tol=1e-10), T_end=0.05, dt=0.01)
     gap = max(np.abs(s.conc.c1.values - s.conc.c2.values).max() for s in res.states)
     assert gap <= 1e-8
 
@@ -193,7 +192,7 @@ def test_advance_halves_dt_until_the_sweep_converges():
     c1 = CellField.from_function(g, lambda x, y: 0.8 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y))
     init = Concentrations(c1, CellField.full(g, 0.3))
     sched = constant_schedule(g, sigma={"left": 0.05, "right": -0.05})
-    res = advance(g, p, init, sched, T_end=0.1, dt=0.1, tol=1e-8, max_sweeps=6)
+    res = advance(g, p, init, sched, SweepSettings(tol=1e-8, max_sweeps=6), T_end=0.1, dt=0.1)
     halvings = [r.halvings for r in res.reports]
     assert max(halvings) >= 3
     # every failed attempt ran its whole budget of 6 sweeps before dt halved
@@ -210,7 +209,7 @@ def test_advance_raises_after_exhausting_halvings():
     init = Concentrations(c1, CellField.full(g, 0.3))
     sched = constant_schedule(g, sigma={"left": 0.05, "right": -0.05})
     with pytest.raises(GummelError):
-        advance(g, p, init, sched, T_end=0.1, dt=0.1, tol=1e-300, max_sweeps=1)
+        advance(g, p, init, sched, SweepSettings(tol=1e-300, max_sweeps=1), T_end=0.1, dt=0.1)
 
 
 def test_advance_halves_dt_on_linear_solver_failure(monkeypatch):

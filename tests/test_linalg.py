@@ -86,6 +86,10 @@ def test_sparse_matrix_round_trip_and_matvec():
 def test_sparse_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         SparseMatrix.from_coo(1, 1, [0], [0], [np.nan])
+    # SparseMatrix does not check indices itself: it relies on coo_matrix rejecting these
+    for cols in ([5], [-1]):
+        with pytest.raises(ValueError, match="index"):
+            SparseMatrix.from_coo(2, 2, [0], cols, [1.0])
 
 
 def test_two_point_matrix_by_hand():

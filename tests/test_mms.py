@@ -85,6 +85,15 @@ def test_grid_specs_accept_ints_and_pairs():
     assert rect.hs[0] == pytest.approx(0.25)  # h is the coarser spacing
 
 
+def test_grid_list_is_checked_before_any_solve():
+    # equal consecutive spacings would divide by log(h0 / h1) = 0 in the order loop
+    for grids in ((8, 8), ((8, 16), (16, 8))):
+        with pytest.raises(ValueError, match="8x.* have the same spacing h"):
+            run_mms("poisson", grids)
+    with pytest.raises(ValueError, match="grid 0x4 needs"):
+        run_mms("poisson", ((0, 4),))
+
+
 def test_table_text_and_csv_shape():
     table = run_mms("diffusion", (8, 16))
     text = table.text()
