@@ -59,7 +59,7 @@ _SPEC_KEYS = {
 }
 
 _ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
-_ALLOWED_NAMES = {"x": lambda x, y: x, "y": lambda x, y: y, "pi": lambda x, y: math.pi}
+_ALLOWED_NAMES = {"x": lambda x, y: x, "y": lambda x, y: y, "pi": math.pi}
 _ALLOWED_BINOPS = {
     ast.Add: operator.add,
     ast.Sub: operator.sub,
@@ -86,20 +86,31 @@ def compile_expression(text):
     """Compile a whitelisted arithmetic expression of x and y.
 
     Returns a function (x, y) -> array.  Raises ExpressionError for anything
-    outside the whitelist, naming the offending construct.
+    outside the whitelist, naming the offending construct, and for a constant
+    part (folded here) that is not a finite real number: 1/0, 10**400, (-8)**0.5.
     """
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError("expression %r does not parse: %s" % (text, exc.msg)) from None
 
+    def fold(node, fn, *values):
+        """The value fn(*values) of a constant node, which must be a finite real number."""
+        try:
+            with np.errstate(all="ignore"):
+                value = fn(*values)
+        except (ZeroDivisionError, OverflowError):
+            value = math.nan
+        if isinstance(value, complex) or not math.isfinite(value):
+            raise ExpressionError("expression %r: constant %s is not a finite real number" % (text, ast.unparse(node)))
+        return float(value)
+
     def build(node):
-        """Validate node (before its operands) and return its closure (x, y) -> value."""
+        """Validate node (before its operands); return a float if it is constant, else its closure (x, y) -> value."""
         if isinstance(node, ast.Constant):
             if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
                 raise ExpressionError("expression %r uses a non-numeric constant %r" % (text, node.value))
-            value = float(node.value)
-            return lambda x, y: value
+            return fold(node, float, node.value)
         if isinstance(node, ast.Name):
             if node.id not in _ALLOWED_NAMES:
                 raise ExpressionError(
@@ -110,26 +121,28 @@ def compile_expression(text):
             op = _ALLOWED_BINOPS.get(type(node.op))
             if op is None:
                 raise ExpressionError("expression %r uses a forbidden operator" % text)
-            left, right = build(node.left), build(node.right)
-            return lambda x, y: op(left(x, y), right(x, y))
-        if isinstance(node, ast.UnaryOp):
+            operands = build(node.left), build(node.right)
+        elif isinstance(node, ast.UnaryOp):
             op = _ALLOWED_UNARY.get(type(node.op))
             if op is None:
                 raise ExpressionError("expression %r uses a forbidden unary operator" % text)
-            operand = build(node.operand)
-            return lambda x, y: op(operand(x, y))
-        if isinstance(node, ast.Call):
+            operands = (build(node.operand),)
+        elif isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_CALLS:
                 raise ExpressionError(
                     "expression %r calls something other than %s" % (text, ", ".join(sorted(_ALLOWED_CALLS)))
                 )
             if len(node.args) != 1 or node.keywords:
                 raise ExpressionError("expression %r: %s takes exactly one argument" % (text, node.func.id))
-            fn, arg = _ALLOWED_CALLS[node.func.id], build(node.args[0])
-            return lambda x, y: fn(arg(x, y))
-        raise ExpressionError("expression %r uses forbidden syntax (%s)" % (text, type(node).__name__))
+            op, operands = _ALLOWED_CALLS[node.func.id], (build(node.args[0]),)
+        else:
+            raise ExpressionError("expression %r uses forbidden syntax (%s)" % (text, type(node).__name__))
+        if all(isinstance(v, float) for v in operands):
+            return fold(node, op, *operands)
+        return lambda x, y: op(*(v(x, y) if callable(v) else v for v in operands))
 
-    return build(tree.body)
+    root = build(tree.body)
+    return root if callable(root) else (lambda x, y: root)
 
 
 @dataclass

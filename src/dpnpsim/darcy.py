@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauss import fv_laplacian
-from .linalg import SolveReport, project_zero_mean, solve_spd
+from .linalg import SolveReport, solve_spd
 from .mesh import CellField, FaceField
 
 DEFAULT_TOL = 1e-12
@@ -82,9 +82,8 @@ def solve_darcy(grid, params, rho_f, e_faces, f_bc, tol=DEFAULT_TOL):
     b = b2.ravel()
     velocity_scale = float(np.linalg.norm(b)) / vol
 
-    A = fv_laplacian(grid, mx, my)
-    x, report = solve_spd(A, b - b.mean(), tol=tol)
-    p = CellField(grid, project_zero_mean(x, np.full(x.shape, vol)))
+    x, report = solve_spd(fv_laplacian(grid, mx, my), b - b.mean(), tol=tol)  # the zero-mean solution
+    p = CellField(grid, x)
 
     q = FaceField.zeros(grid)
     pv = p.values

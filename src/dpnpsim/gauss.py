@@ -12,9 +12,10 @@ Two-point fluxes on the uniform grid make the cell equations
 
     sum over faces of E.nu * face_length = (rho_f + rho_b) * cell_volume
 
-an SPD system whose residual translates directly into the divergence defect:
-||div E - rho_total||_inf <= ||residual||_2 / cell_volume, which is what the
-reported charge_scale = ||rhs||_2 / cell_volume is for.
+a singular symmetric system whose residual translates directly into the
+divergence defect: ||div E - rho_total||_inf <= ||residual||_2 / cell_volume,
+which is what the reported charge_scale = ||rhs||_2 / cell_volume is for.
+Its matrix, fv_laplacian, is solved exactly in its cosine eigenbasis.
 """
 
 import functools
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SolveReport, project_zero_mean, solve_spd, two_point_matrix
+from .linalg import SolveReport, neumann_laplacian, solve_spd
 from .mesh import CellField, FaceField, cell_divergence
 
 DEFAULT_TOL = 1e-12
@@ -30,23 +31,19 @@ DEFAULT_TOL = 1e-12
 
 @functools.lru_cache(maxsize=8)
 def fv_laplacian(grid, coef_x, coef_y):
-    """SPD matrix of the two-point flux operator with zero-flux boundaries.
+    """Symmetric matrix of the two-point flux operator with zero-flux boundaries, with its eigenbasis.
 
     Row c holds sum_faces t_f (phi_c - phi_nbr) with transmissibilities
     t = coef * face_length / distance; boundary faces contribute nothing
     (their fluxes are data and live on the right side).
 
     Memoized on (grid, coef_x, coef_y), so every Gauss and Darcy solve of a
-    run reuses one matrix: grids hash by identity and are never mutated after
-    construction, so a key cannot go stale, and the shared matrix's data,
-    indices and indptr are read-only, so no caller can corrupt a later solve.
+    run reuses one matrix and eigenbasis: grids hash by identity and are never
+    mutated after construction, so a key cannot go stale, and the shared
+    arrays are read-only (linalg.neumann_laplacian), so no caller can corrupt
+    a later solve.
     """
-    tx = coef_x * grid.hy / grid.hx
-    ty = coef_y * grid.hx / grid.hy
-    A = two_point_matrix(grid, 0.0, (tx, tx), (ty, ty))
-    for a in (A.data, A.indices, A.indptr):
-        a.flags.writeable = False
-    return A
+    return neumann_laplacian(grid, coef_x * grid.hy / grid.hx, coef_y * grid.hx / grid.hy)
 
 
 @dataclass
@@ -78,7 +75,6 @@ def solve_gauss(grid, params, rho_f, rho_b, sigma, tol=DEFAULT_TOL):
     rho_used = rho_tot - shift
 
     b2 = rho_used * vol
-    b2 = b2.copy()
     b2[:, 0] -= sigma.left * grid.hy
     b2[:, -1] -= sigma.right * grid.hy
     b2[0, :] -= sigma.bottom * grid.hx
@@ -86,11 +82,9 @@ def solve_gauss(grid, params, rho_f, rho_b, sigma, tol=DEFAULT_TOL):
     b = b2.ravel()
     charge_scale = float(np.linalg.norm(b)) / vol
 
-    A = fv_laplacian(grid, eps_x, eps_y)
-    b_proj = b - b.mean()  # range of the singular SPD operator = zero-sum vectors
-    x, report = solve_spd(A, b_proj, tol=tol)
-    phi_vals = project_zero_mean(x, np.full(x.shape, vol))
-    phi = CellField(grid, phi_vals)
+    # the operator's range is the zero-sum vectors; x is the zero-mean solution
+    x, report = solve_spd(fv_laplacian(grid, eps_x, eps_y), b - b.mean(), tol=tol)
+    phi = CellField(grid, x)
 
     e = FaceField.zeros(grid)
     p2 = phi.values

@@ -183,7 +183,7 @@ class SimResult:
 def advance(grid, params, initial, schedule, settings=SweepSettings(), T_end=None, dt=None, monitor=True):
     """March from 0 to T_end; returns SimResult with one State per accepted step.
 
-    A step whose sweep fails to converge (GummelError) or whose Krylov solve
+    A step whose sweep fails to converge (GummelError) or whose linear solve
     fails (SolverError) is retried at half the step size, up to 10 halvings,
     and the shortened step is accepted as a real step; a failure that
     persists after 10 halvings is re-raised.  The final step is clipped to

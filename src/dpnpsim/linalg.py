@@ -1,28 +1,21 @@
-"""Sparse matrices, two-point-flux assembly, and preconditioned Krylov solvers.
+"""Sparse matrices, two-point-flux assembly, and the two linear solvers.
 
 Storage and matvec are delegated to scipy.sparse CSR.  two_point_matrix is
 the one place that numbers the cells of a structured grid and stamps the
 four entries of each interior face; the Gauss/Darcy Laplacian and the
 Scharfetter-Gummel transport matrix are both built with it.
 
-The solvers are written out so that every solve returns a SolveReport whose
-residual history is nonincreasing.  One driver, _krylov, owns everything
-the two methods share: the b = 0 short-circuit, the Jacobi diagonal, the
-rounding-floor stopping target, the best iterate seen so far and its
-residual history, the restart from the current iterate (on a breakdown, or
-when the recursion residual claims convergence that the true residual
-b - A x does not confirm; at most _MAX_RESTARTS = 5 restarts per solve), and
-the verdict on the true residual.  The two methods are step generators:
-Jacobi-preconditioned conjugate gradients (_cg, behind solve_spd) for the
-SPD elliptic systems and BiCGStab (_bicgstab, behind solve_nonsym) for the
-nonsymmetric transport systems.
-
-Pure-Neumann elliptic systems are singular with a constant kernel; callers
-project the right side onto the compatible subspace and fix the gauge with
-project_zero_mean afterwards.  The Krylov iterations themselves never leave
-the compatible subspace, so no special casing is needed here.
+Every solve reports its true residual ||b - A x|| against one target,
+max(tol ||b||, rounding floor), with a nonincreasing history, and raises
+SolverError when it misses it.  solve_spd solves the Gauss/Darcy operator, a
+constant-coefficient Neumann Laplacian, exactly in the separable cosine
+(DCT-II) eigenbasis that neumann_laplacian attaches to it, with four dense
+matmuls (fast diagonalization; Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+solve_nonsym runs Jacobi-preconditioned BiCGStab on the nonsymmetric
+transport systems, which change every sweep.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +26,7 @@ _BREAKDOWN = 1e-300
 
 
 class SolverError(RuntimeError):
-    """Raised when a Krylov solve does not reach its tolerance; carries the report."""
+    """Raised when a linear solve does not reach its tolerance; carries the report."""
 
     def __init__(self, message, report):
         super().__init__(message)
@@ -62,6 +55,8 @@ class SparseMatrix:
     entries summed.  Checked on construction: all stored values are finite.
     Index ranges need no check here: from_coo is the only constructor, and
     scipy's coo_matrix rejects negative or out-of-range indices.
+
+    A neumann_laplacian also carries eigenbasis = (qx, qy, inv_eig).
     """
 
     def __init__(self, csr):
@@ -103,6 +98,11 @@ class SparseMatrix:
 
     def diagonal(self):
         return self.csr.diagonal()
+
+    @functools.cached_property
+    def norm_inf(self):
+        """Largest absolute row sum, for the rounding floor of a solve; computed once per matrix."""
+        return float(np.abs(self.csr).sum(axis=1).max()) if self.csr.nnz else 0.0
 
     def __matmul__(self, x):
         return self.csr @ x
@@ -148,47 +148,45 @@ def two_point_matrix(grid, diag, wx, wy):
     return SparseMatrix.from_coo(n, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
 
 
-def _jacobi(csr):
-    d = csr.diagonal().astype(float).copy()
-    d[d == 0.0] = 1.0
-    return d
+def _cosine_modes(n):
+    """Orthonormal eigenvectors (columns) and eigenvalues of the n-cell [-1, 2, -1] operator, zero-flux ends."""
+    k = np.arange(n)
+    q = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(k + 0.5, k) / n)
+    q[:, 0] = 1.0 / np.sqrt(n)
+    return q, 2.0 - 2.0 * np.cos(np.pi * k / n)
 
 
-def _abs_row_sum_max(csr):
-    """Infinity norm of the matrix, for the rounding floor of the residual."""
-    if csr.nnz == 0:
-        return 0.0
-    return float(np.abs(csr).sum(axis=1).max())
+def neumann_laplacian(grid, tx, ty):
+    """Two-point Laplacian with face weights tx, ty and zero-flux boundaries, with its eigenbasis.
+
+    In row-major order the operator is tx (I kron L_x) + ty (L_y kron I), so
+    the cosine columns qx, qy of _cosine_modes diagonalize it, and
+    eigenbasis = (qx, qy, inv_eig) with inv_eig[l, k] = 1 / (tx lam_x[k] +
+    ty lam_y[l]) and 0 on the constant mode.  Every array is read-only.
+    """
+    A = two_point_matrix(grid, 0.0, (tx, tx), (ty, ty))
+    (qx, lam_x), (qy, lam_y) = _cosine_modes(grid.nx), _cosine_modes(grid.ny)
+    eig = tx * lam_x + ty * lam_y[:, None]
+    eig[0, 0] = np.inf  # the constant mode is the kernel
+    A.eigenbasis = (qx, qy, 1.0 / eig)
+    for a in (A.data, A.indices, A.indptr) + A.eigenbasis:
+        a.flags.writeable = False
+    return A
 
 
 _FLOOR_EPS = 4.0 * np.finfo(float).eps
 _MAX_RESTARTS = 5
 
 
-def _cg(csr, d, x, r, target):
-    """Jacobi-preconditioned CG steps from (x, r = b - A x); x is updated in place."""
-    z = r / d
-    p = z.copy()
-    rz = float(r @ z)
-    while True:
-        Ap = csr @ p
-        pAp = float(p @ Ap)
-        if pAp <= _BREAKDOWN * float(p @ p):
-            break  # direction fell into the kernel or lost definiteness
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        yield x, float(np.linalg.norm(r))
-        z = r / d
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    yield x, None
+def _target(A, bnorm, tol):
+    """The stopping target max(tol ||b||, 4 eps (||A||_inf ||x|| + ||b||)) as a function of x."""
+    return lambda x: max(tol * bnorm, _FLOOR_EPS * (A.norm_inf * float(np.linalg.norm(x)) + bnorm))
 
 
 def _bicgstab(csr, d, x, r, target):
     """Jacobi-preconditioned BiCGStab steps from (x, r = b - A x).
 
+    Yields (x, rnorm) once per iteration, with rnorm None on a breakdown.
     An iteration whose half-step residual s already meets the target at
     x + alpha p_hat stops there and reports that iterate, skipping the
     stabilizing half-step.
@@ -232,13 +230,36 @@ def _bicgstab(csr, d, x, r, target):
     yield x, None
 
 
-def _krylov(name, A, b, tol, max_iter, method):
-    """Run the step generator `method` to the tolerance with restarts and a true-residual verdict.
+def solve_spd(A, b, tol=DEFAULT_TOL):
+    """Solve a neumann_laplacian A for a zero-sum b in its eigenbasis: x = Qy ((Qy^T B Qx) * inv_eig) Qx^T.
 
-    method(csr, d, x, r, target) yields (x, rnorm) once per iteration, with
-    rnorm None on a breakdown.  A breakdown, or a recurrence residual that
-    meets the target while the true residual does not, restarts the method
-    from the current x; restart number _MAX_RESTARTS + 1 ends the solve.
+    Returns (x, SolveReport) with the zero-mean x, iterations 1 (0 and x = 0
+    for b = 0) and history (||b||, min(||b||, residual)).  converged means the
+    true residual meets max(tol ||b||, 4 eps (||A||_inf ||x|| + ||b||)), the
+    rounding floor below which no float64 x can certify a smaller residual;
+    otherwise, as for a b that does not sum to zero, SolverError is raised.
+    """
+    b = np.asarray(b, dtype=float)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return np.zeros(b.shape[0]), SolveReport(0, 0.0, True, (0.0,))
+    qx, qy, inv_eig = A.eigenbasis
+    x = (qy @ ((qy.T @ b.reshape(inv_eig.shape) @ qx) * inv_eig) @ qx.T).ravel()
+    residual = float(np.linalg.norm(b - A.csr @ x))
+    report = SolveReport(1, residual, residual <= _target(A, bnorm, tol)(x), (bnorm, min(bnorm, residual)))
+    if not report.converged:
+        raise SolverError("eigenbasis solve missed tol=%.3g (residual %.3g)" % (tol, residual), report)
+    return x, report
+
+
+def solve_nonsym(A, b, tol=DEFAULT_TOL, max_iter=None):
+    """Jacobi-preconditioned BiCGStab for a nonsymmetric SparseMatrix A (the transport M-matrices).
+
+    Returns (x, SolveReport) with the same target as solve_spd, keeping the
+    best iterate.  A breakdown, or a recurrence residual that meets the target
+    while the true residual does not, restarts BiCGStab from x.  Raises
+    SolverError when max_iter (default 10 * n) iterations or _MAX_RESTARTS + 1
+    restarts end it short of the target.
     """
     csr = A.csr
     b = np.asarray(b, dtype=float)
@@ -248,19 +269,16 @@ def _krylov(name, A, b, tol, max_iter, method):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True, (0.0,))
-    anorm = _abs_row_sum_max(csr)
-
-    def target(xv):
-        return max(tol * bnorm, _FLOOR_EPS * (anorm * float(np.linalg.norm(xv)) + bnorm))
-
-    d = _jacobi(csr)
+    target = _target(A, bnorm, tol)
+    d = csr.diagonal()  # Jacobi preconditioner, a fresh array
+    d[d == 0.0] = 1.0
     x = np.zeros(n)
     best_norm = bnorm
     best_x = x.copy()
     history = [best_norm]
     iterations = 0
     restarts = 0
-    steps = method(csr, d, x, b.copy(), target)
+    steps = _bicgstab(csr, d, x, b.copy(), target)
 
     while iterations < max_iter:
         iterations += 1
@@ -280,7 +298,7 @@ def _krylov(name, A, b, tol, max_iter, method):
         restarts += 1
         if restarts > _MAX_RESTARTS:
             break
-        steps = method(csr, d, x, b - csr @ x, target)
+        steps = _bicgstab(csr, d, x, b - csr @ x, target)
 
     true_res = float(np.linalg.norm(b - csr @ best_x))
     if true_res <= target(best_x):
@@ -288,30 +306,6 @@ def _krylov(name, A, b, tol, max_iter, method):
         return best_x, SolveReport(iterations, true_res, True, tuple(history))
     report = SolveReport(iterations, true_res, False, tuple(history))
     raise SolverError(
-        "%s did not reach tol=%.3g within %d iterations (residual %.3g)" % (name, tol, iterations, true_res),
+        "BiCGStab did not reach tol=%.3g within %d iterations (residual %.3g)" % (tol, iterations, true_res),
         report,
     )
-
-
-def solve_spd(A, b, tol=DEFAULT_TOL, max_iter=None):
-    """Jacobi-preconditioned CG for a symmetric positive (semi)definite SparseMatrix A.
-
-    Returns (x, SolveReport); converged means the true residual satisfies
-    ||b - A x|| <= max(tol ||b||, floor), where the floor is the rounding
-    level 4 eps (||A||_inf ||x|| + ||b||) below which no float64 iterate can
-    certify a smaller residual -- reaching it means x solves a perturbation
-    of the system at machine precision (backward error), which is as
-    converged as the arithmetic allows.  Raises SolverError when max_iter
-    (default 10 * n) is exhausted first.
-    """
-    return _krylov("CG", A, b, tol, max_iter, _cg)
-
-
-def solve_nonsym(A, b, tol=DEFAULT_TOL, max_iter=None):
-    """Jacobi-preconditioned BiCGStab for a nonsymmetric SparseMatrix A.
-
-    Same contract as solve_spd (including the rounding floor on the stopping
-    test); used for the drift-diffusion transport matrices, which are
-    nonsymmetric M-matrices.
-    """
-    return _krylov("BiCGStab", A, b, tol, max_iter, _bicgstab)

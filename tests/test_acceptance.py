@@ -8,7 +8,8 @@ boundary data (balanced Darcy flux, nonnegative inflows, optional ramps),
 and exchange reactions.  Criteria 1-7 and 12 are evaluated on every
 accepted state of every suite run; 8 reruns a handful of suite configs
 from a different sweep initialization; 9-11 are dedicated oracles
-(symmetry, manufactured solutions, dense-solve comparison).
+(symmetry, manufactured solutions, dense-solve comparison of the
+Gauss/Darcy and transport solvers).
 
 Every criterion prints one PASS/FAIL line with its observed worst margin
 (run with `pytest -s` to see them) and asserts at the stated tolerance.
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 from dpnpsim.bounds import BoundsEvaluator
+from dpnpsim.gauss import fv_laplacian
 from dpnpsim.gummel import SweepSettings, advance
 from dpnpsim.linalg import SparseMatrix, solve_nonsym, solve_spd
 from dpnpsim.mesh import CellField, build_grid
@@ -242,20 +244,33 @@ def test_10_manufactured_solutions():
 
 
 def test_11_linear_solver_oracle():
+    """Both production solves against dense solves, 100 systems each.
+
+    Even k: the Gauss/Darcy operator as production builds it (fv_laplacian,
+    nx, ny in [1, 20], random lengths, per-axis coefficients in [0.1, 10]) with
+    a zero-sum right side, against the dense minimum-norm solution.  Odd k: a
+    random diagonally dominant nonsymmetric system, against numpy.linalg.solve.
+    """
     rng = np.random.default_rng(2024)
     worst = 0.0
     for k in range(200):
-        n = int(rng.integers(2, 51))
-        dense = rng.uniform(-1.0, 1.0, size=(n, n))
         if k % 2 == 0:
-            dense = 0.5 * (dense + dense.T)
-        np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + rng.uniform(0.5, 2.0, size=n))
-        rows, cols = np.nonzero(dense)
-        mat = SparseMatrix.from_coo(n, n, rows, cols, dense[rows, cols])
-        b = rng.uniform(-1.0, 1.0, size=n)
-        expected = np.linalg.solve(dense, b)
-        solve = solve_spd if k % 2 == 0 else solve_nonsym
-        x, _ = solve(mat, b, tol=1e-14)
+            nx, ny = (int(v) for v in rng.integers(1, 21, size=2))
+            grid = build_grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+            mat = fv_laplacian(grid, float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0)))
+            b = rng.uniform(-1.0, 1.0, size=grid.n_cells)
+            b -= b.mean()
+            expected = np.linalg.lstsq(mat.toarray(), b, rcond=None)[0]
+            x, _ = solve_spd(mat, b, tol=1e-14)
+        else:
+            n = int(rng.integers(2, 51))
+            dense = rng.uniform(-1.0, 1.0, size=(n, n))
+            np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + rng.uniform(0.5, 2.0, size=n))
+            rows, cols = np.nonzero(dense)
+            mat = SparseMatrix.from_coo(n, n, rows, cols, dense[rows, cols])
+            b = rng.uniform(-1.0, 1.0, size=n)
+            expected = np.linalg.solve(dense, b)
+            x, _ = solve_nonsym(mat, b, tol=1e-14)
         worst = max(worst, float(np.abs(x - expected).max()))
     ok = worst <= 1e-8
     _verdict(11, "linear-solver oracle", ok, "max deviation from dense solve %.3e <= 1e-8 (200 systems)" % worst)

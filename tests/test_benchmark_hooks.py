@@ -5,7 +5,10 @@ example gummel.solve_gauss, gummel.step_transport and transport.solve_nonsym.
 A call site that is renamed, or that stops going through that global, is
 silently missed and its counters read zero.  The patches are process-wide,
 so the tracer is installed in a fresh interpreter, which runs runner.check
-on a tiny configuration and prints the tracer's counts.
+on a tiny configuration and prints the tracer's counts.  The per-layer
+iteration counts linalg.spd_iters and linalg.nonsym_iters are read from the
+solve reports, so they must be nonzero too: a solver that reports no
+iterations would zero the benchmark's iteration metrics.
 """
 
 import json
@@ -21,7 +24,8 @@ import dpnpsim, tracer
 t = tracer.Tracer()
 tracer.install(t, dpnpsim)
 ok, lines = dpnpsim.runner.check(dpnpsim.config.parse_config(sys.argv[1]))
-print(json.dumps({name: t.values[name] for name in tracer.REQUIRED_COUNTS}))
+names = tracer.REQUIRED_COUNTS + ("linalg.spd_iters", "linalg.nonsym_iters")
+print(json.dumps({name: t.values[name] for name in names}))
 """
 
 TINY = {

@@ -9,6 +9,8 @@ calls, and plain arithmetic, which keeps config files data, not code.
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +248,19 @@ def test_expression_violations_flow_into_config_error():
     doc["initial"]["c2"] = {"kind": "expression", "expr": "open('x')"}
     with pytest.raises(ConfigError, match="calls something other than"):
         parse_config(json.dumps(doc))
+    # constant parts that Python floats cannot hold: division by zero, overflow,
+    # a complex power; each is a violation, not a traceback or a dropped imaginary part
+    for expr, constant in (
+        ("1/0 + x", "1 / 0"),
+        ("0**-1 + x", "0 ** (-1)"),
+        ("10**400 + x", "10 ** 400"),
+        ("(-8)**0.5 + x", "(-8) ** 0.5"),
+    ):
+        doc["initial"]["c2"] = {"kind": "expression", "expr": expr}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=re.escape("constant %s is not a finite real number" % constant)):
+                parse_config(json.dumps(doc))
 
 
 def test_load_config_reads_files(tmp_path):

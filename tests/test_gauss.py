@@ -12,8 +12,9 @@ field.
 import numpy as np
 import pytest
 
+from dpnpsim import darcy, gauss
 from dpnpsim.gauss import fv_laplacian, gauss_residual, solve_gauss
-from dpnpsim.linalg import project_zero_mean
+from dpnpsim.linalg import project_zero_mean, solve_spd
 from dpnpsim.mesh import BoundaryField, CellField, build_grid
 from dpnpsim.params import PhysParams
 
@@ -130,3 +131,38 @@ def test_divergence_residual_below_threshold_random_data():
         )
         st = solve_gauss(g, p, rho_f, rho_b, sigma, tol=tol)
         assert gauss_residual(g, st, rho_f, rho_b) <= 10.0 * tol * max(st.charge_scale, 1e-3)
+
+
+def test_gauss_and_darcy_match_dense_pseudo_inverse(monkeypatch):
+    """Both elliptic layers solve their system as the dense pseudo-inverse does.
+
+    The systems are caught at the solve_spd call of each layer, on thin,
+    single-cell and anisotropic grids with lx = 2, ly = 0.5,
+    eps = (0.7, 1.9) and K = (0.3, 2.0).  On the 1x1 grid the projected right
+    side is zero, so the solve short-circuits with 0 iterations.
+    """
+    seen = []
+
+    def spy(A, b, tol):
+        seen.append((A, b))
+        return solve_spd(A, b, tol=tol)
+
+    monkeypatch.setattr(gauss, "solve_spd", spy)
+    monkeypatch.setattr(darcy, "solve_spd", spy)
+    p = PhysParams(eps_s=1.0, D=(0.7, 1.9), K=(0.3, 2.0), mu=1.0)
+    rng = np.random.default_rng(29)
+    for nx, ny in [(1, 1), (1, 5), (5, 1), (7, 3)]:
+        g = build_grid(nx, ny, 2.0, 0.5)
+        rho_f = CellField(g, rng.normal(size=(ny, nx)))
+        sigma = BoundaryField(g, left=rng.normal(size=ny), top=rng.normal(size=nx))
+        f = BoundaryField(g, left=-0.4, right=0.4, bottom=0.3, top=-0.3)
+        electro = solve_gauss(g, p, rho_f, CellField.zeros(g), sigma)
+        flow = darcy.solve_darcy(g, p, rho_f, electro.e_faces, f)
+        for values, state in ((electro.phi.values, electro), (flow.p.values, flow)):
+            A, b = seen.pop(0)
+            expected = np.linalg.pinv(A.toarray()) @ b
+            assert np.abs(values.ravel() - expected).max() <= 1e-10 * np.abs(expected).max()
+            assert state.report.iterations == (1 if g.n_cells > 1 else 0)
+            assert np.all(np.diff(state.report.history) <= 0.0)
+            assert abs(values.sum() * g.cell_volume) <= 1e-13
+    assert not seen

@@ -13,7 +13,7 @@ Key scenarios:
 
   * A step too large for the allotted sweeps is halved until it converges;
     the shortened steps are accepted and the march still lands exactly on
-    the requested end time.  A failed Krylov solve (SolverError) is halved
+    the requested end time.  A failed linear solve (SolverError) is halved
     the same way.
 """
 
@@ -213,7 +213,7 @@ def test_advance_raises_after_exhausting_halvings():
 
 
 def test_advance_halves_dt_on_linear_solver_failure(monkeypatch):
-    # a Krylov failure is handled like a stalled sweep: retry at half the step
+    # a linear-solver failure is handled like a stalled sweep: retry at half the step
     g, p, init, sched = coupled_setup(n=6)
     real_step_transport = gummel.step_transport
     failed = SolverError("no convergence", SolveReport(1, 1.0, False, (1.0,)))
