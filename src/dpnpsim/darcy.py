@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import fv_laplacian
+from .gauss import SOLVE_TOL, fv_laplacian
 from .linalg import SolveReport, solve_spd
 from .mesh import CellField, FaceField
 
-DEFAULT_TOL = 1e-12
 BALANCE_RTOL = 1e-10
 
 
@@ -34,7 +33,6 @@ class FlowState:
     p: CellField
     q_faces: FaceField
     velocity_scale: float
-    lin_tol: float
     report: SolveReport
 
 
@@ -56,7 +54,7 @@ def balanced(f_bc):
     return abs(f_bc.boundary_integral()) <= BALANCE_RTOL * max(f_bc.abs_integral(), 1.0)
 
 
-def solve_darcy(grid, params, rho_f, e_faces, f_bc, tol=DEFAULT_TOL):
+def solve_darcy(grid, params, rho_f, e_faces, f_bc):
     """Solve for (p, q) given the free charge, the electric field, and q.nu = f."""
     if not balanced(f_bc):
         raise IncompatibleFlowData(
@@ -82,7 +80,7 @@ def solve_darcy(grid, params, rho_f, e_faces, f_bc, tol=DEFAULT_TOL):
     b = b2.ravel()
     velocity_scale = float(np.linalg.norm(b)) / vol
 
-    x, report = solve_spd(fv_laplacian(grid, mx, my), b - b.mean(), tol=tol)  # the zero-mean solution
+    x, report = solve_spd(fv_laplacian(grid, mx, my), b - b.mean(), tol=SOLVE_TOL)  # the zero-mean solution
     p = CellField(grid, x)
 
     q = FaceField.zeros(grid)
@@ -91,4 +89,4 @@ def solve_darcy(grid, params, rho_f, e_faces, f_bc, tol=DEFAULT_TOL):
     q.fy[1:-1, :] = my * (-(pv[1:, :] - pv[:-1, :]) / grid.hy) + gy
     q.set_boundary_outward(f_bc)
 
-    return FlowState(p, q, velocity_scale, tol, report)
+    return FlowState(p, q, velocity_scale, report)

@@ -26,7 +26,7 @@ import numpy as np
 from .linalg import SolveReport, neumann_laplacian, solve_spd
 from .mesh import CellField, FaceField, cell_divergence
 
-DEFAULT_TOL = 1e-12
+SOLVE_TOL = 1e-12  # relative residual target of every Gauss and Darcy solve
 
 
 @functools.lru_cache(maxsize=8)
@@ -51,7 +51,7 @@ class ElectroState:
     """Converged potential and face field, plus solve metadata.
 
     charge_shift is the uniform density subtracted from rho_b to make the
-    data compatible; charge_scale * lin_tol bounds the divergence defect of
+    data compatible; charge_scale * SOLVE_TOL bounds the divergence defect of
     e_faces against the (shifted) charge density.
     """
 
@@ -59,11 +59,10 @@ class ElectroState:
     e_faces: FaceField
     charge_shift: float
     charge_scale: float
-    lin_tol: float
     report: SolveReport
 
 
-def solve_gauss(grid, params, rho_f, rho_b, sigma, tol=DEFAULT_TOL):
+def solve_gauss(grid, params, rho_f, rho_b, sigma):
     """Solve the field equation for (phi, E) given charges and boundary flux sigma."""
     eps_x, eps_y = params.epsilon
     vol = grid.cell_volume
@@ -83,7 +82,7 @@ def solve_gauss(grid, params, rho_f, rho_b, sigma, tol=DEFAULT_TOL):
     charge_scale = float(np.linalg.norm(b)) / vol
 
     # the operator's range is the zero-sum vectors; x is the zero-mean solution
-    x, report = solve_spd(fv_laplacian(grid, eps_x, eps_y), b - b.mean(), tol=tol)
+    x, report = solve_spd(fv_laplacian(grid, eps_x, eps_y), b - b.mean(), tol=SOLVE_TOL)
     phi = CellField(grid, x)
 
     e = FaceField.zeros(grid)
@@ -92,7 +91,7 @@ def solve_gauss(grid, params, rho_f, rho_b, sigma, tol=DEFAULT_TOL):
     e.fy[1:-1, :] = -eps_y * (p2[1:, :] - p2[:-1, :]) / grid.hy
     e.set_boundary_outward(sigma)
 
-    return ElectroState(phi, e, float(shift), charge_scale, tol, report)
+    return ElectroState(phi, e, float(shift), charge_scale, report)
 
 
 def gauss_residual(grid, electro, rho_f, rho_b):

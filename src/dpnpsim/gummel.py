@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import monitors
+from . import monitors, transport
 from .bounds import BoundsEvaluator
 from .darcy import solve_darcy
 from .gauss import solve_gauss
@@ -42,11 +42,17 @@ class SweepSettings:
     max_sweeps: int = 50
     damping: float = 1.0
     init_iterate: str = "previous"  # sweep start: "previous" time level or "zero"
-    lin_tol: float = 1e-12  # Gauss and Darcy linear solves
-    lin_tol_transport: float = 1e-14
+    lin_tol_transport: float = transport.DEFAULT_TOL  # the two transport linear solves
     probe_extra_sweep: bool = False  # record the increment of one sweep past convergence
 
     def __post_init__(self):
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.tol, self.lin_tol_transport)):
+            raise ValueError(
+                "tol and lin_tol_transport must be finite numbers > 0, got tol=%g, lin_tol_transport=%g"
+                % (self.tol, self.lin_tol_transport)
+            )
+        if not self.max_sweeps >= 1:
+            raise ValueError("max_sweeps must be >= 1, got %r" % (self.max_sweeps,))
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1], got %g" % self.damping)
         if self.init_iterate not in ("previous", "zero"):
@@ -101,17 +107,17 @@ def _damped(grid, damping, raw, old):
     )
 
 
-def _fields(grid, params, conc, data, lin_tol):
+def _fields(grid, params, conc, data):
     """Field and flow solved from the free charge of conc: (ElectroState, FlowState)."""
     rho_f = free_charge(params, conc)
-    electro = solve_gauss(grid, params, rho_f, data.rho_b, data.sigma, tol=lin_tol)
-    flow = solve_darcy(grid, params, rho_f, electro.e_faces, data.f, tol=lin_tol)
+    electro = solve_gauss(grid, params, rho_f, data.rho_b, data.sigma)
+    flow = solve_darcy(grid, params, rho_f, electro.e_faces, data.f)
     return electro, flow
 
 
-def initial_state(grid, params, initial, data, lin_tol=SweepSettings.lin_tol):
+def initial_state(grid, params, initial, data):
     """Consistent t = 0 state: field and flow solved from the initial charge."""
-    electro, flow = _fields(grid, params, initial, data, lin_tol)
+    electro, flow = _fields(grid, params, initial, data)
     return State(0.0, electro, flow, initial)
 
 
@@ -146,7 +152,7 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
 
     residuals = []
     for _ in range(settings.max_sweeps):
-        result, c_next = sweep(*_fields(grid, params, c_k, data, settings.lin_tol), c_k)
+        result, c_next = sweep(*_fields(grid, params, c_k, data), c_k)
         residuals.append(_increment(params, grid, c_next, c_k))
         c_k = c_next
         if residuals[-1] <= settings.tol:
@@ -159,7 +165,7 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
         )
 
     # rebuild the elliptic fields from the converged concentrations
-    electro, flow = _fields(grid, params, c_k, data, settings.lin_tol)
+    electro, flow = _fields(grid, params, c_k, data)
 
     extra = None
     if settings.probe_extra_sweep:
@@ -193,8 +199,10 @@ def advance(grid, params, initial, schedule, settings=SweepSettings(), T_end=Non
     """
     T_end = params.T_end if T_end is None else float(T_end)
     dt = params.dt if dt is None else float(dt)
+    if not all(math.isfinite(v) and v > 0.0 for v in (T_end, dt)):
+        raise ValueError("T_end and dt must be finite numbers > 0, got T_end=%g, dt=%g" % (T_end, dt))
 
-    state = initial_state(grid, params, initial, schedule.at(0.0), lin_tol=settings.lin_tol)
+    state = initial_state(grid, params, initial, schedule.at(0.0))
     evaluator = BoundsEvaluator(grid, params, schedule, initial, T_end) if monitor else None
 
     states = [state]

@@ -1,8 +1,9 @@
 """Sparse matrices, two-point-flux assembly, and the two linear solvers.
 
-Storage and matvec are delegated to scipy.sparse CSR.  two_point_matrix is
-the one place that numbers the cells of a structured grid and stamps the
-four entries of each interior face; the Gauss/Darcy Laplacian and the
+SparseMatrix validates a scipy.sparse CSR matrix once, on construction;
+callers read its storage and matvec from .csr.  two_point_matrix is the one
+place that numbers the cells of a structured grid and stamps the four
+entries of each interior face; the Gauss/Darcy Laplacian and the
 Scharfetter-Gummel transport matrix are both built with it.
 
 Every solve reports its true residual ||b - A x|| against one target,
@@ -11,8 +12,9 @@ SolverError when it misses it.  solve_spd solves the Gauss/Darcy operator, a
 constant-coefficient Neumann Laplacian, exactly in the separable cosine
 (DCT-II) eigenbasis that neumann_laplacian attaches to it, with four dense
 matmuls (fast diagonalization; Lynch, Rice & Thomas, Numer. Math. 6, 1964).
-solve_nonsym runs Jacobi-preconditioned BiCGStab on the nonsymmetric
-transport systems, which change every sweep.
+solve_nonsym runs Jacobi-preconditioned BiCGStab (van der Vorst, SIAM J.
+Sci. Stat. Comput. 13, 1992) on the nonsymmetric transport systems, which
+change every sweep.
 """
 
 import functools
@@ -48,7 +50,7 @@ class SolveReport:
 
 
 class SparseMatrix:
-    """Validated CSR matrix.
+    """Validated CSR matrix, held as .csr.
 
     Canonicalization on construction (tocsr, sum_duplicates, sort_indices)
     makes the column indices of each row strictly increasing, with duplicate
@@ -76,39 +78,10 @@ class SparseMatrix:
         )
         return cls(m.tocsr())
 
-    @property
-    def shape(self):
-        return self.csr.shape
-
-    @property
-    def nnz(self):
-        return self.csr.nnz
-
-    @property
-    def indptr(self):
-        return self.csr.indptr
-
-    @property
-    def indices(self):
-        return self.csr.indices
-
-    @property
-    def data(self):
-        return self.csr.data
-
-    def diagonal(self):
-        return self.csr.diagonal()
-
     @functools.cached_property
     def norm_inf(self):
         """Largest absolute row sum, for the rounding floor of a solve; computed once per matrix."""
         return float(np.abs(self.csr).sum(axis=1).max()) if self.csr.nnz else 0.0
-
-    def __matmul__(self, x):
-        return self.csr @ x
-
-    def toarray(self):
-        return self.csr.toarray()
 
 
 def project_zero_mean(values, weights):
@@ -169,7 +142,7 @@ def neumann_laplacian(grid, tx, ty):
     eig = tx * lam_x + ty * lam_y[:, None]
     eig[0, 0] = np.inf  # the constant mode is the kernel
     A.eigenbasis = (qx, qy, 1.0 / eig)
-    for a in (A.data, A.indices, A.indptr) + A.eigenbasis:
+    for a in (A.csr.data, A.csr.indices, A.csr.indptr) + A.eigenbasis:
         a.flags.writeable = False
     return A
 
@@ -181,53 +154,6 @@ _MAX_RESTARTS = 5
 def _target(A, bnorm, tol):
     """The stopping target max(tol ||b||, 4 eps (||A||_inf ||x|| + ||b||)) as a function of x."""
     return lambda x: max(tol * bnorm, _FLOOR_EPS * (A.norm_inf * float(np.linalg.norm(x)) + bnorm))
-
-
-def _bicgstab(csr, d, x, r, target):
-    """Jacobi-preconditioned BiCGStab steps from (x, r = b - A x).
-
-    Yields (x, rnorm) once per iteration, with rnorm None on a breakdown.
-    An iteration whose half-step residual s already meets the target at
-    x + alpha p_hat stops there and reports that iterate, skipping the
-    stabilizing half-step.
-    """
-    r_hat = r.copy()
-    rho = alpha = omega = 1.0
-    v = np.zeros(r.shape[0])
-    p = np.zeros(r.shape[0])
-    while True:
-        rho_next = float(r_hat @ r)
-        if abs(rho_next) < _BREAKDOWN:
-            break
-        beta = (rho_next / rho) * (alpha / omega)
-        rho = rho_next
-        p = r + beta * (p - omega * v)
-        p_hat = p / d
-        v = csr @ p_hat
-        denom = float(r_hat @ v)
-        if abs(denom) < _BREAKDOWN:
-            break
-        alpha = rho / denom
-        s = r - alpha * v
-        snorm = float(np.linalg.norm(s))
-        x_half = x + alpha * p_hat
-        if snorm <= target(x_half):
-            x = x_half
-            yield x, snorm
-            continue
-        s_hat = s / d
-        t = csr @ s_hat
-        tt = float(t @ t)
-        if tt < _BREAKDOWN:
-            break
-        omega = float(t @ s) / tt
-        x = x_half + omega * s_hat
-        r = s - omega * t
-        rnorm = float(np.linalg.norm(r))
-        if abs(omega) < _BREAKDOWN:
-            break
-        yield x, rnorm
-    yield x, None
 
 
 def solve_spd(A, b, tol=DEFAULT_TOL):
@@ -256,10 +182,12 @@ def solve_nonsym(A, b, tol=DEFAULT_TOL, max_iter=None):
     """Jacobi-preconditioned BiCGStab for a nonsymmetric SparseMatrix A (the transport M-matrices).
 
     Returns (x, SolveReport) with the same target as solve_spd, keeping the
-    best iterate.  A breakdown, or a recurrence residual that meets the target
-    while the true residual does not, restarts BiCGStab from x.  Raises
-    SolverError when max_iter (default 10 * n) iterations or _MAX_RESTARTS + 1
-    restarts end it short of the target.
+    best iterate.  An iteration whose half-step residual s already meets the
+    target at x + alpha p_hat stops there, skipping the stabilizing
+    half-step.  A breakdown, which counts as an iteration, or a recurrence
+    residual that meets the target while the true residual does not,
+    restarts BiCGStab from x.  Raises SolverError when max_iter (default 10 * n) iterations or
+    _MAX_RESTARTS + 1 starts end it short of the target.
     """
     csr = A.csr
     b = np.asarray(b, dtype=float)
@@ -272,21 +200,50 @@ def solve_nonsym(A, b, tol=DEFAULT_TOL, max_iter=None):
     target = _target(A, bnorm, tol)
     d = csr.diagonal()  # Jacobi preconditioner, a fresh array
     d[d == 0.0] = 1.0
-    x = np.zeros(n)
+    x = best_x = np.zeros(n)  # iterates are rebound, never written in place
+    r = b
     best_norm = bnorm
-    best_x = x.copy()
     history = [best_norm]
     iterations = 0
-    restarts = 0
-    steps = _bicgstab(csr, d, x, b.copy(), target)
 
-    while iterations < max_iter:
-        iterations += 1
-        x, rnorm = next(steps)
-        if rnorm is not None:
+    for _ in range(_MAX_RESTARTS + 1):  # each start from (x, r = b - A x)
+        r_hat = r.copy()
+        rho = alpha = omega = 1.0
+        v = np.zeros(n)
+        p = np.zeros(n)
+        while iterations < max_iter:
+            iterations += 1
+            rho_next = float(r_hat @ r)
+            if abs(rho_next) < _BREAKDOWN:
+                break
+            beta = (rho_next / rho) * (alpha / omega)
+            rho = rho_next
+            p = r + beta * (p - omega * v)
+            p_hat = p / d
+            v = csr @ p_hat
+            denom = float(r_hat @ v)
+            if abs(denom) < _BREAKDOWN:
+                break
+            alpha = rho / denom
+            s = r - alpha * v
+            snorm = float(np.linalg.norm(s))
+            x_half = x + alpha * p_hat
+            if snorm <= target(x_half):
+                x, rnorm = x_half, snorm
+            else:
+                s_hat = s / d
+                t = csr @ s_hat
+                tt = float(t @ t)
+                if tt < _BREAKDOWN:
+                    break
+                omega = float(t @ s) / tt
+                x = x_half + omega * s_hat
+                r = s - omega * t
+                rnorm = float(np.linalg.norm(r))
+                if abs(omega) < _BREAKDOWN:
+                    break
             if rnorm < best_norm:
-                best_norm = rnorm
-                best_x = x.copy()
+                best_norm, best_x = rnorm, x
             history.append(best_norm)
             if rnorm > target(x):
                 continue
@@ -294,11 +251,10 @@ def solve_nonsym(A, b, tol=DEFAULT_TOL, max_iter=None):
             if true_res <= target(x):
                 history[-1] = min(history[-1], true_res)
                 return x, SolveReport(iterations, true_res, True, tuple(history))
-        # breakdown, or the recurrence drifted from the true residual: restart from x
-        restarts += 1
-        if restarts > _MAX_RESTARTS:
+            break  # the recurrence drifted from the true residual
+        if iterations >= max_iter:
             break
-        steps = _bicgstab(csr, d, x, b - csr @ x, target)
+        r = b - csr @ x
 
     true_res = float(np.linalg.norm(b - csr @ best_x))
     if true_res <= target(best_x):

@@ -12,7 +12,7 @@ raising path when the precondition actually holds, which keeps corrupted
 states observable.
 
 The divergence checks compare against thresholds derived from the linear
-solves that produced the state: 10 x solver tolerance x the recorded
+solves that produced the state: 10 x gauss.SOLVE_TOL x the recorded
 rhs-based scale.  A converged solve passes them by construction; a defect
 beyond that cannot be solver noise.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .gauss import gauss_residual
+from .gauss import SOLVE_TOL, gauss_residual
 from .mesh import cell_divergence
 from .transport import free_charge
 
@@ -186,12 +186,12 @@ def check_state(grid, params, bounds_eval, state, prev, dt, data):
     mass_ok = max(mass1, mass2) <= 1e-10
 
     gauss_res = gauss_residual(grid, state.electro, free_charge(params, conc), data.rho_b)
-    gauss_thr = 10.0 * state.electro.lin_tol * state.electro.charge_scale
+    gauss_thr = 10.0 * SOLVE_TOL * state.electro.charge_scale
     gauss_ok = gauss_res <= max(gauss_thr, 1e-15)
 
     div_q = cell_divergence(grid, state.flow.q_faces).values
     darcy_res = float(np.abs(div_q).max())
-    darcy_thr = 10.0 * state.flow.lin_tol * state.flow.velocity_scale
+    darcy_thr = 10.0 * SOLVE_TOL * state.flow.velocity_scale
     darcy_ok = darcy_res <= max(darcy_thr, 1e-15)
 
     sup_total = float(np.abs(c1).max() + np.abs(c2).max())

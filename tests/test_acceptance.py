@@ -260,7 +260,7 @@ def test_11_linear_solver_oracle():
             mat = fv_laplacian(grid, float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0)))
             b = rng.uniform(-1.0, 1.0, size=grid.n_cells)
             b -= b.mean()
-            expected = np.linalg.lstsq(mat.toarray(), b, rcond=None)[0]
+            expected = np.linalg.lstsq(mat.csr.toarray(), b, rcond=None)[0]
             x, _ = solve_spd(mat, b, tol=1e-14)
         else:
             n = int(rng.integers(2, 51))

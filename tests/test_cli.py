@@ -158,11 +158,12 @@ def test_check_fails_when_a_monitor_trips(tmp_path, capsys):
 
 
 def test_config_violations_exit_2(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, grid={"nx": 0}, physics={"theta": 7.0})
+    cfg = write_cfg(tmp_path, grid={"nx": 0}, physics={"theta": 7.0}, time={"lin_tol": 1e-12})
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
     assert "grid.nx" in err
     assert "theta" in err
+    assert "unknown key 'lin_tol' in block 'time'" in err
     assert main(["check", cfg]) == 2
     assert main(["bounds", cfg]) == 2
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dpnpsim.darcy import IncompatibleFlowData, solve_darcy
-from dpnpsim.gauss import solve_gauss
+from dpnpsim.gauss import SOLVE_TOL, solve_gauss
 from dpnpsim.mesh import BoundaryField, CellField, FaceField, build_grid, cell_divergence
 from dpnpsim.params import PhysParams
 
@@ -46,10 +46,9 @@ def test_imbalanced_boundary_data_raises():
 
 
 def test_velocity_is_divergence_free_random_data():
-    """div q = 0 cell by cell within 10 * tol * scale, for any drift field."""
+    """div q = 0 cell by cell within 10 * SOLVE_TOL * scale, for any drift field."""
     rng = np.random.default_rng(23)
     p = PhysParams(K=(1.2, 0.6), mu=0.8, eps_s=2.0)
-    tol = 1e-12
     for _ in range(12):
         nx, ny = (int(v) for v in rng.integers(2, 10, size=2))
         g = build_grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
@@ -60,9 +59,9 @@ def test_velocity_is_divergence_free_random_data():
         bottom = rng.normal(size=nx)
         top_total = -(left.sum() * g.hy + right.sum() * g.hy + bottom.sum() * g.hx)
         f = BoundaryField(g, left=left, right=right, bottom=bottom, top=top_total / (nx * g.hx))
-        st = solve_darcy(g, p, rho_f, e, f, tol=tol)
+        st = solve_darcy(g, p, rho_f, e, f)
         defect = np.abs(cell_divergence(g, st.q_faces).values).max()
-        assert defect <= 10.0 * tol * max(st.velocity_scale, 1e-3)
+        assert defect <= 10.0 * SOLVE_TOL * max(st.velocity_scale, 1e-3)
 
 
 def test_boundary_velocity_matches_prescribed_flux():
@@ -93,7 +92,7 @@ def test_electric_body_force_drives_flow():
     eps_x = p.epsilon[0]
     e = FaceField(g, np.full((g.ny, g.nx + 1), eps_x), np.zeros((g.ny + 1, g.nx)))
     rho = CellField.full(g, 1.0)
-    st = solve_darcy(g, p, rho, e, BoundaryField.zeros(g), tol=1e-13)
+    st = solve_darcy(g, p, rho, e, BoundaryField.zeros(g))
     assert np.abs(cell_divergence(g, st.q_faces).values).max() <= 1e-10
     m = p.K[0] / p.mu
     # interior x-face: q = -m (p_R - p_L)/hx + m * force

@@ -102,6 +102,45 @@ def test_step_validates_damping_and_init_iterate():
         gummel_step(g, p, st0, sched.at(0.01), 0.01, SweepSettings(1e-8, 10, init_iterate="warm"))
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"max_sweeps": 0}, "max_sweeps must be >= 1, got 0"),
+        ({"max_sweeps": -3}, "max_sweeps must be >= 1, got -3"),
+        ({"tol": -1.0}, "tol=-1,"),
+        ({"tol": 0.0}, "tol=0,"),
+        ({"tol": float("nan")}, "tol=nan,"),
+        ({"tol": float("inf")}, "tol=inf,"),
+        ({"lin_tol_transport": 0.0}, "lin_tol_transport=0"),
+        ({"lin_tol_transport": -1e-14}, "lin_tol_transport=-1e-14"),
+        ({"lin_tol_transport": float("nan")}, "lin_tol_transport=nan"),
+    ],
+)
+def test_settings_reject_what_the_config_rejects(kw, message):
+    # max_sweeps 0 used to fail at residuals[-1]; tol -1 used to run every
+    # sweep of every attempt and end in GummelError after 10 halvings
+    with pytest.raises(ValueError) as exc:
+        SweepSettings(**kw)
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("dt", 0.0), ("dt", -0.01), ("dt", float("nan")), ("T_end", 0.0), ("T_end", -1.0), ("T_end", float("inf"))],
+)
+def test_advance_rejects_bad_step_and_horizon_before_any_solve(monkeypatch, name, value):
+    g, p, init, sched = coupled_setup(n=4)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+
+    monkeypatch.setattr(gummel, "solve_gauss", no_solve)
+    kw = {"T_end": 0.02, "dt": 0.01, name: value}
+    with pytest.raises(ValueError, match="T_end and dt must be finite numbers > 0") as exc:
+        advance(g, p, init, sched, **kw)
+    assert "%s=%g" % (name, value) in str(exc.value)
+
+
 def test_step_raises_with_report_when_sweeps_exhausted():
     g, p, init, sched = coupled_setup(6)
     st0 = initial_state(g, p, init, sched.at(0.0))

@@ -59,20 +59,20 @@ def test_project_zero_mean_frozen_example():
 
 def test_sparse_matrix_round_trip_and_matvec():
     A = SparseMatrix.from_coo(2, 3, [0, 0, 1, 1], [0, 2, 1, 1], [1.0, 2.0, 3.0, 4.0])
-    assert A.shape == (2, 3)
+    assert A.csr.shape == (2, 3)
     # duplicate (1, 1) entries are summed
-    assert np.allclose(A.toarray(), [[1.0, 0.0, 2.0], [0.0, 7.0, 0.0]])
-    assert np.allclose(A @ np.array([1.0, 1.0, 1.0]), [3.0, 7.0])
-    assert np.allclose(SparseMatrix.from_coo(2, 2, [0, 1], [0, 1], [5.0, 6.0]).diagonal(), [5.0, 6.0])
+    assert np.allclose(A.csr.toarray(), [[1.0, 0.0, 2.0], [0.0, 7.0, 0.0]])
+    assert np.allclose(A.csr @ np.array([1.0, 1.0, 1.0]), [3.0, 7.0])
+    assert np.allclose(SparseMatrix.from_coo(2, 2, [0, 1], [0, 1], [5.0, 6.0]).csr.diagonal(), [5.0, 6.0])
     # shuffled and duplicated columns come out canonical: strictly increasing
     # column indices in each row, duplicates summed
     B = SparseMatrix.from_coo(
         2, 4, [0, 0, 0, 0, 1, 1, 1], [3, 1, 3, 0, 2, 0, 2], [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
     )
     for r in range(2):
-        assert np.all(np.diff(B.indices[B.indptr[r]:B.indptr[r + 1]]) > 0)
-    assert B.nnz == 5
-    assert np.array_equal(B.toarray(), [[8.0, 2.0, 0.0, 5.0], [32.0, 0.0, 80.0, 0.0]])
+        assert np.all(np.diff(B.csr.indices[B.csr.indptr[r]:B.csr.indptr[r + 1]]) > 0)
+    assert B.csr.nnz == 5
+    assert np.array_equal(B.csr.toarray(), [[8.0, 2.0, 0.0, 5.0], [32.0, 0.0, 80.0, 0.0]])
 
 
 def test_sparse_matrix_rejects_nonfinite():
@@ -95,12 +95,12 @@ def test_two_point_matrix_by_hand():
         (np.array([[5.0, 6.0]]), np.array([[7.0, 8.0]])),
     )
     assert np.array_equal(
-        A.toarray(),
+        A.csr.toarray(),
         [[6.5, -3.0, -7.0, 0.0], [-1.0, 9.5, 0.0, -8.0], [-5.0, 0.0, 9.5, -4.0], [0.0, -6.0, -2.0, 12.5]],
     )
     # a vertical strip has y-faces only: the x weights stamp nothing
     B = two_point_matrix(build_grid(1, 3, 1.0, 3.0), 1.0, (9.0, 9.0), (np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]])))
-    assert np.array_equal(B.toarray(), [[2.0, -3.0, 0.0], [-1.0, 6.0, -4.0], [0.0, -2.0, 5.0]])
+    assert np.array_equal(B.csr.toarray(), [[2.0, -3.0, 0.0], [-1.0, 6.0, -4.0], [0.0, -2.0, 5.0]])
 
 
 def test_solve_spd_tridiagonal_hand_solution():
@@ -127,7 +127,7 @@ def test_solve_spd_matches_dense_solver():
         nx, ny = (int(v) for v in rng.integers(1, 13, size=2))
         g = build_grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
         A = fv_laplacian(g, float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0)))
-        dense = A.toarray()
+        dense = A.csr.toarray()
         b = rng.normal(size=g.n_cells)
         b -= b.mean()
         x, rep = solve_spd(A, b, tol=1e-12)
@@ -215,6 +215,6 @@ def test_singular_neumann_system_solvable_after_projection():
     b = np.array([1.0, -1.0])
     x, rep = solve_spd(A, b, tol=1e-12)
     assert rep.converged
-    assert np.linalg.norm(b - A.toarray() @ x) <= 1e-10
+    assert np.linalg.norm(b - A.csr.toarray() @ x) <= 1e-10
     assert x[0] - x[1] == pytest.approx(1.0, abs=1e-10)
     assert x == pytest.approx([0.5, -0.5], abs=1e-15)
