@@ -10,7 +10,8 @@
                                      configuration without running it
 
 Exit codes: 0 success, 2 configuration violations (printed one per line),
-1 runtime failure (solver/fixed-point breakdown or failed check).
+1 runtime failure (solver/fixed-point breakdown, an output file that cannot
+be written, or a failed check).
 """
 
 import argparse
@@ -134,7 +135,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GummelError, SolverError) as exc:  # the march broke down: exit 1, as documented above
+    except (GummelError, SolverError, OSError) as exc:  # the march broke down or an output failed: exit 1
         print("%s failed: %s" % (args.command, exc), file=sys.stderr)
         return 1
 

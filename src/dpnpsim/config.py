@@ -31,7 +31,7 @@ import ast
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,7 +154,6 @@ class RunConfig:
     settings: SweepSettings
     out_dir: str
     snapshot_stride: int
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 class _Reader:
@@ -499,7 +498,6 @@ def parse_config(source):
         settings=SweepSettings(tol, max_sweeps, damping, init_iterate, lin_tol_transport),
         out_dir=out_dir,
         snapshot_stride=stride,
-        raw=doc,
     )
 
 

@@ -72,11 +72,7 @@ def solve_darcy(grid, params, rho_f, e_faces, f_bc):
     b2[:, 1:] += gx * grid.hy
     b2[:-1, :] -= gy * grid.hx
     b2[1:, :] += gy * grid.hx
-    # prescribed boundary outflow
-    b2[:, 0] -= f_bc.left * grid.hy
-    b2[:, -1] -= f_bc.right * grid.hy
-    b2[0, :] -= f_bc.bottom * grid.hx
-    b2[-1, :] -= f_bc.top * grid.hx
+    f_bc.add_to_cells(b2, -1.0)  # prescribed boundary outflow
     b = b2.ravel()
     velocity_scale = float(np.linalg.norm(b)) / vol
 

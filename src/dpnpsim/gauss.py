@@ -74,10 +74,7 @@ def solve_gauss(grid, params, rho_f, rho_b, sigma):
     rho_used = rho_tot - shift
 
     b2 = rho_used * vol
-    b2[:, 0] -= sigma.left * grid.hy
-    b2[:, -1] -= sigma.right * grid.hy
-    b2[0, :] -= sigma.bottom * grid.hx
-    b2[-1, :] -= sigma.top * grid.hx
+    sigma.add_to_cells(b2, -1.0)
     b = b2.ravel()
     charge_scale = float(np.linalg.norm(b)) / vol
 

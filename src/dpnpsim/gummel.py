@@ -77,7 +77,6 @@ class GummelReport:
 
     sweeps: int
     residuals: tuple
-    converged: bool
     halvings: int = 0
     extra_sweep_residual: float = None
     wasted_sweeps: int = 0  # sweeps of the attempts that failed with GummelError
@@ -161,7 +160,7 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
         raise GummelError(
             "Gummel sweep did not converge: residual %.3e > tol %.3e after %d sweeps"
             % (residuals[-1], settings.tol, len(residuals)),
-            GummelReport(len(residuals), tuple(residuals), False),
+            GummelReport(len(residuals), tuple(residuals)),
         )
 
     # rebuild the elliptic fields from the converged concentrations
@@ -172,7 +171,7 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
         extra = _increment(params, grid, sweep(electro, flow, c_k)[1], c_k)
 
     state = State(state_prev.time + dt, electro, flow, c_k, result.r1, result.r2)
-    return state, GummelReport(len(residuals), tuple(residuals), True, 0, extra)
+    return state, GummelReport(len(residuals), tuple(residuals), extra_sweep_residual=extra)
 
 
 @dataclass
@@ -181,12 +180,11 @@ class SimResult:
 
     states: list
     reports: list  # GummelReport per accepted step
-    monitors: list  # MonitorReport per accepted step (empty when monitoring is off)
-    evaluator: object
-    ledger: object
+    monitors: list  # MonitorReport per accepted step
+    ledger: object  # the a-priori bounds over [0, T_end]
 
 
-def advance(grid, params, initial, schedule, settings=SweepSettings(), T_end=None, dt=None, monitor=True):
+def advance(grid, params, initial, schedule, settings=SweepSettings(), T_end=None, dt=None):
     """March from 0 to T_end; returns SimResult with one State per accepted step.
 
     A step whose sweep fails to converge (GummelError) or whose linear solve
@@ -203,7 +201,7 @@ def advance(grid, params, initial, schedule, settings=SweepSettings(), T_end=Non
         raise ValueError("T_end and dt must be finite numbers > 0, got T_end=%g, dt=%g" % (T_end, dt))
 
     state = initial_state(grid, params, initial, schedule.at(0.0))
-    evaluator = BoundsEvaluator(grid, params, schedule, initial, T_end) if monitor else None
+    evaluator = BoundsEvaluator(grid, params, schedule, initial, T_end)
 
     states = [state]
     reports = []
@@ -226,14 +224,10 @@ def advance(grid, params, initial, schedule, settings=SweepSettings(), T_end=Non
                     wasted += exc.report.sweeps
                 dt_try *= 0.5
         rep = replace(rep, halvings=halvings, wasted_sweeps=wasted)
-        if monitor:
-            monitor_rows.append(
-                monitors.check_state(grid, params, evaluator, new_state, state, dt_try, data)
-            )
+        monitor_rows.append(monitors.check_state(grid, params, evaluator, new_state, state, dt_try, data))
         states.append(new_state)
         reports.append(rep)
         state = new_state
         t = new_state.time
 
-    ledger = evaluator.ledger(T_end) if monitor else None
-    return SimResult(states, reports, monitor_rows, evaluator, ledger)
+    return SimResult(states, reports, monitor_rows, evaluator.ledger(T_end))

@@ -6,9 +6,9 @@ place that numbers the cells of a structured grid and stamps the four
 entries of each interior face; the Gauss/Darcy Laplacian and the
 Scharfetter-Gummel transport matrix are both built with it.
 
-Every solve reports its true residual ||b - A x|| against one target,
-max(tol ||b||, rounding floor), with a nonincreasing history, and raises
-SolverError when it misses it.  solve_spd solves the Gauss/Darcy operator, a
+Every solve reports its iteration count and true residual ||b - A x||
+against one target, max(tol ||b||, rounding floor), and raises SolverError
+when it misses it.  solve_spd solves the Gauss/Darcy operator, a
 constant-coefficient Neumann Laplacian, exactly in the separable cosine
 (DCT-II) eigenbasis that neumann_laplacian attaches to it, with four dense
 matmuls (fast diagonalization; Lynch, Rice & Thomas, Numer. Math. 6, 1964).
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-DEFAULT_TOL = 1e-10
 _BREAKDOWN = 1e-300
 
 
@@ -37,16 +36,10 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one linear solve.
-
-    history holds the reported residual norms (best-so-far, hence
-    nonincreasing), starting from the initial residual.
-    """
+    """Outcome of one linear solve: iterations run and the true residual ||b - A x||."""
 
     iterations: int
     residual: float
-    converged: bool
-    history: tuple
 
 
 class SparseMatrix:
@@ -156,29 +149,29 @@ def _target(A, bnorm, tol):
     return lambda x: max(tol * bnorm, _FLOOR_EPS * (A.norm_inf * float(np.linalg.norm(x)) + bnorm))
 
 
-def solve_spd(A, b, tol=DEFAULT_TOL):
+def solve_spd(A, b, tol):
     """Solve a neumann_laplacian A for a zero-sum b in its eigenbasis: x = Qy ((Qy^T B Qx) * inv_eig) Qx^T.
 
-    Returns (x, SolveReport) with the zero-mean x, iterations 1 (0 and x = 0
-    for b = 0) and history (||b||, min(||b||, residual)).  converged means the
-    true residual meets max(tol ||b||, 4 eps (||A||_inf ||x|| + ||b||)), the
-    rounding floor below which no float64 x can certify a smaller residual;
-    otherwise, as for a b that does not sum to zero, SolverError is raised.
+    Returns (x, SolveReport) with the zero-mean x and iterations 1 (0 and
+    x = 0 for b = 0) when the true residual meets max(tol ||b||, 4 eps
+    (||A||_inf ||x|| + ||b||)), the rounding floor below which no float64 x
+    can certify a smaller residual; otherwise, as for a b that does not sum
+    to zero, SolverError is raised.
     """
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(b.shape[0]), SolveReport(0, 0.0, True, (0.0,))
+        return np.zeros(b.shape[0]), SolveReport(0, 0.0)
     qx, qy, inv_eig = A.eigenbasis
     x = (qy @ ((qy.T @ b.reshape(inv_eig.shape) @ qx) * inv_eig) @ qx.T).ravel()
     residual = float(np.linalg.norm(b - A.csr @ x))
-    report = SolveReport(1, residual, residual <= _target(A, bnorm, tol)(x), (bnorm, min(bnorm, residual)))
-    if not report.converged:
+    report = SolveReport(1, residual)
+    if residual > _target(A, bnorm, tol)(x):
         raise SolverError("eigenbasis solve missed tol=%.3g (residual %.3g)" % (tol, residual), report)
     return x, report
 
 
-def solve_nonsym(A, b, tol=DEFAULT_TOL, max_iter=None):
+def solve_nonsym(A, b, tol):
     """Jacobi-preconditioned BiCGStab for a nonsymmetric SparseMatrix A (the transport M-matrices).
 
     Returns (x, SolveReport) with the same target as solve_spd, keeping the
@@ -186,24 +179,22 @@ def solve_nonsym(A, b, tol=DEFAULT_TOL, max_iter=None):
     target at x + alpha p_hat stops there, skipping the stabilizing
     half-step.  A breakdown, which counts as an iteration, or a recurrence
     residual that meets the target while the true residual does not,
-    restarts BiCGStab from x.  Raises SolverError when max_iter (default 10 * n) iterations or
+    restarts BiCGStab from x.  Raises SolverError when 10 n iterations or
     _MAX_RESTARTS + 1 starts end it short of the target.
     """
     csr = A.csr
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
+    max_iter = 10 * n
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n), SolveReport(0, 0.0, True, (0.0,))
+        return np.zeros(n), SolveReport(0, 0.0)
     target = _target(A, bnorm, tol)
     d = csr.diagonal()  # Jacobi preconditioner, a fresh array
     d[d == 0.0] = 1.0
     x = best_x = np.zeros(n)  # iterates are rebound, never written in place
     r = b
     best_norm = bnorm
-    history = [best_norm]
     iterations = 0
 
     for _ in range(_MAX_RESTARTS + 1):  # each start from (x, r = b - A x)
@@ -244,23 +235,20 @@ def solve_nonsym(A, b, tol=DEFAULT_TOL, max_iter=None):
                     break
             if rnorm < best_norm:
                 best_norm, best_x = rnorm, x
-            history.append(best_norm)
             if rnorm > target(x):
                 continue
             true_res = float(np.linalg.norm(b - csr @ x))
             if true_res <= target(x):
-                history[-1] = min(history[-1], true_res)
-                return x, SolveReport(iterations, true_res, True, tuple(history))
+                return x, SolveReport(iterations, true_res)
             break  # the recurrence drifted from the true residual
         if iterations >= max_iter:
             break
         r = b - csr @ x
 
     true_res = float(np.linalg.norm(b - csr @ best_x))
+    report = SolveReport(iterations, true_res)
     if true_res <= target(best_x):
-        history.append(min(history[-1], true_res))
-        return best_x, SolveReport(iterations, true_res, True, tuple(history))
-    report = SolveReport(iterations, true_res, False, tuple(history))
+        return best_x, report
     raise SolverError(
         "BiCGStab did not reach tol=%.3g within %d iterations (residual %.3g)" % (tol, iterations, true_res),
         report,

@@ -34,11 +34,6 @@ class Grid:
         self.hx = lx / nx
         self.hy = ly / ny
         self.n_cells = nx * ny
-        self.n_xfaces = (nx + 1) * ny
-        self.n_yfaces = nx * (ny + 1)
-        self.n_faces = self.n_xfaces + self.n_yfaces
-        self.n_boundary_faces = 2 * nx + 2 * ny
-        self.n_interior_faces = (nx - 1) * ny + nx * (ny - 1)
         self.cell_volume = self.hx * self.hy
         self.total_volume = self.n_cells * self.cell_volume
         # coordinates: cell centers and face planes
@@ -52,14 +47,6 @@ class Grid:
     def cell_centers(self):
         """Return (X, Y) center-coordinate arrays of shape (ny, nx)."""
         return np.meshgrid(self.xc, self.yc)
-
-    def side_length(self, side):
-        """Length of one boundary face on the given side."""
-        return self.hy if side in ("left", "right") else self.hx
-
-    def side_faces(self, side):
-        """Number of boundary faces on the given side."""
-        return self.ny if side in ("left", "right") else self.nx
 
     def __repr__(self):
         return "Grid(nx=%d, ny=%d, lx=%g, ly=%g)" % (self.nx, self.ny, self.lx, self.ly)
@@ -161,6 +148,17 @@ class BoundaryField:
     @classmethod
     def zeros(cls, grid):
         return cls(grid)
+
+    def add_to_cells(self, plane, sign=1.0):
+        """Add sign * value * face length of every boundary face to its cell of the (ny, nx) plane, in place.
+
+        The sides are added in the order left, right, bottom, top.
+        """
+        g = self.grid
+        plane[:, 0] += sign * self.left * g.hy
+        plane[:, -1] += sign * self.right * g.hy
+        plane[0, :] += sign * self.bottom * g.hx
+        plane[-1, :] += sign * self.top * g.hx
 
     def boundary_integral(self):
         """Integral of the outward values over the whole boundary."""

@@ -51,7 +51,6 @@ class ConvergenceTable:
     hs: list
     errors: dict  # field -> list of errors, one per grid
     orders: dict  # field -> list of orders, one per refinement
-    sweeps: list  # coupled case: Gummel sweeps per grid (zeros otherwise)
 
     def fields(self):
         return list(self.errors)
@@ -119,7 +118,7 @@ def _run_poisson(grid, params):
     return {
         "phi": _aligned_error(grid, st.phi.values, phi_ex),
         "e": _l2_faces(grid, st.e_faces.fx - ex_fx, st.e_faces.fy - 0.0),
-    }, 0
+    }
 
 
 def _run_darcy(grid, params):
@@ -153,7 +152,7 @@ def _run_darcy(grid, params):
     return {
         "p": _aligned_error(grid, st.p.values, p_ex),
         "q": _l2_faces(grid, st.q_faces.fx - qx(xfx, yfx), st.q_faces.fy - qy(xfy, yfy)),
-    }, 0
+    }
 
 
 def _dt_for(grid, dt0=0.01, n0=16):
@@ -188,7 +187,7 @@ def _run_diffusion(grid, params):
     return {
         "c1": _l2_cells(grid, res.conc.c1.values - exact),
         "c2": _l2_cells(grid, res.conc.c2.values - exact),
-    }, 0
+    }
 
 
 def _run_driftdiffusion(grid, params):
@@ -208,7 +207,7 @@ def _run_driftdiffusion(grid, params):
     return {
         "c1": _l2_cells(grid, res.conc.c1.values - exact),
         "c2": _l2_cells(grid, res.conc.c2.values - exact),
-    }, 0
+    }
 
 
 def _run_coupled(grid, params):
@@ -275,7 +274,7 @@ def _run_coupled(grid, params):
         sources=(source(params.z1, a[0], X, Y, t1), source(params.z2, a[1], X, Y, t1)),
     )
     state0 = initial_state(grid, params, initial, data)
-    state, report = gummel_step(grid, params, state0, data, dt, SweepSettings(tol=1e-11))
+    state, _ = gummel_step(grid, params, state0, data, dt, SweepSettings(tol=1e-11))
 
     phi_ex = X**2 - X + 1.0 / 6.0
     p_ex = X**2 - Y**2
@@ -284,7 +283,7 @@ def _run_coupled(grid, params):
         "c2": _l2_cells(grid, state.conc.c2.values - a[1] * w(X, Y, t1)),
         "phi": _aligned_error(grid, state.electro.phi.values, phi_ex),
         "p": _aligned_error(grid, state.flow.p.values, p_ex),
-    }, report.sweeps
+    }
 
 
 _RUNNERS = {
@@ -329,13 +328,10 @@ def run_mms(case, grids, params=None):
 
     errors = {}
     hs = []
-    sweeps = []
     for nx, ny in norm_grids:
         grid = build_grid(nx, ny, 1.0, 1.0)
-        errs, swp = _RUNNERS[case](grid, params)
         hs.append(max(grid.hx, grid.hy))
-        sweeps.append(swp)
-        for f, e in errs.items():
+        for f, e in _RUNNERS[case](grid, params).items():
             errors.setdefault(f, []).append(e)
 
     orders = {}
@@ -347,4 +343,4 @@ def run_mms(case, grids, params=None):
             else:
                 ords.append(math.log(es[k - 1] / es[k]) / math.log(hs[k - 1] / hs[k]))
         orders[f] = ords
-    return ConvergenceTable(case, norm_grids, hs, errors, orders, sweeps)
+    return ConvergenceTable(case, norm_grids, hs, errors, orders)

@@ -32,24 +32,21 @@ def _fmt(value):
 
 
 def snapshot_rows(grid, params, state):
-    """Yield csv rows (lists of strings) for one state, header first."""
+    """Yield csv rows (lists of strings) for one state, header first, then one per cell with j outermost."""
     yield ["i", "j", "x", "y", "c1", "c2", "p", "phi", "rho_f"]
-    rho = free_charge(params, state.conc).values
-    c1, c2 = state.conc.c1.values, state.conc.c2.values
-    p, phi = state.flow.p.values, state.electro.phi.values
-    for j in range(grid.ny):
-        for i in range(grid.nx):
-            yield [
-                str(i),
-                str(j),
-                _fmt(grid.xc[i]),
-                _fmt(grid.yc[j]),
-                _fmt(c1[j, i]),
-                _fmt(c2[j, i]),
-                _fmt(p[j, i]),
-                _fmt(phi[j, i]),
-                _fmt(rho[j, i]),
-            ]
+    x, y = grid.cell_centers()
+    planes = (
+        x,
+        y,
+        state.conc.c1.values,
+        state.conc.c2.values,
+        state.flow.p.values,
+        state.electro.phi.values,
+        free_charge(params, state.conc).values,
+    )
+    cells = ((str(i), str(j)) for j in range(grid.ny) for i in range(grid.nx))
+    for (i, j), *values in zip(cells, *(map(repr, a.ravel().tolist()) for a in planes)):
+        yield [i, j, *values]
 
 
 def _write_csv(path, rows):

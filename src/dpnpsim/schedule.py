@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SIDES, BoundaryField, CellField
+from .mesh import BoundaryField, CellField
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,6 @@ class BoundarySpec:
         )
         return float(np.sqrt(space_sq * self.ramp.int_sq(T)))
 
-    def balance(self):
-        """Boundary integral of the unramped values (Darcy compatibility)."""
-        return self.base.boundary_integral()
-
 
 @dataclass
 class StepData:
@@ -91,34 +87,25 @@ class StepData:
     g1: BoundaryField
     g2: BoundaryField
     rho_b: CellField
-    sources: tuple = None  # optional (s1, s2) cell arrays added to the transport right sides
+    sources: tuple = None  # manufactured (s1, s2) cell arrays added to the transport right sides (mms)
 
 
 class Schedule:
-    """Bundles the four boundary fields, the background charge and optional sources."""
+    """Bundles the four boundary fields and the background charge."""
 
-    def __init__(self, grid, sigma, f, g1, g2, rho_b, sources=None):
+    def __init__(self, grid, sigma, f, g1, g2, rho_b):
         self.grid = grid
         self.sigma = sigma
         self.f = f
         self.g1 = g1
         self.g2 = g2
         self.rho_b = rho_b
-        self.sources = sources  # callable t -> (s1, s2) arrays, or None
 
     def at(self, t):
-        src = self.sources(t) if self.sources is not None else None
-        return StepData(
-            self.sigma.at(t),
-            self.f.at(t),
-            self.g1.at(t),
-            self.g2.at(t),
-            self.rho_b,
-            sources=src,
-        )
+        return StepData(self.sigma.at(t), self.f.at(t), self.g1.at(t), self.g2.at(t), self.rho_b)
 
 
-def constant_schedule(grid, sigma=None, f=None, g1=None, g2=None, rho_b=None, sources=None):
+def constant_schedule(grid, sigma=None, f=None, g1=None, g2=None, rho_b=None):
     """Schedule with time-constant data; sides default to zero."""
 
     def spec(v):
@@ -132,4 +119,4 @@ def constant_schedule(grid, sigma=None, f=None, g1=None, g2=None, rho_b=None, so
 
     if rho_b is None:
         rho_b = CellField.zeros(grid)
-    return Schedule(grid, spec(sigma), spec(f), spec(g1), spec(g2), rho_b, sources=sources)
+    return Schedule(grid, spec(sigma), spec(f), spec(g1), spec(g2), rho_b)

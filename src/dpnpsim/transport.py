@@ -113,11 +113,7 @@ def _species_system(grid, params, c_prev_vals, ufx, ufy, g, dt, k_rate, producti
     rhs = theta * vol / dt * c_prev_vals + theta * vol * production
     if source is not None:
         rhs = rhs + np.asarray(source, dtype=float) * vol
-    rhs = rhs.copy()
-    rhs[:, 0] += g.left * hy
-    rhs[:, -1] += g.right * hy
-    rhs[0, :] += g.bottom * hx
-    rhs[-1, :] += g.top * hx
+    g.add_to_cells(rhs)
     return A, rhs.ravel()
 
 

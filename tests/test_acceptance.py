@@ -188,7 +188,6 @@ def test_08_uniqueness_proxy(suite):
             SweepSettings(tol=SUITE_TOL, init_iterate="zero"),
             T_end=SUITE_STEPS * SUITE_DT,
             dt=SUITE_DT,
-            monitor=False,
         )
         a, b = result.states[-1].conc, other.states[-1].conc
         vol = grid.cell_volume

@@ -10,6 +10,11 @@ iteration counts linalg.spd_iters and linalg.nonsym_iters are read from the
 solve reports, so they must be nonzero too: a solver that reports no
 iterations would zero the benchmark's iteration metrics.
 
+The benchmark's child process reads SimResult.states, .monitors and
+.reports, and the sweeps and iterations of the reports, and it checks the
+monitors and the final fields of a run; a weak-32 run, untraced and traced,
+must end with no failure recorded.
+
 The same tiny check, untraced, also pins the import footprint.  Importing
 scipy.sparse.linalg adds about 9 MB of peak memory and 0.14 s of start-up,
 and scipy.fft about 0.16 s; the eigenbasis Gauss/Darcy solve and the
@@ -21,6 +26,9 @@ import json
 import os
 import subprocess
 import sys
+import time
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -66,6 +74,17 @@ def run_fresh(script, *dirs):
 def test_every_required_benchmark_hook_fires():
     counts = run_fresh(SCRIPT, "src", "perfbench")
     assert set(counts) and not [name for name, n in counts.items() if not n], counts
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_benchmark_child_run_records_no_failures(tmp_path, traced):
+    argv = [os.path.join(ROOT, "perfbench", "child.py"), "--workload", "weak-32", "--seed", "0"]
+    argv += ["--t0", repr(time.monotonic()), "--workdir", str(tmp_path)] + (["--trace"] if traced else [])
+    done = subprocess.run([sys.executable] + argv, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    with open(tmp_path / "result.json", encoding="utf-8") as fh:
+        result = json.load(fh)
+    assert result["failures"] == [], result.get("traceback", result["failures"])
 
 
 def test_check_imports_neither_sparse_linalg_nor_fft():

@@ -17,6 +17,7 @@ from dpnpsim import runner
 from dpnpsim.cli import main
 from dpnpsim.config import load_config
 from dpnpsim.monitors import MonitorReport
+from dpnpsim.transport import free_charge
 
 
 def write_cfg(tmp_path, name="run.json", **overrides):
@@ -104,6 +105,29 @@ def test_run_writes_all_outputs(tmp_path, capsys):
         assert label in text
 
 
+def test_snapshot_rows_list_every_cell_j_major_with_exact_values(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, grid={"nx": 4, "ny": 3}))
+    out = runner.run(cfg, out_dir=str(tmp_path / "out"))
+    grid, state = cfg.grid, out.result.states[-1]
+    rows = list(runner.snapshot_rows(grid, cfg.params, state))
+    assert rows[0] == ["i", "j", "x", "y", "c1", "c2", "p", "phi", "rho_f"]
+    assert len(rows) == 1 + 12
+    planes = (
+        state.conc.c1.values,
+        state.conc.c2.values,
+        state.flow.p.values,
+        state.electro.phi.values,
+        free_charge(cfg.params, state.conc).values,
+    )
+    for k, row in enumerate(rows[1:]):
+        j, i = divmod(k, grid.nx)
+        assert row[:2] == [str(i), str(j)]
+        assert [float(v) for v in row[2:]] == [grid.xc[i], grid.yc[j]] + [a[j, i] for a in planes]
+    # the final snapshot on disk is exactly these rows
+    text = "".join(",".join(row) + "\n" for row in rows)
+    assert read(os.path.join(out.out_dir, "snapshot_%06d.csv" % (len(out.result.states) - 1))).decode() == text
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -183,6 +207,17 @@ def test_unconverged_run_exits_1(tmp_path, capsys):
     )
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
     assert "run failed" in capsys.readouterr().err
+
+
+def test_unwritable_output_paths_exit_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    assert main(["run", cfg, "--out", str(taken)]) == 1
+    assert re.match(r"run failed: .*taken", capsys.readouterr().err)
+    csv_path = str(tmp_path / "missing" / "table.csv")
+    assert main(["mms", "poisson", "--grids", "4,8", "--csv", csv_path]) == 1
+    assert re.match(r"mms failed: .*table\.csv", capsys.readouterr().err)
 
 
 def test_mms_prints_table_and_writes_csv(tmp_path, capsys):

@@ -89,7 +89,6 @@ def test_valid_document_wires_everything():
 
     assert cfg.out_dir == "out/demo"
     assert cfg.snapshot_stride == 5
-    assert cfg.raw["grid"]["nx"] == 8
 
 
 def test_defaults_fill_in():

@@ -90,7 +90,6 @@ def test_decoupled_limit_converges_in_exactly_two_sweeps():
     assert rep.sweeps == 2
     assert rep.residuals[0] > 1e-3
     assert rep.residuals[1] == 0.0
-    assert rep.converged
 
 
 def test_step_validates_damping_and_init_iterate():
@@ -148,7 +147,6 @@ def test_step_raises_with_report_when_sweeps_exhausted():
         gummel_step(g, p, st0, sched.at(0.01), 0.01, SweepSettings(tol=1e-300, max_sweeps=3))
     rep = exc.value.report
     assert rep.sweeps == 3
-    assert not rep.converged
     assert len(rep.residuals) == 3
 
 
@@ -157,7 +155,7 @@ def test_converged_state_carries_applied_rates_and_time():
     st0 = initial_state(g, p, init, sched.at(0.0))
     st1, rep = gummel_step(g, p, st0, sched.at(0.02), 0.02, SweepSettings(tol=1e-10, max_sweeps=50))
     assert st1.time == pytest.approx(0.02)
-    assert rep.converged and rep.residuals[-1] <= 1e-10
+    assert rep.residuals[-1] <= 1e-10
     # production uses the lagged iterate, consumption the new one, so the
     # exchange rates cancel only to the sweep tolerance
     np.testing.assert_allclose(st1.applied_r1 + st1.applied_r2, 0.0, atol=1e-9)
@@ -176,7 +174,7 @@ def test_advance_lands_exactly_on_T_end_with_clipped_final_step():
     assert len(res.reports) == 3
     assert times[2] - times[1] == pytest.approx(0.02)
     assert times[3] - times[2] == pytest.approx(0.01)
-    assert res.ledger is not None and res.evaluator is not None
+    assert res.ledger is not None
 
 
 def test_all_monitors_pass_on_mild_coupled_run():
@@ -198,7 +196,7 @@ def test_probe_extra_sweep_residual_stays_below_tol():
 def test_damping_and_zero_init_reach_the_same_fixed_point():
     g, p, init, sched = coupled_setup()
     tol = 1e-10
-    kw = dict(T_end=0.05, dt=0.01, monitor=False)
+    kw = dict(T_end=0.05, dt=0.01)
     base = advance(g, p, init, sched, SweepSettings(tol=tol), **kw)
     damped = advance(g, p, init, sched, SweepSettings(tol=tol, damping=0.7), **kw)
     zeroed = advance(g, p, init, sched, SweepSettings(tol=tol, init_iterate="zero"), **kw)
@@ -238,7 +236,6 @@ def test_advance_halves_dt_until_the_sweep_converges():
     assert sum(r.wasted_sweeps for r in res.reports) == 6 * sum(halvings)
     assert len(res.reports) > 2  # shortened steps were accepted as real steps
     assert res.states[-1].time == pytest.approx(0.1, abs=1e-12)
-    assert all(r.converged for r in res.reports)
 
 
 def test_advance_raises_after_exhausting_halvings():
@@ -255,7 +252,7 @@ def test_advance_halves_dt_on_linear_solver_failure(monkeypatch):
     # a linear-solver failure is handled like a stalled sweep: retry at half the step
     g, p, init, sched = coupled_setup(n=6)
     real_step_transport = gummel.step_transport
-    failed = SolverError("no convergence", SolveReport(1, 1.0, False, (1.0,)))
+    failed = SolverError("no convergence", SolveReport(1, 1.0))
 
     def failing_at_nominal_dt(*args, **kwargs):
         if args[7] == 0.02:  # the eighth positional argument is dt
@@ -268,7 +265,6 @@ def test_advance_halves_dt_on_linear_solver_failure(monkeypatch):
     assert res.reports[0].wasted_sweeps == 0  # a failed linear solve is a halving only
     assert res.states[1].time == pytest.approx(0.01, abs=1e-15)
     assert res.states[-1].time == pytest.approx(0.02, abs=1e-12)
-    assert all(r.converged for r in res.reports)
 
     tried = []
 

@@ -1,7 +1,7 @@
 """Grid geometry, field containers, and the discrete divergence.
 
-Frozen oracles: face/cell counts for a 4x3 grid are pure combinatorics
-(n_xfaces = (nx+1)*ny etc.), and the divergence of the linear flux
+Frozen oracles: the cell count and spacings of a 4x3 grid are pure
+arithmetic, and the divergence of the linear flux
 (fx, fy) = (x, y) is exactly 2 in every cell because two-point differences
 of a linear function are exact.
 """
@@ -21,11 +21,6 @@ from dpnpsim.mesh import (
 def test_grid_counts_4x3():
     g = build_grid(4, 3, 2.0, 1.5)
     assert g.n_cells == 12
-    assert g.n_xfaces == 5 * 3
-    assert g.n_yfaces == 4 * 4
-    assert g.n_faces == 31
-    assert g.n_boundary_faces == 2 * 4 + 2 * 3
-    assert g.n_interior_faces == 31 - 14
     assert g.hx == pytest.approx(0.5)
     assert g.hy == pytest.approx(0.5)
     assert g.cell_volume == pytest.approx(0.25)
@@ -48,14 +43,6 @@ def test_grid_rejects_bad_dimensions():
     for bad in [(0, 1, 1.0, 1.0), (1, 0, 1.0, 1.0), (1, 1, 0.0, 1.0), (1, 1, 1.0, -2.0)]:
         with pytest.raises(ValueError):
             build_grid(*bad)
-
-
-def test_side_lengths_and_face_counts():
-    g = build_grid(4, 3, 2.0, 1.5)
-    assert g.side_length("left") == pytest.approx(0.5)
-    assert g.side_length("bottom") == pytest.approx(0.5)
-    assert g.side_faces("left") == 3
-    assert g.side_faces("top") == 4
 
 
 def test_cell_field_shape_and_integral():
@@ -84,6 +71,33 @@ def test_divergence_of_linear_flux_is_exactly_two():
     fy = np.tile(g.yf[:, None], (1, g.nx))
     div = cell_divergence(g, FaceField(g, fx, fy))
     assert np.allclose(div.values, 2.0, atol=1e-14)
+
+
+def test_boundary_field_adds_face_flux_to_boundary_cells():
+    rng = np.random.default_rng(5)
+    for nx, ny in [(4, 3), (1, 3), (4, 1), (1, 1)]:
+        g = build_grid(nx, ny, 2.0, 1.5)
+        bf = BoundaryField(
+            g, left=rng.normal(size=ny), right=rng.normal(size=ny), bottom=rng.normal(size=nx), top=rng.normal(size=nx)
+        )
+        base = rng.normal(size=(ny, nx))
+        added, subtracted = base.copy(), base.copy()
+        bf.add_to_cells(added)
+        bf.add_to_cells(subtracted, -1.0)
+        # the same four side updates, in the order left, right, bottom, top,
+        # written out: adding -v equals subtracting v bit for bit
+        plus, minus = base.copy(), base.copy()
+        for plane, op in ((plus, np.add), (minus, np.subtract)):
+            for index, values, length in (
+                ((slice(None), 0), bf.left, g.hy),
+                ((slice(None), -1), bf.right, g.hy),
+                ((0, slice(None)), bf.bottom, g.hx),
+                ((-1, slice(None)), bf.top, g.hx),
+            ):
+                plane[index] = op(plane[index], values * length)
+        assert np.array_equal(added, plus) and np.array_equal(subtracted, minus)
+        # the net addition is the boundary integral
+        assert (added - base).sum() == pytest.approx(bf.boundary_integral())
 
 
 def test_divergence_of_constant_flux_is_zero():

@@ -71,8 +71,6 @@ def test_coupled_all_fields_converge():
     assert set(table.fields()) == {"c1", "c2", "phi", "p"}
     for f in table.fields():
         assert table.min_order(f) >= 0.9
-    # the one-step solves actually converged
-    assert all(s >= 1 for s in table.sweeps)
 
 
 def test_grid_specs_accept_ints_and_pairs():
