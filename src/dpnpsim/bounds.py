@@ -204,27 +204,27 @@ def compute_Ce_Cf(params, norms, C0, CM, T):
 
 
 class BoundsEvaluator:
-    """Evaluates the full constant chain for a run at any horizon t <= T_end.
+    """Evaluates the full constant chain for a run at any horizon t <= params.T_end.
 
     The energy bound C0_hat_energy(t)^2 is time-dependent through both
     e^{B0_energy t} and the boundary-data L2 norm over [0, t]; everything
     needed is closed-form, so per-step evaluation is exact and cheap.
+    norms() and ledger() default to the run horizon params.T_end.
     """
 
-    def __init__(self, grid, params, schedule, initial, T_end):
+    def __init__(self, grid, params, schedule, initial):
         self.grid = grid
         self.params = params
         self.schedule = schedule
         self.initial = initial
-        self.T_end = float(T_end)
         self._cache = {}
 
     def norms(self, T=None):
-        T = self.T_end if T is None else float(T)
+        T = self.params.T_end if T is None else float(T)
         return compute_data_norms(self.grid, self.schedule, self.initial, T)
 
     def ledger(self, T=None):
-        T = self.T_end if T is None else float(T)
+        T = self.params.T_end if T is None else float(T)
         if T not in self._cache:
             norms = self.norms(T)
             B0 = compute_B0(self.params, norms)
@@ -257,4 +257,4 @@ class BoundsEvaluator:
 
     def sup_bound(self):
         """C_M at the run horizon (the sup-norm estimate is stated at T_end)."""
-        return self.ledger(self.T_end).CM
+        return self.ledger().CM

@@ -95,7 +95,7 @@ def _cmd_bounds(args):
     cfg = _load(args.config)
     if cfg is None:
         return 2
-    ev = BoundsEvaluator(cfg.grid, cfg.params, cfg.schedule, cfg.initial, cfg.params.T_end)
+    ev = BoundsEvaluator(cfg.grid, cfg.params, cfg.schedule, cfg.initial)
     ledger = ev.ledger()
     print(runner.bounds_text(ledger), end="")
     if args.csv:

@@ -50,7 +50,7 @@ _INITIAL_KEYS = ("c1", "c2")
 _BOUNDARY_KEYS = ("sigma", "f", "g1", "g2")
 _SIDE_KEYS = SIDES + ("ramp",)
 _RAMP_KEYS = ("kind", "t0", "t1")
-_TIME_KEYS = ("t_end", "dt", "tol", "max_sweeps", "damping", "init_iterate", "lin_tol_transport")
+_TIME_KEYS = ("t_end", "dt", "tol", "max_sweeps", "damping")
 _OUTPUT_KEYS = ("directory", "snapshot_stride")
 _SPEC_KEYS = {
     "constant": ("kind", "value"),
@@ -403,11 +403,6 @@ def parse_config(source):
     if not 0.0 < damping <= 1.0:
         r.flag("time.damping must lie in (0, 1], got %g" % damping)
         damping = defaults.damping
-    init_iterate = tm.get("init_iterate", defaults.init_iterate)
-    if init_iterate not in ("previous", "zero"):
-        r.flag("time.init_iterate must be 'previous' or 'zero', got %r" % init_iterate)
-        init_iterate = defaults.init_iterate
-    lin_tol_transport = r.number(tm, "time", "lin_tol_transport", default=defaults.lin_tol_transport, low_strict=0.0)
     if t_end is not None and dt is not None and dt > t_end:
         r.flag("time.dt must not exceed time.t_end, got dt=%g, t_end=%g" % (dt, t_end))
         dt = t_end
@@ -495,7 +490,7 @@ def parse_config(source):
         params=params,
         initial=initial,
         schedule=schedule,
-        settings=SweepSettings(tol, max_sweeps, damping, init_iterate, lin_tol_transport),
+        settings=SweepSettings(tol, max_sweeps, damping),
         out_dir=out_dir,
         snapshot_stride=stride,
     )

@@ -11,11 +11,13 @@ until the weighted increment sqrt(sum_l |z_l| sum (c^{k+1} - c^k)^2 vol)
 drops below tol.  After convergence the field and flow are rebuilt from the
 converged concentrations so the stored state is internally consistent.
 
-advance() walks the step sequence 0 -> T_end, halving dt for a step whose
-sweep fails to converge or whose linear solve fails (GummelError or
-SolverError; up to 10 halvings; the shortened step is accepted and
-subsequent steps resume the nominal dt), evaluates the boundary schedule at
-each new time, and runs the monitors on every accepted state.
+A step fails in one way: gummel_step raises GummelError, both when the
+sweep does not converge and when a linear solve inside the step fails (the
+SolverError becomes its __cause__).  advance() walks the step sequence
+0 -> params.T_end in steps of params.dt, halving dt for a failed step (up to
+10 halvings; the shortened step is accepted and subsequent steps resume the
+nominal dt), evaluates the boundary schedule at each new time, and runs the
+monitors on every accepted state.
 """
 
 import math
@@ -23,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import monitors, transport
+from . import monitors
 from .bounds import BoundsEvaluator
 from .darcy import solve_darcy
 from .gauss import solve_gauss
@@ -36,21 +38,23 @@ MAX_HALVINGS = 10
 
 @dataclass(frozen=True)
 class SweepSettings:
-    """Settings of the Gummel sweep; the field defaults are the production values."""
+    """Settings of the Gummel sweep; the field defaults are the production values.
+
+    The configuration sets tol, max_sweeps and damping.  init_iterate and
+    probe_extra_sweep serve the uniqueness and contraction checks of the
+    acceptance suite.  The linear solves inside a sweep use the fixed
+    tolerances gauss.SOLVE_TOL and transport.SOLVE_TOL.
+    """
 
     tol: float = 1e-10  # weighted increment at which the sweep stops
     max_sweeps: int = 50
     damping: float = 1.0
     init_iterate: str = "previous"  # sweep start: "previous" time level or "zero"
-    lin_tol_transport: float = transport.DEFAULT_TOL  # the two transport linear solves
     probe_extra_sweep: bool = False  # record the increment of one sweep past convergence
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0.0 for v in (self.tol, self.lin_tol_transport)):
-            raise ValueError(
-                "tol and lin_tol_transport must be finite numbers > 0, got tol=%g, lin_tol_transport=%g"
-                % (self.tol, self.lin_tol_transport)
-            )
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("got tol=%g, but tol must be a finite number > 0" % self.tol)
         if not self.max_sweeps >= 1:
             raise ValueError("max_sweeps must be >= 1, got %r" % (self.max_sweeps,))
         if not (0.0 < self.damping <= 1.0):
@@ -79,11 +83,11 @@ class GummelReport:
     residuals: tuple
     halvings: int = 0
     extra_sweep_residual: float = None
-    wasted_sweeps: int = 0  # sweeps of the attempts that failed with GummelError
+    wasted_sweeps: int = 0  # completed sweeps of the attempts that failed
 
 
 class GummelError(RuntimeError):
-    """Fixed-point sweep exhausted max_sweeps; carries the report."""
+    """An implicit step failed; carries the report of the sweeps it completed."""
 
     def __init__(self, message, report):
         super().__init__(message)
@@ -123,8 +127,10 @@ def initial_state(grid, params, initial, data):
 def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
     """One implicit step from state_prev with all data evaluated at the new time.
 
-    Returns (State, GummelReport); raises GummelError when settings.max_sweeps
-    sweeps do not reach settings.tol.
+    Returns (State, GummelReport).  Raises GummelError, carrying the report
+    of the sweeps completed, when settings.max_sweeps sweeps do not reach
+    settings.tol or when any linear solve of the step fails; the second
+    case is chained from the SolverError.
     """
     c_prev = state_prev.conc
     if settings.init_iterate == "previous":
@@ -145,30 +151,35 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
             dt,
             c_lag=c_lag,
             sources=data.sources,
-            tol=settings.lin_tol_transport,
         )
         return result, _damped(grid, settings.damping, result.conc, c_lag)
 
     residuals = []
-    for _ in range(settings.max_sweeps):
-        result, c_next = sweep(*_fields(grid, params, c_k, data), c_k)
-        residuals.append(_increment(params, grid, c_next, c_k))
-        c_k = c_next
-        if residuals[-1] <= settings.tol:
-            break
-    else:
+    try:
+        for _ in range(settings.max_sweeps):
+            result, c_next = sweep(*_fields(grid, params, c_k, data), c_k)
+            residuals.append(_increment(params, grid, c_next, c_k))
+            c_k = c_next
+            if residuals[-1] <= settings.tol:
+                break
+        else:
+            raise GummelError(
+                "Gummel sweep did not converge: residual %.3e > tol %.3e after %d sweeps"
+                % (residuals[-1], settings.tol, len(residuals)),
+                GummelReport(len(residuals), tuple(residuals)),
+            )
+
+        # rebuild the elliptic fields from the converged concentrations
+        electro, flow = _fields(grid, params, c_k, data)
+
+        extra = None
+        if settings.probe_extra_sweep:
+            extra = _increment(params, grid, sweep(electro, flow, c_k)[1], c_k)
+    except SolverError as exc:
         raise GummelError(
-            "Gummel sweep did not converge: residual %.3e > tol %.3e after %d sweeps"
-            % (residuals[-1], settings.tol, len(residuals)),
+            "linear solve failed after %d completed sweeps: %s" % (len(residuals), exc),
             GummelReport(len(residuals), tuple(residuals)),
-        )
-
-    # rebuild the elliptic fields from the converged concentrations
-    electro, flow = _fields(grid, params, c_k, data)
-
-    extra = None
-    if settings.probe_extra_sweep:
-        extra = _increment(params, grid, sweep(electro, flow, c_k)[1], c_k)
+        ) from exc
 
     state = State(state_prev.time + dt, electro, flow, c_k, result.r1, result.r2)
     return state, GummelReport(len(residuals), tuple(residuals), extra_sweep_residual=extra)
@@ -184,24 +195,19 @@ class SimResult:
     ledger: object  # the a-priori bounds over [0, T_end]
 
 
-def advance(grid, params, initial, schedule, settings=SweepSettings(), T_end=None, dt=None):
-    """March from 0 to T_end; returns SimResult with one State per accepted step.
+def advance(grid, params, initial, schedule, settings=SweepSettings()):
+    """March from 0 to params.T_end in steps of params.dt; returns SimResult with one State per accepted step.
 
-    A step whose sweep fails to converge (GummelError) or whose linear solve
-    fails (SolverError) is retried at half the step size, up to 10 halvings,
-    and the shortened step is accepted as a real step; a failure that
-    persists after 10 halvings is re-raised.  The final step is clipped to
-    land on T_end exactly.  Each accepted step's report counts its halvings
-    and, as wasted_sweeps, the sweeps its failed GummelError attempts ran; an
-    attempt ended by SolverError counts as a halving only.
+    A step that fails (GummelError) is retried at half the step size, up to
+    10 halvings, and the shortened step is accepted as a real step; a
+    failure that persists after 10 halvings is re-raised.  The final step is
+    clipped to land on T_end exactly.  Each accepted step's report counts its
+    halvings and, as wasted_sweeps, the completed sweeps of its failed
+    attempts.
     """
-    T_end = params.T_end if T_end is None else float(T_end)
-    dt = params.dt if dt is None else float(dt)
-    if not all(math.isfinite(v) and v > 0.0 for v in (T_end, dt)):
-        raise ValueError("T_end and dt must be finite numbers > 0, got T_end=%g, dt=%g" % (T_end, dt))
-
+    T_end, dt = params.T_end, params.dt
     state = initial_state(grid, params, initial, schedule.at(0.0))
-    evaluator = BoundsEvaluator(grid, params, schedule, initial, T_end)
+    evaluator = BoundsEvaluator(grid, params, schedule, initial)
 
     states = [state]
     reports = []
@@ -216,12 +222,11 @@ def advance(grid, params, initial, schedule, settings=SweepSettings(), T_end=Non
             try:
                 new_state, rep = gummel_step(grid, params, state, data, dt_try, settings)
                 break
-            except (GummelError, SolverError) as exc:
+            except GummelError as exc:
                 halvings += 1
                 if halvings > MAX_HALVINGS:
                     raise
-                if isinstance(exc, GummelError):
-                    wasted += exc.report.sweeps
+                wasted += exc.report.sweeps
                 dt_try *= 0.5
         rep = replace(rep, halvings=halvings, wasted_sweeps=wasted)
         monitor_rows.append(monitors.check_state(grid, params, evaluator, new_state, state, dt_try, data))
@@ -230,4 +235,4 @@ def advance(grid, params, initial, schedule, settings=SweepSettings(), T_end=Non
         state = new_state
         t = new_state.time
 
-    return SimResult(states, reports, monitor_rows, evaluator.ledger(T_end))
+    return SimResult(states, reports, monitor_rows, evaluator.ledger())

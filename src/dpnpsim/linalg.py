@@ -7,11 +7,12 @@ entries of each interior face; the Gauss/Darcy Laplacian and the
 Scharfetter-Gummel transport matrix are both built with it.
 
 Every solve reports its iteration count and true residual ||b - A x||
-against one target, max(tol ||b||, rounding floor), and raises SolverError
-when it misses it.  solve_spd solves the Gauss/Darcy operator, a
-constant-coefficient Neumann Laplacian, exactly in the separable cosine
-(DCT-II) eigenbasis that neumann_laplacian attaches to it, with four dense
-matmuls (fast diagonalization; Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+against one target, max(tol ||b||, rounding floor) kept strictly below
+||b||, and raises SolverError when it misses it.  solve_spd solves the
+Gauss/Darcy operator, a constant-coefficient Neumann Laplacian, exactly in
+the separable cosine (DCT-II) eigenbasis that neumann_laplacian attaches to
+it, with four dense matmuls (fast diagonalization; Lynch, Rice & Thomas,
+Numer. Math. 6, 1964).
 solve_nonsym runs Jacobi-preconditioned BiCGStab (van der Vorst, SIAM J.
 Sci. Stat. Comput. 13, 1992) on the nonsymmetric transport systems, which
 change every sweep.
@@ -74,7 +75,7 @@ class SparseMatrix:
     @functools.cached_property
     def norm_inf(self):
         """Largest absolute row sum, for the rounding floor of a solve; computed once per matrix."""
-        return float(np.abs(self.csr).sum(axis=1).max()) if self.csr.nnz else 0.0
+        return float(np.abs(self.csr).sum(axis=1).max())
 
 
 def project_zero_mean(values, weights):
@@ -145,8 +146,15 @@ _MAX_RESTARTS = 5
 
 
 def _target(A, bnorm, tol):
-    """The stopping target max(tol ||b||, 4 eps (||A||_inf ||x|| + ||b||)) as a function of x."""
-    return lambda x: max(tol * bnorm, _FLOOR_EPS * (A.norm_inf * float(np.linalg.norm(x)) + bnorm))
+    """The stopping target max(tol ||b||, 4 eps (||A||_inf ||x|| + ||b||)) as a function of x.
+
+    The target is capped at the largest float below ||b||: a residual of
+    ||b|| or more is never accepted, since x = 0 already has residual ||b||
+    and an iterate grown large enough (off the range of a singular A) would
+    otherwise lift the rounding floor above it.
+    """
+    cap = float(np.nextafter(bnorm, 0.0))
+    return lambda x: min(max(tol * bnorm, _FLOOR_EPS * (A.norm_inf * float(np.linalg.norm(x)) + bnorm)), cap)
 
 
 def solve_spd(A, b, tol):
@@ -155,8 +163,8 @@ def solve_spd(A, b, tol):
     Returns (x, SolveReport) with the zero-mean x and iterations 1 (0 and
     x = 0 for b = 0) when the true residual meets max(tol ||b||, 4 eps
     (||A||_inf ||x|| + ||b||)), the rounding floor below which no float64 x
-    can certify a smaller residual; otherwise, as for a b that does not sum
-    to zero, SolverError is raised.
+    can certify a smaller residual, and is below ||b||; otherwise, as for a
+    b that does not sum to zero, SolverError is raised.
     """
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))

@@ -57,7 +57,7 @@ def build_grid(nx, ny, lx, ly):
     return Grid(nx, ny, lx, ly)
 
 
-def _as_plane(grid, values, shape, what):
+def _as_plane(values, shape, what):
     values = np.asarray(values, dtype=float)
     if values.size == shape[0] * shape[1]:
         values = values.reshape(shape)
@@ -73,7 +73,7 @@ class CellField:
 
     def __init__(self, grid, values):
         self.grid = grid
-        self.values = _as_plane(grid, values, (grid.ny, grid.nx), "CellField")
+        self.values = _as_plane(values, (grid.ny, grid.nx), "CellField")
 
     @classmethod
     def zeros(cls, grid):
@@ -83,23 +83,14 @@ class CellField:
     def full(cls, grid, value):
         return cls(grid, np.full((grid.ny, grid.nx), float(value)))
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        """Sample fn(x, y) at cell centers (fn must accept arrays)."""
-        xx, yy = grid.cell_centers()
-        return cls(grid, np.broadcast_to(np.asarray(fn(xx, yy), dtype=float), xx.shape).copy())
-
-    def volume_integral(self):
-        return float(self.values.sum() * self.grid.cell_volume)
-
 
 class FaceField:
     """One normal component per face, in the +x / +y orientation."""
 
     def __init__(self, grid, fx, fy):
         self.grid = grid
-        self.fx = _as_plane(grid, fx, (grid.ny, grid.nx + 1), "FaceField.fx")
-        self.fy = _as_plane(grid, fy, (grid.ny + 1, grid.nx), "FaceField.fy")
+        self.fx = _as_plane(fx, (grid.ny, grid.nx + 1), "FaceField.fx")
+        self.fy = _as_plane(fy, (grid.ny + 1, grid.nx), "FaceField.fy")
 
     @classmethod
     def zeros(cls, grid):
@@ -111,16 +102,6 @@ class FaceField:
         self.fx[:, -1] = bf.right
         self.fy[0, :] = -bf.bottom
         self.fy[-1, :] = bf.top
-
-    def boundary_outward(self):
-        """Extract boundary values in the outward-normal convention."""
-        return BoundaryField(
-            self.grid,
-            left=-self.fx[:, 0],
-            right=self.fx[:, -1].copy(),
-            bottom=-self.fy[0, :],
-            top=self.fy[-1, :].copy(),
-        )
 
 
 class BoundaryField:

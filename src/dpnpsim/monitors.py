@@ -128,8 +128,8 @@ def _mass_balance(grid, params, state, prev, dt, data):
     """Relative mass-balance residuals per species.
 
     Identity: theta * sum (c - c_prev) vol = dt * (boundary inflow integral
-    + theta * sum r_applied vol [+ sum source vol]), exact to solver residual
-    because r_applied is what the step actually inserted.
+    + theta * sum r_applied vol), exact to solver residual because
+    r_applied is what the step actually inserted.
     """
     vol = grid.cell_volume
     theta = params.theta
@@ -140,16 +140,11 @@ def _mass_balance(grid, params, state, prev, dt, data):
     new_c = (state.conc.c1.values, state.conc.c2.values)
     for l in (0, 1):
         lhs = theta * (new_c[l] - prev_c[l]).sum() * vol
-        inflow = gs[l].boundary_integral()
-        reacted = 0.0 if rates[l] is None else theta * rates[l].sum() * vol
-        sourced = 0.0
-        if data.sources is not None:
-            sourced = float(np.asarray(data.sources[l]).sum() * vol)
-        rhs = dt * (inflow + reacted + sourced)
+        rhs = dt * (gs[l].boundary_integral() + theta * rates[l].sum() * vol)
         scale = max(
             theta * np.abs(new_c[l]).sum() * vol,
             theta * np.abs(prev_c[l]).sum() * vol,
-            dt * (gs[l].abs_integral() + (0.0 if rates[l] is None else theta * np.abs(rates[l]).sum() * vol)),
+            dt * (gs[l].abs_integral() + theta * np.abs(rates[l]).sum() * vol),
         )
         diff = abs(lhs - rhs)
         res.append(0.0 if diff == 0.0 else (diff / scale if scale > 0.0 else float("inf")))

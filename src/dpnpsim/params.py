@@ -1,5 +1,6 @@
 """Physical parameters of the two-species electrokinetic system."""
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -31,7 +32,8 @@ class PhysParams:
     formulated for the rescaled field E = -eps_s D grad(phi)).  kappa is the
     composite mobility coefficient multiplying z_l * E in the drift velocity,
     u_l = q + kappa * z_l * E.  z1 and z2 are the (integer) valencies with
-    z1 > 0 > z2.
+    z1 > 0 > z2.  T_end and dt are the run horizon and the nominal step,
+    finite and positive with dt <= T_end.
     """
 
     theta: float = 1.0
@@ -62,8 +64,11 @@ class PhysParams:
             raise ValueError("kappa must be nonnegative, got %g" % self.kappa)
         if not (isinstance(self.z1, int) and isinstance(self.z2, int) and self.z1 > 0 > self.z2):
             raise ValueError("valencies must satisfy z1 > 0 > z2 (integers), got z1=%r z2=%r" % (self.z1, self.z2))
-        if not (self.dt > 0.0):
-            raise ValueError("dt must be positive, got %g" % self.dt)
+        for name in ("T_end", "dt"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError("%s must be a finite number > 0, got %g" % (name, v))
+            object.__setattr__(self, name, float(v))
         if not (self.T_end >= self.dt):
             raise ValueError("T_end must be at least dt, got T_end=%g dt=%g" % (self.T_end, self.dt))
 

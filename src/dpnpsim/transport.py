@@ -27,7 +27,7 @@ import numpy as np
 from .linalg import solve_nonsym, two_point_matrix
 from .mesh import CellField
 
-DEFAULT_TOL = 1e-14
+SOLVE_TOL = 1e-14  # relative residual target of every transport solve
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,6 @@ class Concentrations:
 
     c1: CellField
     c2: CellField
-
-    def min(self):
-        return float(min(self.c1.values.min(), self.c2.values.min()))
 
 
 def free_charge(params, conc):
@@ -117,12 +114,13 @@ def _species_system(grid, params, c_prev_vals, ufx, ufy, g, dt, k_rate, producti
     return A, rhs.ravel()
 
 
-def step_transport(grid, params, c_prev, q_faces, e_faces, g1, g2, dt, c_lag=None, sources=None, tol=DEFAULT_TOL):
+def step_transport(grid, params, c_prev, q_faces, e_faces, g1, g2, dt, c_lag=None, sources=None):
     """One implicit Euler step for both species with frozen drift fields.
 
     c_lag supplies the opposite-species concentrations for the reaction
     production terms (defaults to c_prev); sources optionally adds
-    manufactured volumetric rates (s1, s2) to the right sides.
+    manufactured volumetric rates (s1, s2) to the right sides.  Each species
+    system is solved to the relative residual SOLVE_TOL.
     """
     if c_lag is None:
         c_lag = c_prev
@@ -141,7 +139,7 @@ def step_transport(grid, params, c_prev, q_faces, e_faces, g1, g2, dt, c_lag=Non
         production = k_rate * np.maximum(lagged[l], 0.0)
         src = None if sources is None else sources[l]
         A, rhs = _species_system(grid, params, prev[l], ufx, ufy, gs[l], dt, k_rate, production, src)
-        x, rep = solve_nonsym(A, rhs, tol=tol)
+        x, rep = solve_nonsym(A, rhs, tol=SOLVE_TOL)
         new.append(CellField(grid, x))
         reports.append(rep)
 

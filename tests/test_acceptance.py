@@ -45,12 +45,14 @@ def _verdict(num, name, ok, detail):
     assert ok, line
 
 
-def _bump(rng):
+def _bump(rng, grid):
+    """A random Gaussian bump on a positive base, sampled at the cell centers."""
     base = rng.uniform(0.1, 0.4)
     amp = rng.uniform(0.0, 0.4)
     cx, cy = rng.uniform(0.2, 0.8, size=2)
     w = rng.uniform(0.1, 0.3)
-    return lambda x, y: base + amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * w * w))
+    x, y = grid.cell_centers()
+    return CellField(grid, base + amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * w * w)))
 
 
 def _random_setup(seed):
@@ -66,11 +68,10 @@ def _random_setup(seed):
         z1=int(rng.integers(1, 4)),
         z2=-int(rng.integers(1, 4)),
         reaction=ReactionSpec("exchange", rng.uniform(0.02, 0.2)),
+        T_end=SUITE_STEPS * SUITE_DT,
+        dt=SUITE_DT,
     )
-    initial = Concentrations(
-        CellField.from_function(grid, _bump(rng)),
-        CellField.from_function(grid, _bump(rng)),
-    )
+    initial = Concentrations(_bump(rng, grid), _bump(rng, grid))
 
     sigma = {s: rng.uniform(-0.1, 0.1) for s in ("left", "right", "bottom", "top")}
     # three random Darcy flux sides; the fourth balances the net flux to zero
@@ -104,8 +105,6 @@ def suite():
             initial,
             schedule,
             SweepSettings(tol=SUITE_TOL, probe_extra_sweep=True),
-            T_end=SUITE_STEPS * SUITE_DT,
-            dt=SUITE_DT,
         )
         runs.append((grid, params, initial, schedule, result))
         if (i + 1) % 10 == 0:
@@ -147,7 +146,7 @@ def test_03_energy_bound(suite):
     # assembled rate, and healthy runs overshoot its bound slightly.
     compact = 0.0
     for grid, params, initial, schedule, result in suite:
-        ev = BoundsEvaluator(grid, params, schedule, initial, SUITE_STEPS * SUITE_DT)
+        ev = BoundsEvaluator(grid, params, schedule, initial)
         for m in result.monitors:
             compact = max(compact, m.energy / ev.ledger(m.time).C0_hat ** 2)
     _verdict(3, "energy bound", ok, "max energy/bound margin %.4f <= 1 (compact-rate margin %.4f)" % (margin, compact))
@@ -186,8 +185,6 @@ def test_08_uniqueness_proxy(suite):
             initial,
             schedule,
             SweepSettings(tol=SUITE_TOL, init_iterate="zero"),
-            T_end=SUITE_STEPS * SUITE_DT,
-            dt=SUITE_DT,
         )
         a, b = result.states[-1].conc, other.states[-1].conc
         vol = grid.cell_volume
@@ -203,8 +200,9 @@ def test_08_uniqueness_proxy(suite):
 
 def test_09_symmetric_electrolyte():
     grid = build_grid(32, 32, 1.0, 1.0)
-    params = PhysParams(theta=1.0, kappa=0.5, z1=1, z2=-1)
-    w = CellField.from_function(grid, lambda x, y: 0.5 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
+    params = PhysParams(theta=1.0, kappa=0.5, z1=1, z2=-1, T_end=0.1, dt=0.005)
+    x, y = grid.cell_centers()
+    w = CellField(grid, 0.5 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
     initial = Concentrations(w, CellField(grid, w.values.copy()))
     schedule = Schedule(
         grid,
@@ -214,7 +212,7 @@ def test_09_symmetric_electrolyte():
         g2=BoundarySpec(grid, left=0.05),
         rho_b=CellField.zeros(grid),
     )
-    result = advance(grid, params, initial, schedule, SweepSettings(tol=1e-10), T_end=0.1, dt=0.005)
+    result = advance(grid, params, initial, schedule, SweepSettings(tol=1e-10))
     final = result.states[-1].conc
     gap = float(np.abs(final.c1.values - final.c2.values).max())
     ok = gap <= 1e-8
@@ -229,8 +227,8 @@ def test_10_manufactured_solutions():
 
     e_poisson = max(max(es) for es in poisson.errors.values())
     e_sg = max(max(es) for es in sg.errors.values())
-    o_diff = min(diffusion.min_order(f) for f in diffusion.fields())
-    o_coup = min(coupled.min_order(f) for f in coupled.fields())
+    o_diff = min(min(diffusion.orders[f]) for f in diffusion.fields())
+    o_coup = min(min(coupled.orders[f]) for f in coupled.fields())
 
     ok = e_poisson <= 1e-10 and e_sg <= 1e-10 and o_diff >= 1.9 and o_coup >= 0.9
     _verdict(

@@ -10,6 +10,11 @@ iteration counts linalg.spd_iters and linalg.nonsym_iters are read from the
 solve reports, so they must be nonzero too: a solver that reports no
 iterations would zero the benchmark's iteration metrics.
 
+A step that fails in a linear solve is retried at half the step like one
+whose sweep stalls, and the tracer counts halvings from the GummelError that
+gummel_step raises; the traced count must equal the halvings that check
+reports when a forced solver failure is the only cause.
+
 The benchmark's child process reads SimResult.states, .monitors and
 .reports, and the sweeps and iterations of the reports, and it checks the
 monitors and the final fields of a run; a weak-32 run, untraced and traced,
@@ -40,6 +45,25 @@ tracer.install(t, dpnpsim)
 ok, lines = dpnpsim.runner.check(dpnpsim.config.parse_config(sys.argv[1]))
 names = tracer.REQUIRED_COUNTS + ("linalg.spd_iters", "linalg.nonsym_iters")
 print(json.dumps({name: t.values[name] for name in names}))
+"""
+
+FORCED_SOLVER_FAILURE = """
+import json, re, sys
+import dpnpsim, tracer
+from dpnpsim import gummel, linalg
+real_step_transport = gummel.step_transport
+
+def failing_at_nominal_dt(*args, **kwargs):
+    if args[7] == 0.01:  # dt is the eighth positional argument
+        raise linalg.SolverError("forced failure", linalg.SolveReport(1, 1.0))
+    return real_step_transport(*args, **kwargs)
+
+gummel.step_transport = failing_at_nominal_dt
+t = tracer.Tracer()
+tracer.install(t, dpnpsim)
+ok, lines = dpnpsim.runner.check(dpnpsim.config.parse_config(sys.argv[1]))
+footer = {key: int(n) for key, n in re.findall(r"(\\w+): (\\d+)", lines[-1])}
+print(json.dumps({"check": footer["halvings"], "traced": t.values["gummel.halvings"]}))
 """
 
 FOOTPRINT = """
@@ -74,6 +98,11 @@ def run_fresh(script, *dirs):
 def test_every_required_benchmark_hook_fires():
     counts = run_fresh(SCRIPT, "src", "perfbench")
     assert set(counts) and not [name for name, n in counts.items() if not n], counts
+
+
+def test_traced_halvings_match_check_on_linear_solver_failure():
+    halvings = run_fresh(FORCED_SOLVER_FAILURE, "src", "perfbench")
+    assert halvings["check"] == 3 and halvings["traced"] == halvings["check"], halvings
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])

@@ -188,7 +188,7 @@ def test_CM_saturates_to_inf_with_finite_log():
 def test_full_ledger_is_finite_and_ordered_for_mild_data():
     g, initial, sched = make_setup(c1=0.5, c2=0.5, g1={"left": 0.05})
     p = PhysParams(theta=0.8, kappa=0.05, T_end=0.1, dt=0.01)
-    ev = BoundsEvaluator(g, p, sched, initial, T_end=0.1)
+    ev = BoundsEvaluator(g, p, sched, initial)
     led = ev.ledger()
     for name in ("B0", "B0_energy", "B0_moser", "C0_hat", "C0_hat_energy", "C0", "CM", "Ce", "Cf"):
         v = getattr(led, name)
@@ -206,7 +206,7 @@ def test_full_ledger_is_finite_and_ordered_for_mild_data():
 def test_energy_bound_sq_nondecreasing_in_time():
     g, initial, sched = make_setup(c1=0.5, c2=0.25, g1={"left": 0.1}, g2={"right": 0.1})
     p = PhysParams(theta=0.9, kappa=0.2)
-    ev = BoundsEvaluator(g, p, sched, initial, T_end=1.0)
+    ev = BoundsEvaluator(g, p, sched, initial)
     times = np.linspace(0.01, 1.0, 13)
     vals = [ev.energy_bound_sq(t) for t in times]
     assert all(b >= a * (1.0 - 1e-12) for a, b in zip(vals, vals[1:]))

@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from dpnpsim import runner
+from dpnpsim import runner, transport
 from dpnpsim.cli import main
 from dpnpsim.config import load_config
 from dpnpsim.monitors import MonitorReport
@@ -172,9 +172,10 @@ def test_config_damping_reaches_the_march(tmp_path):
     assert sweeps[0.5] > sweeps[1.0]
 
 
-def test_check_fails_when_a_monitor_trips(tmp_path, capsys):
+def test_check_fails_when_a_monitor_trips(tmp_path, capsys, monkeypatch):
     # a sloppy transport solve leaves a visible mass defect
-    cfg = write_cfg(tmp_path, time={"t_end": 0.02, "dt": 0.01, "lin_tol_transport": 1e-5})
+    monkeypatch.setattr(transport, "SOLVE_TOL", 1e-5)
+    cfg = write_cfg(tmp_path, time={"t_end": 0.02, "dt": 0.01})
     assert main(["check", cfg]) == 1
     out = capsys.readouterr().out
     assert "FAIL  mass" in out
@@ -182,12 +183,15 @@ def test_check_fails_when_a_monitor_trips(tmp_path, capsys):
 
 
 def test_config_violations_exit_2(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, grid={"nx": 0}, physics={"theta": 7.0}, time={"lin_tol": 1e-12})
+    # the solver tolerances are constants and the sweep start is set only in code
+    unknown = {"lin_tol": 1e-12, "lin_tol_transport": 1e-14, "init_iterate": "previous"}
+    cfg = write_cfg(tmp_path, grid={"nx": 0}, physics={"theta": 7.0}, time=unknown)
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
     assert "grid.nx" in err
     assert "theta" in err
-    assert "unknown key 'lin_tol' in block 'time'" in err
+    for key in unknown:
+        assert "unknown key '%s' in block 'time'" % key in err
     assert main(["check", cfg]) == 2
     assert main(["bounds", cfg]) == 2
 

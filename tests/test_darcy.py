@@ -69,10 +69,10 @@ def test_boundary_velocity_matches_prescribed_flux():
     p = PhysParams()
     f = BoundaryField(g, left=-0.5, right=0.25, bottom=0.0, top=0.25)
     st = solve_darcy(g, p, CellField.zeros(g), FaceField.zeros(g), f)
-    out = st.q_faces.boundary_outward()
-    assert np.allclose(out.left, -0.5, atol=1e-12)
-    assert np.allclose(out.right, 0.25, atol=1e-12)
-    assert np.allclose(out.top, 0.25, atol=1e-12)
+    # stored fluxes are +x/+y oriented, so the outward left value is -fx[:, 0]
+    assert np.allclose(-st.q_faces.fx[:, 0], -0.5, atol=1e-12)
+    assert np.allclose(st.q_faces.fx[:, -1], 0.25, atol=1e-12)
+    assert np.allclose(st.q_faces.fy[-1, :], 0.25, atol=1e-12)
 
 
 def test_electric_body_force_drives_flow():

@@ -144,6 +144,17 @@ def test_solve_spd_raises_on_rhs_off_the_range():
     assert rep.residual == pytest.approx(np.linalg.norm(b), rel=1e-12)
 
 
+def test_solve_nonsym_raises_on_rhs_off_the_range():
+    # on the same singular system the BiCGStab iterate grows without bound,
+    # and with it the rounding floor 4 eps ||A||_inf ||x||; a residual of
+    # ||b|| or more, which x = 0 already attains, is still never accepted
+    A = fv_laplacian(build_grid(8, 5, 1.0, 1.0), 1.0, 1.0)
+    b = np.ones(40)
+    with pytest.raises(SolverError) as err:
+        solve_nonsym(A, b, tol=1e-14)
+    assert err.value.report.residual >= np.linalg.norm(b)
+
+
 def test_solve_nonsym_matches_dense_solver():
     rng = np.random.default_rng(19)
     for _ in range(25):

@@ -13,6 +13,8 @@ breakdown on an admissible state raises InvariantViolation naming the cell,
 because that combination is algebraically impossible without a code bug.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,9 +98,10 @@ def small_run(reaction=None, kappa=0.3):
         T_end=0.02,
         dt=0.01,
     )
+    x, y = g.cell_centers()
     initial = Concentrations(
-        CellField.from_function(g, lambda x, y: 0.4 + 0.2 * np.cos(np.pi * x)),
-        CellField.from_function(g, lambda x, y: 0.4 + 0.2 * np.cos(np.pi * y)),
+        CellField(g, 0.4 + 0.2 * np.cos(np.pi * x)),
+        CellField(g, 0.4 + 0.2 * np.cos(np.pi * y)),
     )
     sched = constant_schedule(g, g1={"left": 0.02}, g2={"right": 0.01})
     return g, p, initial, sched
@@ -135,7 +138,7 @@ def test_check_state_observes_corrupted_state_without_raising():
         applied_r1=np.zeros((8, 8)),
         applied_r2=np.zeros((8, 8)),
     )
-    ev = BoundsEvaluator(g, p, sched, initial, 0.02)
+    ev = BoundsEvaluator(g, p, sched, initial)
     report = check_state(g, p, ev, corrupted, state, 0.01, data)
     assert not report.nonneg_ok
     assert report.min_c1 == pytest.approx(-0.2)
@@ -188,6 +191,6 @@ def test_monitor_csv_row_matches_header_and_serializes_cleanly():
 
 def test_mass_balance_flag_over_longer_run():
     g, p, initial, sched = small_run(reaction=ReactionSpec("exchange", 0.5))
-    result = advance(g, p, initial, sched, T_end=0.05, dt=0.005)
+    result = advance(g, replace(p, T_end=0.05, dt=0.005), initial, sched)
     for m in result.monitors:
         assert max(m.mass_residual1, m.mass_residual2) <= 1e-10

@@ -36,6 +36,11 @@ from dpnpsim.transport import (
 E = math.e
 
 
+def mass(field):
+    """Volume integral of a cell field."""
+    return float(field.values.sum() * field.grid.cell_volume)
+
+
 def closed_box(grid):
     return (
         FaceField.zeros(grid),
@@ -136,9 +141,9 @@ def test_inflow_boundary_adds_mass():
     q, e, _, gb2 = closed_box(g)
     g1 = BoundaryField(g, left=2.0)  # inflow 2 across a face of length 1
     res = step_transport(g, p, prev, q, e, g1, gb2, dt=0.25)
-    added = res.conc.c1.volume_integral()
+    added = mass(res.conc.c1)
     assert added == pytest.approx(0.25 * 2.0 * 1.0, abs=1e-12)
-    assert res.conc.c2.volume_integral() == pytest.approx(0.0, abs=1e-14)
+    assert mass(res.conc.c2) == pytest.approx(0.0, abs=1e-14)
 
 
 def random_problem(rng, reaction=None):
@@ -169,7 +174,7 @@ def test_nonnegativity_survives_arbitrary_drift():
     for _ in range(40):
         g, p, prev, q, e, g1, g2 = random_problem(rng)
         res = step_transport(g, p, prev, q, e, g1, g2, dt=float(rng.uniform(0.01, 0.5)))
-        assert res.conc.min() >= -1e-12
+        assert min(res.conc.c1.values.min(), res.conc.c2.values.min()) >= -1e-12
 
 
 def test_mass_balance_with_reaction_and_inflow():
@@ -185,11 +190,11 @@ def test_mass_balance_with_reaction_and_inflow():
             (res.conc.c1, prev.c1, g1, res.r1),
             (res.conc.c2, prev.c2, g2, res.r2),
         ]:
-            lhs = p.theta * (conc_new.volume_integral() - conc_old.volume_integral())
+            lhs = p.theta * (mass(conc_new) - mass(conc_old))
             rhs = dt * (gb.boundary_integral() + p.theta * float(rate.sum()) * vol)
             scale = max(
-                abs(p.theta * conc_new.volume_integral()),
-                abs(p.theta * conc_old.volume_integral()),
+                abs(p.theta * mass(conc_new)),
+                abs(p.theta * mass(conc_old)),
                 abs(rhs),
                 1e-30,
             )
@@ -206,8 +211,8 @@ def test_exchange_conserves_total_mass_in_closed_box():
     )
     q, e, g1, g2 = closed_box(g)
     res = step_transport(g, p, prev, q, e, g1, g2, dt=0.1)
-    before = prev.c1.volume_integral() + prev.c2.volume_integral()
-    after = res.conc.c1.volume_integral() + res.conc.c2.volume_integral()
+    before = mass(prev.c1) + mass(prev.c2)
+    after = mass(res.conc.c1) + mass(res.conc.c2)
     assert after == pytest.approx(before, abs=1e-12)
 
 
@@ -221,7 +226,7 @@ def test_step_is_affine_in_sources():
     zeros = np.zeros((g.ny, g.nx))
 
     def run(s):
-        return step_transport(g, p, prev, q, e, g1, g2, dt, sources=(s, zeros), tol=1e-14)
+        return step_transport(g, p, prev, q, e, g1, g2, dt, sources=(s, zeros))
 
     c_ab = run(s_a + s_b).conc.c1.values
     c_a = run(s_a).conc.c1.values
