@@ -7,13 +7,17 @@ One sweep, with the free charge frozen at the current concentration iterate:
   3. transport step  E, q, lagged reactions -> raw concentrations
   4. damping         c^{k+1} = damping * raw + (1 - damping) * c^k
 
-until the weighted increment sqrt(sum_l |z_l| sum (c^{k+1} - c^k)^2 vol)
+until the weighted increment r_k = sqrt(sum_l |z_l| sum (c^{k+1} - c^k)^2 vol)
 drops below tol.  After convergence the field and flow are rebuilt from the
 converged concentrations so the stored state is internally consistent.
 
 A step fails in one way: gummel_step raises GummelError, both when the
-sweep does not converge and when a linear solve inside the step fails (the
-SolverError becomes its __cause__).  advance() walks the step sequence
+sweep cannot converge and when a linear solve inside the step fails (the
+SolverError becomes its __cause__).  The sweep is given up after sweep k
+once its contraction rate theta_k = r_k / r_{k-1} is >= 1 or too slow for
+the sweeps left, r_k * theta_k**(max_sweeps - k) > tol (the divergence and
+slow-convergence stop of Hairer & Wanner, Solving ODEs II, IV.8); at
+k = max_sweeps that is the spent budget.  advance() walks the step sequence
 0 -> params.T_end in steps of params.dt, halving dt for a failed step (up to
 10 halvings; the shortened step is accepted and subsequent steps resume the
 nominal dt), evaluates the boundary schedule at each new time, and runs the
@@ -128,9 +132,9 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
     """One implicit step from state_prev with all data evaluated at the new time.
 
     Returns (State, GummelReport).  Raises GummelError, carrying the report
-    of the sweeps completed, when settings.max_sweeps sweeps do not reach
-    settings.tol or when any linear solve of the step fails; the second
-    case is chained from the SolverError.
+    of the sweeps completed, once the contraction rate shows max_sweeps
+    sweeps cannot reach tol, or chained from the SolverError of a failed
+    linear solve of the step.
     """
     c_prev = state_prev.conc
     if settings.init_iterate == "previous":
@@ -156,18 +160,24 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
 
     residuals = []
     try:
-        for _ in range(settings.max_sweeps):
+        while True:
             result, c_next = sweep(*_fields(grid, params, c_k, data), c_k)
             residuals.append(_increment(params, grid, c_next, c_k))
             c_k = c_next
-            if residuals[-1] <= settings.tol:
+            k, r = len(residuals), residuals[-1]
+            if r <= settings.tol:
                 break
-        else:
-            raise GummelError(
-                "Gummel sweep did not converge: residual %.3e > tol %.3e after %d sweeps"
-                % (residuals[-1], settings.tol, len(residuals)),
-                GummelReport(len(residuals), tuple(residuals)),
-            )
+            # rate 0 before any is measured, so only the spent budget ends the first sweep
+            theta = r / residuals[-2] if k > 1 else 0.0
+            left = settings.max_sweeps - k
+            # theta >= 1 first: theta**left overflows for a large theta
+            if theta >= 1.0 or r * theta**left > settings.tol:
+                raise GummelError(
+                    "Gummel sweep gave up after %d of %d sweeps: residual %.3e > tol %.3e and at "
+                    "contraction rate theta %.3g the %d sweeps left cannot reach tol"
+                    % (k, settings.max_sweeps, r, settings.tol, theta, left),
+                    GummelReport(k, tuple(residuals)),
+                )
 
         # rebuild the elliptic fields from the converged concentrations
         electro, flow = _fields(grid, params, c_k, data)
@@ -203,7 +213,7 @@ def advance(grid, params, initial, schedule, settings=SweepSettings()):
     failure that persists after 10 halvings is re-raised.  The final step is
     clipped to land on T_end exactly.  Each accepted step's report counts its
     halvings and, as wasted_sweeps, the completed sweeps of its failed
-    attempts.
+    attempts, each stopped as soon as its sweep cannot converge.
     """
     T_end, dt = params.T_end, params.dt
     state = initial_state(grid, params, initial, schedule.at(0.0))

@@ -15,6 +15,11 @@ Key scenarios:
     the shortened steps are accepted and the march still lands exactly on
     the requested end time.  A failed linear solve fails the step the same
     way: gummel_step raises GummelError chained from the SolverError.
+
+  * An attempt is given up as soon as its sweep cannot converge: when the
+    increment grows, or when its contraction rate theta cannot bring it
+    below tol in the sweeps left.  Scripted increments pin the rule, with
+    the real sweep running underneath.
 """
 
 from dataclasses import replace
@@ -154,11 +159,62 @@ def test_advance_rejects_bad_step_and_horizon_before_any_solve(monkeypatch, name
 def test_step_raises_with_report_when_sweeps_exhausted():
     g, p, init, sched = coupled_setup(6)
     st0 = initial_state(g, p, init, sched.at(0.0))
+    # a budget of one sweep: no rate is known, the spent budget ends the attempt
+    with pytest.raises(GummelError) as exc:
+        gummel_step(g, p, st0, sched.at(0.01), 0.01, SweepSettings(tol=1e-300, max_sweeps=1))
+    rep = exc.value.report
+    assert rep.sweeps == 1
+    assert len(rep.residuals) == 1
+    # a budget of three: the rate of sweep 2 cannot reach tol 1e-300 in one more sweep
     with pytest.raises(GummelError) as exc:
         gummel_step(g, p, st0, sched.at(0.01), 0.01, SweepSettings(tol=1e-300, max_sweeps=3))
     rep = exc.value.report
-    assert rep.sweeps == 3
-    assert len(rep.residuals) == 3
+    assert rep.sweeps == 2
+    assert len(rep.residuals) == 2
+    assert rep.residuals[1] < rep.residuals[0]
+
+
+def scripted_step(monkeypatch, increments, max_sweeps=50):
+    """gummel_step at tol 1e-10 whose sweeps report the given increments in order."""
+    g, p, init, sched = coupled_setup(4)
+    st0 = initial_state(g, p, init, sched.at(0.0))
+    script = iter(increments)
+    monkeypatch.setattr(gummel, "_increment", lambda *args: next(script))
+    return gummel_step(g, p, st0, sched.at(0.01), 0.01, SweepSettings(tol=1e-10, max_sweeps=max_sweeps))
+
+
+def test_growing_increment_is_given_up_after_sweep_two(monkeypatch):
+    # the third sweep would have converged; a growing increment is not waited for
+    with pytest.raises(GummelError) as exc:
+        scripted_step(monkeypatch, [1e-3, 2e-3, 1e-12])
+    assert exc.value.report.sweeps == 2
+    assert exc.value.report.residuals == (1e-3, 2e-3)
+
+
+def test_contraction_too_slow_for_the_budget_is_given_up_early(monkeypatch):
+    # fast at first, then theta = 0.9: 9e-7 * 0.9**46 = 7e-9 > tol after sweep 4
+    increments = [1.0, 1e-3, 1e-6] + [1e-6 * 0.9**j for j in range(1, 60)]
+    with pytest.raises(GummelError) as exc:
+        scripted_step(monkeypatch, increments)
+    assert exc.value.report.sweeps == 4
+    message = str(exc.value)
+    assert "after 4 of 50 sweeps" in message
+    assert "tol 1.000e-10" in message
+    assert "theta 0.9 " in message
+
+
+def test_contraction_fast_enough_for_the_budget_is_never_given_up(monkeypatch):
+    # theta = 0.5 reaches tol on sweep 35 exactly: r_k * 0.5**(35 - k) = 5.8e-11 every sweep
+    _, rep = scripted_step(monkeypatch, [0.5**j for j in range(50)], max_sweeps=35)
+    assert rep.sweeps == 35
+    assert rep.residuals[-1] <= 1e-10 < rep.residuals[-2]
+
+
+def test_huge_rate_raises_gummel_error_not_overflow(monkeypatch):
+    # theta = 1e200: theta**48 would raise OverflowError
+    with pytest.raises(GummelError) as exc:
+        scripted_step(monkeypatch, [1e-3, 1e197])
+    assert exc.value.report.sweeps == 2
 
 
 def test_converged_state_carries_applied_rates_and_time():
@@ -244,8 +300,8 @@ def test_advance_halves_dt_until_the_sweep_converges():
     res = advance(g, p, init, sched, SweepSettings(tol=1e-8, max_sweeps=6))
     halvings = [r.halvings for r in res.reports]
     assert max(halvings) >= 3
-    # every failed attempt ran its whole budget of 6 sweeps before dt halved
-    assert sum(r.wasted_sweeps for r in res.reports) == 6 * sum(halvings)
+    # failed attempts stop as soon as their sweep cannot converge, short of the budget of 6
+    assert 0 < sum(r.wasted_sweeps for r in res.reports) < 6 * sum(halvings)
     assert len(res.reports) > 2  # shortened steps were accepted as real steps
     assert res.states[-1].time == pytest.approx(0.1, abs=1e-12)
 
