@@ -175,8 +175,6 @@ def compute_CM(norms, B0_moser, T):
     x = 0.5 * B0_moser * T
     if a == 0.0 and b == 0.0:
         return 0.0, float("-inf")
-    if a == 0.0:
-        return b, math.log10(b)
     ln = np.logaddexp(math.log(2.0 * a) + x, math.log(b) if b > 0.0 else -np.inf)
     with np.errstate(over="ignore"):
         cm = float(np.exp(ln))

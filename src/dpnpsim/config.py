@@ -156,6 +156,16 @@ class RunConfig:
     snapshot_stride: int
 
 
+def _finite(v):
+    """True for a JSON number (not a bool) that is a finite float; a huge integer is not."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 class _Reader:
     """Accumulates violations while pulling typed values out of the document."""
 
@@ -185,7 +195,7 @@ class _Reader:
                 self.flag("%s.%s is required" % (where, key))
             return default
         v = sub[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not _finite(v):
             self.flag("%s.%s must be a finite number, got %r" % (where, key, v))
             return default
         v = float(v)
@@ -215,9 +225,7 @@ class _Reader:
         if key not in sub:
             return default
         v = sub[key]
-        ok = isinstance(v, (list, tuple)) and len(v) == 2 and all(
-            isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c) and c > 0 for c in v
-        )
+        ok = isinstance(v, (list, tuple)) and len(v) == 2 and all(_finite(c) and c > 0 for c in v)
         if not ok:
             self.flag("%s.%s must be a pair of positive numbers, got %r" % (where, key, v))
             return default
@@ -227,7 +235,7 @@ class _Reader:
 def _read_field_spec(reader, raw, where):
     """Returns a function (x, y) -> array, or None when invalid."""
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        if not math.isfinite(raw):
+        if not _finite(raw):
             reader.flag("%s must be finite, got %r" % (where, raw))
             return None
         return lambda x, y, v=float(raw): np.full(np.shape(x), v)
@@ -248,9 +256,7 @@ def _read_field_spec(reader, raw, where):
         return lambda x, y: np.full(np.shape(x), v)
     if kind == "gaussian":
         center = raw.get("center")
-        ok = isinstance(center, (list, tuple)) and len(center) == 2 and all(
-            isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c) for c in center
-        )
+        ok = isinstance(center, (list, tuple)) and len(center) == 2 and all(_finite(c) for c in center)
         if not ok:
             reader.flag("%s.center must be [x, y], got %r" % (where, center))
         width = reader.number(raw, where, "width", required=True, low_strict=0.0)

@@ -1,6 +1,7 @@
 """Gummel decoupling: implicit time steps solved by a damped fixed-point sweep.
 
-One sweep, with the free charge frozen at the current concentration iterate:
+The sweep starts from the previous time level, c^0 = c(t_n).  One sweep,
+with the free charge frozen at the current concentration iterate:
 
   1. field solve     rho_f(c^k)             -> phi, E
   2. flow solve      rho_f(c^k), E          -> p, q
@@ -44,17 +45,14 @@ MAX_HALVINGS = 10
 class SweepSettings:
     """Settings of the Gummel sweep; the field defaults are the production values.
 
-    The configuration sets tol, max_sweeps and damping.  init_iterate and
-    probe_extra_sweep serve the uniqueness and contraction checks of the
-    acceptance suite.  The linear solves inside a sweep use the fixed
-    tolerances gauss.SOLVE_TOL and transport.SOLVE_TOL.
+    The fields are the sweep keys of the configuration's time block.  The
+    linear solves inside a sweep use the fixed tolerances gauss.SOLVE_TOL
+    and transport.SOLVE_TOL.
     """
 
     tol: float = 1e-10  # weighted increment at which the sweep stops
     max_sweeps: int = 50
     damping: float = 1.0
-    init_iterate: str = "previous"  # sweep start: "previous" time level or "zero"
-    probe_extra_sweep: bool = False  # record the increment of one sweep past convergence
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -63,8 +61,6 @@ class SweepSettings:
             raise ValueError("max_sweeps must be >= 1, got %r" % (self.max_sweeps,))
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1], got %g" % self.damping)
-        if self.init_iterate not in ("previous", "zero"):
-            raise ValueError("init_iterate must be 'previous' or 'zero', got %r" % (self.init_iterate,))
 
 
 @dataclass
@@ -86,7 +82,6 @@ class GummelReport:
     sweeps: int
     residuals: tuple
     halvings: int = 0
-    extra_sweep_residual: float = None
     wasted_sweeps: int = 0  # completed sweeps of the attempts that failed
 
 
@@ -136,32 +131,24 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
     sweeps cannot reach tol, or chained from the SolverError of a failed
     linear solve of the step.
     """
-    c_prev = state_prev.conc
-    if settings.init_iterate == "previous":
-        c_k = c_prev
-    else:
-        c_k = Concentrations(CellField.zeros(grid), CellField.zeros(grid))
-
-    def sweep(electro, flow, c_lag):
-        """Transport step with frozen field and flow: (TransportResult, damped iterate)."""
-        result = step_transport(
-            grid,
-            params,
-            c_prev,
-            flow.q_faces,
-            electro.e_faces,
-            data.g1,
-            data.g2,
-            dt,
-            c_lag=c_lag,
-            sources=data.sources,
-        )
-        return result, _damped(grid, settings.damping, result.conc, c_lag)
-
+    c_prev = c_k = state_prev.conc
     residuals = []
     try:
         while True:
-            result, c_next = sweep(*_fields(grid, params, c_k, data), c_k)
+            electro, flow = _fields(grid, params, c_k, data)
+            result = step_transport(
+                grid,
+                params,
+                c_prev,
+                flow.q_faces,
+                electro.e_faces,
+                data.g1,
+                data.g2,
+                dt,
+                c_lag=c_k,
+                sources=data.sources,
+            )
+            c_next = _damped(grid, settings.damping, result.conc, c_k)
             residuals.append(_increment(params, grid, c_next, c_k))
             c_k = c_next
             k, r = len(residuals), residuals[-1]
@@ -181,10 +168,6 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
 
         # rebuild the elliptic fields from the converged concentrations
         electro, flow = _fields(grid, params, c_k, data)
-
-        extra = None
-        if settings.probe_extra_sweep:
-            extra = _increment(params, grid, sweep(electro, flow, c_k)[1], c_k)
     except SolverError as exc:
         raise GummelError(
             "linear solve failed after %d completed sweeps: %s" % (len(residuals), exc),
@@ -192,7 +175,7 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
         ) from exc
 
     state = State(state_prev.time + dt, electro, flow, c_k, result.r1, result.r2)
-    return state, GummelReport(len(residuals), tuple(residuals), extra_sweep_residual=extra)
+    return state, GummelReport(len(residuals), tuple(residuals))
 
 
 @dataclass

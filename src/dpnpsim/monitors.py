@@ -33,16 +33,6 @@ class InvariantViolation(RuntimeError):
     """An algebraic identity failed beyond rounding fuzz -- a bug, not data."""
 
 
-def algebraic_inequality(a, b, p):
-    """(a - b)(a^p - b^p) for a, b, p >= 0; nonnegative by monotonicity of t^p."""
-    a = float(a)
-    b = float(b)
-    p = float(p)
-    if a < 0.0 or b < 0.0 or p < 0.0:
-        raise ValueError("algebraic_inequality needs nonnegative a, b, p; got (%g, %g, %g)" % (a, b, p))
-    return (a - b) * (a**p - b**p)
-
-
 def _sign_summands(params, conc):
     a = params.z1 * conc.c1.values
     b = (-params.z2) * conc.c2.values

@@ -16,8 +16,8 @@ The exchange reaction r_1 = rate (c_2+ - c_1+), r_2 = -r_1 is linearized to
 preserve that structure: the production term uses the lagged opposite
 species, clamped at zero, explicitly on the right side; the consumption term
 sits implicitly on the diagonal.  At any nonnegative fixed point the pair
-coincides with reaction_rates.  The rates actually applied are returned so
-the discrete mass balance can be checked exactly.
+coincides with the exchange rates r_1, r_2.  The rates actually applied are
+returned so the discrete mass balance can be checked exactly.
 """
 
 from dataclasses import dataclass
@@ -62,23 +62,6 @@ def bernoulli(x):
     if np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def sg_flux(d_face, h, u_face, c_left, c_right):
-    """Scharfetter-Gummel flux density through a face, oriented left-to-right."""
-    P = np.asarray(u_face, dtype=float) * h / d_face
-    return (d_face / h) * (bernoulli(-P) * c_left - bernoulli(P) * c_right)
-
-
-def reaction_rates(spec, c1, c2):
-    """Exchange rates r1 = rate (c2+ - c1+), r2 = -r1 (zeros for kind 'none')."""
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    if spec.kind == "none":
-        r1 = np.zeros(np.broadcast(c1, c2).shape)
-    else:
-        r1 = spec.rate * (np.maximum(c2, 0.0) - np.maximum(c1, 0.0))
-    return r1, -r1
 
 
 @dataclass

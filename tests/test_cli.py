@@ -183,7 +183,7 @@ def test_check_fails_when_a_monitor_trips(tmp_path, capsys, monkeypatch):
 
 
 def test_config_violations_exit_2(tmp_path, capsys):
-    # the solver tolerances are constants and the sweep start is set only in code
+    # the solver tolerances are constants and the sweep always starts from the previous time level
     unknown = {"lin_tol": 1e-12, "lin_tol_transport": 1e-14, "init_iterate": "previous"}
     cfg = write_cfg(tmp_path, grid={"nx": 0}, physics={"theta": 7.0}, time=unknown)
     assert main(["run", cfg]) == 2
@@ -194,6 +194,30 @@ def test_config_violations_exit_2(tmp_path, capsys):
         assert "unknown key '%s' in block 'time'" % key in err
     assert main(["check", cfg]) == 2
     assert main(["bounds", cfg]) == 2
+
+
+HUGE = 10**400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"physics": {"kappa": HUGE}}, "physics.kappa"),
+        ({"grid": {"lx": HUGE}}, "grid.lx"),
+        ({"physics": {"D": [1.0, HUGE]}}, "physics.D"),
+        ({"initial": {"c2": HUGE}}, "initial.c2"),
+        (
+            {"initial": {"c1": {"kind": "gaussian", "center": [HUGE, 0.5], "width": 0.2, "amplitude": 0.5}}},
+            "initial.c1.center",
+        ),
+    ],
+)
+def test_integer_too_large_for_a_float_is_one_violation(tmp_path, capsys, overrides, key):
+    # math.isfinite raises OverflowError on such an integer; the value must be flagged instead
+    assert main(["check", write_cfg(tmp_path, **overrides)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(key + " must be")
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

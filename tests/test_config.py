@@ -11,11 +11,13 @@ import json
 import math
 import re
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from dpnpsim.config import (
+    _TIME_KEYS,
     ConfigError,
     ExpressionError,
     compile_expression,
@@ -103,7 +105,6 @@ def test_defaults_fill_in():
     assert cfg.settings.tol == 1e-10
     assert cfg.settings.max_sweeps == 50
     assert cfg.settings.damping == 1.0
-    assert cfg.settings.init_iterate == "previous"
     assert cfg.out_dir == "out"
     assert cfg.snapshot_stride == 1
     assert cfg.params.theta == 1.0 and cfg.params.kappa == 1.0
@@ -112,6 +113,19 @@ def test_defaults_fill_in():
     np.testing.assert_allclose(cfg.schedule.rho_b.values, 0.0)
     # boundary omitted entirely: all data defaults to zero
     assert cfg.schedule.sigma.max_abs(1.0) == 0.0
+
+
+def test_sweep_settings_are_exactly_the_sweep_keys_of_the_time_block():
+    # every SweepSettings field is set by a config key, so the sweep has no code-only option
+    names = tuple(f.name for f in fields(SweepSettings))
+    assert names == ("tol", "max_sweeps", "damping")
+    assert set(names) == set(_TIME_KEYS) - {"t_end", "dt"}
+    chosen = {"tol": 1e-8, "max_sweeps": 7, "damping": 0.5}
+    for name, value in chosen.items():
+        assert value != getattr(SweepSettings(), name)
+        doc = base_doc()
+        doc["time"][name] = value
+        assert parse_config(doc).settings == replace(SweepSettings(), **{name: value})
 
 
 def test_all_violations_reported_at_once():
@@ -123,7 +137,7 @@ def test_all_violations_reported_at_once():
     doc["boundary"]["g1"]["left"] = -0.5
     doc["time"]["dt"] = 0.5  # exceeds t_end
     doc["time"]["damping"] = 0.0
-    doc["time"]["init_iterate"] = "zero"  # set by the acceptance suite in code, not by a config
+    doc["time"]["init_iterate"] = "zero"  # not a setting: the sweep starts from the previous time level
     doc["time"]["lin_tol"] = 1e-12  # the exact Gauss and Darcy solves have no tolerance setting
     doc["extra_block"] = {}
     with pytest.raises(ConfigError) as exc:

@@ -28,12 +28,27 @@ from dpnpsim.transport import (
     Concentrations,
     bernoulli,
     free_charge,
-    reaction_rates,
-    sg_flux,
     step_transport,
 )
 
 E = math.e
+
+
+def sg_flux(d_face, h, u_face, c_left, c_right):
+    """Scharfetter-Gummel flux density through a face, oriented left-to-right."""
+    P = np.asarray(u_face, dtype=float) * h / d_face
+    return (d_face / h) * (bernoulli(-P) * c_left - bernoulli(P) * c_right)
+
+
+def reaction_rates(spec, c1, c2):
+    """Exchange rates r1 = rate (c2+ - c1+), r2 = -r1 (zeros for kind 'none')."""
+    c1 = np.asarray(c1, dtype=float)
+    c2 = np.asarray(c2, dtype=float)
+    if spec.kind == "none":
+        r1 = np.zeros(np.broadcast(c1, c2).shape)
+    else:
+        r1 = spec.rate * (np.maximum(c2, 0.0) - np.maximum(c1, 0.0))
+    return r1, -r1
 
 
 def mass(field):
