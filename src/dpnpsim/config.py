@@ -175,19 +175,23 @@ class _Reader:
     def flag(self, message):
         self.violations.append(message)
 
+    def obj(self, raw, where, allowed):
+        """raw if it is a JSON object, else {}; flags a non-object and every key not in allowed."""
+        if not isinstance(raw, dict):
+            self.flag("%s must be an object" % where)
+            return {}
+        for key in raw:
+            if key not in allowed:
+                self.flag("unknown key %r in %s (allowed: %s)" % (key, where, ", ".join(allowed)))
+        return raw
+
     def block(self, doc, name, allowed, required=False):
-        sub = doc.get(name)
-        if sub is None:
+        """The top-level block name; an absent or null block is missing and reads as {}."""
+        if doc.get(name) is None:
             if required:
                 self.flag("missing required block %r" % name)
             return {}
-        if not isinstance(sub, dict):
-            self.flag("block %r must be an object" % name)
-            return {}
-        for key in sub:
-            if key not in allowed:
-                self.flag("unknown key %r in block %r (allowed: %s)" % (key, name, ", ".join(allowed)))
-        return sub
+        return self.obj(doc[name], "block %r" % name, allowed)
 
     def number(self, sub, where, key, default=None, required=False, low=None, low_strict=None):
         if key not in sub:
@@ -213,8 +217,8 @@ class _Reader:
                 self.flag("%s.%s is required" % (where, key))
             return default
         v = sub[key]
-        if isinstance(v, bool) or not isinstance(v, int):
-            self.flag("%s.%s must be an integer, got %r" % (where, key, v))
+        if not (isinstance(v, int) and _finite(v)):
+            self.flag("%s.%s must be a finite integer, got %r" % (where, key, v))
             return default
         if low is not None and v < low:
             self.flag("%s.%s must be >= %d, got %d" % (where, key, low, v))
@@ -243,12 +247,10 @@ def _read_field_spec(reader, raw, where):
         reader.flag("%s must be a number or a field spec object, got %r" % (where, raw))
         return None
     kind = raw.get("kind")
-    if kind not in _SPEC_KEYS:
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         reader.flag("%s.kind must be one of %s, got %r" % (where, ", ".join(_SPEC_KEYS), kind))
         return None
-    for key in raw:
-        if key not in _SPEC_KEYS[kind]:
-            reader.flag("unknown key %r in %s (allowed for %s: %s)" % (key, where, kind, ", ".join(_SPEC_KEYS[kind])))
+    reader.obj(raw, where, _SPEC_KEYS[kind])
     if kind == "constant":
         v = reader.number(raw, where, "value", required=True)
         if v is None:
@@ -277,48 +279,44 @@ def _read_field_spec(reader, raw, where):
     return lambda x, y: np.asarray(fn(x, y), dtype=float) + np.zeros(np.shape(x))
 
 
-def _read_boundary_block(reader, raw, where, nonneg):
-    """Returns (sides dict, Ramp) with defaults; flags violations."""
-    sides = {s: 0.0 for s in SIDES}
-    ramp = Ramp("const")
-    if raw is None:
-        return sides, ramp
-    if not isinstance(raw, dict):
-        reader.flag("%s must be an object with per-side values" % where)
-        return sides, ramp
-    for key in raw:
-        if key not in _SIDE_KEYS:
-            reader.flag("unknown key %r in %s (allowed: %s)" % (key, where, ", ".join(_SIDE_KEYS)))
+def _read_boundary_field(reader, raw, name):
+    """Returns (sides dict, Ramp) of boundary.<name>, zero and constant where absent or invalid."""
+    where = "boundary." + name
+    raw = {} if raw is None else reader.obj(raw, where, _SIDE_KEYS)
+    sides = {}
     for s in SIDES:
         v = reader.number(raw, where, s, default=0.0)
-        if v is None:
-            v = 0.0
-        if nonneg and v < 0.0:
+        if name in ("g1", "g2") and v < 0.0:
             reader.flag("%s.%s is an inflow and must be nonnegative, got %g" % (where, s, v))
             v = 0.0
         sides[s] = v
+    ramp = Ramp("const")
     if "ramp" in raw:
-        rr = raw["ramp"]
-        if not isinstance(rr, dict):
-            reader.flag("%s.ramp must be an object" % where)
-            return sides, ramp
-        for key in rr:
-            if key not in _RAMP_KEYS:
-                reader.flag("unknown key %r in %s.ramp (allowed: %s)" % (key, where, ", ".join(_RAMP_KEYS)))
+        rr = reader.obj(raw["ramp"], where + ".ramp", _RAMP_KEYS)
         kind = rr.get("kind", "const")
         if kind not in ("const", "linear"):
             reader.flag("%s.ramp.kind must be 'const' or 'linear', got %r" % (where, kind))
-            return sides, ramp
-        if kind == "linear":
+        elif kind == "linear":
             t0 = reader.number(rr, where + ".ramp", "t0", default=0.0, low=0.0)
             t1 = reader.number(rr, where + ".ramp", "t1", required=True)
-            if t0 is None or t1 is None:
-                return sides, ramp
-            if t1 <= t0:
+            if t1 is not None and t1 <= t0:
                 reader.flag("%s.ramp needs t1 > t0, got t0=%g, t1=%g" % (where, t0, t1))
-                return sides, ramp
-            ramp = Ramp("linear", t0, t1)
+            elif t1 is not None:
+                ramp = Ramp("linear", t0, t1)
     return sides, ramp
+
+
+def _on_grid(reader, grid, spec, where, nonneg):
+    """spec at the cell centers as a CellField; None, flagged, if a value is not finite or (nonneg) negative."""
+    with np.errstate(all="ignore"):  # every non-finite value is flagged below
+        vals = np.asarray(spec(*grid.cell_centers()), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        reader.flag("%s evaluates to non-finite values on the grid" % where)
+    elif nonneg and vals.min() < 0.0:
+        reader.flag("%s must be nonnegative on the grid; minimum is %g" % (where, float(vals.min())))
+    else:
+        return CellField(grid, vals)
+    return None
 
 
 def parse_config(source):
@@ -357,27 +355,21 @@ def parse_config(source):
     kappa = r.number(ph, "physics", "kappa", default=1.0, low=0.0)
     z1 = r.integer(ph, "physics", "z1", default=1)
     z2 = r.integer(ph, "physics", "z2", default=-1)
-    if theta is not None and not 0.0 < theta <= 1.0:
+    if not 0.0 < theta <= 1.0:
         r.flag("physics.theta must lie in (0, 1], got %g" % theta)
         theta = 1.0
-    if z1 is not None and z2 is not None and not z1 > 0 > z2:
+    if not z1 > 0 > z2:
         r.flag("physics valencies must satisfy z1 > 0 > z2, got z1=%d, z2=%d" % (z1, z2))
         z1, z2 = 1, -1
     reaction = ReactionSpec("none", 0.0)
     if "reaction" in ph:
-        rb = ph["reaction"]
-        if not isinstance(rb, dict):
-            r.flag("physics.reaction must be an object")
+        rb = r.obj(ph["reaction"], "physics.reaction", _REACTION_KEYS)
+        kind = rb.get("kind", "none")
+        rate = r.number(rb, "physics.reaction", "rate", default=0.0, low=0.0)
+        if kind not in ("none", "exchange"):
+            r.flag("physics.reaction.kind must be 'none' or 'exchange', got %r" % kind)
         else:
-            for key in rb:
-                if key not in _REACTION_KEYS:
-                    r.flag("unknown key %r in physics.reaction (allowed: %s)" % (key, ", ".join(_REACTION_KEYS)))
-            kind = rb.get("kind", "none")
-            rate = r.number(rb, "physics.reaction", "rate", default=0.0, low=0.0)
-            if kind not in ("none", "exchange"):
-                r.flag("physics.reaction.kind must be 'none' or 'exchange', got %r" % kind)
-            else:
-                reaction = ReactionSpec(kind, rate if rate is not None else 0.0)
+            reaction = ReactionSpec(kind, rate)
 
     ini = r.block(doc, "initial", _INITIAL_KEYS, required=True)
     c_specs = []
@@ -388,15 +380,10 @@ def parse_config(source):
         else:
             c_specs.append(_read_field_spec(r, ini[name], "initial.%s" % name))
 
-    rho_b_spec = None
-    if "background_charge" in doc:
-        rho_b_spec = _read_field_spec(r, doc["background_charge"], "background_charge")
+    rho_b_spec = _read_field_spec(r, doc.get("background_charge", 0.0), "background_charge")
 
     bnd = r.block(doc, "boundary", _BOUNDARY_KEYS)
-    sigma_sides, sigma_ramp = _read_boundary_block(r, bnd.get("sigma"), "boundary.sigma", nonneg=False)
-    f_sides, f_ramp = _read_boundary_block(r, bnd.get("f"), "boundary.f", nonneg=False)
-    g1_sides, g1_ramp = _read_boundary_block(r, bnd.get("g1"), "boundary.g1", nonneg=True)
-    g2_sides, g2_ramp = _read_boundary_block(r, bnd.get("g2"), "boundary.g2", nonneg=True)
+    boundary = {name: _read_boundary_field(r, bnd.get(name), name) for name in _BOUNDARY_KEYS}
 
     tm = r.block(doc, "time", _TIME_KEYS, required=True)
     t_end = r.number(tm, "time", "t_end", required=True, low_strict=0.0)
@@ -422,47 +409,24 @@ def parse_config(source):
 
     # Everything below needs a valid grid; build it only if the geometry
     # parsed, and keep collecting violations that do not need it.
-    grid = None
-    if not any(v is None for v in (nx, ny, lx, ly)):
+    grid = initial = rho_b_field = None
+    if nx is not None and ny is not None:
         grid = build_grid(nx, ny, lx, ly)
-
-    if grid is not None:
-        f_bf = BoundaryField(grid, **f_sides)
+        f_bf = BoundaryField(grid, **boundary["f"][0])
         if not balanced(f_bf):
             r.flag(
                 "boundary.f must have zero total flux for the incompressible flow problem; "
                 "net integral is %g" % f_bf.boundary_integral()
             )
-
-    initial = None
-    if grid is not None and all(s is not None for s in c_specs):
-        X, Y = grid.cell_centers()
-        fields = []
-        for name, spec in zip(_INITIAL_KEYS, c_specs):
-            vals = np.asarray(spec(X, Y), dtype=float)
-            if not np.all(np.isfinite(vals)):
-                r.flag("initial.%s evaluates to non-finite values on the grid" % name)
-            elif vals.min() < 0.0:
-                r.flag("initial.%s must be nonnegative on the grid; minimum is %g" % (name, float(vals.min())))
-            else:
-                fields.append(CellField(grid, vals))
-        if len(fields) == 2:
-            initial = Concentrations(fields[0], fields[1])
-
-    rho_b_field = None
-    if grid is not None:
+        if all(s is not None for s in c_specs):
+            c1, c2 = (_on_grid(r, grid, s, "initial." + n, nonneg=True) for n, s in zip(_INITIAL_KEYS, c_specs))
+            if c1 is not None and c2 is not None:
+                initial = Concentrations(c1, c2)
         if rho_b_spec is not None:
-            X, Y = grid.cell_centers()
-            vals = np.asarray(rho_b_spec(X, Y), dtype=float)
-            if not np.all(np.isfinite(vals)):
-                r.flag("background_charge evaluates to non-finite values on the grid")
-            else:
-                rho_b_field = CellField(grid, vals)
-        elif "background_charge" not in doc:
-            rho_b_field = CellField.zeros(grid)
+            rho_b_field = _on_grid(r, grid, rho_b_spec, "background_charge", nonneg=False)
 
     params = None
-    if not any(v is None for v in (theta, mu, eps_s, kappa, z1, z2, t_end, dt)):
+    if t_end is not None and dt is not None:
         try:
             params = PhysParams(
                 theta=theta,
@@ -483,14 +447,8 @@ def parse_config(source):
     if r.violations:
         raise ConfigError(r.violations)
 
-    schedule = Schedule(
-        grid,
-        sigma=BoundarySpec(grid, **sigma_sides, ramp=sigma_ramp),
-        f=BoundarySpec(grid, **f_sides, ramp=f_ramp),
-        g1=BoundarySpec(grid, **g1_sides, ramp=g1_ramp),
-        g2=BoundarySpec(grid, **g2_sides, ramp=g2_ramp),
-        rho_b=rho_b_field,
-    )
+    specs = {name: BoundarySpec(grid, **sides, ramp=ramp) for name, (sides, ramp) in boundary.items()}
+    schedule = Schedule(grid, rho_b=rho_b_field, **specs)
     return RunConfig(
         grid=grid,
         params=params,

@@ -104,19 +104,3 @@ class Schedule:
     def at(self, t):
         return StepData(self.sigma.at(t), self.f.at(t), self.g1.at(t), self.g2.at(t), self.rho_b)
 
-
-def constant_schedule(grid, sigma=None, f=None, g1=None, g2=None, rho_b=None):
-    """Schedule with time-constant data; sides default to zero."""
-
-    def spec(v):
-        if isinstance(v, BoundarySpec):
-            return v
-        if v is None:
-            return BoundarySpec(grid)
-        if isinstance(v, dict):
-            return BoundarySpec(grid, **v)
-        raise TypeError("expected None, dict of sides, or BoundarySpec, got %r" % (v,))
-
-    if rho_b is None:
-        rho_b = CellField.zeros(grid)
-    return Schedule(grid, spec(sigma), spec(f), spec(g1), spec(g2), rho_b)

@@ -41,8 +41,9 @@ from dpnpsim.bounds import (
 )
 from dpnpsim.mesh import CellField, build_grid
 from dpnpsim.params import PhysParams, ReactionSpec
-from dpnpsim.schedule import constant_schedule
 from dpnpsim.transport import Concentrations
+
+from schedule_helpers import constant_schedule
 
 
 def make_setup(grid_n=4, c1=1.0, c2=1.0, **sched_kw):

@@ -210,10 +210,13 @@ HUGE = 10**400  # a JSON integer too large for a float
             {"initial": {"c1": {"kind": "gaussian", "center": [HUGE, 0.5], "width": 0.2, "amplitude": 0.5}}},
             "initial.c1.center",
         ),
+        ({"physics": {"z1": HUGE}}, "physics.z1"),
+        ({"physics": {"z2": -HUGE}}, "physics.z2"),
+        ({"time": {"max_sweeps": HUGE}}, "time.max_sweeps"),
     ],
 )
 def test_integer_too_large_for_a_float_is_one_violation(tmp_path, capsys, overrides, key):
-    # math.isfinite raises OverflowError on such an integer; the value must be flagged instead
+    # float() and math.isfinite raise OverflowError on such an integer; the value must be flagged instead
     assert main(["check", write_cfg(tmp_path, **overrides)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1

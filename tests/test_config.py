@@ -9,6 +9,7 @@ calls, and plain arithmetic, which keeps config files data, not code.
 
 import json
 import math
+import os
 import re
 import warnings
 from dataclasses import fields, replace
@@ -204,6 +205,53 @@ def test_field_spec_validation():
     assert "center must be [x, y]" in v
     assert "width must be > 0" in v
     assert "kind must be one of" in v
+    # a kind that is not a string is flagged, not looked up (a list cannot be hashed)
+    for kind in (["gaussian"], {"kind": "constant"}):
+        doc = base_doc()
+        doc["initial"]["c1"] = {"kind": kind}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.violations == ["initial.c1.kind must be one of constant, gaussian, expression, got %r" % kind]
+
+
+def _set(doc, path, value):
+    *parents, last = path.split(".")
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, fragment",
+    [
+        ("output", [], "block 'output' must be an object"),
+        ("physics.reaction", "exchange", "physics.reaction must be an object"),
+        ("boundary.g1", 0.03, "boundary.g1 must be an object"),
+        ("boundary.f.ramp", "linear", "boundary.f.ramp must be an object"),
+        ("physics.reaction.k", 1, "unknown key 'k' in physics.reaction (allowed: kind, rate)"),
+        ("boundary.sigma.k", 1, "unknown key 'k' in boundary.sigma (allowed: left, right, bottom, top, ramp)"),
+        ("boundary.f.ramp.k", 1, "unknown key 'k' in boundary.f.ramp (allowed: kind, t0, t1)"),
+        ("initial.c1.k", 1, "unknown key 'k' in initial.c1 (allowed"),
+    ],
+)
+def test_each_object_flags_a_non_object_and_unknown_keys(path, value, fragment):
+    doc = base_doc()
+    _set(doc, path, value)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert len(exc.value.violations) == 1
+    assert exc.value.violations[0].startswith(fragment)
+
+
+def test_readme_configuration_example_parses():
+    # the documented schema is the one parse_config reads
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    example = re.search(r"```jsonc\n(.*?)```", text, re.DOTALL).group(1)
+    cfg = parse_config(re.sub(r"//.*", "", example))
+    assert (cfg.grid.nx, cfg.params.z2) == (32, -2)
+    assert cfg.schedule.f.ramp.kind == "linear"
 
 
 def test_expression_whitelist():
@@ -274,6 +322,13 @@ def test_expression_violations_flow_into_config_error():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match=re.escape("constant %s is not a finite real number" % constant)):
                 parse_config(json.dumps(doc))
+    # a value that is not finite on the grid is one violation, with no numpy warning before it
+    doc["initial"]["c2"] = {"kind": "expression", "expr": "sqrt(x-2)"}  # nan on the cells with x < 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+    assert exc.value.violations == ["initial.c2 evaluates to non-finite values on the grid"]
 
 
 def test_load_config_reads_files(tmp_path):
@@ -286,7 +341,6 @@ def test_load_config_reads_files(tmp_path):
 
 def test_shipped_demo_configs_parse():
     import glob
-    import os
 
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     paths = sorted(glob.glob(os.path.join(here, "configs", "*.json")))

@@ -39,8 +39,9 @@ from dpnpsim.gummel import (
 from dpnpsim.linalg import SolveReport, SolverError
 from dpnpsim.mesh import CellField, build_grid
 from dpnpsim.params import PhysParams, ReactionSpec
-from dpnpsim.schedule import constant_schedule
 from dpnpsim.transport import Concentrations
+
+from schedule_helpers import constant_schedule
 
 
 def weighted_dist(grid, params, a, b):

@@ -29,8 +29,9 @@ from dpnpsim.monitors import (
     weighted_energy,
 )
 from dpnpsim.params import PhysParams, ReactionSpec
-from dpnpsim.schedule import constant_schedule
 from dpnpsim.transport import Concentrations
+
+from schedule_helpers import constant_schedule
 
 
 def uniform_conc(grid, v1, v2):

@@ -10,7 +10,9 @@ import pytest
 
 from dpnpsim.mesh import BoundaryField, CellField, build_grid
 from dpnpsim.params import PhysParams, ReactionSpec
-from dpnpsim.schedule import BoundarySpec, Ramp, Schedule, StepData, constant_schedule
+from dpnpsim.schedule import BoundarySpec, Ramp, Schedule, StepData
+
+from schedule_helpers import constant_schedule
 
 
 def test_params_defaults_and_derived_quantities():
