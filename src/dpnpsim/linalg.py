@@ -7,15 +7,16 @@ entries of each interior face; the Gauss/Darcy Laplacian and the
 Scharfetter-Gummel transport matrix are both built with it.
 
 Every solve reports its iteration count and true residual ||b - A x||
-against one target, max(tol ||b||, rounding floor) kept strictly below
-||b||, and raises SolverError when it misses it.  solve_spd solves the
-Gauss/Darcy operator, a constant-coefficient Neumann Laplacian, exactly in
-the separable cosine (DCT-II) eigenbasis that neumann_laplacian attaches to
-it, with four dense matmuls (fast diagonalization; Lynch, Rice & Thomas,
-Numer. Math. 6, 1964).
-solve_nonsym runs Jacobi-preconditioned BiCGStab (van der Vorst, SIAM J.
-Sci. Stat. Comput. 13, 1992) on the nonsymmetric transport systems, which
-change every sweep.
+against one target, max(tol ||b||, rounding floor capped at sqrt(eps)
+||b||), and raises SolverError when it misses it.  cosine_basis
+diagonalizes a Neumann two-point Laplacian plus a diagonal shift in the
+separable cosine (DCT-II) eigenbasis, whose inverse is four dense matmuls
+(fast diagonalization; Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+solve_spd solves the Gauss/Darcy operator (shift 0) exactly that way;
+solve_nonsym runs BiCGStab (van der Vorst, SIAM J. Sci. Stat. Comput. 13,
+1992) on the transport systems, which change every sweep, right-
+preconditioned by the basis of their drift-free part (Elman, Silvester &
+Wathen, Finite Elements and Fast Iterative Solvers, 2nd ed., ch. 8-9).
 """
 
 import functools
@@ -52,7 +53,7 @@ class SparseMatrix:
     Index ranges need no check here: from_coo is the only constructor, and
     scipy's coo_matrix rejects negative or out-of-range indices.
 
-    A neumann_laplacian also carries eigenbasis = (qx, qy, inv_eig).
+    A neumann_laplacian also carries eigenbasis = cosine_basis(grid, tx, ty, 0.0).
     """
 
     def __init__(self, csr):
@@ -123,38 +124,57 @@ def _cosine_modes(n):
     return q, 2.0 - 2.0 * np.cos(np.pi * k / n)
 
 
+@functools.lru_cache(maxsize=16)
+def cosine_basis(grid, tx, ty, shift):
+    """Eigenbasis (qx, qy, inv_eig) of shift I + tx (I kron L_x) + ty (L_y kron I), L the zero-flux [-1, 2, -1].
+
+    inv_eig[l, k] = 1 / (shift + tx lam_x[k] + ty lam_y[l]), and 0 on the
+    constant mode at shift 0 (the pseudo-inverse).  Memoized like
+    gauss.fv_laplacian: grids hash by identity and are never mutated, and
+    the arrays are read-only.
+    """
+    (qx, lam_x), (qy, lam_y) = _cosine_modes(grid.nx), _cosine_modes(grid.ny)
+    eig = shift + tx * lam_x + ty * lam_y[:, None]
+    if shift == 0.0:
+        eig[0, 0] = np.inf
+    basis = (qx, qy, 1.0 / eig)
+    for a in basis:
+        a.flags.writeable = False
+    return basis
+
+
+def _eigen_solve(basis, v):
+    """Qy ((Qy^T V Qx) * inv_eig) Qx^T for the row-major plane V of v: the operator of basis inverted on v."""
+    qx, qy, inv_eig = basis
+    return (qy @ ((qy.T @ v.reshape(inv_eig.shape) @ qx) * inv_eig) @ qx.T).ravel()
+
+
 def neumann_laplacian(grid, tx, ty):
     """Two-point Laplacian with face weights tx, ty and zero-flux boundaries, with its eigenbasis.
 
-    In row-major order the operator is tx (I kron L_x) + ty (L_y kron I), so
-    the cosine columns qx, qy of _cosine_modes diagonalize it, and
-    eigenbasis = (qx, qy, inv_eig) with inv_eig[l, k] = 1 / (tx lam_x[k] +
-    ty lam_y[l]) and 0 on the constant mode.  Every array is read-only.
+    eigenbasis = cosine_basis(grid, tx, ty, 0.0); every array is read-only.
     """
     A = two_point_matrix(grid, 0.0, (tx, tx), (ty, ty))
-    (qx, lam_x), (qy, lam_y) = _cosine_modes(grid.nx), _cosine_modes(grid.ny)
-    eig = tx * lam_x + ty * lam_y[:, None]
-    eig[0, 0] = np.inf  # the constant mode is the kernel
-    A.eigenbasis = (qx, qy, 1.0 / eig)
-    for a in (A.csr.data, A.csr.indices, A.csr.indptr) + A.eigenbasis:
+    A.eigenbasis = cosine_basis(grid, tx, ty, 0.0)
+    for a in (A.csr.data, A.csr.indices, A.csr.indptr):
         a.flags.writeable = False
     return A
 
 
 _FLOOR_EPS = 4.0 * np.finfo(float).eps
+_FLOOR_CAP = float(np.sqrt(np.finfo(float).eps))
 _MAX_RESTARTS = 5
 
 
 def _target(A, bnorm, tol):
-    """The stopping target max(tol ||b||, 4 eps (||A||_inf ||x|| + ||b||)) as a function of x.
+    """The stopping target max(tol ||b||, min(4 eps (||A||_inf ||x|| + ||b||), sqrt(eps) ||b||)) as a function of x.
 
-    The target is capped at the largest float below ||b||: a residual of
-    ||b|| or more is never accepted, since x = 0 already has residual ||b||
-    and an iterate grown large enough (off the range of a singular A) would
-    otherwise lift the rounding floor above it.
+    The rounding floor is capped at sqrt(eps) ||b||: an iterate grown large
+    (off the range of a singular A) would otherwise lift the floor towards
+    ||b|| and certify an x that solves nothing.
     """
-    cap = float(np.nextafter(bnorm, 0.0))
-    return lambda x: min(max(tol * bnorm, _FLOOR_EPS * (A.norm_inf * float(np.linalg.norm(x)) + bnorm)), cap)
+    cap = _FLOOR_CAP * bnorm
+    return lambda x: max(tol * bnorm, min(_FLOOR_EPS * (A.norm_inf * float(np.linalg.norm(x)) + bnorm), cap))
 
 
 def solve_spd(A, b, tol):
@@ -163,15 +183,14 @@ def solve_spd(A, b, tol):
     Returns (x, SolveReport) with the zero-mean x and iterations 1 (0 and
     x = 0 for b = 0) when the true residual meets max(tol ||b||, 4 eps
     (||A||_inf ||x|| + ||b||)), the rounding floor below which no float64 x
-    can certify a smaller residual, and is below ||b||; otherwise, as for a
-    b that does not sum to zero, SolverError is raised.
+    can certify a smaller residual, capped at sqrt(eps) ||b||; otherwise, as
+    for a b that does not sum to zero, SolverError is raised.
     """
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(b.shape[0]), SolveReport(0, 0.0)
-    qx, qy, inv_eig = A.eigenbasis
-    x = (qy @ ((qy.T @ b.reshape(inv_eig.shape) @ qx) * inv_eig) @ qx.T).ravel()
+    x = _eigen_solve(A.eigenbasis, b)
     residual = float(np.linalg.norm(b - A.csr @ x))
     report = SolveReport(1, residual)
     if residual > _target(A, bnorm, tol)(x):
@@ -179,16 +198,19 @@ def solve_spd(A, b, tol):
     return x, report
 
 
-def solve_nonsym(A, b, tol):
-    """Jacobi-preconditioned BiCGStab for a nonsymmetric SparseMatrix A (the transport M-matrices).
+def solve_nonsym(A, b, tol, basis):
+    """BiCGStab for a nonsymmetric SparseMatrix A (the transport M-matrices), right-preconditioned by basis.
 
-    Returns (x, SolveReport) with the same target as solve_spd, keeping the
-    best iterate.  An iteration whose half-step residual s already meets the
-    target at x + alpha p_hat stops there, skipping the stabilizing
-    half-step.  A breakdown, which counts as an iteration, or a recurrence
-    residual that meets the target while the true residual does not,
-    restarts BiCGStab from x.  Raises SolverError when 10 n iterations or
-    _MAX_RESTARTS + 1 starts end it short of the target.
+    basis = (qx, qy, inv_eig) as from cosine_basis; each preconditioner
+    application inverts the operator it diagonalizes (for the transport
+    systems, their drift-free part).  Returns (x, SolveReport) with the same
+    target as solve_spd, keeping the best iterate.  An iteration whose
+    half-step residual s already meets the target at x + alpha p_hat stops
+    there, skipping the stabilizing half-step.  A breakdown, which counts as
+    an iteration, or a recurrence residual that meets the target while the
+    true residual does not, restarts BiCGStab from x.  Raises SolverError
+    when 10 n iterations or _MAX_RESTARTS + 1 starts end it short of the
+    target.
     """
     csr = A.csr
     b = np.asarray(b, dtype=float)
@@ -198,8 +220,6 @@ def solve_nonsym(A, b, tol):
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0)
     target = _target(A, bnorm, tol)
-    d = csr.diagonal()  # Jacobi preconditioner, a fresh array
-    d[d == 0.0] = 1.0
     x = best_x = np.zeros(n)  # iterates are rebound, never written in place
     r = b
     best_norm = bnorm
@@ -218,7 +238,7 @@ def solve_nonsym(A, b, tol):
             beta = (rho_next / rho) * (alpha / omega)
             rho = rho_next
             p = r + beta * (p - omega * v)
-            p_hat = p / d
+            p_hat = _eigen_solve(basis, p)
             v = csr @ p_hat
             denom = float(r_hat @ v)
             if abs(denom) < _BREAKDOWN:
@@ -230,7 +250,7 @@ def solve_nonsym(A, b, tol):
             if snorm <= target(x_half):
                 x, rnorm = x_half, snorm
             else:
-                s_hat = s / d
+                s_hat = _eigen_solve(basis, s)
                 t = csr @ s_hat
                 tt = float(t @ t)
                 if tt < _BREAKDOWN:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import solve_nonsym, two_point_matrix
+from .linalg import cosine_basis, solve_nonsym, two_point_matrix
 from .mesh import CellField
 
 SOLVE_TOL = 1e-14  # relative residual target of every transport solve
@@ -75,26 +75,25 @@ class TransportResult:
 
 
 def _species_system(grid, params, c_prev_vals, ufx, ufy, g, dt, k_rate, production, source):
-    """Assemble the implicit SG system for one species; returns (matrix, rhs)."""
+    """Assemble the implicit SG system for one species; returns (matrix, rhs, cosine basis of its drift-free part)."""
     dx, dy = params.D
     hx, hy = grid.hx, grid.hy
     vol = grid.cell_volume
     theta = params.theta
+    tx, ty = (dx / hx) * hy, (dy / hy) * hx
+    shift = theta * vol / dt + theta * vol * k_rate
 
     Px = ufx[:, 1:-1] * hx / dx
     Py = ufy[1:-1, :] * hy / dy
     A = two_point_matrix(
-        grid,
-        theta * vol / dt + theta * vol * k_rate,
-        ((dx / hx) * hy * bernoulli(-Px), (dx / hx) * hy * bernoulli(Px)),
-        ((dy / hy) * hx * bernoulli(-Py), (dy / hy) * hx * bernoulli(Py)),
+        grid, shift, (tx * bernoulli(-Px), tx * bernoulli(Px)), (ty * bernoulli(-Py), ty * bernoulli(Py))
     )
 
     rhs = theta * vol / dt * c_prev_vals + theta * vol * production
     if source is not None:
         rhs = rhs + np.asarray(source, dtype=float) * vol
     g.add_to_cells(rhs)
-    return A, rhs.ravel()
+    return A, rhs.ravel(), cosine_basis(grid, tx, ty, shift)
 
 
 def step_transport(grid, params, c_prev, q_faces, e_faces, g1, g2, dt, c_lag=None, sources=None):
@@ -121,8 +120,8 @@ def step_transport(grid, params, c_prev, q_faces, e_faces, g1, g2, dt, c_lag=Non
         ufy = q_faces.fy + kappa * zs[l] * e_faces.fy
         production = k_rate * np.maximum(lagged[l], 0.0)
         src = None if sources is None else sources[l]
-        A, rhs = _species_system(grid, params, prev[l], ufx, ufy, gs[l], dt, k_rate, production, src)
-        x, rep = solve_nonsym(A, rhs, tol=SOLVE_TOL)
+        A, rhs, basis = _species_system(grid, params, prev[l], ufx, ufy, gs[l], dt, k_rate, production, src)
+        x, rep = solve_nonsym(A, rhs, SOLVE_TOL, basis)
         new.append(CellField(grid, x))
         reports.append(rep)
 

@@ -30,12 +30,12 @@ from dpnpsim.bounds import BoundsEvaluator
 from dpnpsim.darcy import solve_darcy
 from dpnpsim.gauss import fv_laplacian, solve_gauss
 from dpnpsim.gummel import SweepSettings, advance
-from dpnpsim.linalg import SparseMatrix, solve_nonsym, solve_spd
-from dpnpsim.mesh import CellField, build_grid
+from dpnpsim.linalg import solve_nonsym, solve_spd
+from dpnpsim.mesh import BoundaryField, CellField, build_grid
 from dpnpsim.mms import run_mms
 from dpnpsim.params import PhysParams, ReactionSpec
 from dpnpsim.schedule import BoundarySpec, Ramp, Schedule
-from dpnpsim.transport import Concentrations, free_charge, step_transport
+from dpnpsim.transport import Concentrations, _species_system, free_charge, step_transport
 
 SUITE_RUNS = 50
 SUITE_TOL = 1e-10
@@ -275,7 +275,10 @@ def test_11_linear_solver_oracle():
     Even k: the Gauss/Darcy operator as production builds it (fv_laplacian,
     nx, ny in [1, 20], random lengths, per-axis coefficients in [0.1, 10]) with
     a zero-sum right side, against the dense minimum-norm solution.  Odd k: a
-    random diagonally dominant nonsymmetric system, against numpy.linalg.solve.
+    Scharfetter-Gummel species system as production builds and solves it
+    (_species_system and its cosine basis, nx, ny in [1, 20], random
+    porosity, diffusivities, reaction rate, face drifts up to 1e3, inflows
+    and dt in [1e-4, 1e-1]), against numpy.linalg.solve.
     """
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -289,14 +292,24 @@ def test_11_linear_solver_oracle():
             expected = np.linalg.lstsq(mat.csr.toarray(), b, rcond=None)[0]
             x, _ = solve_spd(mat, b, tol=1e-14)
         else:
-            n = int(rng.integers(2, 51))
-            dense = rng.uniform(-1.0, 1.0, size=(n, n))
-            np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + rng.uniform(0.5, 2.0, size=n))
-            rows, cols = np.nonzero(dense)
-            mat = SparseMatrix.from_coo(n, n, rows, cols, dense[rows, cols])
-            b = rng.uniform(-1.0, 1.0, size=n)
-            expected = np.linalg.solve(dense, b)
-            x, _ = solve_nonsym(mat, b, tol=1e-14)
+            nx, ny = (int(v) for v in rng.integers(1, 21, size=2))
+            grid = build_grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+            params = PhysParams(
+                theta=float(rng.uniform(0.1, 1.0)),
+                D=tuple(float(v) for v in rng.uniform(0.1, 10.0, size=2)),
+                reaction=ReactionSpec("exchange", float(rng.uniform(0.0, 1.0))),
+            )
+            speed = 10.0 ** rng.uniform(-1.0, 3.0)
+            ufx = speed * rng.uniform(-1.0, 1.0, size=(ny, nx + 1))
+            ufy = speed * rng.uniform(-1.0, 1.0, size=(ny + 1, nx))
+            g = BoundaryField(grid, *(rng.uniform(0.0, 0.1, size=n) for n in (ny, ny, nx, nx)))
+            k_rate = params.reaction.lipschitz
+            production = k_rate * rng.uniform(0.0, 1.0, size=(ny, nx))
+            c_prev = rng.uniform(0.0, 1.0, size=(ny, nx))
+            dt = 10.0 ** rng.uniform(-4.0, -1.0)
+            mat, b, basis = _species_system(grid, params, c_prev, ufx, ufy, g, dt, k_rate, production, None)
+            expected = np.linalg.solve(mat.csr.toarray(), b)
+            x, _ = solve_nonsym(mat, b, 1e-14, basis)
         worst = max(worst, float(np.abs(x - expected).max()))
     ok = worst <= 1e-8
     _verdict(11, "linear-solver oracle", ok, "max deviation from dense solve %.3e <= 1e-8 (200 systems)" % worst)

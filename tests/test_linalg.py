@@ -11,7 +11,11 @@ stamped by hand.
 Contract details under test: reported residuals are true residuals
 ||b - A x||, failures raise SolverError carrying the report, b = 0
 short-circuits to x = 0 after zero iterations, and BiCGStab stops at its
-10 n iteration cap and after a fixed number of breakdown restarts.
+10 n iteration cap and after a fixed number of breakdown restarts.  The
+generic BiCGStab tests precondition with the diagonal basis of jacobi(A),
+which applies x / diag(A); the cosine basis is checked against the dense
+drift-free two-point matrix, and it makes a drift-free transport solve
+exact in one iteration.
 """
 
 import numpy as np
@@ -22,12 +26,22 @@ from dpnpsim.linalg import (
     SolveReport,
     SolverError,
     SparseMatrix,
+    cosine_basis,
     project_zero_mean,
     solve_nonsym,
     solve_spd,
     two_point_matrix,
 )
-from dpnpsim.mesh import build_grid
+from dpnpsim.mesh import BoundaryField, FaceField, build_grid
+from dpnpsim.params import PhysParams, ReactionSpec
+from dpnpsim.transport import _species_system
+
+
+def jacobi(A):
+    """The diagonal basis (I_1, I_n, 1 / diag(A)): its preconditioner divides by the diagonal (1 where it is 0)."""
+    d = A.csr.diagonal()
+    d[d == 0.0] = 1.0
+    return np.eye(1), np.eye(d.shape[0]), (1.0 / d)[:, None]
 
 
 def laplacian_1d(n, shift=0.0):
@@ -151,7 +165,7 @@ def test_solve_nonsym_raises_on_rhs_off_the_range():
     A = fv_laplacian(build_grid(8, 5, 1.0, 1.0), 1.0, 1.0)
     b = np.ones(40)
     with pytest.raises(SolverError) as err:
-        solve_nonsym(A, b, tol=1e-14)
+        solve_nonsym(A, b, 1e-14, jacobi(A))
     assert err.value.report.residual >= np.linalg.norm(b)
 
 
@@ -165,13 +179,14 @@ def test_solve_nonsym_matches_dense_solver():
         rows, cols = np.nonzero(dense)
         A = SparseMatrix.from_coo(n, n, rows, cols, dense[rows, cols])
         b = rng.normal(size=n)
-        x, rep = solve_nonsym(A, b, tol=1e-12)
+        x, rep = solve_nonsym(A, b, 1e-12, jacobi(A))
         assert np.allclose(x, np.linalg.solve(dense, b), atol=1e-7)
         assert rep.residual == pytest.approx(np.linalg.norm(b - dense @ x), abs=1e-12)
 
 
 def test_solve_nonsym_zero_rhs_and_cap():
-    x, rep = solve_nonsym(laplacian_1d(4, shift=0.5), np.zeros(4), tol=1e-10)
+    A = laplacian_1d(4, shift=0.5)
+    x, rep = solve_nonsym(A, np.zeros(4), 1e-10, jacobi(A))
     assert np.all(x == 0.0) and rep == SolveReport(0, 0.0)
     # a singular 4x4 system with b off its range: BiCGStab neither converges
     # nor breaks down, so the cap of 10 n iterations ends it
@@ -179,8 +194,14 @@ def test_solve_nonsym_zero_rhs_and_cap():
     rows, cols = np.nonzero(dense)
     A = SparseMatrix.from_coo(4, 4, rows, cols, dense[rows, cols])
     with pytest.raises(SolverError, match="within 40 iterations") as err:
-        solve_nonsym(A, np.array([0.0, 0.0, 1.0, 0.0]), tol=1e-12)
+        solve_nonsym(A, np.array([0.0, 0.0, 1.0, 0.0]), 1e-12, jacobi(A))
     assert err.value.report.iterations == 40
+    # unpreconditioned, the iterate grows to ~1e14, which would lift the
+    # rounding floor 4 eps ||A||_inf ||x|| past its true residual 0.44 ||b||;
+    # the floor is capped at sqrt(eps) ||b||, so the solve still raises
+    with pytest.raises(SolverError) as err:
+        solve_nonsym(A, np.array([0.0, 0.0, 1.0, 0.0]), 1e-12, (np.eye(1), np.eye(4), np.ones((4, 1))))
+    assert err.value.report.residual > 0.1
 
 
 def test_breakdown_restarts_share_one_cap():
@@ -194,8 +215,47 @@ def test_breakdown_restarts_share_one_cap():
     A = SparseMatrix.from_coo(2, 2, [0, 1], [1, 0], [1.0, -1.0])
     b = np.array([1.0, 0.0])
     with pytest.raises(SolverError) as err:
-        solve_nonsym(A, b, tol=1e-10)
+        solve_nonsym(A, b, 1e-10, jacobi(A))
     assert err.value.report == SolveReport(6, np.linalg.norm(b))
+
+
+def test_cosine_basis_diagonalizes_the_drift_free_operator():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        nx, ny = (int(v) for v in rng.integers(1, 13, size=2))
+        g = build_grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+        tx, ty, shift = (float(v) for v in rng.uniform(0.1, 10.0, size=3))
+        qx, qy, inv_eig = cosine_basis(g, tx, ty, shift)
+        q = np.kron(qy, qx)  # row-major cell order: column l * nx + k is mode (l, k)
+        dense = two_point_matrix(g, shift, (tx, tx), (ty, ty)).csr.toarray()
+        assert np.abs(q @ np.diag(1.0 / inv_eig.ravel()) @ q.T - dense).max() <= 1e-12
+
+
+def test_cosine_basis_is_memoized_and_read_only():
+    g = build_grid(5, 3, 1.0, 1.0)
+    basis = cosine_basis(g, 1.5, 0.5, 2.0)
+    again = cosine_basis(g, 1.5, 0.5, 2.0)
+    assert all(a is b for a, b in zip(basis, again))
+    assert not any(a.flags.writeable for a in basis)
+    # at shift 0 the constant mode is the kernel and is inverted to 0
+    assert cosine_basis(g, 1.5, 0.5, 0.0)[2][0, 0] == 0.0
+
+
+def test_drift_free_transport_solve_takes_one_iteration():
+    # with zero drift the SG matrix is exactly the operator its basis
+    # diagonalizes, so the first preconditioned step solves it
+    g = build_grid(12, 9, 1.0, 0.8)
+    params = PhysParams(theta=0.8, D=(1.0, 2.0), reaction=ReactionSpec("exchange", 0.1))
+    rng = np.random.default_rng(3)
+    zero = FaceField.zeros(g)
+    A, rhs, basis = _species_system(
+        g, params, rng.uniform(0.0, 1.0, (9, 12)), zero.fx, zero.fy, BoundaryField(g, left=0.02), 0.005,
+        0.1, rng.uniform(0.0, 0.1, (9, 12)), None,
+    )
+    x, rep = solve_nonsym(A, rhs, 1e-14, basis)
+    assert rep.iterations == 1
+    assert rep.residual == pytest.approx(np.linalg.norm(rhs - A.csr @ x), abs=1e-15)
+    assert np.allclose(x, np.linalg.solve(A.csr.toarray(), rhs), rtol=1e-12, atol=0.0)
 
 
 def test_singular_neumann_system_solvable_after_projection():
