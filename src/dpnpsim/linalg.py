@@ -1,10 +1,11 @@
-"""Sparse matrices, two-point-flux assembly, and the two linear solvers.
+"""Five-point matrices in diagonal storage, two-point-flux assembly, and the two linear solvers.
 
-SparseMatrix validates a scipy.sparse CSR matrix once, on construction;
-callers read its storage and matvec from .csr.  two_point_matrix is the one
-place that numbers the cells of a structured grid and stamps the four
-entries of each interior face; the Gauss/Darcy Laplacian and the
-Scharfetter-Gummel transport matrix are both built with it.
+SparseMatrix holds a square matrix by its diagonals (DIA storage; Saad,
+Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, sec. 3.4).
+two_point_matrix is the one place that numbers the cells of a structured
+grid and fills the diagonals -nx, -1, 0, 1, nx from the face weights; the
+Gauss/Darcy Laplacian and the Scharfetter-Gummel transport matrix are both
+built with it.
 
 Every solve reports its iteration count and true residual ||b - A x||
 against one target, max(tol ||b||, rounding floor capped at sqrt(eps)
@@ -23,7 +24,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 _BREAKDOWN = 1e-300
 
@@ -45,38 +45,43 @@ class SolveReport:
 
 
 class SparseMatrix:
-    """Validated CSR matrix, held as .csr.
+    """Square matrix in diagonal storage: diagonals[k, i] = A[i, i + offsets[k]], zero past the edges.
 
-    Canonicalization on construction (tocsr, sum_duplicates, sort_indices)
-    makes the column indices of each row strictly increasing, with duplicate
-    entries summed.  Checked on construction: all stored values are finite.
-    Index ranges need no check here: from_coo is the only constructor, and
-    scipy's coo_matrix rejects negative or out-of-range indices.
+    The offsets ascend, none exceeds n in size, and a repeated offset adds
+    its diagonals.  A @ x adds them in that order to a zero vector, so each
+    row is summed in column order, as a compressed-row matvec sums it.
+    Checked on construction: all values are finite.
 
     A neumann_laplacian also carries eigenbasis = cosine_basis(grid, tx, ty, 0.0).
     """
 
-    def __init__(self, csr):
-        csr = csr.tocsr()
-        csr.sum_duplicates()
-        csr.sort_indices()
-        if not np.all(np.isfinite(csr.data)):
+    def __init__(self, offsets, diagonals):
+        diagonals = np.asarray(diagonals, dtype=float)
+        if not np.all(np.isfinite(diagonals)):
             raise ValueError("matrix values must be finite")
-        self.csr = csr
+        self.offsets = tuple(int(k) for k in offsets)
+        self.diagonals = diagonals
 
     @classmethod
-    def from_coo(cls, n_rows, n_cols, rows, cols, values):
-        """Assemble from triplets; duplicate entries are summed."""
-        m = sp.coo_matrix(
-            (np.asarray(values, dtype=float), (np.asarray(rows), np.asarray(cols))),
-            shape=(int(n_rows), int(n_cols)),
-        )
-        return cls(m.tocsr())
+    def from_coo(cls, n, rows, cols, values):
+        """Assemble an n x n matrix from triplets; duplicate entries are summed in the order given."""
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)):
+            raise ValueError("row or column index out of range for an %d x %d matrix" % (n, n))
+        offsets, k = np.unique(cols - rows, return_inverse=True)
+        return cls(offsets, np.bincount(k * n + rows, np.asarray(values, dtype=float), offsets.size * n).reshape(-1, n))
+
+    def __matmul__(self, x):
+        y = np.zeros(x.shape[0])
+        for k, d in zip(self.offsets, self.diagonals):
+            lo, hi = max(0, -k), min(y.size, y.size - k)
+            y[lo:hi] += d[lo:hi] * x[lo + k:hi + k]
+        return y
 
     @functools.cached_property
     def norm_inf(self):
         """Largest absolute row sum, for the rounding floor of a solve; computed once per matrix."""
-        return float(np.abs(self.csr).sum(axis=1).max())
+        return float(np.abs(self.diagonals).sum(axis=0).max())
 
 
 def project_zero_mean(values, weights):
@@ -92,28 +97,25 @@ def project_zero_mean(values, weights):
 
 
 def two_point_matrix(grid, diag, wx, wy):
-    """Cell-centred two-point-flux matrix on a structured grid.
+    """Cell-centred two-point-flux matrix on a structured grid, held on the diagonals -nx, -1, 0, 1, nx.
 
     Cells are numbered row-major (index j * nx + i).  Every cell gets diag on
     its diagonal, and every interior face between cells a (left or below)
-    and b (right or above) with weights (w_minus, w_plus) stamps the flux
-    w_minus u_a - w_plus u_b into row a and its negative into row b.  wx and
-    wy are (w_minus, w_plus) pairs for the x- and y-faces, each a scalar or
-    an array of shape (ny, nx - 1) and (ny - 1, nx) respectively; duplicate
-    entries are summed in the order they are stamped.
+    and b (right or above) with weights (w_minus, w_plus) adds the flux
+    w_minus u_a - w_plus u_b to row a and its negative to row b.  wx and wy
+    are (w_minus, w_plus) pairs for the x- and y-faces, each a scalar or an
+    array of shape (ny, nx - 1) and (ny - 1, nx) respectively.
     """
-    nx, ny = grid.nx, grid.ny
-    n = grid.n_cells
-    idx = np.arange(n).reshape(ny, nx)
-    rows, cols, vals = [idx.ravel()], [idx.ravel()], [np.full(n, diag, dtype=float)]
-    for (w_minus, w_plus), a, b in ((wx, idx[:, :-1], idx[:, 1:]), (wy, idx[:-1, :], idx[1:, :])):
-        w_minus = np.broadcast_to(w_minus, a.shape).ravel()
-        w_plus = np.broadcast_to(w_plus, a.shape).ravel()
-        a, b = a.ravel(), b.ravel()
-        rows.extend((a, a, b, b))
-        cols.extend((a, b, b, a))
-        vals.extend((w_minus, -w_plus, w_plus, -w_minus))
-    return SparseMatrix.from_coo(n, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    (xm, xp), (ym, yp) = wx, wy
+    planes = np.zeros((5, grid.ny, grid.nx))
+    planes[2] = diag
+    planes[2, :, :-1] += xm
+    planes[2, :, 1:] += xp
+    planes[2, :-1, :] += ym
+    planes[2, 1:, :] += yp
+    planes[0, 1:, :], planes[4, :-1, :] = -ym, -yp  # the neighbours below and above
+    planes[1, :, 1:], planes[3, :, :-1] = -xm, -xp  # the neighbours left and right
+    return SparseMatrix((-grid.nx, -1, 0, 1, grid.nx), planes.reshape(5, grid.n_cells))
 
 
 def _cosine_modes(n):
@@ -156,8 +158,7 @@ def neumann_laplacian(grid, tx, ty):
     """
     A = two_point_matrix(grid, 0.0, (tx, tx), (ty, ty))
     A.eigenbasis = cosine_basis(grid, tx, ty, 0.0)
-    for a in (A.csr.data, A.csr.indices, A.csr.indptr):
-        a.flags.writeable = False
+    A.diagonals.flags.writeable = False
     return A
 
 
@@ -191,7 +192,7 @@ def solve_spd(A, b, tol):
     if bnorm == 0.0:
         return np.zeros(b.shape[0]), SolveReport(0, 0.0)
     x = _eigen_solve(A.eigenbasis, b)
-    residual = float(np.linalg.norm(b - A.csr @ x))
+    residual = float(np.linalg.norm(b - A @ x))
     report = SolveReport(1, residual)
     if residual > _target(A, bnorm, tol)(x):
         raise SolverError("eigenbasis solve missed tol=%.3g (residual %.3g)" % (tol, residual), report)
@@ -212,7 +213,6 @@ def solve_nonsym(A, b, tol, basis):
     when 10 n iterations or _MAX_RESTARTS + 1 starts end it short of the
     target.
     """
-    csr = A.csr
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     max_iter = 10 * n
@@ -239,7 +239,7 @@ def solve_nonsym(A, b, tol, basis):
             rho = rho_next
             p = r + beta * (p - omega * v)
             p_hat = _eigen_solve(basis, p)
-            v = csr @ p_hat
+            v = A @ p_hat
             denom = float(r_hat @ v)
             if abs(denom) < _BREAKDOWN:
                 break
@@ -251,7 +251,7 @@ def solve_nonsym(A, b, tol, basis):
                 x, rnorm = x_half, snorm
             else:
                 s_hat = _eigen_solve(basis, s)
-                t = csr @ s_hat
+                t = A @ s_hat
                 tt = float(t @ t)
                 if tt < _BREAKDOWN:
                     break
@@ -265,15 +265,15 @@ def solve_nonsym(A, b, tol, basis):
                 best_norm, best_x = rnorm, x
             if rnorm > target(x):
                 continue
-            true_res = float(np.linalg.norm(b - csr @ x))
+            true_res = float(np.linalg.norm(b - A @ x))
             if true_res <= target(x):
                 return x, SolveReport(iterations, true_res)
             break  # the recurrence drifted from the true residual
         if iterations >= max_iter:
             break
-        r = b - csr @ x
+        r = b - A @ x
 
-    true_res = float(np.linalg.norm(b - csr @ best_x))
+    true_res = float(np.linalg.norm(b - A @ best_x))
     report = SolveReport(iterations, true_res)
     if true_res <= target(best_x):
         return best_x, report

@@ -59,7 +59,7 @@ def build_grid(nx, ny, lx, ly):
 
 def _as_plane(values, shape, what):
     values = np.asarray(values, dtype=float)
-    if values.size == shape[0] * shape[1]:
+    if values.shape == (shape[0] * shape[1],):  # a solver's flat vector, row-major
         values = values.reshape(shape)
     if values.shape != shape:
         raise ValueError("%s expects shape %s, got %s" % (what, shape, values.shape))

@@ -36,6 +36,7 @@ from dpnpsim.mms import run_mms
 from dpnpsim.params import PhysParams, ReactionSpec
 from dpnpsim.schedule import BoundarySpec, Ramp, Schedule
 from dpnpsim.transport import Concentrations, _species_system, free_charge, step_transport
+from matrix_helpers import to_dense
 
 SUITE_RUNS = 50
 SUITE_TOL = 1e-10
@@ -289,7 +290,7 @@ def test_11_linear_solver_oracle():
             mat = fv_laplacian(grid, float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0)))
             b = rng.uniform(-1.0, 1.0, size=grid.n_cells)
             b -= b.mean()
-            expected = np.linalg.lstsq(mat.csr.toarray(), b, rcond=None)[0]
+            expected = np.linalg.lstsq(to_dense(mat), b, rcond=None)[0]
             x, _ = solve_spd(mat, b, tol=1e-14)
         else:
             nx, ny = (int(v) for v in rng.integers(1, 21, size=2))
@@ -308,7 +309,7 @@ def test_11_linear_solver_oracle():
             c_prev = rng.uniform(0.0, 1.0, size=(ny, nx))
             dt = 10.0 ** rng.uniform(-4.0, -1.0)
             mat, b, basis = _species_system(grid, params, c_prev, ufx, ufy, g, dt, k_rate, production, None)
-            expected = np.linalg.solve(mat.csr.toarray(), b)
+            expected = np.linalg.solve(to_dense(mat), b)
             x, _ = solve_nonsym(mat, b, 1e-14, basis)
         worst = max(worst, float(np.abs(x - expected).max()))
     ok = worst <= 1e-8

@@ -6,7 +6,9 @@ a 1x3 strip and of a 2x1 pair has hand-checkable zero-mean solutions; random
 Neumann grids are cross-checked against the dense minimum-norm solution
 (numpy.linalg.lstsq) and random nonsymmetric systems against dense
 numpy.linalg.solve; two-point matrices on a 2x2 grid and a 1x3 strip are
-stamped by hand.
+stamped by hand, and on random grids (strips and single cells included)
+against a dense stamp written here.  The dense view of a matrix is
+matrix_helpers.to_dense, which reads the diagonals directly.
 
 Contract details under test: reported residuals are true residuals
 ||b - A x||, failures raise SolverError carrying the report, b = 0
@@ -35,11 +37,12 @@ from dpnpsim.linalg import (
 from dpnpsim.mesh import BoundaryField, FaceField, build_grid
 from dpnpsim.params import PhysParams, ReactionSpec
 from dpnpsim.transport import _species_system
+from matrix_helpers import to_dense
 
 
 def jacobi(A):
     """The diagonal basis (I_1, I_n, 1 / diag(A)): its preconditioner divides by the diagonal (1 where it is 0)."""
-    d = A.csr.diagonal()
+    d = np.diag(to_dense(A)).copy()
     d[d == 0.0] = 1.0
     return np.eye(1), np.eye(d.shape[0]), (1.0 / d)[:, None]
 
@@ -58,7 +61,7 @@ def laplacian_1d(n, shift=0.0):
             rows.append(i)
             cols.append(i + 1)
             vals.append(-1.0)
-    return SparseMatrix.from_coo(n, n, rows, cols, vals)
+    return SparseMatrix.from_coo(n, rows, cols, vals)
 
 
 def test_project_zero_mean_frozen_example():
@@ -70,30 +73,35 @@ def test_project_zero_mean_frozen_example():
 
 
 def test_sparse_matrix_round_trip_and_matvec():
-    A = SparseMatrix.from_coo(2, 3, [0, 0, 1, 1], [0, 2, 1, 1], [1.0, 2.0, 3.0, 4.0])
-    assert A.csr.shape == (2, 3)
+    A = SparseMatrix.from_coo(3, [0, 0, 1, 1], [0, 2, 1, 1], [1.0, 2.0, 3.0, 4.0])
+    assert A.diagonals.shape == (len(A.offsets), 3)
     # duplicate (1, 1) entries are summed
-    assert np.allclose(A.csr.toarray(), [[1.0, 0.0, 2.0], [0.0, 7.0, 0.0]])
-    assert np.allclose(A.csr @ np.array([1.0, 1.0, 1.0]), [3.0, 7.0])
-    assert np.allclose(SparseMatrix.from_coo(2, 2, [0, 1], [0, 1], [5.0, 6.0]).csr.diagonal(), [5.0, 6.0])
-    # shuffled and duplicated columns come out canonical: strictly increasing
-    # column indices in each row, duplicates summed
+    assert np.allclose(to_dense(A), [[1.0, 0.0, 2.0], [0.0, 7.0, 0.0], [0.0, 0.0, 0.0]])
+    assert np.allclose(A @ np.array([1.0, 1.0, 1.0]), [3.0, 7.0, 0.0])
+    assert np.allclose(np.diag(to_dense(SparseMatrix.from_coo(2, [0, 1], [0, 1], [5.0, 6.0]))), [5.0, 6.0])
+    # shuffled and duplicated columns come out canonical: one diagonal per
+    # distinct offset, offsets strictly increasing, duplicates summed
     B = SparseMatrix.from_coo(
-        2, 4, [0, 0, 0, 0, 1, 1, 1], [3, 1, 3, 0, 2, 0, 2], [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        4, [0, 0, 0, 0, 1, 1, 1], [3, 1, 3, 0, 2, 0, 2], [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
     )
-    for r in range(2):
-        assert np.all(np.diff(B.csr.indices[B.csr.indptr[r]:B.csr.indptr[r + 1]]) > 0)
-    assert B.csr.nnz == 5
-    assert np.array_equal(B.csr.toarray(), [[8.0, 2.0, 0.0, 5.0], [32.0, 0.0, 80.0, 0.0]])
+    assert B.offsets == (-1, 0, 1, 3)
+    assert np.count_nonzero(B.diagonals) == 5
+    dense = [[8.0, 2.0, 0.0, 5.0], [32.0, 0.0, 80.0, 0.0], [0.0] * 4, [0.0] * 4]
+    assert np.array_equal(to_dense(B), dense)
+    x = np.array([1.0, -2.0, 0.5, 3.0])
+    assert np.array_equal(B @ x, np.array(dense) @ x)
+    assert B.norm_inf == 112.0
 
 
 def test_sparse_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
-        SparseMatrix.from_coo(1, 1, [0], [0], [np.nan])
-    # SparseMatrix does not check indices itself: it relies on coo_matrix rejecting these
-    for cols in ([5], [-1]):
+        SparseMatrix.from_coo(1, [0], [0], [np.nan])
+    with pytest.raises(ValueError):
+        SparseMatrix((0, 1), [[1.0, 2.0], [np.inf, 0.0]])
+    # from_coo checks its index ranges itself: a row or column outside [0, n)
+    for rows, cols in (([0], [5]), ([0], [-1]), ([2], [0]), ([-1], [1])):
         with pytest.raises(ValueError, match="index"):
-            SparseMatrix.from_coo(2, 2, [0], cols, [1.0])
+            SparseMatrix.from_coo(2, rows, cols, [1.0])
 
 
 def test_two_point_matrix_by_hand():
@@ -107,12 +115,56 @@ def test_two_point_matrix_by_hand():
         (np.array([[5.0, 6.0]]), np.array([[7.0, 8.0]])),
     )
     assert np.array_equal(
-        A.csr.toarray(),
+        to_dense(A),
         [[6.5, -3.0, -7.0, 0.0], [-1.0, 9.5, 0.0, -8.0], [-5.0, 0.0, 9.5, -4.0], [0.0, -6.0, -2.0, 12.5]],
     )
     # a vertical strip has y-faces only: the x weights stamp nothing
     B = two_point_matrix(build_grid(1, 3, 1.0, 3.0), 1.0, (9.0, 9.0), (np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]])))
-    assert np.array_equal(B.csr.toarray(), [[2.0, -3.0, 0.0], [-1.0, 6.0, -4.0], [0.0, -2.0, 5.0]])
+    assert np.array_equal(to_dense(B), [[2.0, -3.0, 0.0], [-1.0, 6.0, -4.0], [0.0, -2.0, 5.0]])
+
+
+def _dense_stamp(grid, diag, wx, wy):
+    """The two-point matrix stamped face by face into a dense array."""
+    nx, ny = grid.nx, grid.ny
+    dense = np.diag(np.full(grid.n_cells, diag))
+    faces = [(j * nx + i, j * nx + i + 1, wx[0][j, i], wx[1][j, i]) for j in range(ny) for i in range(nx - 1)]
+    faces += [(j * nx + i, (j + 1) * nx + i, wy[0][j, i], wy[1][j, i]) for j in range(ny - 1) for i in range(nx)]
+    for a, b, w_minus, w_plus in faces:
+        dense[a, a] += w_minus
+        dense[a, b] -= w_plus
+        dense[b, b] += w_plus
+        dense[b, a] -= w_minus
+    return dense
+
+
+def test_two_point_matrix_matches_dense_stamp_on_random_grids():
+    # strips and single cells are included: on an nx = 1 grid the -1 and +1
+    # diagonals coincide with -nx and +nx, and on ny = 1 the +-nx diagonals
+    # lie wholly outside the matrix
+    rng = np.random.default_rng(17)
+    shapes = [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1), (2, 2)] + [tuple(rng.integers(1, 9, size=2)) for _ in range(14)]
+    for nx, ny in shapes:
+        g = build_grid(int(nx), int(ny), 1.0, 1.0)
+        diag = float(rng.uniform(0.0, 2.0))
+        wx = tuple(rng.uniform(0.0, 3.0, size=(g.ny, g.nx - 1)) for _ in range(2))
+        wy = tuple(rng.uniform(0.0, 3.0, size=(g.ny - 1, g.nx)) for _ in range(2))
+        A = two_point_matrix(g, diag, wx, wy)
+        dense = _dense_stamp(g, diag, wx, wy)
+        assert A.offsets == (-g.nx, -1, 0, 1, g.nx)
+        # the stamp adds a cell's face weights in another order, so the main
+        # diagonal may differ in the last bits; every other entry is exact
+        assert np.allclose(to_dense(A), dense, rtol=4e-15, atol=0.0)
+        off = ~np.eye(g.n_cells, dtype=bool)
+        assert np.array_equal(to_dense(A)[off], dense[off])
+        x = rng.normal(size=g.n_cells)
+        assert np.allclose(A @ x, dense @ x, rtol=1e-13, atol=1e-13)
+        assert A.norm_inf == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-15)
+        # A @ x sums each row in column order, starting from zero
+        in_order = np.zeros(g.n_cells)
+        for i, row in enumerate(to_dense(A)):
+            for j in np.flatnonzero(row):
+                in_order[i] += row[j] * x[j]
+        assert np.array_equal(A @ x, in_order)
 
 
 def test_solve_spd_tridiagonal_hand_solution():
@@ -136,7 +188,7 @@ def test_solve_spd_matches_dense_solver():
         nx, ny = (int(v) for v in rng.integers(1, 13, size=2))
         g = build_grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
         A = fv_laplacian(g, float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0)))
-        dense = A.csr.toarray()
+        dense = to_dense(A)
         b = rng.normal(size=g.n_cells)
         b -= b.mean()
         x, rep = solve_spd(A, b, tol=1e-12)
@@ -177,7 +229,7 @@ def test_solve_nonsym_matches_dense_solver():
         dense[np.abs(dense) < 1.0] = 0.0
         np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + rng.uniform(1.0, 2.0, size=n))
         rows, cols = np.nonzero(dense)
-        A = SparseMatrix.from_coo(n, n, rows, cols, dense[rows, cols])
+        A = SparseMatrix.from_coo(n, rows, cols, dense[rows, cols])
         b = rng.normal(size=n)
         x, rep = solve_nonsym(A, b, 1e-12, jacobi(A))
         assert np.allclose(x, np.linalg.solve(dense, b), atol=1e-7)
@@ -192,7 +244,7 @@ def test_solve_nonsym_zero_rhs_and_cap():
     # nor breaks down, so the cap of 10 n iterations ends it
     dense = np.array([[-1.0, 2.0, 1.0, -1.0], [-2.0, 0.0, -2.0, 1.0], [-2.0, 0.0, 1.0, 1.0], [1.0, -2.0, 1.0, 1.0]])
     rows, cols = np.nonzero(dense)
-    A = SparseMatrix.from_coo(4, 4, rows, cols, dense[rows, cols])
+    A = SparseMatrix.from_coo(4, rows, cols, dense[rows, cols])
     with pytest.raises(SolverError, match="within 40 iterations") as err:
         solve_nonsym(A, np.array([0.0, 0.0, 1.0, 0.0]), 1e-12, jacobi(A))
     assert err.value.report.iterations == 40
@@ -212,7 +264,7 @@ def test_breakdown_restarts_share_one_cap():
     iteration, so a cap of five restarts ends the solve in the sixth
     iteration, still at x = 0.
     """
-    A = SparseMatrix.from_coo(2, 2, [0, 1], [1, 0], [1.0, -1.0])
+    A = SparseMatrix.from_coo(2, [0, 1], [1, 0], [1.0, -1.0])
     b = np.array([1.0, 0.0])
     with pytest.raises(SolverError) as err:
         solve_nonsym(A, b, 1e-10, jacobi(A))
@@ -227,7 +279,7 @@ def test_cosine_basis_diagonalizes_the_drift_free_operator():
         tx, ty, shift = (float(v) for v in rng.uniform(0.1, 10.0, size=3))
         qx, qy, inv_eig = cosine_basis(g, tx, ty, shift)
         q = np.kron(qy, qx)  # row-major cell order: column l * nx + k is mode (l, k)
-        dense = two_point_matrix(g, shift, (tx, tx), (ty, ty)).csr.toarray()
+        dense = to_dense(two_point_matrix(g, shift, (tx, tx), (ty, ty)))
         assert np.abs(q @ np.diag(1.0 / inv_eig.ravel()) @ q.T - dense).max() <= 1e-12
 
 
@@ -254,8 +306,8 @@ def test_drift_free_transport_solve_takes_one_iteration():
     )
     x, rep = solve_nonsym(A, rhs, 1e-14, basis)
     assert rep.iterations == 1
-    assert rep.residual == pytest.approx(np.linalg.norm(rhs - A.csr @ x), abs=1e-15)
-    assert np.allclose(x, np.linalg.solve(A.csr.toarray(), rhs), rtol=1e-12, atol=0.0)
+    assert rep.residual == pytest.approx(np.linalg.norm(rhs - A @ x), abs=1e-15)
+    assert np.allclose(x, np.linalg.solve(to_dense(A), rhs), rtol=1e-12, atol=0.0)
 
 
 def test_singular_neumann_system_solvable_after_projection():
@@ -268,6 +320,6 @@ def test_singular_neumann_system_solvable_after_projection():
     A = fv_laplacian(build_grid(2, 1, 2.0, 1.0), 1.0, 1.0)
     b = np.array([1.0, -1.0])
     x, _ = solve_spd(A, b, tol=1e-12)
-    assert np.linalg.norm(b - A.csr.toarray() @ x) <= 1e-10
+    assert np.linalg.norm(b - to_dense(A) @ x) <= 1e-10
     assert x[0] - x[1] == pytest.approx(1.0, abs=1e-10)
     assert x == pytest.approx([0.5, -0.5], abs=1e-15)

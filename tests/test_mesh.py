@@ -124,6 +124,24 @@ def test_boundary_field_rejects_wrong_length():
         BoundaryField(g, left=np.ones(2))  # left needs ny = 3 values
 
 
+def test_fields_reject_a_transposed_plane():
+    # only a flat vector of the right length is reshaped (row-major); a 2-D
+    # array of the wrong shape is refused even when its size matches
+    g = build_grid(3, 2, 1.0, 1.0)
+    with pytest.raises(ValueError, match="expects shape"):
+        CellField(g, np.arange(6.0).reshape(3, 2))
+    with pytest.raises(ValueError, match="expects shape"):
+        CellField(g, np.arange(6.0).reshape(6, 1))
+    assert np.array_equal(CellField(g, np.arange(6.0)).values, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    g = build_grid(3, 1, 1.0, 1.0)  # fx is (1, 4), fy is (2, 3)
+    with pytest.raises(ValueError, match="FaceField.fx expects shape"):
+        FaceField(g, np.zeros((4, 1)), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="FaceField.fy expects shape"):
+        FaceField(g, np.zeros((1, 4)), np.zeros((3, 2)))
+    ff = FaceField(g, np.arange(4.0), np.arange(6.0))
+    assert ff.fx.shape == (1, 4) and np.array_equal(ff.fy, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+
+
 def test_face_field_outward_boundary_round_trip():
     """Outward boundary convention: left/bottom values flip sign in storage.
 
