@@ -62,7 +62,6 @@ import numpy as np
 class DataNorms:
     """Norms of the problem data over [0, T], computed exactly from the config."""
 
-    T: float
     sigma_inf: float
     f_inf: float
     rhob_inf: float
@@ -94,7 +93,6 @@ def compute_data_norms(grid, schedule, initial, T):
     vol = grid.cell_volume
     c0 = (initial.c1.values, initial.c2.values)
     return DataNorms(
-        T=float(T),
         sigma_inf=schedule.sigma.max_abs(T),
         f_inf=schedule.f.max_abs(T),
         rhob_inf=float(np.abs(schedule.rho_b.values).max()),
@@ -201,13 +199,20 @@ def compute_Ce_Cf(params, norms, C0, CM, T):
     return float(Ce), float(Cf)
 
 
-class BoundsEvaluator:
-    """Evaluates the full constant chain for a run at any horizon t <= params.T_end.
+def _enforced_energy(params, norms, T):
+    """(B0_energy, C0_hat_energy) at horizon T: the rate and the bound the energy monitor enforces."""
+    rate = compute_energy_rate(params, norms)
+    g_weight = max(2.0 / params.theta, 2.0 / params.alpha_D)
+    return rate, compute_energy_bound(params, norms, rate, T, g_weight=g_weight)[0]
 
-    The energy bound C0_hat_energy(t)^2 is time-dependent through both
-    e^{B0_energy t} and the boundary-data L2 norm over [0, t]; everything
-    needed is closed-form, so per-step evaluation is exact and cheap.
-    norms() and ledger() default to the run horizon params.T_end.
+
+class BoundsEvaluator:
+    """The a-priori constants of one run: its ledger at params.T_end, built once on construction.
+
+    ledger() returns that ledger and sup_bound() reads C_M off it; ledger(T)
+    builds a new one at horizon T and keeps nothing.  energy_bound_sq(t)
+    evaluates only C0_hat_energy(t)^2, through the helper that gives the
+    ledger its C0_hat_energy, so the monitor and the report cannot differ.
     """
 
     def __init__(self, grid, params, schedule, initial):
@@ -215,44 +220,32 @@ class BoundsEvaluator:
         self.params = params
         self.schedule = schedule
         self.initial = initial
-        self._cache = {}
+        self._run_ledger = self.ledger(params.T_end)
 
-    def norms(self, T=None):
-        T = self.params.T_end if T is None else float(T)
+    def norms(self, T):
         return compute_data_norms(self.grid, self.schedule, self.initial, T)
 
     def ledger(self, T=None):
-        T = self.params.T_end if T is None else float(T)
-        if T not in self._cache:
-            norms = self.norms(T)
-            B0 = compute_B0(self.params, norms)
-            c0_hat, c0 = compute_energy_bound(self.params, norms, B0, T)
-            b0e = compute_energy_rate(self.params, norms)
-            g_weight = max(2.0 / self.params.theta, 2.0 / self.params.alpha_D)
-            c0_hat_e, _ = compute_energy_bound(self.params, norms, b0e, T, g_weight=g_weight)
-            b0m = compute_moser_B0(self.params, norms, c0)
-            cm, cm_log10 = compute_CM(norms, b0m, T)
-            ce, cf = compute_Ce_Cf(self.params, norms, c0, cm, T)
-            self._cache[T] = BoundsLedger(
-                T=T,
-                B0=B0,
-                B0_energy=b0e,
-                B0_moser=b0m,
-                C0_hat=c0_hat,
-                C0_hat_energy=c0_hat_e,
-                C0=c0,
-                CM=cm,
-                cm_log10=cm_log10,
-                Ce=ce,
-                Cf=cf,
-                norms=norms,
-            )
-        return self._cache[T]
+        """The ledger at the run horizon, or, given T, a new one at horizon T."""
+        if T is None:
+            return self._run_ledger
+        T = float(T)
+        norms = self.norms(T)
+        B0 = compute_B0(self.params, norms)
+        c0_hat, c0 = compute_energy_bound(self.params, norms, B0, T)
+        b0e, c0_hat_e = _enforced_energy(self.params, norms, T)
+        b0m = compute_moser_B0(self.params, norms, c0)
+        cm, cm_log10 = compute_CM(norms, b0m, T)
+        ce, cf = compute_Ce_Cf(self.params, norms, c0, cm, T)
+        return BoundsLedger(
+            T=T, B0=B0, B0_energy=b0e, B0_moser=b0m, C0_hat=c0_hat, C0_hat_energy=c0_hat_e,
+            C0=c0, CM=cm, cm_log10=cm_log10, Ce=ce, Cf=cf, norms=norms,
+        )
 
     def energy_bound_sq(self, t):
         """C0_hat_energy(t)^2, the admissible weighted energy at time t."""
-        return self.ledger(t).C0_hat_energy ** 2
+        return _enforced_energy(self.params, self.norms(t), t)[1] ** 2
 
     def sup_bound(self):
         """C_M at the run horizon (the sup-norm estimate is stated at T_end)."""
-        return self.ledger().CM
+        return self._run_ledger.CM

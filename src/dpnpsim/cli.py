@@ -84,9 +84,7 @@ def _cmd_mms(args):
     table = mms_mod.run_mms(args.case, grids)
     print(table.text())
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            for row in table.csv_rows():
-                fh.write(",".join(row) + "\n")
+        runner.write_csv(args.csv, table.csv_rows())
         print("wrote %s" % args.csv)
     return 0
 

@@ -9,10 +9,11 @@ built with it.
 
 Every solve reports its iteration count and true residual ||b - A x||
 against one target, max(tol ||b||, rounding floor capped at sqrt(eps)
-||b||), and raises SolverError when it misses it.  cosine_basis
-diagonalizes a Neumann two-point Laplacian plus a diagonal shift in the
-separable cosine (DCT-II) eigenbasis, whose inverse is four dense matmuls
-(fast diagonalization; Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+||b||), and raises SolverError unless that residual is finite and meets
+it.  cosine_basis diagonalizes a Neumann two-point Laplacian plus a
+diagonal shift in the separable cosine (DCT-II) eigenbasis, whose inverse
+is four dense matmuls (fast diagonalization; Lynch, Rice & Thomas, Numer.
+Math. 6, 1964).
 solve_spd solves the Gauss/Darcy operator (shift 0) exactly that way;
 solve_nonsym runs BiCGStab (van der Vorst, SIAM J. Sci. Stat. Comput. 13,
 1992) on the transport systems, which change every sweep, right-
@@ -178,23 +179,29 @@ def _target(A, bnorm, tol):
     return lambda x: max(tol * bnorm, min(_FLOOR_EPS * (A.norm_inf * float(np.linalg.norm(x)) + bnorm), cap))
 
 
+def _true_residual(A, b, x, target):
+    """(||b - A x||, accepted): only a finite residual that meets target(x) accepts x, never NaN or inf."""
+    residual = float(np.linalg.norm(b - A @ x))
+    return residual, np.isfinite(residual) and residual <= target(x)
+
+
 def solve_spd(A, b, tol):
     """Solve a neumann_laplacian A for a zero-sum b in its eigenbasis: x = Qy ((Qy^T B Qx) * inv_eig) Qx^T.
 
     Returns (x, SolveReport) with the zero-mean x and iterations 1 (0 and
-    x = 0 for b = 0) when the true residual meets max(tol ||b||, 4 eps
-    (||A||_inf ||x|| + ||b||)), the rounding floor below which no float64 x
-    can certify a smaller residual, capped at sqrt(eps) ||b||; otherwise, as
-    for a b that does not sum to zero, SolverError is raised.
+    x = 0 for b = 0) when the true residual is finite and meets max(tol ||b||,
+    4 eps (||A||_inf ||x|| + ||b||)), the rounding floor below which no float64
+    x can certify a smaller residual, capped at sqrt(eps) ||b||; otherwise, as
+    for a b that does not sum to zero or is not finite, SolverError is raised.
     """
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(b.shape[0]), SolveReport(0, 0.0)
     x = _eigen_solve(A.eigenbasis, b)
-    residual = float(np.linalg.norm(b - A @ x))
+    residual, accepted = _true_residual(A, b, x, _target(A, bnorm, tol))
     report = SolveReport(1, residual)
-    if residual > _target(A, bnorm, tol)(x):
+    if not accepted:
         raise SolverError("eigenbasis solve missed tol=%.3g (residual %.3g)" % (tol, residual), report)
     return x, report
 
@@ -265,17 +272,17 @@ def solve_nonsym(A, b, tol, basis):
                 best_norm, best_x = rnorm, x
             if rnorm > target(x):
                 continue
-            true_res = float(np.linalg.norm(b - A @ x))
-            if true_res <= target(x):
+            true_res, accepted = _true_residual(A, b, x, target)
+            if accepted:
                 return x, SolveReport(iterations, true_res)
             break  # the recurrence drifted from the true residual
         if iterations >= max_iter:
             break
         r = b - A @ x
 
-    true_res = float(np.linalg.norm(b - A @ best_x))
+    true_res, accepted = _true_residual(A, b, best_x, target)
     report = SolveReport(iterations, true_res)
-    if true_res <= target(best_x):
+    if accepted:
         return best_x, report
     raise SolverError(
         "BiCGStab did not reach tol=%.3g within %d iterations (residual %.3g)" % (tol, iterations, true_res),

@@ -331,8 +331,8 @@ def run_mms(case, grids):
     for f, es in errors.items():
         ords = []
         for k in range(1, len(es)):
-            if es[k] == 0.0 or es[k - 1] == 0.0:
-                ords.append(float("inf"))
+            if es[k] == 0.0 or es[k - 1] == 0.0:  # an error grown from zero has order -inf, any other zero +inf
+                ords.append(float("-inf") if es[k - 1] == 0.0 < es[k] else float("inf"))
             else:
                 ords.append(math.log(es[k - 1] / es[k]) / math.log(hs[k - 1] / hs[k]))
         orders[f] = ords

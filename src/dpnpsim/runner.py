@@ -20,7 +20,7 @@ and is exempt from that guarantee).
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import gummel
 from .monitors import MonitorReport
@@ -49,41 +49,32 @@ def snapshot_rows(grid, params, state):
         yield [i, j, *values]
 
 
-def _write_csv(path, rows):
+def write_csv(path, rows):
+    """Write rows (lists of strings) to path, comma-separated, one line each."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
             fh.write(",".join(row) + "\n")
 
 
+# the one field reported under other names: (text label, CSV name)
+_RENAMED = {"cm_log10": ("log10(CM)", "log10_CM")}
+
+
 def _bounds_table(ledger):
-    """The bounds report in order as (constants, data norms).
+    """The bounds report in order as (constants, data norms), read off the fields of BoundsLedger and DataNorms.
 
     Each entry is (text label, CSV name, value); a norm taken per species
     is a pair of values, written as NAME_1 and NAME_2 in the CSV.
     """
-    n = ledger.norms
-    constants = [
-        ("B0", "B0", ledger.B0),
-        ("B0_energy", "B0_energy", ledger.B0_energy),
-        ("B0_moser", "B0_moser", ledger.B0_moser),
-        ("C0_hat", "C0_hat", ledger.C0_hat),
-        ("C0_hat_energy", "C0_hat_energy", ledger.C0_hat_energy),
-        ("C0", "C0", ledger.C0),
-        ("CM", "CM", ledger.CM),
-        ("log10(CM)", "log10_CM", ledger.cm_log10),
-        ("Ce", "Ce", ledger.Ce),
-        ("Cf", "Cf", ledger.Cf),
-    ]
-    norms = [
-        ("sigma_inf", "sigma_inf", n.sigma_inf),
-        ("f_inf", "f_inf", n.f_inf),
-        ("rhob_inf", "rhob_inf", n.rhob_inf),
-        ("g_inf", "g_inf", n.g_inf),
-        ("g_l2", "g_l2", n.g_l2),
-        ("c0_l2", "c0_l2", n.c0_l2),
-        ("c0_inf", "c0_inf", n.c0_inf),
-    ]
-    return constants, norms
+
+    def entries(record):
+        return [
+            (*_RENAMED.get(f.name, (f.name, f.name)), getattr(record, f.name))
+            for f in fields(record)
+            if f.name not in ("T", "norms")
+        ]
+
+    return entries(ledger), entries(ledger.norms)
 
 
 def bounds_text(ledger):
@@ -136,10 +127,10 @@ def run(cfg, out_dir=None):
         if k % cfg.snapshot_stride != 0 and k != last:
             continue
         name = "snapshot_%06d.csv" % k
-        _write_csv(os.path.join(target, name), snapshot_rows(cfg.grid, cfg.params, state))
+        write_csv(os.path.join(target, name), snapshot_rows(cfg.grid, cfg.params, state))
         files.append(name)
 
-    _write_csv(
+    write_csv(
         os.path.join(target, "monitors.csv"),
         [MonitorReport.csv_header()] + [m.csv_row() for m in result.monitors],
     )

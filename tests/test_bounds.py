@@ -23,13 +23,20 @@ actual growth; oracles below freeze both sides of that divergence.
 Structural properties: every constant is nonnegative and nondecreasing in
 the horizon T; extreme data saturates C_M to inf while log10(C_M) stays
 finite and exact.
+
+One ledger per run: a march builds the full chain once, at T_end, and the
+energy monitor's per-step bound is bit for bit the C0_hat_energy a ledger
+at that time would report.
 """
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from dpnpsim import bounds, gummel
 from dpnpsim.bounds import (
     BoundsEvaluator,
     compute_B0,
@@ -39,6 +46,7 @@ from dpnpsim.bounds import (
     compute_energy_rate,
     compute_moser_B0,
 )
+from dpnpsim.config import parse_config
 from dpnpsim.mesh import CellField, build_grid
 from dpnpsim.params import PhysParams, ReactionSpec
 from dpnpsim.transport import Concentrations
@@ -200,7 +208,7 @@ def test_full_ledger_is_finite_and_ordered_for_mild_data():
     assert led.B0_energy > led.B0
     assert led.C0_hat_energy > led.C0_hat
     assert led.CM >= sum(led.norms.c0_inf)
-    # evaluator caches per horizon
+    # the run's ledger is built once and handed out on every call
     assert ev.ledger() is led
 
 
@@ -233,3 +241,35 @@ def test_norms_use_exact_ramp_integrals():
     # space_sq = 2^2 * ly = 4; int of ramp^2 over [0,1] = 1/3
     assert norms.g_l2[0] == pytest.approx(math.sqrt(4.0 / 3.0))
     assert norms.g_inf[0] == pytest.approx(2.0)
+
+
+def test_a_march_builds_one_ledger_and_the_energy_bound_matches_it(monkeypatch):
+    with open(os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "demo.json")) as fh:
+        doc = json.load(fh)
+    doc["time"]["t_end"] = 0.02  # four demo steps
+    cfg = parse_config(doc)
+    evaluators, cm_calls = [], []
+
+    class Recorded(BoundsEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            evaluators.append(self)
+
+    def counted_CM(*args):
+        cm_calls.append(args)
+        return compute_CM(*args)
+
+    monkeypatch.setattr(gummel, "BoundsEvaluator", Recorded)
+    monkeypatch.setattr(bounds, "compute_CM", counted_CM)
+    res = gummel.advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
+    assert len(cm_calls) == 1
+    (ev,) = evaluators
+    assert ev.ledger() is ev.ledger() is res.ledger
+    times = [m.time for m in res.monitors]
+    assert len(times) == 4 and times[-1] == cfg.params.T_end
+    for m in res.monitors:
+        assert m.energy_bound == ev.energy_bound_sq(m.time) == ev.ledger(m.time).C0_hat_energy ** 2
+    # ledger(T) builds a new ledger and keeps nothing
+    at_end = ev.ledger(cfg.params.T_end)
+    assert at_end == res.ledger and at_end is not res.ledger
+    assert ev.energy_bound_sq(cfg.params.T_end) == at_end.C0_hat_energy ** 2

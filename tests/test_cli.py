@@ -10,10 +10,12 @@ records the wall time).
 import json
 import os
 import re
+from dataclasses import fields
 
 import pytest
 
 from dpnpsim import runner, transport
+from dpnpsim.bounds import BoundsEvaluator, BoundsLedger, DataNorms
 from dpnpsim.cli import main
 from dpnpsim.config import load_config
 from dpnpsim.monitors import MonitorReport
@@ -289,3 +291,23 @@ def test_bounds_prints_ledger_and_csv(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "quantity,value" in out
     assert "g_inf_1" in out
+
+
+def test_bounds_csv_lists_every_ledger_and_norm_field_in_order(tmp_path):
+    cfg = load_config(write_cfg(tmp_path))
+    ledger = BoundsEvaluator(cfg.grid, cfg.params, cfg.schedule, cfg.initial).ledger()
+    names = [row[0] for row in runner.bounds_csv_rows(ledger)]
+    assert names == (
+        ["quantity", "T", "B0", "B0_energy", "B0_moser", "C0_hat", "C0_hat_energy", "C0", "CM", "log10_CM"]
+        + ["Ce", "Cf", "sigma_inf", "f_inf", "rhob_inf", "g_inf_1", "g_inf_2", "g_l2_1", "g_l2_2"]
+        + ["c0_l2_1", "c0_l2_2", "c0_inf_1", "c0_inf_2"]
+    )
+    # and that is every field of the ledger, then of its data norms, in field order
+    expected = ["quantity", "T"]
+    for f in fields(BoundsLedger):
+        if f.name not in ("T", "norms"):
+            expected.append("log10_CM" if f.name == "cm_log10" else f.name)
+    for f in fields(DataNorms):
+        per_species = isinstance(getattr(ledger.norms, f.name), tuple)
+        expected += [f.name + "_1", f.name + "_2"] if per_species else [f.name]
+    assert names == expected

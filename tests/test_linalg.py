@@ -11,7 +11,8 @@ against a dense stamp written here.  The dense view of a matrix is
 matrix_helpers.to_dense, which reads the diagonals directly.
 
 Contract details under test: reported residuals are true residuals
-||b - A x||, failures raise SolverError carrying the report, b = 0
+||b - A x||, failures raise SolverError carrying the report, a NaN or
+infinite residual is never accepted, b = 0
 short-circuits to x = 0 after zero iterations, and BiCGStab stops at its
 10 n iteration cap and after a fixed number of breakdown restarts.  The
 generic BiCGStab tests precondition with the diagonal basis of jacobi(A),
@@ -19,6 +20,8 @@ which applies x / diag(A); the cosine basis is checked against the dense
 drift-free two-point matrix, and it makes a drift-free transport solve
 exact in one iteration.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -219,6 +222,27 @@ def test_solve_nonsym_raises_on_rhs_off_the_range():
     with pytest.raises(SolverError) as err:
         solve_nonsym(A, b, 1e-14, jacobi(A))
     assert err.value.report.residual >= np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("solver", ["spd", "nonsym"])
+@pytest.mark.parametrize("case", ["nan", "overflow"])
+def test_nonfinite_residual_is_never_accepted(case, solver):
+    # a NaN residual fails every comparison with the target, and a zero-sum b
+    # of entries +-1e308 overflows ||b||, so the target tol ||b|| is inf too:
+    # both solvers must still raise rather than return a non-finite residual
+    A = fv_laplacian(build_grid(4, 2, 1.0, 1.0), 1.0, 1.0)
+    b = np.zeros(8)
+    if case == "nan":
+        b[0] = np.nan
+    else:
+        b[::2], b[1::2] = 1e308, -1e308
+    warned = pytest.warns(RuntimeWarning) if case == "overflow" else contextlib.nullcontext()
+    with warned, pytest.raises(SolverError) as err:
+        if solver == "spd":
+            solve_spd(A, b, tol=1e-10)
+        else:
+            solve_nonsym(A, b, 1e-10, A.eigenbasis)
+    assert not np.isfinite(err.value.report.residual)
 
 
 def test_solve_nonsym_matches_dense_solver():

@@ -51,6 +51,12 @@ def test_darcy_pressure_second_order_velocity_exact():
     assert max(table.errors["q"]) <= 1e-9
 
 
+def test_error_grown_from_zero_has_order_minus_inf():
+    # on one cell the manufactured pressure error is exactly 0, on 2x2 it is
+    # not: log(0 / e1) / log(h0 / h1) is -inf, not +inf
+    assert run_mms("darcy", (1, 2)).orders["p"] == [-math.inf]
+
+
 def test_diffusion_converges_at_second_order():
     table = run_mms("diffusion", (8, 16, 32))
     assert set(table.fields()) == {"c1", "c2"}
