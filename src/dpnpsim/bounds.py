@@ -53,7 +53,7 @@ of raising; cm_log10 stays meaningful either way.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,17 +89,24 @@ class BoundsLedger:
     norms: DataNorms
 
 
+def _boundary_norms(schedule, T):
+    """The data norms that depend on the horizon T: those of the boundary data over [0, T]."""
+    return dict(
+        sigma_inf=schedule.sigma.max_abs(T),
+        f_inf=schedule.f.max_abs(T),
+        g_inf=(schedule.g1.max_abs(T), schedule.g2.max_abs(T)),
+        g_l2=(schedule.g1.l2_time_boundary(T), schedule.g2.l2_time_boundary(T)),
+    )
+
+
 def compute_data_norms(grid, schedule, initial, T):
     vol = grid.cell_volume
     c0 = (initial.c1.values, initial.c2.values)
     return DataNorms(
-        sigma_inf=schedule.sigma.max_abs(T),
-        f_inf=schedule.f.max_abs(T),
         rhob_inf=float(np.abs(schedule.rho_b.values).max()),
-        g_inf=(schedule.g1.max_abs(T), schedule.g2.max_abs(T)),
-        g_l2=(schedule.g1.l2_time_boundary(T), schedule.g2.l2_time_boundary(T)),
         c0_l2=tuple(float(np.sqrt((c * c).sum() * vol)) for c in c0),
         c0_inf=tuple(float(np.abs(c).max()) for c in c0),
+        **_boundary_norms(schedule, T),
     )
 
 
@@ -213,17 +220,18 @@ class BoundsEvaluator:
     builds a new one at horizon T and keeps nothing.  energy_bound_sq(t)
     evaluates only C0_hat_energy(t)^2, through the helper that gives the
     ledger its C0_hat_energy, so the monitor and the report cannot differ.
+    norms(T) recomputes only the boundary-data norms: the others do not
+    depend on T and are taken once, on construction.
     """
 
     def __init__(self, grid, params, schedule, initial):
-        self.grid = grid
         self.params = params
         self.schedule = schedule
-        self.initial = initial
+        self._end_norms = compute_data_norms(grid, schedule, initial, params.T_end)
         self._run_ledger = self.ledger(params.T_end)
 
     def norms(self, T):
-        return compute_data_norms(self.grid, self.schedule, self.initial, T)
+        return replace(self._end_norms, **_boundary_norms(self.schedule, T))
 
     def ledger(self, T=None):
         """The ledger at the run horizon, or, given T, a new one at horizon T."""

@@ -37,7 +37,7 @@ import numpy as np
 
 from .darcy import balanced
 from .gummel import SweepSettings
-from .mesh import SIDES, BoundaryField, CellField, Grid, build_grid
+from .mesh import SIDES, BoundaryField, CellField, Grid
 from .params import PhysParams, ReactionSpec
 from .schedule import BoundarySpec, Ramp, Schedule
 from .transport import Concentrations
@@ -341,10 +341,8 @@ def parse_config(source):
             r.flag("unknown top-level block %r (allowed: %s)" % (key, ", ".join(_BLOCKS)))
 
     g = r.block(doc, "grid", _GRID_KEYS, required=True)
-    nx = r.integer(g, "grid", "nx", required=True, low=1)
-    ny = r.integer(g, "grid", "ny", required=True, low=1)
-    lx = r.number(g, "grid", "lx", default=1.0, low_strict=0.0)
-    ly = r.number(g, "grid", "ly", default=1.0, low_strict=0.0)
+    n = [r.integer(g, "grid", key, required=True, low=1) for key in ("nx", "ny")]
+    length = [r.number(g, "grid", key, default=1.0, low_strict=0.0) for key in ("lx", "ly")]
 
     ph = r.block(doc, "physics", _PHYSICS_KEYS, required=True)
     theta = r.number(ph, "physics", "theta", default=1.0)
@@ -410,8 +408,8 @@ def parse_config(source):
     # Everything below needs a valid grid; build it only if the geometry
     # parsed, and keep collecting violations that do not need it.
     grid = initial = rho_b_field = None
-    if nx is not None and ny is not None:
-        grid = build_grid(nx, ny, lx, ly)
+    if None not in n:
+        grid = Grid(*n, *length)
         f_bf = BoundaryField(grid, **boundary["f"][0])
         if not balanced(f_bf):
             r.flag(

@@ -36,19 +36,6 @@ class FlowState:
     report: SolveReport
 
 
-def _face_body_force(grid, params, rho_f, e_faces):
-    """Face drift flux (m * eps^{-1} * rho_f * E) per direction, interior faces."""
-    eps_x, eps_y = params.epsilon
-    mx = params.K[0] / params.mu
-    my = params.K[1] / params.mu
-    r = rho_f.values
-    rx = 0.5 * (r[:, 1:] + r[:, :-1])  # (ny, nx-1)
-    ry = 0.5 * (r[1:, :] + r[:-1, :])  # (ny-1, nx)
-    gx = mx * rx * e_faces.fx[:, 1:-1] / eps_x
-    gy = my * ry * e_faces.fy[1:-1, :] / eps_y
-    return gx, gy
-
-
 def balanced(f_bc):
     """Whether the boundary flux f integrates to zero: to BALANCE_RTOL of max(integral |f|, 1)."""
     return abs(f_bc.boundary_integral()) <= BALANCE_RTOL * max(f_bc.abs_integral(), 1.0)
@@ -61,28 +48,29 @@ def solve_darcy(grid, params, rho_f, e_faces, f_bc):
             "Darcy boundary data must balance: boundary integral of f is %.3e" % f_bc.boundary_integral()
         )
 
-    mx = params.K[0] / params.mu
-    my = params.K[1] / params.mu
+    m = tuple(k / params.mu for k in params.K)
     vol = grid.cell_volume
-    gx, gy = _face_body_force(grid, params, rho_f, e_faces)
+    r = rho_f.values
+    lower, upper, interior = slice(None, -1), slice(1, None), slice(1, -1)
 
-    b2 = np.zeros((grid.ny, grid.nx))
-    # drift flux through interior faces: +into the left/bottom row, -into right/top
-    b2[:, :-1] -= gx * grid.hy
-    b2[:, 1:] += gx * grid.hy
-    b2[:-1, :] -= gy * grid.hx
-    b2[1:, :] += gy * grid.hx
+    drift = []  # m rho_f E / eps on the interior faces normal to each axis, rho_f averaged from the two cells
+    b2 = np.zeros(grid.shape)
+    for a, eps in enumerate(params.epsilon):
+        r_face = 0.5 * (r[grid.along(a, upper)] + r[grid.along(a, lower)])
+        drift.append(m[a] * r_face * e_faces.planes[a][grid.along(a, interior)] / eps)
+        # its flux through the face: subtracted in the cell below along the axis, added above
+        b2[grid.along(a, lower)] -= drift[a] * grid.face_area[a]
+        b2[grid.along(a, upper)] += drift[a] * grid.face_area[a]
     f_bc.add_to_cells(b2, -1.0)  # prescribed boundary outflow
     b = b2.ravel()
     velocity_scale = float(np.linalg.norm(b)) / vol
 
-    x, report = solve_spd(fv_laplacian(grid, mx, my), b - b.mean(), tol=SOLVE_TOL)  # the zero-mean solution
+    x, report = solve_spd(fv_laplacian(grid, m), b - b.mean(), tol=SOLVE_TOL)  # the zero-mean solution
     p = CellField(grid, x)
 
     q = FaceField.zeros(grid)
-    pv = p.values
-    q.fx[:, 1:-1] = mx * (-(pv[:, 1:] - pv[:, :-1]) / grid.hx) + gx
-    q.fy[1:-1, :] = my * (-(pv[1:, :] - pv[:-1, :]) / grid.hy) + gy
+    for a, plane in enumerate(q.planes):
+        plane[grid.along(a, interior)] = m[a] * (-grid.diff(p.values, a) / grid.h[a]) + drift[a]
     q.set_boundary_outward(f_bc)
 
     return FlowState(p, q, velocity_scale, report)

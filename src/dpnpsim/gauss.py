@@ -10,7 +10,7 @@ the background that was actually used.
 
 Two-point fluxes on the uniform grid make the cell equations
 
-    sum over faces of E.nu * face_length = (rho_f + rho_b) * cell_volume
+    sum over faces of E.nu * face_area = (rho_f + rho_b) * cell_volume
 
 a singular symmetric system whose residual translates directly into the
 divergence defect: ||div E - rho_total||_inf <= ||residual||_2 / cell_volume,
@@ -30,20 +30,20 @@ SOLVE_TOL = 1e-12  # relative residual target of every Gauss and Darcy solve
 
 
 @functools.lru_cache(maxsize=8)
-def fv_laplacian(grid, coef_x, coef_y):
+def fv_laplacian(grid, coef):
     """Symmetric matrix of the two-point flux operator with zero-flux boundaries, with its eigenbasis.
 
-    Row c holds sum_faces t_f (phi_c - phi_nbr) with transmissibilities
-    t = coef * face_length / distance; boundary faces contribute nothing
-    (their fluxes are data and live on the right side).
+    Row c holds sum_faces t_f (phi_c - phi_nbr) with t_f =
+    grid.transmissibility(coef)[a] on the faces normal to axis a; boundary
+    faces contribute nothing (their fluxes are data on the right side).
 
-    Memoized on (grid, coef_x, coef_y), so every Gauss and Darcy solve of a
-    run reuses one matrix and eigenbasis: grids hash by identity and are never
-    mutated after construction, so a key cannot go stale, and the shared
-    arrays are read-only (linalg.neumann_laplacian), so no caller can corrupt
-    a later solve.
+    Memoized on (grid, coef), so every Gauss and Darcy solve of a run reuses
+    one matrix and eigenbasis: grids hash by identity and are never mutated
+    after construction, so a key cannot go stale, and the shared arrays are
+    read-only (linalg.neumann_laplacian), so no caller can corrupt a later
+    solve.
     """
-    return neumann_laplacian(grid, coef_x * grid.hy / grid.hx, coef_y * grid.hx / grid.hy)
+    return neumann_laplacian(grid, grid.transmissibility(coef))
 
 
 @dataclass
@@ -64,7 +64,7 @@ class ElectroState:
 
 def solve_gauss(grid, params, rho_f, rho_b, sigma):
     """Solve the field equation for (phi, E) given charges and boundary flux sigma."""
-    eps_x, eps_y = params.epsilon
+    eps = params.epsilon
     vol = grid.cell_volume
 
     rho_tot = rho_f.values + rho_b.values
@@ -79,13 +79,12 @@ def solve_gauss(grid, params, rho_f, rho_b, sigma):
     charge_scale = float(np.linalg.norm(b)) / vol
 
     # the operator's range is the zero-sum vectors; x is the zero-mean solution
-    x, report = solve_spd(fv_laplacian(grid, eps_x, eps_y), b - b.mean(), tol=SOLVE_TOL)
+    x, report = solve_spd(fv_laplacian(grid, eps), b - b.mean(), tol=SOLVE_TOL)
     phi = CellField(grid, x)
 
     e = FaceField.zeros(grid)
-    p2 = phi.values
-    e.fx[:, 1:-1] = -eps_x * (p2[:, 1:] - p2[:, :-1]) / grid.hx
-    e.fy[1:-1, :] = -eps_y * (p2[1:, :] - p2[:-1, :]) / grid.hy
+    for a, plane in enumerate(e.planes):
+        plane[grid.along(a, slice(1, -1))] = -eps[a] * grid.diff(phi.values, a) / grid.h[a]
     e.set_boundary_outward(sigma)
 
     return ElectroState(phi, e, float(shift), charge_scale, report)

@@ -1,19 +1,19 @@
-"""Five-point matrices in diagonal storage, two-point-flux assembly, and the two linear solvers.
+"""Two-point-flux matrices in diagonal storage, their assembly, and the two linear solvers.
 
 SparseMatrix holds a square matrix by its diagonals (DIA storage; Saad,
 Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, sec. 3.4).
 two_point_matrix is the one place that numbers the cells of a structured
-grid and fills the diagonals -nx, -1, 0, 1, nx from the face weights; the
-Gauss/Darcy Laplacian and the Scharfetter-Gummel transport matrix are both
-built with it.
+grid and fills the 2d + 1 diagonals 0 and +-stride per axis (-nx, -1, 0, 1,
+nx in 2D) from the face weights; the Gauss/Darcy Laplacian and the
+Scharfetter-Gummel transport matrix are both built with it.
 
 Every solve reports its iteration count and true residual ||b - A x||
 against one target, max(tol ||b||, rounding floor capped at sqrt(eps)
 ||b||), and raises SolverError unless that residual is finite and meets
 it.  cosine_basis diagonalizes a Neumann two-point Laplacian plus a
 diagonal shift in the separable cosine (DCT-II) eigenbasis, whose inverse
-is four dense matmuls (fast diagonalization; Lynch, Rice & Thomas, Numer.
-Math. 6, 1964).
+is two dense mode products per axis (fast diagonalization; Lynch, Rice &
+Thomas, Numer. Math. 6, 1964).
 solve_spd solves the Gauss/Darcy operator (shift 0) exactly that way;
 solve_nonsym runs BiCGStab (van der Vorst, SIAM J. Sci. Stat. Comput. 13,
 1992) on the transport systems, which change every sweep, right-
@@ -53,7 +53,7 @@ class SparseMatrix:
     row is summed in column order, as a compressed-row matvec sums it.
     Checked on construction: all values are finite.
 
-    A neumann_laplacian also carries eigenbasis = cosine_basis(grid, tx, ty, 0.0).
+    A neumann_laplacian also carries eigenbasis = cosine_basis(grid, t, 0.0).
     """
 
     def __init__(self, offsets, diagonals):
@@ -85,38 +85,28 @@ class SparseMatrix:
         return float(np.abs(self.diagonals).sum(axis=0).max())
 
 
-def project_zero_mean(values, weights):
-    """Subtract the weighted mean so that sum(weights * out) == 0."""
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != values.shape:
-        raise ValueError("weights must match values in shape")
-    wsum = weights.sum()
-    if wsum <= 0:
-        raise ValueError("weights must have positive sum")
-    return values - (weights * values).sum() / wsum
+def two_point_matrix(grid, diag, weights):
+    """Cell-centred two-point-flux matrix on a structured grid, held on the diagonals 0 and +-stride per axis.
 
-
-def two_point_matrix(grid, diag, wx, wy):
-    """Cell-centred two-point-flux matrix on a structured grid, held on the diagonals -nx, -1, 0, 1, nx.
-
-    Cells are numbered row-major (index j * nx + i).  Every cell gets diag on
-    its diagonal, and every interior face between cells a (left or below)
-    and b (right or above) with weights (w_minus, w_plus) adds the flux
-    w_minus u_a - w_plus u_b to row a and its negative to row b.  wx and wy
-    are (w_minus, w_plus) pairs for the x- and y-faces, each a scalar or an
-    array of shape (ny, nx - 1) and (ny - 1, nx) respectively.
+    Cells are numbered row-major (j * nx + i: stride 1 along x, nx along y),
+    and the offsets ascend.  Every cell gets diag on its diagonal, and every
+    interior face between cells a (below along its axis) and b (above) with
+    weights (w_minus, w_plus) adds the flux w_minus u_a - w_plus u_b to row a
+    and its negative to row b.  weights[a] is that pair for the faces normal
+    to axis a, each a scalar or an array of the cell-plane shape less one
+    along a.
     """
-    (xm, xp), (ym, yp) = wx, wy
-    planes = np.zeros((5, grid.ny, grid.nx))
-    planes[2] = diag
-    planes[2, :, :-1] += xm
-    planes[2, :, 1:] += xp
-    planes[2, :-1, :] += ym
-    planes[2, 1:, :] += yp
-    planes[0, 1:, :], planes[4, :-1, :] = -ym, -yp  # the neighbours below and above
-    planes[1, :, 1:], planes[3, :, :-1] = -xm, -xp  # the neighbours left and right
-    return SparseMatrix((-grid.nx, -1, 0, 1, grid.nx), planes.reshape(5, grid.n_cells))
+    d = len(grid.n)
+    planes = np.zeros((2 * d + 1,) + grid.shape)
+    planes[d] = diag
+    for a, (w_minus, w_plus) in enumerate(weights):
+        lower, upper = grid.along(a, slice(None, -1)), grid.along(a, slice(1, None))
+        planes[(d,) + lower] += w_minus
+        planes[(d,) + upper] += w_plus
+        planes[(d - 1 - a,) + upper] = -w_minus  # the neighbour below along a
+        planes[(d + 1 + a,) + lower] = -w_plus  # the neighbour above
+    offsets = tuple(-s for s in reversed(grid.stride)) + (0,) + grid.stride
+    return SparseMatrix(offsets, planes.reshape(2 * d + 1, grid.n_cells))
 
 
 def _cosine_modes(n):
@@ -128,37 +118,50 @@ def _cosine_modes(n):
 
 
 @functools.lru_cache(maxsize=16)
-def cosine_basis(grid, tx, ty, shift):
-    """Eigenbasis (qx, qy, inv_eig) of shift I + tx (I kron L_x) + ty (L_y kron I), L the zero-flux [-1, 2, -1].
+def cosine_basis(grid, t, shift):
+    """Eigenbasis (q, inv_eig) of shift I + sum_a t[a] L_a, L_a the zero-flux [-1, 2, -1] along axis a.
 
-    inv_eig[l, k] = 1 / (shift + tx lam_x[k] + ty lam_y[l]), and 0 on the
-    constant mode at shift 0 (the pseudo-inverse).  Memoized like
-    gauss.fv_laplacian: grids hash by identity and are never mutated, and
-    the arrays are read-only.
+    q[a] holds the modes of axis a as columns; inv_eig, a cell plane, is
+    1 / (shift + t[0] lam_0 + t[1] lam_1), and 0 on the constant mode at
+    shift 0 (the pseudo-inverse).  Memoized like gauss.fv_laplacian: grids
+    hash by identity and are never mutated; the arrays are read-only.
     """
-    (qx, lam_x), (qy, lam_y) = _cosine_modes(grid.nx), _cosine_modes(grid.ny)
-    eig = shift + tx * lam_x + ty * lam_y[:, None]
+    q, lams = zip(*(_cosine_modes(n) for n in grid.n))
+    eig = shift
+    for ta, lam in zip(t, grid.meshgrid(lams, sparse=True)):
+        eig = eig + ta * lam
     if shift == 0.0:
-        eig[0, 0] = np.inf
-    basis = (qx, qy, 1.0 / eig)
-    for a in basis:
-        a.flags.writeable = False
-    return basis
+        eig[(0,) * len(q)] = np.inf
+    inv_eig = 1.0 / eig
+    for arr in q + (inv_eig,):
+        arr.flags.writeable = False
+    return q, inv_eig
 
 
 def _eigen_solve(basis, v):
-    """Qy ((Qy^T V Qx) * inv_eig) Qx^T for the row-major plane V of v: the operator of basis inverted on v."""
-    qx, qy, inv_eig = basis
-    return (qy @ ((qy.T @ v.reshape(inv_eig.shape) @ qx) * inv_eig) @ qx.T).ravel()
+    """Qy ((Qy^T V Qx) * inv_eig) Qx^T for the plane V of v (2D): one mode product per array axis, 0 first, each way.
 
-
-def neumann_laplacian(grid, tx, ty):
-    """Two-point Laplacian with face weights tx, ty and zero-flux boundaries, with its eigenbasis.
-
-    eigenbasis = cosine_basis(grid, tx, ty, 0.0); every array is read-only.
+    Array axis k < d - 1 runs along physical axis d - 1 - k and is multiplied
+    from the left; the last, along x, from the right.
     """
-    A = two_point_matrix(grid, 0.0, (tx, tx), (ty, ty))
-    A.eigenbasis = cosine_basis(grid, tx, ty, 0.0)
+    q, inv_eig = basis
+    d = inv_eig.ndim
+    w = v.reshape(inv_eig.shape)
+    for k in range(d - 1):
+        w = np.matmul(q[-1 - k].T, w, axes=[(0, 1), (k, k + 1), (k, k + 1)])
+    w = (w @ q[0]) * inv_eig
+    for k in range(d - 1):
+        w = np.matmul(q[-1 - k], w, axes=[(0, 1), (k, k + 1), (k, k + 1)])
+    return (w @ q[0].T).ravel()
+
+
+def neumann_laplacian(grid, t):
+    """Two-point Laplacian with face weight t[a] on the faces normal to axis a and zero-flux boundaries, with its eigenbasis.
+
+    eigenbasis = cosine_basis(grid, t, 0.0); every array is read-only.
+    """
+    A = two_point_matrix(grid, 0.0, tuple((ta, ta) for ta in t))
+    A.eigenbasis = cosine_basis(grid, t, 0.0)
     A.diagonals.flags.writeable = False
     return A
 
@@ -186,7 +189,7 @@ def _true_residual(A, b, x, target):
 
 
 def solve_spd(A, b, tol):
-    """Solve a neumann_laplacian A for a zero-sum b in its eigenbasis: x = Qy ((Qy^T B Qx) * inv_eig) Qx^T.
+    """Solve a neumann_laplacian A for a zero-sum b in its eigenbasis (on a 2D grid x = Qy ((Qy^T B Qx) * inv_eig) Qx^T).
 
     Returns (x, SolveReport) with the zero-mean x and iterations 1 (0 and
     x = 0 for b = 0) when the true residual is finite and meets max(tol ||b||,
@@ -209,7 +212,7 @@ def solve_spd(A, b, tol):
 def solve_nonsym(A, b, tol, basis):
     """BiCGStab for a nonsymmetric SparseMatrix A (the transport M-matrices), right-preconditioned by basis.
 
-    basis = (qx, qy, inv_eig) as from cosine_basis; each preconditioner
+    basis = (q, inv_eig) as from cosine_basis; each preconditioner
     application inverts the operator it diagonalizes (for the transport
     systems, their drift-free part).  Returns (x, SolveReport) with the same
     target as solve_spd, keeping the best iterate.  An iteration whose

@@ -1,24 +1,38 @@
 """Uniform rectangular cell-centered grids and the fields that live on them.
 
-Cells are indexed (i, j) with i along x and j along y; arrays are stored
-(ny, nx) so row j is a horizontal strip of cells.  Faces come in two
-families: x-faces (vertical, carrying the +x normal component) of shape
-(ny, nx+1) and y-faces (horizontal, +y component) of shape (ny+1, nx).
-Face values are always stored in the +x / +y orientation; boundary data is
-exchanged with the outside world in the *outward*-normal convention and the
-sign flip on the left/bottom sides is handled here.
+Every per-direction quantity is a tuple indexed by physical axis, 0 = x and
+1 = y: a grid's counts, lengths, spacings, coordinates and face measures, a
+FaceField's planes and a BoundaryField's (low, high) side pairs.  Arrays
+are stored (ny, nx), the physical axes in reverse order: axis a is array
+axis -1 - a, cell (i, j) sits at [j, i] and at flat row-major index
+j * nx + i, and the face plane of axis a has one more entry along a.  Face
+values are stored in the +axis orientation; boundary data is exchanged in
+the *outward*-normal convention (the low sides flip sign here).  SIDES names
+the sides for the config and the BoundaryField keywords.
 
 Grids and fields are plain containers; nothing in this module mutates a grid
 after construction, so instances may be shared freely between threads.
 """
 
+import functools
+import math
+import operator
+
 import numpy as np
 
-SIDES = ("left", "right", "bottom", "top")
+SIDES = ("left", "right", "bottom", "top")  # the low and high side of x, then of y
+_ENDS = ((0, -1.0), (-1, 1.0))  # per (low, high) side: the index of its boundary layer and its outward sign
+_ALL = slice(None)
 
 
 class Grid:
-    """Uniform nx-by-ny grid on the rectangle [0, lx] x [0, ly]."""
+    """Uniform nx-by-ny grid on the rectangle [0, lx] x [0, ly].
+
+    Per axis a: n[a] cells of spacing h[a] with centers[a] and face
+    coordinates edges[a]; face_area[a], the measure of a face normal to a, is
+    the product of the other spacings; the flat cell index steps by stride[a]
+    along a, and face_shape[a] is the shape of the face plane of a.
+    """
 
     def __init__(self, nx, ny, lx, ly):
         nx, ny = int(nx), int(ny)
@@ -27,39 +41,50 @@ class Grid:
             raise ValueError("grid needs nx >= 1 and ny >= 1, got (%d, %d)" % (nx, ny))
         if not (lx > 0.0 and ly > 0.0):
             raise ValueError("domain lengths must be positive, got (%g, %g)" % (lx, ly))
-        self.nx = nx
-        self.ny = ny
-        self.lx = lx
-        self.ly = ly
-        self.hx = lx / nx
-        self.hy = ly / ny
-        self.n_cells = nx * ny
-        self.cell_volume = self.hx * self.hy
+        self.n = (nx, ny)
+        self.length = (lx, ly)
+        d = len(self.n)
+        self.axes = range(d)
+        self.h = tuple(l / n for l, n in zip(self.length, self.n))
+        self.shape = self.n[::-1]  # of a cell plane
+        self.n_cells = math.prod(self.n)
+        self.cell_volume = math.prod(self.h)
         self.total_volume = self.n_cells * self.cell_volume
-        # coordinates: cell centers and face planes
-        self.xc = (np.arange(nx) + 0.5) * self.hx
-        self.yc = (np.arange(ny) + 0.5) * self.hy
-        self.xf = np.arange(nx + 1) * self.hx
-        self.yf = np.arange(ny + 1) * self.hy
-        for a in (self.xc, self.yc, self.xf, self.yf):
-            a.flags.writeable = False
+        self.face_area = tuple(math.prod(self.h[:a] + self.h[a + 1:]) for a in self.axes)
+        self.stride = tuple(math.prod(self.n[:a]) for a in self.axes)
+        self.face_shape = tuple(self.shape[:d - 1 - a] + (n + 1,) + self.shape[d - a:] for a, n in enumerate(self.n))
+        self.centers = tuple((np.arange(n) + 0.5) * h for n, h in zip(self.n, self.h))
+        self.edges = tuple(np.arange(n + 1) * h for n, h in zip(self.n, self.h))
+        for c in self.centers + self.edges:
+            c.flags.writeable = False
+
+    def along(self, a, index):
+        """The key of a cell or face array that applies index along axis a and keeps the other axes whole."""
+        return (_ALL,) * (len(self.n) - 1 - a) + (index,) + (_ALL,) * a
+
+    def diff(self, values, a):
+        """Differences of neighbouring entries of a cell or face array along axis a."""
+        return values[self.along(a, slice(1, None))] - values[self.along(a, slice(None, -1))]
+
+    def transmissibility(self, coef):
+        """Per axis a, coef[a] * face_area[a] / h[a]: the two-point weight of a face normal to a for that coefficient."""
+        return tuple(c * area / h for c, area, h in zip(coef, self.face_area, self.h))
+
+    def meshgrid(self, vectors, sparse=False):
+        """np.meshgrid in storage order: vectors[a], one entry per cell or face along axis a, laid along its array axis."""
+        return np.meshgrid(*vectors[::-1], indexing="ij", sparse=sparse)[::-1]
 
     def cell_centers(self):
         """Return (X, Y) center-coordinate arrays of shape (ny, nx)."""
-        return np.meshgrid(self.xc, self.yc)
+        return self.meshgrid(self.centers)
 
     def __repr__(self):
-        return "Grid(nx=%d, ny=%d, lx=%g, ly=%g)" % (self.nx, self.ny, self.lx, self.ly)
-
-
-def build_grid(nx, ny, lx, ly):
-    """Build a uniform rectangular grid (the only mesh kind supported)."""
-    return Grid(nx, ny, lx, ly)
+        return "Grid(nx=%d, ny=%d, lx=%g, ly=%g)" % (self.n + self.length)
 
 
 def _as_plane(values, shape, what):
     values = np.asarray(values, dtype=float)
-    if values.shape == (shape[0] * shape[1],):  # a solver's flat vector, row-major
+    if values.shape == (math.prod(shape),):  # a solver's flat vector, row-major
         values = values.reshape(shape)
     if values.shape != shape:
         raise ValueError("%s expects shape %s, got %s" % (what, shape, values.shape))
@@ -73,111 +98,93 @@ class CellField:
 
     def __init__(self, grid, values):
         self.grid = grid
-        self.values = _as_plane(values, (grid.ny, grid.nx), "CellField")
+        self.values = _as_plane(values, grid.shape, "CellField")
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, np.zeros((grid.ny, grid.nx)))
+        return cls(grid, np.zeros(grid.shape))
 
     @classmethod
     def full(cls, grid, value):
-        return cls(grid, np.full((grid.ny, grid.nx), float(value)))
+        return cls(grid, np.full(grid.shape, float(value)))
 
 
 class FaceField:
-    """One normal component per face, in the +x / +y orientation."""
+    """One normal component per face: planes[a] on the faces normal to axis a, in the +axis orientation."""
 
-    def __init__(self, grid, fx, fy):
+    def __init__(self, grid, *planes):
+        if len(planes) != len(grid.n):
+            raise ValueError("FaceField expects one plane per axis, got %d" % len(planes))
         self.grid = grid
-        self.fx = _as_plane(fx, (grid.ny, grid.nx + 1), "FaceField.fx")
-        self.fy = _as_plane(fy, (grid.ny + 1, grid.nx), "FaceField.fy")
+        self.planes = tuple(_as_plane(p, grid.face_shape[a], "FaceField plane %d" % a) for a, p in enumerate(planes))
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, np.zeros((grid.ny, grid.nx + 1)), np.zeros((grid.ny + 1, grid.nx)))
+        return cls(grid, *(np.zeros(grid.face_shape[a]) for a in grid.axes))
 
     def set_boundary_outward(self, bf):
         """Stamp outward-convention boundary values onto the boundary faces."""
-        self.fx[:, 0] = -bf.left
-        self.fx[:, -1] = bf.right
-        self.fy[0, :] = -bf.bottom
-        self.fy[-1, :] = bf.top
+        for a, pair in enumerate(bf.sides):
+            for (end, outward), values in zip(_ENDS, pair):
+                self.planes[a][self.grid.along(a, end)] = outward * values
+
+
+def _side(values, n, name):
+    if values is None:
+        return np.zeros(n)
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 0:
+        values = np.full(n, float(values))
+    if values.shape != (n,):
+        raise ValueError("boundary side %s expects %d values, got shape %s" % (name, n, values.shape))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("boundary side %s contains non-finite entries" % name)
+    return values
 
 
 class BoundaryField:
-    """One value per boundary face, stored per side in the outward convention."""
+    """One value per boundary face, in the outward convention: sides[a] is the (low, high) pair of axis a.
+
+    Each keyword of SIDES takes a scalar or one value per face of its side; an absent side is zero.
+    """
 
     def __init__(self, grid, left=None, right=None, bottom=None, top=None):
-        def side(v, n, name):
-            if v is None:
-                return np.zeros(n)
-            v = np.asarray(v, dtype=float)
-            if v.ndim == 0:
-                v = np.full(n, float(v))
-            if v.shape != (n,):
-                raise ValueError("boundary side %s expects %d values, got shape %s" % (name, n, v.shape))
-            if not np.all(np.isfinite(v)):
-                raise ValueError("boundary side %s contains non-finite entries" % name)
-            return v
-
+        given = (left, right, bottom, top)
         self.grid = grid
-        self.left = side(left, grid.ny, "left")
-        self.right = side(right, grid.ny, "right")
-        self.bottom = side(bottom, grid.nx, "bottom")
-        self.top = side(top, grid.nx, "top")
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid)
+        self.sides = tuple(
+            tuple(_side(given[2 * a + k], grid.n_cells // grid.n[a], SIDES[2 * a + k]) for k in (0, 1))
+            for a in grid.axes
+        )
 
     def add_to_cells(self, plane, sign=1.0):
-        """Add sign * value * face length of every boundary face to its cell of the (ny, nx) plane, in place.
+        """Add sign * value * face measure of every boundary face to its cell of the (ny, nx) plane, in place.
 
-        The sides are added in the order left, right, bottom, top.
+        The sides are added in the order of SIDES: left, right, bottom, top.
         """
         g = self.grid
-        plane[:, 0] += sign * self.left * g.hy
-        plane[:, -1] += sign * self.right * g.hy
-        plane[0, :] += sign * self.bottom * g.hx
-        plane[-1, :] += sign * self.top * g.hx
+        for a, pair in enumerate(self.sides):
+            for (end, _), values in zip(_ENDS, pair):
+                plane[g.along(a, end)] += sign * values * g.face_area[a]
+
+    def _integral(self, f):
+        sums = ((f(low).sum() + f(high).sum()) * area for (low, high), area in zip(self.sides, self.grid.face_area))
+        return float(functools.reduce(operator.add, sums))
 
     def boundary_integral(self):
         """Integral of the outward values over the whole boundary."""
-        g = self.grid
-        return float(
-            (self.left.sum() + self.right.sum()) * g.hy
-            + (self.bottom.sum() + self.top.sum()) * g.hx
-        )
+        return self._integral(lambda values: values)
 
     def abs_integral(self):
-        g = self.grid
-        return float(
-            (np.abs(self.left).sum() + np.abs(self.right).sum()) * g.hy
-            + (np.abs(self.bottom).sum() + np.abs(self.top).sum()) * g.hx
-        )
+        return self._integral(np.abs)
 
     def max_abs(self):
-        return float(
-            max(
-                np.abs(self.left).max(),
-                np.abs(self.right).max(),
-                np.abs(self.bottom).max(),
-                np.abs(self.top).max(),
-            )
-        )
+        return float(max(np.abs(values).max() for pair in self.sides for values in pair))
 
     def scaled(self, factor):
-        return BoundaryField(
-            self.grid,
-            left=self.left * factor,
-            right=self.right * factor,
-            bottom=self.bottom * factor,
-            top=self.top * factor,
-        )
+        return BoundaryField(self.grid, *(values * factor for pair in self.sides for values in pair))
 
 
 def cell_divergence(grid, flux):
-    """Discrete divergence: outward face fluxes times face length over cell volume."""
-    net = (flux.fx[:, 1:] - flux.fx[:, :-1]) * grid.hy
-    net += (flux.fy[1:, :] - flux.fy[:-1, :]) * grid.hx
+    """Discrete divergence: outward face fluxes times face measure over cell volume."""
+    net = functools.reduce(operator.add, (grid.diff(p, a) * grid.face_area[a] for a, p in enumerate(flux.planes)))
     return CellField(grid, net / grid.cell_volume)

@@ -35,8 +35,7 @@ import numpy as np
 from .gummel import SweepSettings, gummel_step, initial_state
 from .darcy import solve_darcy
 from .gauss import solve_gauss
-from .linalg import project_zero_mean
-from .mesh import BoundaryField, CellField, FaceField, build_grid
+from .mesh import BoundaryField, CellField, FaceField, Grid
 from .params import PhysParams
 from .schedule import StepData
 from .transport import Concentrations, step_transport
@@ -85,8 +84,13 @@ def _l2_cells(grid, diff):
     return float(np.sqrt((diff * diff).sum() * grid.cell_volume))
 
 
-def _l2_faces(grid, dfx, dfy):
-    return float(np.sqrt(((dfx * dfx).sum() + (dfy * dfy).sum()) * grid.cell_volume))
+def _l2_faces(grid, diffs):
+    return float(np.sqrt(sum((d * d).sum() for d in diffs) * grid.cell_volume))
+
+
+def project_zero_mean(values, weights):
+    """Subtract the weighted mean so that sum(weights * out) == 0 (weights: positive, shaped like values)."""
+    return values - (weights * values).sum() / weights.sum()
 
 
 def _aligned_error(grid, discrete, exact_sampled):
@@ -96,10 +100,8 @@ def _aligned_error(grid, discrete, exact_sampled):
 
 
 def _face_centers(grid):
-    """Midpoint coordinate arrays for x-faces and y-faces."""
-    xfx, yfx = np.meshgrid(grid.xf, grid.yc)
-    xfy, yfy = np.meshgrid(grid.xc, grid.yf)
-    return (xfx, yfx), (xfy, yfy)
+    """Midpoint coordinate arrays (X, Y) of the faces normal to each axis, shaped like that axis' face plane."""
+    return tuple(grid.meshgrid([grid.edges[b] if b == a else grid.centers[b] for b in grid.axes]) for a in grid.axes)
 
 
 def _run_poisson(grid, params):
@@ -114,7 +116,7 @@ def _run_poisson(grid, params):
     ex_fx = -eps_x * (2.0 * xfx - 1.0)
     return {
         "phi": _aligned_error(grid, st.phi.values, phi_ex),
-        "e": _l2_faces(grid, st.e_faces.fx - ex_fx, st.e_faces.fy - 0.0),
+        "e": _l2_faces(grid, (st.e_faces.planes[0] - ex_fx, st.e_faces.planes[1] - 0.0)),
     }
 
 
@@ -143,15 +145,16 @@ def _run_darcy(grid, params):
         eps_x * (qx(xfx, yfx) / m + px(xfx, yfx)),
         eps_y * (qy(xfy, yfy) / m + py(xfy, yfy)),
     )
-    st = solve_darcy(grid, params, CellField.full(grid, 1.0), e, BoundaryField.zeros(grid))
+    st = solve_darcy(grid, params, CellField.full(grid, 1.0), e, BoundaryField(grid))
+    q = st.q_faces.planes
     return {
         "p": _aligned_error(grid, st.p.values, p_ex),
-        "q": _l2_faces(grid, st.q_faces.fx - qx(xfx, yfx), st.q_faces.fy - qy(xfy, yfy)),
+        "q": _l2_faces(grid, (q[0] - qx(xfx, yfx), q[1] - qy(xfy, yfy))),
     }
 
 
 def _dt_for(grid, dt0=0.01, n0=16):
-    h = max(grid.hx, grid.hy)
+    h = max(grid.h)
     return dt0 * (h * n0) ** 2
 
 
@@ -173,8 +176,8 @@ def _run_diffusion(grid, params):
         prev,
         FaceField.zeros(grid),
         FaceField.zeros(grid),
-        BoundaryField.zeros(grid),
-        BoundaryField.zeros(grid),
+        BoundaryField(grid),
+        BoundaryField(grid),
         dt,
         sources=(src, src),
     )
@@ -194,7 +197,7 @@ def _run_driftdiffusion(grid, params):
 
     X, _ = grid.cell_centers()
     prev = Concentrations(CellField(grid, c_ex(X)), CellField(grid, c_ex(X)))
-    q = FaceField(grid, np.full((grid.ny, grid.nx + 1), u0), np.zeros((grid.ny + 1, grid.nx)))
+    q = FaceField(grid, np.full(grid.face_shape[0], u0), np.zeros(grid.face_shape[1]))
     # constant total flux J = u0: inflow left, outflow right
     g = BoundaryField(grid, left=u0, right=-u0)
     res = step_transport(grid, params, prev, q, FaceField.zeros(grid), g, g, dt=0.1)
@@ -249,7 +252,7 @@ def _run_coupled(grid, params):
 
     def g_side(z, amp, t):
         # inflow g = (D grad c - c u) . nu, outward, per side at face midpoints
-        yc, xc = grid.yc, grid.xc
+        xc, yc = grid.centers
         left = -(dxx * amp * wx(0.0, yc, t) - amp * w(0.0, yc, t) * ux(z, 0.0, yc))
         right = dxx * amp * wx(1.0, yc, t) - amp * w(1.0, yc, t) * ux(z, 1.0, yc)
         bottom = -(dyy * amp * wy(xc, 0.0, t) - amp * w(xc, 0.0, t) * uy(z, xc, 0.0))
@@ -292,7 +295,7 @@ def check_grids(grids):
     """Grid list as (nx, ny) pairs; entries are ints (n -> n x n) or pairs.
 
     Raises ValueError for an empty list, a size below 1, or two consecutive
-    grids with the same spacing h = max(hx, hy) on the unit square, where
+    grids with the same spacing h = max(grid.h) on the unit square, where
     the observed order log(e0 / e1) / log(h0 / h1) is undefined.
     """
     pairs = [(g, g) if isinstance(g, int) else (int(g[0]), int(g[1])) for g in grids]
@@ -322,8 +325,8 @@ def run_mms(case, grids):
     errors = {}
     hs = []
     for nx, ny in norm_grids:
-        grid = build_grid(nx, ny, 1.0, 1.0)
-        hs.append(max(grid.hx, grid.hy))
+        grid = Grid(nx, ny, 1.0, 1.0)
+        hs.append(max(grid.h))
         for f, e in _RUNNERS[case](grid, params).items():
             errors.setdefault(f, []).append(e)
 

@@ -94,4 +94,4 @@ class PhysParams:
     @property
     def epsilon(self):
         """Diagonal entries of the dielectric tensor eps_s * D."""
-        return (self.eps_s * self.D[0], self.eps_s * self.D[1])
+        return tuple(self.eps_s * d for d in self.D)

@@ -44,7 +44,8 @@ def snapshot_rows(grid, params, state):
         state.electro.phi.values,
         free_charge(params, state.conc).values,
     )
-    cells = ((str(i), str(j)) for j in range(grid.ny) for i in range(grid.nx))
+    nx, ny = grid.n
+    cells = ((str(i), str(j)) for j in range(ny) for i in range(nx))
     for (i, j), *values in zip(cells, *(map(repr, a.ravel().tolist()) for a in planes)):
         yield [i, j, *values]
 
@@ -173,8 +174,8 @@ def counts_line(totals):
 def run_summary(cfg, result, wall_time):
     totals, failing = _tally(result)
     return {
-        "grid": [cfg.grid.nx, cfg.grid.ny],
-        "domain": [cfg.grid.lx, cfg.grid.ly],
+        "grid": list(cfg.grid.n),
+        "domain": list(cfg.grid.length),
         "t_end": result.states[-1].time,
         **totals,
         "max_sweeps_in_step": max((r.sweeps for r in result.reports), default=0),

@@ -1,6 +1,6 @@
 """Time-dependent boundary and volume data for a simulation run.
 
-Boundary data is piecewise constant per side (left/right/bottom/top, outward
+Boundary data is piecewise constant per side (mesh.SIDES, outward
 convention) with an optional named time ramp shared by all sides of one
 field.  Two ramp kinds exist: "const" (factor 1 for all t) and "linear"
 (factor 0 before t0, rising linearly to 1 at t1, then flat).  Both have
@@ -68,13 +68,7 @@ class BoundarySpec:
 
     def l2_time_boundary(self, T):
         """L2 norm over the time-boundary cylinder [0, T] x boundary."""
-        g = self.grid
-        space_sq = float(
-            (self.base.left**2).sum() * g.hy
-            + (self.base.right**2).sum() * g.hy
-            + (self.base.bottom**2).sum() * g.hx
-            + (self.base.top**2).sum() * g.hx
-        )
+        space_sq = sum((v**2).sum() * area for pair, area in zip(self.base.sides, self.grid.face_area) for v in pair)
         return float(np.sqrt(space_sq * self.ramp.int_sq(T)))
 
 

@@ -74,26 +74,25 @@ class TransportResult:
     reports: tuple
 
 
-def _species_system(grid, params, c_prev_vals, ufx, ufy, g, dt, k_rate, production, source):
-    """Assemble the implicit SG system for one species; returns (matrix, rhs, cosine basis of its drift-free part)."""
-    dx, dy = params.D
-    hx, hy = grid.hx, grid.hy
+def _species_system(grid, params, c_prev_vals, u_planes, g, dt, k_rate, production, source):
+    """Assemble the implicit SG system for one species; returns (matrix, rhs, cosine basis of its drift-free part).
+
+    u_planes[a] is the species' drift velocity on the faces normal to axis a.
+    """
     vol = grid.cell_volume
     theta = params.theta
-    tx, ty = (dx / hx) * hy, (dy / hy) * hx
+    t = grid.transmissibility(params.D)
     shift = theta * vol / dt + theta * vol * k_rate
 
-    Px = ufx[:, 1:-1] * hx / dx
-    Py = ufy[1:-1, :] * hy / dy
-    A = two_point_matrix(
-        grid, shift, (tx * bernoulli(-Px), tx * bernoulli(Px)), (ty * bernoulli(-Py), ty * bernoulli(Py))
-    )
+    # the Peclet numbers of the interior faces normal to each axis
+    P = [u[grid.along(a, slice(1, -1))] * h / D for a, (u, h, D) in enumerate(zip(u_planes, grid.h, params.D))]
+    A = two_point_matrix(grid, shift, [(ta * bernoulli(-Pa), ta * bernoulli(Pa)) for ta, Pa in zip(t, P)])
 
     rhs = theta * vol / dt * c_prev_vals + theta * vol * production
     if source is not None:
         rhs = rhs + np.asarray(source, dtype=float) * vol
     g.add_to_cells(rhs)
-    return A, rhs.ravel(), cosine_basis(grid, tx, ty, shift)
+    return A, rhs.ravel(), cosine_basis(grid, t, shift)
 
 
 def step_transport(grid, params, c_prev, q_faces, e_faces, g1, g2, dt, c_lag=None, sources=None):
@@ -116,11 +115,10 @@ def step_transport(grid, params, c_prev, q_faces, e_faces, g1, g2, dt, c_lag=Non
     new = []
     reports = []
     for l in (0, 1):
-        ufx = q_faces.fx + kappa * zs[l] * e_faces.fx
-        ufy = q_faces.fy + kappa * zs[l] * e_faces.fy
+        u_planes = [q + kappa * zs[l] * e for q, e in zip(q_faces.planes, e_faces.planes)]
         production = k_rate * np.maximum(lagged[l], 0.0)
         src = None if sources is None else sources[l]
-        A, rhs, basis = _species_system(grid, params, prev[l], ufx, ufy, gs[l], dt, k_rate, production, src)
+        A, rhs, basis = _species_system(grid, params, prev[l], u_planes, gs[l], dt, k_rate, production, src)
         x, rep = solve_nonsym(A, rhs, SOLVE_TOL, basis)
         new.append(CellField(grid, x))
         reports.append(rep)

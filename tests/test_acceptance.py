@@ -31,7 +31,7 @@ from dpnpsim.darcy import solve_darcy
 from dpnpsim.gauss import fv_laplacian, solve_gauss
 from dpnpsim.gummel import SweepSettings, advance
 from dpnpsim.linalg import solve_nonsym, solve_spd
-from dpnpsim.mesh import BoundaryField, CellField, build_grid
+from dpnpsim.mesh import BoundaryField, CellField, Grid
 from dpnpsim.mms import run_mms
 from dpnpsim.params import PhysParams, ReactionSpec
 from dpnpsim.schedule import BoundarySpec, Ramp, Schedule
@@ -105,7 +105,7 @@ def _bump(rng, grid):
 
 def _random_setup(seed):
     rng = np.random.default_rng(seed)
-    grid = build_grid(32, 32, 1.0, 1.0)
+    grid = Grid(32, 32, 1.0, 1.0)
     params = PhysParams(
         theta=rng.uniform(0.5, 1.0),
         D=(rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)),
@@ -124,7 +124,8 @@ def _random_setup(seed):
     sigma = {s: rng.uniform(-0.1, 0.1) for s in ("left", "right", "bottom", "top")}
     # three random Darcy flux sides; the fourth balances the net flux to zero
     fl, fr, fb = rng.uniform(-0.1, 0.1, size=3)
-    ft = -(fl * grid.ly + fr * grid.ly + fb * grid.lx) / grid.lx
+    lx, ly = grid.length
+    ft = -(fl * ly + fr * ly + fb * lx) / lx
     f = {"left": fl, "right": fr, "bottom": fb, "top": ft}
     g1 = {str(rng.choice(["left", "right", "bottom", "top"])): rng.uniform(0.0, 0.05)}
     g2 = {str(rng.choice(["left", "right", "bottom", "top"])): rng.uniform(0.0, 0.05)}
@@ -229,7 +230,7 @@ def test_08_uniqueness_proxy(suite):
 
 
 def test_09_symmetric_electrolyte():
-    grid = build_grid(32, 32, 1.0, 1.0)
+    grid = Grid(32, 32, 1.0, 1.0)
     params = PhysParams(theta=1.0, kappa=0.5, z1=1, z2=-1, T_end=0.1, dt=0.005)
     x, y = grid.cell_centers()
     w = CellField(grid, 0.5 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
@@ -286,15 +287,15 @@ def test_11_linear_solver_oracle():
     for k in range(200):
         if k % 2 == 0:
             nx, ny = (int(v) for v in rng.integers(1, 21, size=2))
-            grid = build_grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
-            mat = fv_laplacian(grid, float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0)))
+            grid = Grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+            mat = fv_laplacian(grid, (float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0))))
             b = rng.uniform(-1.0, 1.0, size=grid.n_cells)
             b -= b.mean()
             expected = np.linalg.lstsq(to_dense(mat), b, rcond=None)[0]
             x, _ = solve_spd(mat, b, tol=1e-14)
         else:
             nx, ny = (int(v) for v in rng.integers(1, 21, size=2))
-            grid = build_grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+            grid = Grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
             params = PhysParams(
                 theta=float(rng.uniform(0.1, 1.0)),
                 D=tuple(float(v) for v in rng.uniform(0.1, 10.0, size=2)),
@@ -308,7 +309,7 @@ def test_11_linear_solver_oracle():
             production = k_rate * rng.uniform(0.0, 1.0, size=(ny, nx))
             c_prev = rng.uniform(0.0, 1.0, size=(ny, nx))
             dt = 10.0 ** rng.uniform(-4.0, -1.0)
-            mat, b, basis = _species_system(grid, params, c_prev, ufx, ufy, g, dt, k_rate, production, None)
+            mat, b, basis = _species_system(grid, params, c_prev, (ufx, ufy), g, dt, k_rate, production, None)
             expected = np.linalg.solve(to_dense(mat), b)
             x, _ = solve_nonsym(mat, b, 1e-14, basis)
         worst = max(worst, float(np.abs(x - expected).max()))

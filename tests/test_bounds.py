@@ -47,7 +47,7 @@ from dpnpsim.bounds import (
     compute_moser_B0,
 )
 from dpnpsim.config import parse_config
-from dpnpsim.mesh import CellField, build_grid
+from dpnpsim.mesh import CellField, Grid
 from dpnpsim.params import PhysParams, ReactionSpec
 from dpnpsim.transport import Concentrations
 
@@ -55,7 +55,7 @@ from schedule_helpers import constant_schedule
 
 
 def make_setup(grid_n=4, c1=1.0, c2=1.0, **sched_kw):
-    g = build_grid(grid_n, grid_n, 1.0, 1.0)
+    g = Grid(grid_n, grid_n, 1.0, 1.0)
     initial = Concentrations(CellField.full(g, c1), CellField.full(g, c2))
     sched = constant_schedule(g, **sched_kw)
     return g, initial, sched
@@ -224,8 +224,25 @@ def test_energy_bound_sq_nondecreasing_in_time():
     assert ev.sup_bound() == ev.ledger().CM
 
 
+def test_energy_bound_sq_takes_the_time_independent_norms_once():
+    # c0_l2, c0_inf and rhob_inf do not depend on t: the evaluator takes them
+    # on construction, and a step reads neither the initial data nor the
+    # background charge again
+    g = Grid(4, 4, 1.0, 1.0)
+    initial = Concentrations(CellField.full(g, 0.5), CellField.full(g, 0.25))
+    sched = constant_schedule(g, sigma={"left": 0.1}, g1={"left": 0.1}, rho_b=CellField.full(g, 0.2))
+    ev = BoundsEvaluator(g, PhysParams(theta=0.9, kappa=0.2), sched, initial)
+    assert ev.norms(0.5) == compute_data_norms(g, sched, initial, 0.5)
+    times = (0.01, 0.5, 1.0)
+    before = [ev.energy_bound_sq(t) for t in times]
+    ev.initial = None
+    sched.rho_b.values[:] = 7.0
+    initial.c1.values[:] = 7.0
+    assert [ev.energy_bound_sq(t) for t in times] == before
+
+
 def test_norms_use_exact_ramp_integrals():
-    g = build_grid(2, 2, 1.0, 1.0)
+    g = Grid(2, 2, 1.0, 1.0)
     initial = Concentrations(CellField.zeros(g), CellField.zeros(g))
     from dpnpsim.schedule import BoundarySpec, Ramp, Schedule
 

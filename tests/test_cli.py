@@ -122,9 +122,9 @@ def test_snapshot_rows_list_every_cell_j_major_with_exact_values(tmp_path):
         free_charge(cfg.params, state.conc).values,
     )
     for k, row in enumerate(rows[1:]):
-        j, i = divmod(k, grid.nx)
+        j, i = divmod(k, grid.n[0])
         assert row[:2] == [str(i), str(j)]
-        assert [float(v) for v in row[2:]] == [grid.xc[i], grid.yc[j]] + [a[j, i] for a in planes]
+        assert [float(v) for v in row[2:]] == [grid.centers[0][i], grid.centers[1][j]] + [a[j, i] for a in planes]
     # the final snapshot on disk is exactly these rows
     text = "".join(",".join(row) + "\n" for row in rows)
     assert read(os.path.join(out.out_dir, "snapshot_%06d.csv" % (len(out.result.states) - 1))).decode() == text

@@ -27,7 +27,7 @@ from dpnpsim.config import (
 )
 from dpnpsim.darcy import IncompatibleFlowData, balanced, solve_darcy
 from dpnpsim.gummel import SweepSettings
-from dpnpsim.mesh import BoundaryField, build_grid
+from dpnpsim.mesh import BoundaryField, Grid
 
 
 def base_doc():
@@ -61,8 +61,8 @@ def base_doc():
 def test_valid_document_wires_everything():
     cfg = parse_config(json.dumps(base_doc()))
     g = cfg.grid
-    assert (g.nx, g.ny) == (8, 4)
-    assert (g.lx, g.ly) == (2.0, 1.0)
+    assert g.n == (8, 4)
+    assert g.length == (2.0, 1.0)
 
     p = cfg.params
     assert p.theta == 0.8
@@ -77,17 +77,19 @@ def test_valid_document_wires_everything():
     c1 = cfg.initial.c1.values
     assert c1.max() <= 0.5 + 1e-12
     peak = np.unravel_index(np.argmax(c1), c1.shape)
-    assert abs(X[peak] - 1.0) <= g.hx and abs(Y[peak] - 0.5) <= g.hy
+    assert abs(X[peak] - 1.0) <= g.h[0] and abs(Y[peak] - 0.5) <= g.h[1]
     np.testing.assert_allclose(cfg.initial.c2.values, 0.2 + 0.1 * np.sin(np.pi * X / 2))
 
     # boundary wiring including the ramp on f
     sched = cfg.schedule
-    np.testing.assert_allclose(sched.g1.base.left, 0.03)
-    np.testing.assert_allclose(sched.g2.base.right, 0.02)
+    (g1_left, _), _ = sched.g1.base.sides
+    (_, g2_right), _ = sched.g2.base.sides
+    np.testing.assert_allclose(g1_left, 0.03)
+    np.testing.assert_allclose(g2_right, 0.02)
     assert sched.f.ramp.kind == "linear" and sched.f.ramp.t1 == 0.05
     data = sched.at(0.025)  # halfway up the ramp
-    assert data.f.left[0] == pytest.approx(-0.05)
-    assert data.sigma.left[0] == pytest.approx(0.02)
+    assert data.f.sides[0][0][0] == pytest.approx(-0.05)  # sides[0][0] is left: the low end of x
+    assert data.sigma.sides[0][0][0] == pytest.approx(0.02)
     np.testing.assert_allclose(sched.rho_b.values, 0.05)
 
     assert cfg.out_dir == "out/demo"
@@ -250,7 +252,7 @@ def test_readme_configuration_example_parses():
         text = fh.read()
     example = re.search(r"```jsonc\n(.*?)```", text, re.DOTALL).group(1)
     cfg = parse_config(re.sub(r"//.*", "", example))
-    assert (cfg.grid.nx, cfg.params.z2) == (32, -2)
+    assert (cfg.grid.n[0], cfg.params.z2) == (32, -2)
     assert cfg.schedule.f.ramp.kind == "linear"
 
 
@@ -290,7 +292,7 @@ def test_expression_evaluates_bit_equal_to_numpy():
 
 def test_flux_balance_rule_is_shared_with_the_darcy_solve():
     # one rule: parse_config flags the f data exactly when solve_darcy refuses it
-    grid = build_grid(8, 4, 2.0, 1.0)
+    grid = Grid(8, 4, 2.0, 1.0)
     for net, ok in ((1e-10, True), (1e-9, False)):  # net flux against a tolerance of 1e-10 * 2
         doc = base_doc()
         doc["boundary"]["f"] = {"left": -1.0, "right": 1.0 + net}
@@ -335,7 +337,7 @@ def test_load_config_reads_files(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(base_doc()))
     cfg = load_config(str(path))
-    assert cfg.grid.nx == 8
+    assert cfg.grid.n[0] == 8
     assert cfg.params.dt == 0.005
 
 
@@ -347,5 +349,5 @@ def test_shipped_demo_configs_parse():
     assert len(paths) >= 3
     for p in paths:
         cfg = load_config(p)
-        assert cfg.grid.nx >= 1
+        assert cfg.grid.n[0] >= 1
         assert math.isfinite(cfg.params.T_end)

@@ -12,7 +12,7 @@ import pytest
 
 from dpnpsim.darcy import IncompatibleFlowData, solve_darcy
 from dpnpsim.gauss import SOLVE_TOL, solve_gauss
-from dpnpsim.mesh import BoundaryField, CellField, FaceField, build_grid, cell_divergence
+from dpnpsim.mesh import BoundaryField, CellField, FaceField, Grid, cell_divergence
 from dpnpsim.params import PhysParams
 
 
@@ -20,26 +20,27 @@ def test_uniform_flow_reproduced_exactly():
     p = PhysParams(K=(2.0, 1.0), mu=4.0)
     m = p.K[0] / p.mu  # 0.5
     for nx, ny in [(6, 1), (5, 4)]:
-        g = build_grid(nx, ny, 1.0, 1.0)
+        g = Grid(nx, ny, 1.0, 1.0)
         f = BoundaryField(g, left=-m, right=m)  # inflow left, outflow right
         st = solve_darcy(g, p, CellField.zeros(g), FaceField.zeros(g), f)
-        assert np.abs(st.q_faces.fx - m).max() <= 1e-10
-        assert np.abs(st.q_faces.fy).max() <= 1e-10
+        q_x, q_y = st.q_faces.planes
+        assert np.abs(q_x - m).max() <= 1e-10
+        assert np.abs(q_y).max() <= 1e-10
         # pressure is linear with slope -mu/K; compare increments
         dp = np.diff(st.p.values, axis=1)
-        assert np.allclose(dp, -g.hx, atol=1e-10)
+        assert np.allclose(dp, -g.h[0], atol=1e-10)
 
 
 def test_no_data_gives_zero_flow():
-    g = build_grid(4, 3, 1.0, 1.0)
+    g = Grid(4, 3, 1.0, 1.0)
     p = PhysParams()
-    st = solve_darcy(g, p, CellField.zeros(g), FaceField.zeros(g), BoundaryField.zeros(g))
-    assert np.abs(st.q_faces.fx).max() <= 1e-12
+    st = solve_darcy(g, p, CellField.zeros(g), FaceField.zeros(g), BoundaryField(g))
+    assert np.abs(st.q_faces.planes[0]).max() <= 1e-12
     assert np.abs(st.p.values).max() <= 1e-12
 
 
 def test_imbalanced_boundary_data_raises():
-    g = build_grid(4, 4, 1.0, 1.0)
+    g = Grid(4, 4, 1.0, 1.0)
     p = PhysParams()
     with pytest.raises(IncompatibleFlowData):
         solve_darcy(g, p, CellField.zeros(g), FaceField.zeros(g), BoundaryField(g, left=1.0))
@@ -51,28 +52,30 @@ def test_velocity_is_divergence_free_random_data():
     p = PhysParams(K=(1.2, 0.6), mu=0.8, eps_s=2.0)
     for _ in range(12):
         nx, ny = (int(v) for v in rng.integers(2, 10, size=2))
-        g = build_grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+        g = Grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
         rho_f = CellField(g, rng.normal(size=(ny, nx)))
         e = FaceField(g, rng.normal(size=(ny, nx + 1)), rng.normal(size=(ny + 1, nx)))
         # balanced boundary flux: solve the fourth side from the other three
         left, right = rng.normal(size=ny), rng.normal(size=ny)
         bottom = rng.normal(size=nx)
-        top_total = -(left.sum() * g.hy + right.sum() * g.hy + bottom.sum() * g.hx)
-        f = BoundaryField(g, left=left, right=right, bottom=bottom, top=top_total / (nx * g.hx))
+        hx, hy = g.h
+        top_total = -(left.sum() * hy + right.sum() * hy + bottom.sum() * hx)
+        f = BoundaryField(g, left=left, right=right, bottom=bottom, top=top_total / (nx * hx))
         st = solve_darcy(g, p, rho_f, e, f)
         defect = np.abs(cell_divergence(g, st.q_faces).values).max()
         assert defect <= 10.0 * SOLVE_TOL * max(st.velocity_scale, 1e-3)
 
 
 def test_boundary_velocity_matches_prescribed_flux():
-    g = build_grid(3, 3, 1.0, 1.0)
+    g = Grid(3, 3, 1.0, 1.0)
     p = PhysParams()
     f = BoundaryField(g, left=-0.5, right=0.25, bottom=0.0, top=0.25)
     st = solve_darcy(g, p, CellField.zeros(g), FaceField.zeros(g), f)
-    # stored fluxes are +x/+y oriented, so the outward left value is -fx[:, 0]
-    assert np.allclose(-st.q_faces.fx[:, 0], -0.5, atol=1e-12)
-    assert np.allclose(st.q_faces.fx[:, -1], 0.25, atol=1e-12)
-    assert np.allclose(st.q_faces.fy[-1, :], 0.25, atol=1e-12)
+    # stored fluxes are +axis oriented, so the outward left value is -q_x[:, 0]
+    q_x, q_y = st.q_faces.planes
+    assert np.allclose(-q_x[:, 0], -0.5, atol=1e-12)
+    assert np.allclose(q_x[:, -1], 0.25, atol=1e-12)
+    assert np.allclose(q_y[-1, :], 0.25, atol=1e-12)
 
 
 def test_electric_body_force_drives_flow():
@@ -87,15 +90,15 @@ def test_electric_body_force_drives_flow():
     divergence still vanishes and the face velocity equals the value the
     flux law assigns from the computed pressure and force.
     """
-    g = build_grid(6, 2, 1.0, 1.0)
-    p = PhysParams(K=(0.5, 0.5), mu=1.0, eps_s=2.0)
+    g = Grid(6, 2, 1.0, 1.0)
+    p = PhysParams(K=(0.5, 0.5), mu=1.0, eps_s=2.0, D=(1.0, 3.0))  # eps = (2, 6): x faces divide by eps_x
     eps_x = p.epsilon[0]
-    e = FaceField(g, np.full((g.ny, g.nx + 1), eps_x), np.zeros((g.ny + 1, g.nx)))
+    e = FaceField(g, np.full(g.face_shape[0], eps_x), np.zeros(g.face_shape[1]))
     rho = CellField.full(g, 1.0)
-    st = solve_darcy(g, p, rho, e, BoundaryField.zeros(g))
+    st = solve_darcy(g, p, rho, e, BoundaryField(g))
     assert np.abs(cell_divergence(g, st.q_faces).values).max() <= 1e-10
     m = p.K[0] / p.mu
     # interior x-face: q = -m (p_R - p_L)/hx + m * force
     i = 3
-    q_law = -m * (st.p.values[:, i] - st.p.values[:, i - 1]) / g.hx + m * 1.0
-    assert np.allclose(st.q_faces.fx[:, i], q_law, atol=1e-11)
+    q_law = -m * (st.p.values[:, i] - st.p.values[:, i - 1]) / g.h[0] + m * 1.0
+    assert np.allclose(st.q_faces.planes[0][:, i], q_law, atol=1e-11)

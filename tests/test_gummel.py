@@ -21,6 +21,12 @@ Key scenarios:
     increment grows, or when its contraction rate theta cannot bring it
     below tol in the sweeps left.  Scripted increments pin the rule, with
     the real sweep running underneath.
+
+  * Swapping the axes commutes with a coupled step: on a non-square grid
+    with anisotropic D, K and epsilon and data on the x sides, the step on
+    the swapped problem (y sides, parameter pairs swapped) gives the
+    transposed fields, so every per-axis quantity is paired with its own
+    axis in Gauss, Darcy and transport.
 """
 
 from dataclasses import replace
@@ -37,7 +43,7 @@ from dpnpsim.gummel import (
     initial_state,
 )
 from dpnpsim.linalg import SolveReport, SolverError
-from dpnpsim.mesh import CellField, build_grid
+from dpnpsim.mesh import CellField, Grid
 from dpnpsim.params import PhysParams, ReactionSpec
 from dpnpsim.transport import Concentrations
 
@@ -54,7 +60,7 @@ def weighted_dist(grid, params, a, b):
 
 
 def coupled_setup(n=12):
-    g = build_grid(n, n, 1.0, 1.0)
+    g = Grid(n, n, 1.0, 1.0)
     p = PhysParams(
         theta=0.8,
         kappa=0.1,
@@ -84,15 +90,57 @@ def test_initial_state_is_consistent_at_t0():
     st = initial_state(g, p, init, sched.at(0.0))
     assert st.time == 0.0
     assert st.conc is init
-    assert st.electro.phi.values.shape == (g.ny, g.nx)
-    assert st.flow.q_faces.fx.shape == (g.ny, g.nx + 1)
+    nx, ny = g.n
+    assert st.electro.phi.values.shape == (ny, nx)
+    assert st.flow.q_faces.planes[0].shape == (ny, nx + 1)
+
+
+def test_swapping_the_axes_commutes_with_a_coupled_step():
+    nx, ny, lx, ly = 7, 4, 1.4, 0.6
+    rng = np.random.default_rng(41)
+    c1, c2, rho_b = (rng.uniform(0.2, 0.8, size=(ny, nx)) for _ in range(3))
+    inflow = 0.04 * (1.0 + 0.5 * np.sin(np.linspace(0.0, 3.0, ny)))
+
+    def step(swapped):
+        """One coupled step; on the swapped problem every plane is transposed and the x-side data sit on y."""
+        def pair(a, b):
+            return (b, a) if swapped else (a, b)
+
+        def plane(v):
+            return v.T if swapped else v
+
+        low, high = ("bottom", "top") if swapped else ("left", "right")
+        g = Grid(*pair(nx, ny), *pair(lx, ly))
+        p = PhysParams(
+            theta=0.8, D=pair(0.7, 1.6), K=pair(1.3, 0.4), mu=1.1, eps_s=1.7, kappa=0.3, z1=2, z2=-1,
+            reaction=ReactionSpec("exchange", 0.1), T_end=0.02, dt=0.02,
+        )
+        init = Concentrations(CellField(g, plane(c1)), CellField(g, plane(c2)))
+        sched = constant_schedule(
+            g,
+            sigma={low: 0.05, high: -0.02 * inflow},
+            f={low: -inflow, high: inflow},
+            g1={low: inflow},
+            g2={high: 0.5 * inflow},
+            rho_b=CellField(g, plane(0.1 * rho_b)),
+        )
+        st0 = initial_state(g, p, init, sched.at(0.0))
+        st, rep = gummel_step(g, p, st0, sched.at(0.02), 0.02)
+        fields = (st.conc.c1.values, st.conc.c2.values, st.electro.phi.values, st.flow.p.values)
+        return [plane(f) for f in fields], rep.sweeps
+
+    fields, sweeps = step(False)
+    swapped_fields, swapped_sweeps = step(True)
+    assert swapped_sweeps == sweeps
+    for name, f, t in zip(("c1", "c2", "phi", "p"), fields, swapped_fields):
+        assert np.abs(f - t).max() <= 1e-12 * np.abs(f).max(), name
 
 
 def test_decoupled_limit_converges_in_exactly_two_sweeps():
     # kappa = 0 and identical neutral species: the transport system does not
     # depend on the lagged iterate, so the second sweep repeats the first
     # exactly and the increment is identically zero.
-    g = build_grid(8, 8, 1.0, 1.0)
+    g = Grid(8, 8, 1.0, 1.0)
     p = PhysParams(theta=0.8, kappa=0.0, z1=1, z2=-1)
     c0 = CellField(g, 0.5 + 0.2 * np.cos(np.pi * g.cell_centers()[0]))
     init = Concentrations(c0, CellField(g, c0.values.copy()))
@@ -265,7 +313,7 @@ def test_damping_reaches_the_same_fixed_point():
 def test_symmetric_electrolyte_keeps_species_identical():
     # z = (1, -1), identical initial data, inflow, and exchange coupling:
     # every operation treats the species identically, so they stay equal.
-    g = build_grid(16, 16, 1.0, 1.0)
+    g = Grid(16, 16, 1.0, 1.0)
     p = PhysParams(theta=1.0, kappa=0.5, z1=1, z2=-1, T_end=0.05, dt=0.01)
     x, y = g.cell_centers()
     w = CellField(g, 0.5 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
@@ -281,7 +329,7 @@ def test_symmetric_electrolyte_keeps_species_identical():
 def test_advance_halves_dt_until_the_sweep_converges():
     # strong coupling and a tight sweep budget: the nominal step cannot
     # converge, the halved steps do, and the march still reaches T_end.
-    g = build_grid(8, 8, 1.0, 1.0)
+    g = Grid(8, 8, 1.0, 1.0)
     p = PhysParams(theta=0.6, kappa=3.0, z1=2, z2=-1, T_end=0.1, dt=0.1)
     x, y = g.cell_centers()
     c1 = CellField(g, 0.8 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y))
@@ -297,7 +345,7 @@ def test_advance_halves_dt_until_the_sweep_converges():
 
 
 def test_advance_raises_after_exhausting_halvings():
-    g = build_grid(8, 8, 1.0, 1.0)
+    g = Grid(8, 8, 1.0, 1.0)
     p = PhysParams(theta=0.6, kappa=3.0, z1=2, z2=-1, T_end=0.1, dt=0.1)
     x, y = g.cell_centers()
     c1 = CellField(g, 0.8 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y))

@@ -1,7 +1,6 @@
-"""Sparse storage, two-point-flux assembly, zero-mean projection, and the two linear solvers.
+"""Sparse storage, two-point-flux assembly, and the two linear solvers.
 
-Frozen oracles: the weighted zero-mean projection of values (0, 1, 2) with
-weights (1, 1, 2) subtracts the weighted mean 1.25; the Neumann Laplacian of
+Frozen oracles: the Neumann Laplacian of
 a 1x3 strip and of a 2x1 pair has hand-checkable zero-mean solutions; random
 Neumann grids are cross-checked against the dense minimum-norm solution
 (numpy.linalg.lstsq) and random nonsymmetric systems against dense
@@ -32,22 +31,21 @@ from dpnpsim.linalg import (
     SolverError,
     SparseMatrix,
     cosine_basis,
-    project_zero_mean,
     solve_nonsym,
     solve_spd,
     two_point_matrix,
 )
-from dpnpsim.mesh import BoundaryField, FaceField, build_grid
+from dpnpsim.mesh import BoundaryField, FaceField, Grid
 from dpnpsim.params import PhysParams, ReactionSpec
 from dpnpsim.transport import _species_system
 from matrix_helpers import to_dense
 
 
 def jacobi(A):
-    """The diagonal basis (I_1, I_n, 1 / diag(A)): its preconditioner divides by the diagonal (1 where it is 0)."""
+    """The diagonal basis ((I_1, I_n), 1 / diag(A)): its preconditioner divides by the diagonal (1 where it is 0)."""
     d = np.diag(to_dense(A)).copy()
     d[d == 0.0] = 1.0
-    return np.eye(1), np.eye(d.shape[0]), (1.0 / d)[:, None]
+    return (np.eye(1), np.eye(d.shape[0])), (1.0 / d)[:, None]
 
 
 def laplacian_1d(n, shift=0.0):
@@ -65,14 +63,6 @@ def laplacian_1d(n, shift=0.0):
             cols.append(i + 1)
             vals.append(-1.0)
     return SparseMatrix.from_coo(n, rows, cols, vals)
-
-
-def test_project_zero_mean_frozen_example():
-    out = project_zero_mean(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 2.0]))
-    assert np.allclose(out, [-1.25, -0.25, 0.75])
-    # the projection really has zero weighted mean and is idempotent
-    assert abs((out * [1.0, 1.0, 2.0]).sum()) < 1e-14
-    assert np.allclose(project_zero_mean(out, np.array([1.0, 1.0, 2.0])), out)
 
 
 def test_sparse_matrix_round_trip_and_matvec():
@@ -112,23 +102,25 @@ def test_two_point_matrix_by_hand():
     # y-faces (0,2), (1,3); face (a, b) adds w_minus at (a, a) and w_plus at
     # (b, b), and -w_plus at (a, b) and -w_minus at (b, a)
     A = two_point_matrix(
-        build_grid(2, 2, 1.0, 1.0),
+        Grid(2, 2, 1.0, 1.0),
         0.5,
-        (np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]])),
-        (np.array([[5.0, 6.0]]), np.array([[7.0, 8.0]])),
+        (
+            (np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]])),
+            (np.array([[5.0, 6.0]]), np.array([[7.0, 8.0]])),
+        ),
     )
     assert np.array_equal(
         to_dense(A),
         [[6.5, -3.0, -7.0, 0.0], [-1.0, 9.5, 0.0, -8.0], [-5.0, 0.0, 9.5, -4.0], [0.0, -6.0, -2.0, 12.5]],
     )
     # a vertical strip has y-faces only: the x weights stamp nothing
-    B = two_point_matrix(build_grid(1, 3, 1.0, 3.0), 1.0, (9.0, 9.0), (np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]])))
+    B = two_point_matrix(Grid(1, 3, 1.0, 3.0), 1.0, ((9.0, 9.0), (np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]]))))
     assert np.array_equal(to_dense(B), [[2.0, -3.0, 0.0], [-1.0, 6.0, -4.0], [0.0, -2.0, 5.0]])
 
 
 def _dense_stamp(grid, diag, wx, wy):
     """The two-point matrix stamped face by face into a dense array."""
-    nx, ny = grid.nx, grid.ny
+    nx, ny = grid.n
     dense = np.diag(np.full(grid.n_cells, diag))
     faces = [(j * nx + i, j * nx + i + 1, wx[0][j, i], wx[1][j, i]) for j in range(ny) for i in range(nx - 1)]
     faces += [(j * nx + i, (j + 1) * nx + i, wy[0][j, i], wy[1][j, i]) for j in range(ny - 1) for i in range(nx)]
@@ -147,13 +139,13 @@ def test_two_point_matrix_matches_dense_stamp_on_random_grids():
     rng = np.random.default_rng(17)
     shapes = [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1), (2, 2)] + [tuple(rng.integers(1, 9, size=2)) for _ in range(14)]
     for nx, ny in shapes:
-        g = build_grid(int(nx), int(ny), 1.0, 1.0)
+        g = Grid(int(nx), int(ny), 1.0, 1.0)
         diag = float(rng.uniform(0.0, 2.0))
-        wx = tuple(rng.uniform(0.0, 3.0, size=(g.ny, g.nx - 1)) for _ in range(2))
-        wy = tuple(rng.uniform(0.0, 3.0, size=(g.ny - 1, g.nx)) for _ in range(2))
-        A = two_point_matrix(g, diag, wx, wy)
+        wx = tuple(rng.uniform(0.0, 3.0, size=(ny, nx - 1)) for _ in range(2))
+        wy = tuple(rng.uniform(0.0, 3.0, size=(ny - 1, nx)) for _ in range(2))
+        A = two_point_matrix(g, diag, (wx, wy))
         dense = _dense_stamp(g, diag, wx, wy)
-        assert A.offsets == (-g.nx, -1, 0, 1, g.nx)
+        assert A.offsets == (-nx, -1, 0, 1, nx)
         # the stamp adds a cell's face weights in another order, so the main
         # diagonal may differ in the last bits; every other entry is exact
         assert np.allclose(to_dense(A), dense, rtol=4e-15, atol=0.0)
@@ -173,14 +165,14 @@ def test_two_point_matrix_matches_dense_stamp_on_random_grids():
 def test_solve_spd_tridiagonal_hand_solution():
     # the 1x3 Neumann strip [[1,-1,0],[-1,2,-1],[0,-1,1]] x = (1, 1, -2) has
     # the zero-mean solution (4/3, 1/3, -5/3): x0 - x1 = 1 and x2 - x1 = -2
-    A = fv_laplacian(build_grid(3, 1, 3.0, 1.0), 1.0, 1.0)
+    A = fv_laplacian(Grid(3, 1, 3.0, 1.0), (1.0, 1.0))
     x, rep = solve_spd(A, np.array([1.0, 1.0, -2.0]), tol=1e-10)
     assert np.allclose(x, [4.0 / 3.0, 1.0 / 3.0, -5.0 / 3.0], atol=1e-9)
     assert rep.residual <= 1e-10
 
 
 def test_solve_spd_zero_rhs_short_circuit():
-    x, rep = solve_spd(fv_laplacian(build_grid(5, 1, 1.0, 1.0), 1.0, 1.0), np.zeros(5), tol=1e-10)
+    x, rep = solve_spd(fv_laplacian(Grid(5, 1, 1.0, 1.0), (1.0, 1.0)), np.zeros(5), tol=1e-10)
     assert np.all(x == 0.0)
     assert rep == SolveReport(0, 0.0)
 
@@ -189,8 +181,8 @@ def test_solve_spd_matches_dense_solver():
     rng = np.random.default_rng(11)
     for _ in range(25):
         nx, ny = (int(v) for v in rng.integers(1, 13, size=2))
-        g = build_grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
-        A = fv_laplacian(g, float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0)))
+        g = Grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+        A = fv_laplacian(g, (float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0))))
         dense = to_dense(A)
         b = rng.normal(size=g.n_cells)
         b -= b.mean()
@@ -203,7 +195,7 @@ def test_solve_spd_matches_dense_solver():
 def test_solve_spd_raises_on_rhs_off_the_range():
     # the Neumann operator annihilates constants, so its range is the zero-sum
     # vectors: no x reaches a right side with a nonzero sum
-    A = fv_laplacian(build_grid(8, 5, 1.0, 1.0), 1.0, 1.0)
+    A = fv_laplacian(Grid(8, 5, 1.0, 1.0), (1.0, 1.0))
     b = np.ones(40)
     with pytest.raises(SolverError) as err:
         solve_spd(A, b, tol=1e-14)
@@ -217,7 +209,7 @@ def test_solve_nonsym_raises_on_rhs_off_the_range():
     # on the same singular system the BiCGStab iterate grows without bound,
     # and with it the rounding floor 4 eps ||A||_inf ||x||; a residual of
     # ||b|| or more, which x = 0 already attains, is still never accepted
-    A = fv_laplacian(build_grid(8, 5, 1.0, 1.0), 1.0, 1.0)
+    A = fv_laplacian(Grid(8, 5, 1.0, 1.0), (1.0, 1.0))
     b = np.ones(40)
     with pytest.raises(SolverError) as err:
         solve_nonsym(A, b, 1e-14, jacobi(A))
@@ -230,7 +222,7 @@ def test_nonfinite_residual_is_never_accepted(case, solver):
     # a NaN residual fails every comparison with the target, and a zero-sum b
     # of entries +-1e308 overflows ||b||, so the target tol ||b|| is inf too:
     # both solvers must still raise rather than return a non-finite residual
-    A = fv_laplacian(build_grid(4, 2, 1.0, 1.0), 1.0, 1.0)
+    A = fv_laplacian(Grid(4, 2, 1.0, 1.0), (1.0, 1.0))
     b = np.zeros(8)
     if case == "nan":
         b[0] = np.nan
@@ -276,7 +268,7 @@ def test_solve_nonsym_zero_rhs_and_cap():
     # rounding floor 4 eps ||A||_inf ||x|| past its true residual 0.44 ||b||;
     # the floor is capped at sqrt(eps) ||b||, so the solve still raises
     with pytest.raises(SolverError) as err:
-        solve_nonsym(A, np.array([0.0, 0.0, 1.0, 0.0]), 1e-12, (np.eye(1), np.eye(4), np.ones((4, 1))))
+        solve_nonsym(A, np.array([0.0, 0.0, 1.0, 0.0]), 1e-12, ((np.eye(1), np.eye(4)), np.ones((4, 1))))
     assert err.value.report.residual > 0.1
 
 
@@ -299,33 +291,34 @@ def test_cosine_basis_diagonalizes_the_drift_free_operator():
     rng = np.random.default_rng(5)
     for _ in range(20):
         nx, ny = (int(v) for v in rng.integers(1, 13, size=2))
-        g = build_grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+        g = Grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
         tx, ty, shift = (float(v) for v in rng.uniform(0.1, 10.0, size=3))
-        qx, qy, inv_eig = cosine_basis(g, tx, ty, shift)
+        (qx, qy), inv_eig = cosine_basis(g, (tx, ty), shift)
         q = np.kron(qy, qx)  # row-major cell order: column l * nx + k is mode (l, k)
-        dense = to_dense(two_point_matrix(g, shift, (tx, tx), (ty, ty)))
+        dense = to_dense(two_point_matrix(g, shift, ((tx, tx), (ty, ty))))
         assert np.abs(q @ np.diag(1.0 / inv_eig.ravel()) @ q.T - dense).max() <= 1e-12
 
 
 def test_cosine_basis_is_memoized_and_read_only():
-    g = build_grid(5, 3, 1.0, 1.0)
-    basis = cosine_basis(g, 1.5, 0.5, 2.0)
-    again = cosine_basis(g, 1.5, 0.5, 2.0)
-    assert all(a is b for a, b in zip(basis, again))
-    assert not any(a.flags.writeable for a in basis)
+    g = Grid(5, 3, 1.0, 1.0)
+    basis = cosine_basis(g, (1.5, 0.5), 2.0)
+    again = cosine_basis(g, (1.5, 0.5), 2.0)
+    arrays = (*basis[0], basis[1])
+    assert all(a is b for a, b in zip(arrays, (*again[0], again[1])))
+    assert not any(a.flags.writeable for a in arrays)
     # at shift 0 the constant mode is the kernel and is inverted to 0
-    assert cosine_basis(g, 1.5, 0.5, 0.0)[2][0, 0] == 0.0
+    assert cosine_basis(g, (1.5, 0.5), 0.0)[1][0, 0] == 0.0
 
 
 def test_drift_free_transport_solve_takes_one_iteration():
     # with zero drift the SG matrix is exactly the operator its basis
     # diagonalizes, so the first preconditioned step solves it
-    g = build_grid(12, 9, 1.0, 0.8)
+    g = Grid(12, 9, 1.0, 0.8)
     params = PhysParams(theta=0.8, D=(1.0, 2.0), reaction=ReactionSpec("exchange", 0.1))
     rng = np.random.default_rng(3)
     zero = FaceField.zeros(g)
     A, rhs, basis = _species_system(
-        g, params, rng.uniform(0.0, 1.0, (9, 12)), zero.fx, zero.fy, BoundaryField(g, left=0.02), 0.005,
+        g, params, rng.uniform(0.0, 1.0, (9, 12)), zero.planes, BoundaryField(g, left=0.02), 0.005,
         0.1, rng.uniform(0.0, 0.1, (9, 12)), None,
     )
     x, rep = solve_nonsym(A, rhs, 1e-14, basis)
@@ -341,7 +334,7 @@ def test_singular_neumann_system_solvable_after_projection():
     x = (0.5, -0.5) + span{(1,1)}; the solver returns the zero-mean one,
     verified through the residual.
     """
-    A = fv_laplacian(build_grid(2, 1, 2.0, 1.0), 1.0, 1.0)
+    A = fv_laplacian(Grid(2, 1, 2.0, 1.0), (1.0, 1.0))
     b = np.array([1.0, -1.0])
     x, _ = solve_spd(A, b, tol=1e-12)
     assert np.linalg.norm(b - to_dense(A) @ x) <= 1e-10

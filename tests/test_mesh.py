@@ -1,9 +1,9 @@
 """Grid geometry, field containers, and the discrete divergence.
 
 Frozen oracles: the cell count and spacings of a 4x3 grid are pure
-arithmetic, and the divergence of the linear flux
-(fx, fy) = (x, y) is exactly 2 in every cell because two-point differences
-of a linear function are exact.
+arithmetic, and the divergence of the linear flux (x, y), its x-face plane
+x and its y-face plane y, is exactly 2 in every cell because two-point
+differences of a linear function are exact.
 """
 
 import numpy as np
@@ -13,26 +13,29 @@ from dpnpsim.mesh import (
     BoundaryField,
     CellField,
     FaceField,
-    build_grid,
+    Grid,
     cell_divergence,
 )
 
 
 def test_grid_counts_4x3():
-    g = build_grid(4, 3, 2.0, 1.5)
+    g = Grid(4, 3, 2.0, 1.5)
     assert g.n_cells == 12
-    assert g.hx == pytest.approx(0.5)
-    assert g.hy == pytest.approx(0.5)
+    assert g.h == pytest.approx((0.5, 0.5))
+    # a face normal to one axis spans the other axis' spacing
+    assert g.face_area == (g.h[1], g.h[0])
+    assert (g.n, g.length, g.shape) == ((4, 3), (2.0, 1.5), (3, 4))
     assert g.cell_volume == pytest.approx(0.25)
     assert g.total_volume == pytest.approx(3.0)
 
 
 def test_grid_coordinates_are_cell_and_face_midpoints():
-    g = build_grid(4, 2, 1.0, 1.0)
-    assert np.allclose(g.xc, [0.125, 0.375, 0.625, 0.875])
-    assert np.allclose(g.xf, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert np.allclose(g.yc, [0.25, 0.75])
-    assert np.allclose(g.yf, [0.0, 0.5, 1.0])
+    g = Grid(4, 2, 1.0, 1.0)
+    assert np.allclose(g.centers[0], [0.125, 0.375, 0.625, 0.875])
+    assert np.allclose(g.edges[0], [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.allclose(g.centers[1], [0.25, 0.75])
+    assert np.allclose(g.edges[1], [0.0, 0.5, 1.0])
+    assert (g.face_shape[0], g.face_shape[1]) == ((2, 5), (3, 4))
     X, Y = g.cell_centers()
     assert X.shape == (2, 4)
     assert X[0, 1] == pytest.approx(0.375)
@@ -42,11 +45,11 @@ def test_grid_coordinates_are_cell_and_face_midpoints():
 def test_grid_rejects_bad_dimensions():
     for bad in [(0, 1, 1.0, 1.0), (1, 0, 1.0, 1.0), (1, 1, 0.0, 1.0), (1, 1, 1.0, -2.0)]:
         with pytest.raises(ValueError):
-            build_grid(*bad)
+            Grid(*bad)
 
 
 def test_cell_field_shape_and_integral():
-    g = build_grid(3, 2, 1.0, 1.0)
+    g = Grid(3, 2, 1.0, 1.0)
     f = CellField.full(g, 2.0)
     assert f.values.shape == (2, 3)
     assert f.values.sum() * g.cell_volume == pytest.approx(2.0)
@@ -60,7 +63,7 @@ def test_cell_field_shape_and_integral():
 
 def test_cell_field_from_function_samples_cell_centers():
     # a function of the cell_centers arrays lands on cell (i, j) at values[j, i]
-    g = build_grid(2, 2, 1.0, 1.0)
+    g = Grid(2, 2, 1.0, 1.0)
     X, Y = g.cell_centers()
     f = CellField(g, X + 10.0 * Y)
     assert f.values[0, 0] == pytest.approx(0.25 + 2.5)
@@ -68,17 +71,18 @@ def test_cell_field_from_function_samples_cell_centers():
 
 
 def test_divergence_of_linear_flux_is_exactly_two():
-    g = build_grid(5, 4, 1.25, 2.0)
-    fx = np.tile(g.xf, (g.ny, 1))
-    fy = np.tile(g.yf[:, None], (1, g.nx))
-    div = cell_divergence(g, FaceField(g, fx, fy))
+    g = Grid(5, 4, 1.25, 2.0)
+    nx, ny = g.n
+    x_faces = np.tile(g.edges[0], (ny, 1))
+    y_faces = np.tile(g.edges[1][:, None], (1, nx))
+    div = cell_divergence(g, FaceField(g, x_faces, y_faces))
     assert np.allclose(div.values, 2.0, atol=1e-14)
 
 
 def test_boundary_field_adds_face_flux_to_boundary_cells():
     rng = np.random.default_rng(5)
     for nx, ny in [(4, 3), (1, 3), (4, 1), (1, 1)]:
-        g = build_grid(nx, ny, 2.0, 1.5)
+        g = Grid(nx, ny, 2.0, 1.5)
         bf = BoundaryField(
             g, left=rng.normal(size=ny), right=rng.normal(size=ny), bottom=rng.normal(size=nx), top=rng.normal(size=nx)
         )
@@ -89,12 +93,14 @@ def test_boundary_field_adds_face_flux_to_boundary_cells():
         # the same four side updates, in the order left, right, bottom, top,
         # written out: adding -v equals subtracting v bit for bit
         plus, minus = base.copy(), base.copy()
+        (left, right), (bottom, top) = bf.sides
+        hx, hy = g.h
         for plane, op in ((plus, np.add), (minus, np.subtract)):
             for index, values, length in (
-                ((slice(None), 0), bf.left, g.hy),
-                ((slice(None), -1), bf.right, g.hy),
-                ((0, slice(None)), bf.bottom, g.hx),
-                ((-1, slice(None)), bf.top, g.hx),
+                ((slice(None), 0), left, hy),
+                ((slice(None), -1), right, hy),
+                ((0, slice(None)), bottom, hx),
+                ((-1, slice(None)), top, hx),
             ):
                 plane[index] = op(plane[index], values * length)
         assert np.array_equal(added, plus) and np.array_equal(subtracted, minus)
@@ -103,13 +109,13 @@ def test_boundary_field_adds_face_flux_to_boundary_cells():
 
 
 def test_divergence_of_constant_flux_is_zero():
-    g = build_grid(4, 4, 1.0, 3.0)
+    g = Grid(4, 4, 1.0, 3.0)
     div = cell_divergence(g, FaceField(g, np.full((4, 5), 0.7), np.full((5, 4), -1.3)))
     assert np.allclose(div.values, 0.0, atol=1e-14)
 
 
 def test_boundary_field_broadcast_and_integrals():
-    g = build_grid(2, 3, 1.0, 1.5)  # hy = 0.5, hx = 0.5
+    g = Grid(2, 3, 1.0, 1.5)  # hy = 0.5, hx = 0.5
     bf = BoundaryField(g, left=2.0, right=np.array([1.0, 1.0, 1.0]), top=-1.0)
     # integral = sum over sides of value * face length
     assert bf.boundary_integral() == pytest.approx(2.0 * 3 * 0.5 + 1.0 * 3 * 0.5 - 1.0 * 2 * 0.5)
@@ -119,7 +125,7 @@ def test_boundary_field_broadcast_and_integrals():
 
 
 def test_boundary_field_rejects_wrong_length():
-    g = build_grid(2, 3, 1.0, 1.0)
+    g = Grid(2, 3, 1.0, 1.0)
     with pytest.raises(ValueError):
         BoundaryField(g, left=np.ones(2))  # left needs ny = 3 values
 
@@ -127,35 +133,38 @@ def test_boundary_field_rejects_wrong_length():
 def test_fields_reject_a_transposed_plane():
     # only a flat vector of the right length is reshaped (row-major); a 2-D
     # array of the wrong shape is refused even when its size matches
-    g = build_grid(3, 2, 1.0, 1.0)
+    g = Grid(3, 2, 1.0, 1.0)
     with pytest.raises(ValueError, match="expects shape"):
         CellField(g, np.arange(6.0).reshape(3, 2))
     with pytest.raises(ValueError, match="expects shape"):
         CellField(g, np.arange(6.0).reshape(6, 1))
     assert np.array_equal(CellField(g, np.arange(6.0)).values, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
-    g = build_grid(3, 1, 1.0, 1.0)  # fx is (1, 4), fy is (2, 3)
-    with pytest.raises(ValueError, match="FaceField.fx expects shape"):
+    g = Grid(3, 1, 1.0, 1.0)  # the x-face plane is (1, 4), the y-face plane (2, 3)
+    with pytest.raises(ValueError, match="FaceField plane 0 expects shape"):
         FaceField(g, np.zeros((4, 1)), np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="FaceField.fy expects shape"):
+    with pytest.raises(ValueError, match="FaceField plane 1 expects shape"):
         FaceField(g, np.zeros((1, 4)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="one plane per axis"):
+        FaceField(g, np.zeros((1, 4)))
     ff = FaceField(g, np.arange(4.0), np.arange(6.0))
-    assert ff.fx.shape == (1, 4) and np.array_equal(ff.fy, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    assert ff.planes[0].shape == (1, 4) and np.array_equal(ff.planes[1], [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
 
 
 def test_face_field_outward_boundary_round_trip():
     """Outward boundary convention: left/bottom values flip sign in storage.
 
-    Stored fluxes are +x/+y oriented; a positive outward value on the left
+    Stored fluxes are +axis oriented; a positive outward value on the left
     side means flux pointing in -x, so the stored entry is its negation.
     """
-    g = build_grid(3, 2, 1.0, 1.0)
+    g = Grid(3, 2, 1.0, 1.0)
     ff = FaceField.zeros(g)
     bf = BoundaryField(g, left=1.0, right=2.0, bottom=3.0, top=4.0)
     ff.set_boundary_outward(bf)
-    assert np.allclose(ff.fx[:, 0], -1.0)
-    assert np.allclose(ff.fx[:, -1], 2.0)
-    assert np.allclose(ff.fy[0, :], -3.0)
-    assert np.allclose(ff.fy[-1, :], 4.0)
+    x_faces, y_faces = ff.planes
+    assert np.allclose(x_faces[:, 0], -1.0)
+    assert np.allclose(x_faces[:, -1], 2.0)
+    assert np.allclose(y_faces[0, :], -3.0)
+    assert np.allclose(y_faces[-1, :], 4.0)
     # the boundary faces carry the outward flux and nothing else
     assert cell_divergence(g, ff).values.sum() * g.cell_volume == pytest.approx(bf.boundary_integral())
 
@@ -165,8 +174,9 @@ def test_divergence_theorem_random_flux():
     rng = np.random.default_rng(7)
     for _ in range(20):
         nx, ny = rng.integers(1, 9, size=2)
-        g = build_grid(int(nx), int(ny), float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
-        ff = FaceField(g, rng.normal(size=(g.ny, g.nx + 1)), rng.normal(size=(g.ny + 1, g.nx)))
+        g = Grid(int(nx), int(ny), float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+        ff = FaceField(g, rng.normal(size=g.face_shape[0]), rng.normal(size=g.face_shape[1]))
         total = cell_divergence(g, ff).values.sum() * g.cell_volume
-        outward = BoundaryField(g, left=-ff.fx[:, 0], right=ff.fx[:, -1], bottom=-ff.fy[0, :], top=ff.fy[-1, :])
+        x_faces, y_faces = ff.planes
+        outward = BoundaryField(g, left=-x_faces[:, 0], right=x_faces[:, -1], bottom=-y_faces[0, :], top=y_faces[-1, :])
         assert total == pytest.approx(outward.boundary_integral(), abs=1e-12)

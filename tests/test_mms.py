@@ -11,13 +11,26 @@ manufactured data:
   * Orders. The flow case converges at second order in the potential
     (its velocity happens to be exact on square grids), and the parabolic
     cases converge at second order or better at cell centers.
+
+The gauge fields are compared after the weighted zero-mean projection, whose
+frozen oracle is values (0, 1, 2) with weights (1, 1, 2): it subtracts the
+weighted mean 1.25.
 """
 
 import math
 
+import numpy as np
 import pytest
 
-from dpnpsim.mms import CASES, ConvergenceTable, run_mms
+from dpnpsim.mms import CASES, ConvergenceTable, project_zero_mean, run_mms
+
+
+def test_project_zero_mean_frozen_example():
+    out = project_zero_mean(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 2.0]))
+    assert np.allclose(out, [-1.25, -0.25, 0.75])
+    # the projection really has zero weighted mean and is idempotent
+    assert abs((out * [1.0, 1.0, 2.0]).sum()) < 1e-14
+    assert np.allclose(project_zero_mean(out, np.array([1.0, 1.0, 2.0])), out)
 
 
 def test_case_list_is_stable():

@@ -20,7 +20,7 @@ import pytest
 
 from dpnpsim.bounds import BoundsEvaluator
 from dpnpsim.gummel import advance, initial_state
-from dpnpsim.mesh import CellField, build_grid
+from dpnpsim.mesh import CellField, Grid
 from dpnpsim.monitors import (
     InvariantViolation,
     MonitorReport,
@@ -70,19 +70,19 @@ def test_algebraic_inequality_nonnegative_randomized():
 
 
 def test_sign_condition_frozen_values():
-    g = build_grid(1, 1, 1.0, 1.0)
+    g = Grid(1, 1, 1.0, 1.0)
     assert sign_condition(PhysParams(z1=1, z2=-1), uniform_conc(g, 2.0, 1.0)) == pytest.approx(3.0)
     assert sign_condition(PhysParams(z1=2, z2=-3), uniform_conc(g, 3.0, 2.0)) == pytest.approx(0.0)
 
 
 def test_sign_condition_scales_with_volume():
-    g = build_grid(4, 4, 2.0, 2.0)
+    g = Grid(4, 4, 2.0, 2.0)
     v = sign_condition(PhysParams(), uniform_conc(g, 2.0, 1.0))
     assert v == pytest.approx(3.0 * 4.0)  # same summand over volume 4
 
 
 def test_sign_condition_raises_naming_the_cell():
-    g = build_grid(3, 2, 1.0, 1.0)
+    g = Grid(3, 2, 1.0, 1.0)
     c1 = np.full((2, 3), 2.0)
     c2 = np.full((2, 3), 1.0)
     c1[1, 2] = -5.0  # summand (z1 c1 - c2)((z1 c1)^2 - c2^2) = (-6)(24) < 0
@@ -92,7 +92,7 @@ def test_sign_condition_raises_naming_the_cell():
 
 
 def test_weighted_energy_frozen_value_and_homogeneity():
-    g = build_grid(1, 1, 1.0, 1.0)
+    g = Grid(1, 1, 1.0, 1.0)
     p = PhysParams()
     assert weighted_energy(p, uniform_conc(g, 1.0, 1.0)) == pytest.approx(2.0)
     e1 = weighted_energy(p, uniform_conc(g, 0.3, 0.7))
@@ -103,7 +103,7 @@ def test_weighted_energy_frozen_value_and_homogeneity():
 
 
 def small_run(reaction=None, kappa=0.3):
-    g = build_grid(8, 8, 1.0, 1.0)
+    g = Grid(8, 8, 1.0, 1.0)
     p = PhysParams(
         theta=0.8,
         kappa=kappa,

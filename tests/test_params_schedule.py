@@ -8,7 +8,7 @@ scaled variable, the plateau contributes its own length).
 import numpy as np
 import pytest
 
-from dpnpsim.mesh import BoundaryField, CellField, build_grid
+from dpnpsim.mesh import BoundaryField, CellField, Grid
 from dpnpsim.params import PhysParams, ReactionSpec
 from dpnpsim.schedule import BoundarySpec, Ramp, Schedule, StepData
 
@@ -73,18 +73,20 @@ def test_linear_ramp_factor_and_exact_square_integral():
 
 
 def test_boundary_spec_at_and_norms():
-    g = build_grid(2, 2, 1.0, 1.0)
+    g = Grid(2, 2, 1.0, 1.0)
     spec = BoundarySpec(g, left=2.0, ramp=Ramp("linear", t0=0.0, t1=2.0))
-    assert np.allclose(spec.at(1.0).left, 1.0)
-    assert np.allclose(spec.at(4.0).left, 2.0)
+    assert np.allclose(spec.at(1.0).sides[0][0], 1.0)  # sides[0][0] is left: the low end of x
+    assert np.allclose(spec.at(4.0).sides[0][0], 2.0)
     assert spec.max_abs(1.0) == pytest.approx(1.0)
     # L2 over [0, T] x boundary: values^2 * face length summed, times int_sq
     # left side: 2 faces of length 0.5, value 2 -> space_sq = 4.0 * 1.0
     assert spec.l2_time_boundary(2.0) == pytest.approx(np.sqrt(4.0 * (2.0 / 3.0)))
+    # a left face spans hy: on a 2x2 grid of 1 x 3 the side has length 3, space_sq = 4.0 * 3.0
+    assert BoundarySpec(Grid(2, 2, 1.0, 3.0), left=2.0).l2_time_boundary(2.0) == pytest.approx(np.sqrt(12.0 * 2.0))
 
 
 def test_constant_schedule_wiring_and_sources():
-    g = build_grid(2, 2, 1.0, 1.0)
+    g = Grid(2, 2, 1.0, 1.0)
     sched = constant_schedule(
         g,
         sigma={"left": 1.0},
@@ -94,16 +96,17 @@ def test_constant_schedule_wiring_and_sources():
     )
     data = sched.at(2.0)
     assert isinstance(data, StepData)
-    assert np.allclose(data.sigma.left, 1.0)
-    assert np.allclose(data.f.right, 0.5)
-    assert np.allclose(data.g1.bottom, 0.25)
-    assert np.allclose(data.g2.top, 0.0)
+    # sides[axis][0 low, 1 high]: left is [0][0], right [0][1], bottom [1][0], top [1][1]
+    assert np.allclose(data.sigma.sides[0][0], 1.0)
+    assert np.allclose(data.f.sides[0][1], 0.5)
+    assert np.allclose(data.g1.sides[1][0], 0.25)
+    assert np.allclose(data.g2.sides[1][1], 0.0)
     assert np.allclose(data.rho_b.values, 0.125)
     assert data.sources is None
 
 
 def test_schedule_evaluates_ramps_per_field():
-    g = build_grid(2, 1, 1.0, 1.0)
+    g = Grid(2, 1, 1.0, 1.0)
     sched = Schedule(
         g,
         sigma=BoundarySpec(g, left=1.0),
@@ -113,7 +116,7 @@ def test_schedule_evaluates_ramps_per_field():
         rho_b=CellField.zeros(g),
     )
     half = sched.at(0.5)
-    assert np.allclose(half.sigma.left, 1.0)
-    assert np.allclose(half.f.left, -0.5)
+    assert np.allclose(half.sigma.sides[0][0], 1.0)  # left: the low end of x
+    assert np.allclose(half.f.sides[0][0], -0.5)
     # ramped flow data stays balanced at every time
     assert half.f.boundary_integral() == pytest.approx(0.0, abs=1e-15)

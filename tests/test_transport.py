@@ -30,7 +30,7 @@ import pytest
 
 from dpnpsim import runner, transport
 from dpnpsim.config import load_config
-from dpnpsim.mesh import BoundaryField, CellField, FaceField, build_grid
+from dpnpsim.mesh import BoundaryField, CellField, FaceField, Grid
 from dpnpsim.params import PhysParams, ReactionSpec
 from dpnpsim.transport import (
     Concentrations,
@@ -68,8 +68,8 @@ def closed_box(grid):
     return (
         FaceField.zeros(grid),
         FaceField.zeros(grid),
-        BoundaryField.zeros(grid),
-        BoundaryField.zeros(grid),
+        BoundaryField(grid),
+        BoundaryField(grid),
     )
 
 
@@ -122,14 +122,14 @@ def test_reaction_rates_frozen_examples():
 
 
 def test_free_charge_frozen_example():
-    g = build_grid(2, 2, 1.0, 1.0)
+    g = Grid(2, 2, 1.0, 1.0)
     p = PhysParams(z1=2, z2=-1, theta=1.0)
     rho = free_charge(p, Concentrations(CellField.full(g, 1.0), CellField.full(g, 3.0)))
     assert np.allclose(rho.values, -1.0)
 
 
 def test_single_closed_cell_gains_source_times_dt():
-    g = build_grid(1, 1, 1.0, 1.0)
+    g = Grid(1, 1, 1.0, 1.0)
     p = PhysParams(theta=1.0)
     prev = Concentrations(CellField.full(g, 2.0), CellField.full(g, 0.5))
     q, e, gb1, gb2 = closed_box(g)
@@ -139,17 +139,31 @@ def test_single_closed_cell_gains_source_times_dt():
 
 
 def test_two_cell_diffusion_hand_solution():
-    g = build_grid(2, 1, 2.0, 1.0)
+    g = Grid(2, 1, 2.0, 1.0)
     p = PhysParams(theta=1.0, D=(1.0, 1.0))
     prev = Concentrations(CellField(g, np.array([[1.0, 0.0]])), CellField.zeros(g))
     q, e, gb1, gb2 = closed_box(g)
     res = step_transport(g, p, prev, q, e, gb1, gb2, dt=1.0)
     assert np.allclose(res.conc.c1.values, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
+    # an x strip couples its cells through D[0] and the x spacing alone: with
+    # hx = 1, hy = 0.5 and D = (2, 7) the step is (I + 2 L) c = (1, 0), so
+    # c = (3/5, 2/5); a unit x drift adds the Peclet number P = hx / D[0]
+    g = Grid(2, 1, 2.0, 0.5)
+    p = PhysParams(theta=1.0, D=(2.0, 7.0))
+    prev = Concentrations(CellField(g, np.array([[1.0, 0.0]])), CellField.zeros(g))
+    q, e, gb1, gb2 = closed_box(g)
+    res = step_transport(g, p, prev, q, e, gb1, gb2, dt=1.0)
+    assert np.allclose(res.conc.c1.values, [[0.6, 0.4]], atol=1e-12)
+    drift = FaceField(g, [[0.0, 1.0, 0.0]], np.zeros((2, 2)))
+    res = step_transport(g, p, prev, drift, e, gb1, gb2, dt=1.0)
+    b_minus, b_plus = bernoulli(-0.5), bernoulli(0.5)
+    expected = np.linalg.solve([[1.0 + 2.0 * b_minus, -2.0 * b_plus], [-2.0 * b_minus, 1.0 + 2.0 * b_plus]], [1.0, 0.0])
+    assert np.allclose(res.conc.c1.values.ravel(), expected, atol=1e-12)
 
 
 def test_porosity_scales_the_time_derivative():
     # theta (c - c_prev)/dt = source  ->  c = c_prev + dt source / theta
-    g = build_grid(1, 1, 1.0, 1.0)
+    g = Grid(1, 1, 1.0, 1.0)
     p = PhysParams(theta=0.5)
     prev = Concentrations(CellField.full(g, 1.0), CellField.full(g, 1.0))
     q, e, gb1, gb2 = closed_box(g)
@@ -158,7 +172,7 @@ def test_porosity_scales_the_time_derivative():
 
 
 def test_inflow_boundary_adds_mass():
-    g = build_grid(2, 1, 1.0, 1.0)
+    g = Grid(2, 1, 1.0, 1.0)
     p = PhysParams(theta=1.0)
     prev = Concentrations(CellField.zeros(g), CellField.zeros(g))
     q, e, _, gb2 = closed_box(g)
@@ -171,7 +185,7 @@ def test_inflow_boundary_adds_mass():
 
 def random_problem(rng, reaction=None):
     nx, ny = (int(v) for v in rng.integers(2, 10, size=2))
-    g = build_grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+    g = Grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
     p = PhysParams(
         theta=float(rng.uniform(0.3, 1.0)),
         D=(float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0))),
@@ -225,7 +239,7 @@ def test_mass_balance_with_reaction_and_inflow():
 
 
 def test_exchange_conserves_total_mass_in_closed_box():
-    g = build_grid(3, 3, 1.0, 1.0)
+    g = Grid(3, 3, 1.0, 1.0)
     p = PhysParams(theta=0.7, reaction=ReactionSpec("exchange", 1.5))
     rng = np.random.default_rng(7)
     prev = Concentrations(
@@ -244,9 +258,9 @@ def test_step_is_affine_in_sources():
     rng = np.random.default_rng(303)
     g, p, prev, q, e, g1, g2 = random_problem(rng)
     dt = 0.07
-    s_a = rng.normal(size=(g.ny, g.nx))
-    s_b = rng.normal(size=(g.ny, g.nx))
-    zeros = np.zeros((g.ny, g.nx))
+    s_a = rng.normal(size=g.shape)
+    s_b = rng.normal(size=g.shape)
+    zeros = np.zeros(g.shape)
 
     def run(s):
         return step_transport(g, p, prev, q, e, g1, g2, dt, sources=(s, zeros))
