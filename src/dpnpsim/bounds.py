@@ -94,18 +94,17 @@ def _boundary_norms(schedule, T):
     return dict(
         sigma_inf=schedule.sigma.max_abs(T),
         f_inf=schedule.f.max_abs(T),
-        g_inf=(schedule.g1.max_abs(T), schedule.g2.max_abs(T)),
-        g_l2=(schedule.g1.l2_time_boundary(T), schedule.g2.l2_time_boundary(T)),
+        g_inf=tuple(g.max_abs(T) for g in schedule.g),
+        g_l2=tuple(g.l2_time_boundary(T) for g in schedule.g),
     )
 
 
 def compute_data_norms(grid, schedule, initial, T):
     vol = grid.cell_volume
-    c0 = (initial.c1.values, initial.c2.values)
     return DataNorms(
         rhob_inf=float(np.abs(schedule.rho_b.values).max()),
-        c0_l2=tuple(float(np.sqrt((c * c).sum() * vol)) for c in c0),
-        c0_inf=tuple(float(np.abs(c).max()) for c in c0),
+        c0_l2=tuple(float(np.sqrt((c.values * c.values).sum() * vol)) for c in initial),
+        c0_inf=tuple(float(np.abs(c.values).max()) for c in initial),
         **_boundary_norms(schedule, T),
     )
 
@@ -152,8 +151,7 @@ def compute_energy_bound(params, norms, B0, T, g_weight=1.0):
     uses 1.0, the enforced bound uses max(2/theta, 2/alpha_D) because
     moving the source term through the energy inequality costs 2/theta.
     """
-    zs = (abs(params.z1), abs(params.z2))
-    data = sum(z * n**2 for z, n in zip(zs, norms.c0_l2)) + g_weight * params.max_z * sum(
+    data = sum(abs(z) * n**2 for z, n in zip(params.z, norms.c0_l2)) + g_weight * params.max_z * sum(
         n**2 for n in norms.g_l2
     )
     with np.errstate(over="ignore"):

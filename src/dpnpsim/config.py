@@ -47,7 +47,8 @@ _GRID_KEYS = ("nx", "ny", "lx", "ly")
 _PHYSICS_KEYS = ("theta", "D", "K", "mu", "eps_s", "kappa", "z1", "z2", "reaction")
 _REACTION_KEYS = ("kind", "rate")
 _INITIAL_KEYS = ("c1", "c2")
-_BOUNDARY_KEYS = ("sigma", "f", "g1", "g2")
+_INFLOW_KEYS = ("g1", "g2")  # one per species
+_BOUNDARY_KEYS = ("sigma", "f") + _INFLOW_KEYS
 _SIDE_KEYS = SIDES + ("ramp",)
 _RAMP_KEYS = ("kind", "t0", "t1")
 _TIME_KEYS = ("t_end", "dt", "tol", "max_sweeps", "damping")
@@ -286,7 +287,7 @@ def _read_boundary_field(reader, raw, name):
     sides = {}
     for s in SIDES:
         v = reader.number(raw, where, s, default=0.0)
-        if name in ("g1", "g2") and v < 0.0:
+        if name in _INFLOW_KEYS and v < 0.0:
             reader.flag("%s.%s is an inflow and must be nonnegative, got %g" % (where, s, v))
             v = 0.0
         sides[s] = v
@@ -417,9 +418,9 @@ def parse_config(source):
                 "net integral is %g" % f_bf.boundary_integral()
             )
         if all(s is not None for s in c_specs):
-            c1, c2 = (_on_grid(r, grid, s, "initial." + n, nonneg=True) for n, s in zip(_INITIAL_KEYS, c_specs))
-            if c1 is not None and c2 is not None:
-                initial = Concentrations(c1, c2)
+            conc = [_on_grid(r, grid, s, "initial." + n, nonneg=True) for n, s in zip(_INITIAL_KEYS, c_specs)]
+            if all(c is not None for c in conc):
+                initial = Concentrations(*conc)
         if rho_b_spec is not None:
             rho_b_field = _on_grid(r, grid, rho_b_spec, "background_charge", nonneg=False)
 
@@ -446,7 +447,7 @@ def parse_config(source):
         raise ConfigError(r.violations)
 
     specs = {name: BoundarySpec(grid, **sides, ramp=ramp) for name, (sides, ramp) in boundary.items()}
-    schedule = Schedule(grid, rho_b=rho_b_field, **specs)
+    schedule = Schedule(grid, specs["sigma"], specs["f"], tuple(specs[n] for n in _INFLOW_KEYS), rho_b_field)
     return RunConfig(
         grid=grid,
         params=params,

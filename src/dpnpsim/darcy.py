@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauss import SOLVE_TOL, fv_laplacian
-from .linalg import SolveReport, solve_spd
+from .linalg import solve_spd
 from .mesh import CellField, FaceField
 
 BALANCE_RTOL = 1e-10
@@ -33,7 +33,6 @@ class FlowState:
     p: CellField
     q_faces: FaceField
     velocity_scale: float
-    report: SolveReport
 
 
 def balanced(f_bc):
@@ -65,7 +64,7 @@ def solve_darcy(grid, params, rho_f, e_faces, f_bc):
     b = b2.ravel()
     velocity_scale = float(np.linalg.norm(b)) / vol
 
-    x, report = solve_spd(fv_laplacian(grid, m), b - b.mean(), tol=SOLVE_TOL)  # the zero-mean solution
+    x, _ = solve_spd(fv_laplacian(grid, m), b - b.mean(), tol=SOLVE_TOL)  # the zero-mean solution
     p = CellField(grid, x)
 
     q = FaceField.zeros(grid)
@@ -73,4 +72,4 @@ def solve_darcy(grid, params, rho_f, e_faces, f_bc):
         plane[grid.along(a, interior)] = m[a] * (-grid.diff(p.values, a) / grid.h[a]) + drift[a]
     q.set_boundary_outward(f_bc)
 
-    return FlowState(p, q, velocity_scale, report)
+    return FlowState(p, q, velocity_scale)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SolveReport, neumann_laplacian, solve_spd
+from .linalg import neumann_laplacian, solve_spd
 from .mesh import CellField, FaceField, cell_divergence
 
 SOLVE_TOL = 1e-12  # relative residual target of every Gauss and Darcy solve
@@ -59,7 +59,6 @@ class ElectroState:
     e_faces: FaceField
     charge_shift: float
     charge_scale: float
-    report: SolveReport
 
 
 def solve_gauss(grid, params, rho_f, rho_b, sigma):
@@ -79,7 +78,7 @@ def solve_gauss(grid, params, rho_f, rho_b, sigma):
     charge_scale = float(np.linalg.norm(b)) / vol
 
     # the operator's range is the zero-sum vectors; x is the zero-mean solution
-    x, report = solve_spd(fv_laplacian(grid, eps), b - b.mean(), tol=SOLVE_TOL)
+    x, _ = solve_spd(fv_laplacian(grid, eps), b - b.mean(), tol=SOLVE_TOL)
     phi = CellField(grid, x)
 
     e = FaceField.zeros(grid)
@@ -87,7 +86,7 @@ def solve_gauss(grid, params, rho_f, rho_b, sigma):
         plane[grid.along(a, slice(1, -1))] = -eps[a] * grid.diff(phi.values, a) / grid.h[a]
     e.set_boundary_outward(sigma)
 
-    return ElectroState(phi, e, float(shift), charge_scale, report)
+    return ElectroState(phi, e, float(shift), charge_scale)
 
 
 def gauss_residual(grid, electro, rho_f, rho_b):

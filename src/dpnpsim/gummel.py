@@ -11,6 +11,8 @@ with the free charge frozen at the current concentration iterate:
 until the weighted increment r_k = sqrt(sum_l |z_l| sum (c^{k+1} - c^k)^2 vol)
 drops below tol.  After convergence the field and flow are rebuilt from the
 converged concentrations so the stored state is internally consistent.
+Concentrations, inflows and applied rates are pairs indexed by species
+(0 = c1, 1 = c2); the increment and the damping loop over them.
 
 A step fails in one way: gummel_step raises GummelError, both when the
 sweep cannot converge and when a linear solve inside the step fails (the
@@ -27,8 +29,6 @@ monitors on every accepted state.
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import monitors
 from .bounds import BoundsEvaluator
@@ -71,8 +71,7 @@ class State:
     electro: object
     flow: object
     conc: Concentrations
-    applied_r1: np.ndarray = None
-    applied_r2: np.ndarray = None
+    applied: tuple = None  # the reaction rates the step applied, one array per species
 
 
 @dataclass(frozen=True)
@@ -94,19 +93,14 @@ class GummelError(RuntimeError):
 
 
 def _increment(params, grid, conc_new, conc_old):
-    vol = grid.cell_volume
-    d1 = conc_new.c1.values - conc_old.c1.values
-    d2 = conc_new.c2.values - conc_old.c2.values
-    return math.sqrt(abs(params.z1) * (d1 * d1).sum() * vol + abs(params.z2) * (d2 * d2).sum() * vol)
+    diffs = [new.values - old.values for new, old in zip(conc_new, conc_old)]
+    return math.sqrt(monitors.weighted_sum_sq(params, diffs, grid.cell_volume))
 
 
 def _damped(grid, damping, raw, old):
     if damping == 1.0:
         return raw
-    return Concentrations(
-        CellField(grid, damping * raw.c1.values + (1.0 - damping) * old.c1.values),
-        CellField(grid, damping * raw.c2.values + (1.0 - damping) * old.c2.values),
-    )
+    return Concentrations(*(CellField(grid, damping * r.values + (1.0 - damping) * o.values) for r, o in zip(raw, old)))
 
 
 def _fields(grid, params, conc, data):
@@ -137,16 +131,7 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
         while True:
             electro, flow = _fields(grid, params, c_k, data)
             result = step_transport(
-                grid,
-                params,
-                c_prev,
-                flow.q_faces,
-                electro.e_faces,
-                data.g1,
-                data.g2,
-                dt,
-                c_lag=c_k,
-                sources=data.sources,
+                grid, params, c_prev, flow.q_faces, electro.e_faces, data.g, dt, c_lag=c_k, sources=data.sources
             )
             c_next = _damped(grid, settings.damping, result.conc, c_k)
             residuals.append(_increment(params, grid, c_next, c_k))
@@ -174,7 +159,7 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
             GummelReport(len(residuals), tuple(residuals)),
         ) from exc
 
-    state = State(state_prev.time + dt, electro, flow, c_k, result.r1, result.r2)
+    state = State(state_prev.time + dt, electro, flow, c_k, result.rates)
     return state, GummelReport(len(residuals), tuple(residuals))
 
 

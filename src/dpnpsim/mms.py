@@ -84,6 +84,11 @@ def _l2_cells(grid, diff):
     return float(np.sqrt((diff * diff).sum() * grid.cell_volume))
 
 
+def _species_errors(grid, conc, exact):
+    """The L2 error of each species' concentration against its exact values, keyed by the field names c1, c2."""
+    return {name: _l2_cells(grid, c.values - e) for name, c, e in zip(Concentrations._fields, conc, exact)}
+
+
 def _l2_faces(grid, diffs):
     return float(np.sqrt(sum((d * d).sum() for d in diffs) * grid.cell_volume))
 
@@ -170,22 +175,12 @@ def _run_diffusion(grid, params):
     X, Y = grid.cell_centers()
     src = (-theta + math.pi**2 * (dx + dy)) * c_ex(X, Y, t1)
     prev = Concentrations(CellField(grid, c_ex(X, Y, 0.0)), CellField(grid, c_ex(X, Y, 0.0)))
+    no_inflow = BoundaryField(grid)
     res = step_transport(
-        grid,
-        params,
-        prev,
-        FaceField.zeros(grid),
-        FaceField.zeros(grid),
-        BoundaryField(grid),
-        BoundaryField(grid),
-        dt,
-        sources=(src, src),
+        grid, params, prev, FaceField.zeros(grid), FaceField.zeros(grid), (no_inflow, no_inflow), dt, sources=(src, src)
     )
     exact = c_ex(X, Y, t1)
-    return {
-        "c1": _l2_cells(grid, res.conc.c1.values - exact),
-        "c2": _l2_cells(grid, res.conc.c2.values - exact),
-    }
+    return _species_errors(grid, res.conc, (exact, exact))
 
 
 def _run_driftdiffusion(grid, params):
@@ -200,12 +195,9 @@ def _run_driftdiffusion(grid, params):
     q = FaceField(grid, np.full(grid.face_shape[0], u0), np.zeros(grid.face_shape[1]))
     # constant total flux J = u0: inflow left, outflow right
     g = BoundaryField(grid, left=u0, right=-u0)
-    res = step_transport(grid, params, prev, q, FaceField.zeros(grid), g, g, dt=0.1)
+    res = step_transport(grid, params, prev, q, FaceField.zeros(grid), (g, g), dt=0.1)
     exact = c_ex(X)
-    return {
-        "c1": _l2_cells(grid, res.conc.c1.values - exact),
-        "c2": _l2_cells(grid, res.conc.c2.values - exact),
-    }
+    return _species_errors(grid, res.conc, (exact, exact))
 
 
 def _run_coupled(grid, params):
@@ -238,7 +230,7 @@ def _run_coupled(grid, params):
     def uy(z, x, y):
         return 2.0 * m * y
 
-    div_u = {z: kap * z * rho_b_val for z in (params.z1, params.z2)}
+    div_u = {z: kap * z * rho_b_val for z in params.z}
 
     def source(z, amp, x, y, t):
         # theta dc/dt - div(D grad c) + u . grad c + c div u, with c = amp * w
@@ -260,14 +252,13 @@ def _run_coupled(grid, params):
         return BoundaryField(grid, left=left, right=right, bottom=bottom, top=top)
 
     X, Y = grid.cell_centers()
-    initial = Concentrations(CellField(grid, a[0] * w(X, Y, 0.0)), CellField(grid, a[1] * w(X, Y, 0.0)))
+    initial = Concentrations(*(CellField(grid, amp * w(X, Y, 0.0)) for amp in a))
     data = StepData(
         sigma=BoundaryField(grid, left=-eps_x, right=-eps_x),
         f=BoundaryField(grid, right=-2.0 * m, top=2.0 * m),
-        g1=g_side(params.z1, a[0], t1),
-        g2=g_side(params.z2, a[1], t1),
+        g=tuple(g_side(z, amp, t1) for z, amp in zip(params.z, a)),
         rho_b=CellField.full(grid, rho_b_val),
-        sources=(source(params.z1, a[0], X, Y, t1), source(params.z2, a[1], X, Y, t1)),
+        sources=tuple(source(z, amp, X, Y, t1) for z, amp in zip(params.z, a)),
     )
     state0 = initial_state(grid, params, initial, data)
     state, _ = gummel_step(grid, params, state0, data, dt, SweepSettings(tol=1e-11))
@@ -275,8 +266,7 @@ def _run_coupled(grid, params):
     phi_ex = X**2 - X + 1.0 / 6.0
     p_ex = X**2 - Y**2
     return {
-        "c1": _l2_cells(grid, state.conc.c1.values - a[0] * w(X, Y, t1)),
-        "c2": _l2_cells(grid, state.conc.c2.values - a[1] * w(X, Y, t1)),
+        **_species_errors(grid, state.conc, [amp * w(X, Y, t1) for amp in a]),
         "phi": _aligned_error(grid, state.electro.phi.values, phi_ex),
         "p": _aligned_error(grid, state.flow.p.values, p_ex),
     }

@@ -34,8 +34,9 @@ class InvariantViolation(RuntimeError):
 
 
 def _sign_summands(params, conc):
-    a = params.z1 * conc.c1.values
-    b = (-params.z2) * conc.c2.values
+    c1, c2 = conc
+    a = params.z1 * c1.values
+    b = (-params.z2) * c2.values
     return (a - b) * (a * a - b * b)
 
 
@@ -53,16 +54,17 @@ def sign_condition(params, conc):
         raise InvariantViolation(
             "sign-condition summand %.3e < %.0e at cell (i=%d, j=%d)" % (m, SIGN_FUZZ, i, j)
         )
-    return float(s.sum() * conc.c1.grid.cell_volume)
+    return float(s.sum() * conc[0].grid.cell_volume)
+
+
+def weighted_sum_sq(params, planes, vol):
+    """sum_l |z_l| * sum_cells a_l^2 * vol, for one cell array a_l per species."""
+    return float(sum(abs(z) * (a * a).sum() * vol for z, a in zip(params.z, planes)))
 
 
 def weighted_energy(params, conc):
     """sum_l |z_l| * sum_cells c_l^2 * volume."""
-    vol = conc.c1.grid.cell_volume
-    return float(
-        abs(params.z1) * (conc.c1.values**2).sum() * vol
-        + abs(params.z2) * (conc.c2.values**2).sum() * vol
-    )
+    return weighted_sum_sq(params, [c.values for c in conc], conc[0].grid.cell_volume)
 
 
 @dataclass
@@ -124,17 +126,14 @@ def _mass_balance(grid, params, state, prev, dt, data):
     vol = grid.cell_volume
     theta = params.theta
     res = []
-    rates = (state.applied_r1, state.applied_r2)
-    gs = (data.g1, data.g2)
-    prev_c = (prev.conc.c1.values, prev.conc.c2.values)
-    new_c = (state.conc.c1.values, state.conc.c2.values)
-    for l in (0, 1):
-        lhs = theta * (new_c[l] - prev_c[l]).sum() * vol
-        rhs = dt * (gs[l].boundary_integral() + theta * rates[l].sum() * vol)
+    for new, old, g, rate in zip(state.conc, prev.conc, data.g, state.applied):
+        new_c, prev_c = new.values, old.values
+        lhs = theta * (new_c - prev_c).sum() * vol
+        rhs = dt * (g.boundary_integral() + theta * rate.sum() * vol)
         scale = max(
-            theta * np.abs(new_c[l]).sum() * vol,
-            theta * np.abs(prev_c[l]).sum() * vol,
-            dt * (gs[l].abs_integral() + theta * np.abs(rates[l]).sum() * vol),
+            theta * np.abs(new_c).sum() * vol,
+            theta * np.abs(prev_c).sum() * vol,
+            dt * (g.abs_integral() + theta * np.abs(rate).sum() * vol),
         )
         diff = abs(lhs - rhs)
         res.append(0.0 if diff == 0.0 else (diff / scale if scale > 0.0 else float("inf")))
@@ -150,11 +149,9 @@ def check_state(grid, params, bounds_eval, state, prev, dt, data):
     breakdown on an otherwise admissible state, which is a code bug.
     """
     conc = state.conc
-    c1 = conc.c1.values
-    c2 = conc.c2.values
-    min_c1, min_c2 = float(c1.min()), float(c2.min())
-    max_c1, max_c2 = float(c1.max()), float(c2.max())
-    nonneg_ok = min(min_c1, min_c2) >= NONNEG_FUZZ
+    mins = [float(c.values.min()) for c in conc]
+    maxs = [float(c.values.max()) for c in conc]
+    nonneg_ok = min(mins) >= NONNEG_FUZZ
 
     summands = _sign_summands(params, conc)
     sign_min = float(summands.min())
@@ -167,8 +164,8 @@ def check_state(grid, params, bounds_eval, state, prev, dt, data):
     energy_bound = bounds_eval.energy_bound_sq(state.time)
     energy_ok = energy <= energy_bound
 
-    mass1, mass2 = _mass_balance(grid, params, state, prev, dt, data)
-    mass_ok = max(mass1, mass2) <= 1e-10
+    mass = _mass_balance(grid, params, state, prev, dt, data)
+    mass_ok = max(mass) <= 1e-10
 
     gauss_res = gauss_residual(grid, state.electro, free_charge(params, conc), data.rho_b)
     gauss_thr = 10.0 * SOLVE_TOL * state.electro.charge_scale
@@ -179,16 +176,16 @@ def check_state(grid, params, bounds_eval, state, prev, dt, data):
     darcy_thr = 10.0 * SOLVE_TOL * state.flow.velocity_scale
     darcy_ok = darcy_res <= max(darcy_thr, 1e-15)
 
-    sup_total = float(np.abs(c1).max() + np.abs(c2).max())
+    sup_total = float(sum(np.abs(c.values).max() for c in conc))
     sup_bound = bounds_eval.sup_bound()
     sup_ok = sup_total <= sup_bound
 
     return MonitorReport(
         time=state.time,
-        min_c1=min_c1,
-        min_c2=min_c2,
-        max_c1=max_c1,
-        max_c2=max_c2,
+        min_c1=mins[0],
+        min_c2=mins[1],
+        max_c1=maxs[0],
+        max_c2=maxs[1],
         nonneg_ok=nonneg_ok,
         sign_value=sign_value,
         sign_min_summand=sign_min,
@@ -196,8 +193,8 @@ def check_state(grid, params, bounds_eval, state, prev, dt, data):
         energy=energy,
         energy_bound=energy_bound,
         energy_ok=energy_ok,
-        mass_residual1=mass1,
-        mass_residual2=mass2,
+        mass_residual1=mass[0],
+        mass_residual2=mass[1],
         mass_ok=mass_ok,
         gauss_residual=gauss_res,
         gauss_threshold=gauss_thr,

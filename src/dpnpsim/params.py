@@ -73,6 +73,11 @@ class PhysParams:
             raise ValueError("T_end must be at least dt, got T_end=%g dt=%g" % (self.T_end, self.dt))
 
     @property
+    def z(self):
+        """The valencies as a pair indexed by species, (z1, z2)."""
+        return (self.z1, self.z2)
+
+    @property
     def max_z(self):
         return float(max(self.z1, -self.z2))
 

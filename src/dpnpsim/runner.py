@@ -35,15 +35,8 @@ def snapshot_rows(grid, params, state):
     """Yield csv rows (lists of strings) for one state, header first, then one per cell with j outermost."""
     yield ["i", "j", "x", "y", "c1", "c2", "p", "phi", "rho_f"]
     x, y = grid.cell_centers()
-    planes = (
-        x,
-        y,
-        state.conc.c1.values,
-        state.conc.c2.values,
-        state.flow.p.values,
-        state.electro.phi.values,
-        free_charge(params, state.conc).values,
-    )
+    conc = [c.values for c in state.conc]
+    planes = (x, y, *conc, state.flow.p.values, state.electro.phi.values, free_charge(params, state.conc).values)
     nx, ny = grid.n
     cells = ((str(i), str(j)) for j in range(ny) for i in range(nx))
     for (i, j), *values in zip(cells, *(map(repr, a.ravel().tolist()) for a in planes)):

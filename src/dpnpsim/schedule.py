@@ -5,7 +5,8 @@ convention) with an optional named time ramp shared by all sides of one
 field.  Two ramp kinds exist: "const" (factor 1 for all t) and "linear"
 (factor 0 before t0, rising linearly to 1 at t1, then flat).  Both have
 closed-form maxima and squared time integrals, which the bounds module uses
-to evaluate the data norms entering the a-priori constants exactly.
+to evaluate the data norms entering the a-priori constants exactly.  The
+inflows g are a pair indexed by species, g[0] = g1 and g[1] = g2.
 """
 
 from dataclasses import dataclass
@@ -78,23 +79,21 @@ class StepData:
 
     sigma: BoundaryField
     f: BoundaryField
-    g1: BoundaryField
-    g2: BoundaryField
+    g: tuple  # the inflow BoundaryField of each species
     rho_b: CellField
     sources: tuple = None  # manufactured (s1, s2) cell arrays added to the transport right sides (mms)
 
 
 class Schedule:
-    """Bundles the four boundary fields and the background charge."""
+    """Bundles the boundary fields sigma and f, the inflow pair g and the background charge."""
 
-    def __init__(self, grid, sigma, f, g1, g2, rho_b):
+    def __init__(self, grid, sigma, f, g, rho_b):
         self.grid = grid
         self.sigma = sigma
         self.f = f
-        self.g1 = g1
-        self.g2 = g2
+        self.g = g
         self.rho_b = rho_b
 
     def at(self, t):
-        return StepData(self.sigma.at(t), self.f.at(t), self.g1.at(t), self.g2.at(t), self.rho_b)
+        return StepData(self.sigma.at(t), self.f.at(t), tuple(g.at(t) for g in self.g), self.rho_b)
 

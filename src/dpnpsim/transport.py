@@ -18,9 +18,13 @@ species, clamped at zero, explicitly on the right side; the consumption term
 sits implicitly on the diagonal.  At any nonnegative fixed point the pair
 coincides with the exchange rates r_1, r_2.  The rates actually applied are
 returned so the discrete mass balance can be checked exactly.
+
+Every per-species quantity is a pair indexed by species, 0 = c1 and 1 = c2:
+the concentrations, the inflows g, the valencies params.z, the sources and
+the applied rates.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +34,8 @@ from .mesh import CellField
 SOLVE_TOL = 1e-14  # relative residual target of every transport solve
 
 
-@dataclass(frozen=True)
-class Concentrations:
-    """One concentration field per species."""
+class Concentrations(NamedTuple):
+    """One concentration field per species, indexed by species (conc[0] is c1)."""
 
     c1: CellField
     c2: CellField
@@ -40,9 +43,8 @@ class Concentrations:
 
 def free_charge(params, conc):
     """Free charge density rho_f = theta (z1 c1 + z2 c2)."""
-    grid = conc.c1.grid
-    vals = params.theta * (params.z1 * conc.c1.values + params.z2 * conc.c2.values)
-    return CellField(grid, vals)
+    c1, c2 = conc
+    return CellField(c1.grid, params.theta * (params.z1 * c1.values + params.z2 * c2.values))
 
 
 def bernoulli(x):
@@ -64,14 +66,11 @@ def bernoulli(x):
     return out
 
 
-@dataclass
-class TransportResult:
-    """Raw step output: new concentrations, applied reaction rates, solve reports."""
+class TransportResult(NamedTuple):
+    """Raw step output: new concentrations and the applied reaction rates, one per species."""
 
     conc: Concentrations
-    r1: np.ndarray
-    r2: np.ndarray
-    reports: tuple
+    rates: tuple
 
 
 def _species_system(grid, params, c_prev_vals, u_planes, g, dt, k_rate, production, source):
@@ -95,34 +94,27 @@ def _species_system(grid, params, c_prev_vals, u_planes, g, dt, k_rate, producti
     return A, rhs.ravel(), cosine_basis(grid, t, shift)
 
 
-def step_transport(grid, params, c_prev, q_faces, e_faces, g1, g2, dt, c_lag=None, sources=None):
+def step_transport(grid, params, c_prev, q_faces, e_faces, g, dt, c_lag=None, sources=None):
     """One implicit Euler step for both species with frozen drift fields.
 
-    c_lag supplies the opposite-species concentrations for the reaction
-    production terms (defaults to c_prev); sources optionally adds
-    manufactured volumetric rates (s1, s2) to the right sides.  Each species
-    system is solved to the relative residual SOLVE_TOL.
+    g is the pair of inflow boundary fields; c_lag supplies the
+    opposite-species concentrations for the reaction production terms
+    (defaults to c_prev); sources optionally adds manufactured volumetric
+    rates (s1, s2) to the right sides.  Each species system is solved to the
+    relative residual SOLVE_TOL.
     """
     if c_lag is None:
         c_lag = c_prev
     k_rate = params.reaction.lipschitz
     kappa = params.kappa
-    lagged = (c_lag.c2.values, c_lag.c1.values)
-    gs = (g1, g2)
-    zs = (params.z1, params.z2)
-    prev = (c_prev.c1.values, c_prev.c2.values)
+    lagged = [np.maximum(c.values, 0.0) for c in reversed(c_lag)]  # the opposite species, clamped
 
     new = []
-    reports = []
-    for l in (0, 1):
-        u_planes = [q + kappa * zs[l] * e for q, e in zip(q_faces.planes, e_faces.planes)]
-        production = k_rate * np.maximum(lagged[l], 0.0)
-        src = None if sources is None else sources[l]
-        A, rhs, basis = _species_system(grid, params, prev[l], u_planes, gs[l], dt, k_rate, production, src)
-        x, rep = solve_nonsym(A, rhs, SOLVE_TOL, basis)
+    for prev, g_l, z, lag, src in zip(c_prev, g, params.z, lagged, sources or (None, None)):
+        u_planes = [q + kappa * z * e for q, e in zip(q_faces.planes, e_faces.planes)]
+        A, rhs, basis = _species_system(grid, params, prev.values, u_planes, g_l, dt, k_rate, k_rate * lag, src)
+        x, _ = solve_nonsym(A, rhs, SOLVE_TOL, basis)
         new.append(CellField(grid, x))
-        reports.append(rep)
 
-    r1 = k_rate * (np.maximum(c_lag.c2.values, 0.0) - new[0].values)
-    r2 = k_rate * (np.maximum(c_lag.c1.values, 0.0) - new[1].values)
-    return TransportResult(Concentrations(new[0], new[1]), r1, r2, tuple(reports))
+    rates = tuple(k_rate * (lag - c.values) for lag, c in zip(lagged, new))
+    return TransportResult(Concentrations(*new), rates)

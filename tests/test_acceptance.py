@@ -61,7 +61,7 @@ def _gap(grid, params, a, b):
 def _transport(grid, params, data, dt, c_prev, electro, flow, c_lag):
     """Concentrations of one transport step of the sweep, with field and flow frozen."""
     result = step_transport(
-        grid, params, c_prev, flow.q_faces, electro.e_faces, data.g1, data.g2, dt, c_lag=c_lag, sources=data.sources
+        grid, params, c_prev, flow.q_faces, electro.e_faces, data.g, dt, c_lag=c_lag, sources=data.sources
     )
     return result.conc
 
@@ -135,8 +135,7 @@ def _random_setup(seed):
         grid,
         sigma=BoundarySpec(grid, **sigma),
         f=BoundarySpec(grid, **f),
-        g1=BoundarySpec(grid, **g1, ramp=g1_ramp),
-        g2=BoundarySpec(grid, **g2),
+        g=(BoundarySpec(grid, **g1, ramp=g1_ramp), BoundarySpec(grid, **g2)),
         rho_b=CellField.full(grid, rng.uniform(-0.1, 0.1)),
     )
     return grid, params, initial, schedule
@@ -239,8 +238,7 @@ def test_09_symmetric_electrolyte():
         grid,
         sigma=BoundarySpec(grid),
         f=BoundarySpec(grid, bottom=-0.2, top=0.2),
-        g1=BoundarySpec(grid, left=0.05),
-        g2=BoundarySpec(grid, left=0.05),
+        g=(BoundarySpec(grid, left=0.05), BoundarySpec(grid, left=0.05)),
         rho_b=CellField.zeros(grid),
     )
     result = advance(grid, params, initial, schedule, SweepSettings(tol=1e-10))

@@ -48,13 +48,13 @@ print(json.dumps({name: t.values[name] for name in names}))
 """
 
 FORCED_SOLVER_FAILURE = """
-import json, re, sys
+import inspect, json, re, sys
 import dpnpsim, tracer
 from dpnpsim import gummel, linalg
 real_step_transport = gummel.step_transport
 
 def failing_at_nominal_dt(*args, **kwargs):
-    if args[7] == 0.01:  # dt is the eighth positional argument
+    if inspect.signature(real_step_transport).bind(*args, **kwargs).arguments["dt"] == 0.01:
         raise linalg.SolverError("forced failure", linalg.SolveReport(1, 1.0))
     return real_step_transport(*args, **kwargs)
 

@@ -250,8 +250,7 @@ def test_norms_use_exact_ramp_integrals():
         g,
         sigma=BoundarySpec(g),
         f=BoundarySpec(g),
-        g1=BoundarySpec(g, left=2.0, ramp=Ramp("linear", t0=0.0, t1=1.0)),
-        g2=BoundarySpec(g),
+        g=(BoundarySpec(g, left=2.0, ramp=Ramp("linear", t0=0.0, t1=1.0)), BoundarySpec(g)),
         rho_b=CellField.zeros(g),
     )
     norms = compute_data_norms(g, sched, initial, T=1.0)

@@ -82,8 +82,8 @@ def test_valid_document_wires_everything():
 
     # boundary wiring including the ramp on f
     sched = cfg.schedule
-    (g1_left, _), _ = sched.g1.base.sides
-    (_, g2_right), _ = sched.g2.base.sides
+    (g1_left, _), _ = sched.g[0].base.sides
+    (_, g2_right), _ = sched.g[1].base.sides
     np.testing.assert_allclose(g1_left, 0.03)
     np.testing.assert_allclose(g2_right, 0.02)
     assert sched.f.ramp.kind == "linear" and sched.f.ramp.t1 == 0.05

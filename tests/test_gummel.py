@@ -27,8 +27,15 @@ Key scenarios:
     the swapped problem (y sides, parameter pairs swapped) gives the
     transposed fields, so every per-axis quantity is paired with its own
     axis in Gauss, Darcy and transport.
+
+  * Exchanging the species commutes with a coupled step: with valencies
+    (-z2, -z1), c1 and c2 exchanged, g1 and g2 exchanged, and sigma and
+    rho_b negated, the step gives the exchanged concentrations, -phi and
+    the same p, so the step treats the two entries of every species pair
+    alike.
 """
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -45,9 +52,14 @@ from dpnpsim.gummel import (
 from dpnpsim.linalg import SolveReport, SolverError
 from dpnpsim.mesh import CellField, Grid
 from dpnpsim.params import PhysParams, ReactionSpec
-from dpnpsim.transport import Concentrations
+from dpnpsim.transport import Concentrations, step_transport
 
 from schedule_helpers import constant_schedule
+
+
+def dt_of(args, kwargs):
+    """The dt of a step_transport call, bound by name."""
+    return inspect.signature(step_transport).bind(*args, **kwargs).arguments["dt"]
 
 
 def weighted_dist(grid, params, a, b):
@@ -133,6 +145,44 @@ def test_swapping_the_axes_commutes_with_a_coupled_step():
     swapped_fields, swapped_sweeps = step(True)
     assert swapped_sweeps == sweeps
     for name, f, t in zip(("c1", "c2", "phi", "p"), fields, swapped_fields):
+        assert np.abs(f - t).max() <= 1e-12 * np.abs(f).max(), name
+
+
+def test_exchanging_the_species_commutes_with_a_coupled_step():
+    g = Grid(8, 6, 1.0, 0.75)
+    rng = np.random.default_rng(43)
+    c1, c2, rho_b = (rng.uniform(0.2, 0.8, size=g.shape) for _ in range(3))
+
+    def step(exchanged):
+        """One coupled step; the exchanged problem swaps every species pair and negates the charges' data."""
+        def pair(a, b):
+            return (b, a) if exchanged else (a, b)
+
+        sign = -1.0 if exchanged else 1.0
+        z1, z2 = (2, -1) if exchanged else (1, -2)
+        p = PhysParams(
+            theta=0.8, D=(1.0, 1.3), K=(1.0, 0.7), kappa=3.0, z1=z1, z2=z2,
+            reaction=ReactionSpec("exchange", 0.2), T_end=0.01, dt=0.01,
+        )
+        init = Concentrations(*pair(CellField(g, c1), CellField(g, c2)))
+        g1, g2 = pair({"left": 0.03}, {"right": 0.02, "top": 0.01})
+        sched = constant_schedule(
+            g,
+            sigma={"left": sign * 0.05, "top": sign * -0.02},
+            f={"left": -0.05, "right": 0.05},
+            g1=g1,
+            g2=g2,
+            rho_b=CellField(g, sign * 0.1 * rho_b),
+        )
+        st0 = initial_state(g, p, init, sched.at(0.0))
+        st, rep = gummel_step(g, p, st0, sched.at(0.01), 0.01, SweepSettings(tol=1e-13))
+        conc = pair(*(c.values for c in st.conc))
+        return (*conc, sign * st.electro.phi.values, st.flow.p.values), rep.sweeps
+
+    fields, sweeps = step(False)
+    exchanged_fields, exchanged_sweeps = step(True)
+    assert exchanged_sweeps == sweeps
+    for name, f, t in zip(("c1", "c2", "phi", "p"), fields, exchanged_fields):
         assert np.abs(f - t).max() <= 1e-12 * np.abs(f).max(), name
 
 
@@ -273,8 +323,9 @@ def test_converged_state_carries_applied_rates_and_time():
     assert rep.residuals[-1] <= 1e-10
     # production uses the lagged iterate, consumption the new one, so the
     # exchange rates cancel only to the sweep tolerance
-    np.testing.assert_allclose(st1.applied_r1 + st1.applied_r2, 0.0, atol=1e-9)
-    assert np.any(st1.applied_r1 != 0.0)
+    r1, r2 = st1.applied
+    np.testing.assert_allclose(r1 + r2, 0.0, atol=1e-9)
+    assert np.any(r1 != 0.0)
 
 
 def test_advance_lands_exactly_on_T_end_with_clipped_final_step():
@@ -363,7 +414,7 @@ def test_advance_halves_dt_on_linear_solver_failure(monkeypatch):
     failed = SolverError("no convergence", SolveReport(1, 1.0))
 
     def failing_at_nominal_dt(*args, **kwargs):
-        if args[7] == 0.02:  # the eighth positional argument is dt
+        if dt_of(args, kwargs) == 0.02:
             raise failed
         return real_step_transport(*args, **kwargs)
 
@@ -377,7 +428,7 @@ def test_advance_halves_dt_on_linear_solver_failure(monkeypatch):
     tried = []
 
     def always_failing(*args, **kwargs):
-        tried.append(args[7])
+        tried.append(dt_of(args, kwargs))
         raise failed
 
     monkeypatch.setattr(gummel, "step_transport", always_failing)

@@ -148,8 +148,7 @@ def test_check_state_observes_corrupted_state_without_raising():
         electro=state.electro,
         flow=state.flow,
         conc=Concentrations(CellField(g, bad_c1), CellField(g, bad_c2)),
-        applied_r1=np.zeros((8, 8)),
-        applied_r2=np.zeros((8, 8)),
+        applied=(np.zeros((8, 8)), np.zeros((8, 8))),
     )
     ev = BoundsEvaluator(g, p, sched, initial)
     report = check_state(g, p, ev, corrupted, state, 0.01, data)

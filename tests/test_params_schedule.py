@@ -99,8 +99,8 @@ def test_constant_schedule_wiring_and_sources():
     # sides[axis][0 low, 1 high]: left is [0][0], right [0][1], bottom [1][0], top [1][1]
     assert np.allclose(data.sigma.sides[0][0], 1.0)
     assert np.allclose(data.f.sides[0][1], 0.5)
-    assert np.allclose(data.g1.sides[1][0], 0.25)
-    assert np.allclose(data.g2.sides[1][1], 0.0)
+    assert np.allclose(data.g[0].sides[1][0], 0.25)
+    assert np.allclose(data.g[1].sides[1][1], 0.0)
     assert np.allclose(data.rho_b.values, 0.125)
     assert data.sources is None
 
@@ -111,8 +111,7 @@ def test_schedule_evaluates_ramps_per_field():
         g,
         sigma=BoundarySpec(g, left=1.0),
         f=BoundarySpec(g, left=-1.0, right=1.0, ramp=Ramp("linear", t0=0.0, t1=1.0)),
-        g1=BoundarySpec(g),
-        g2=BoundarySpec(g),
+        g=(BoundarySpec(g), BoundarySpec(g)),
         rho_b=CellField.zeros(g),
     )
     half = sched.at(0.5)

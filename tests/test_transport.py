@@ -65,12 +65,8 @@ def mass(field):
 
 
 def closed_box(grid):
-    return (
-        FaceField.zeros(grid),
-        FaceField.zeros(grid),
-        BoundaryField(grid),
-        BoundaryField(grid),
-    )
+    """Zero drift fields and no inflow: (q, e, g) with g one zero BoundaryField per species."""
+    return FaceField.zeros(grid), FaceField.zeros(grid), (BoundaryField(grid), BoundaryField(grid))
 
 
 def test_bernoulli_frozen_values():
@@ -132,8 +128,8 @@ def test_single_closed_cell_gains_source_times_dt():
     g = Grid(1, 1, 1.0, 1.0)
     p = PhysParams(theta=1.0)
     prev = Concentrations(CellField.full(g, 2.0), CellField.full(g, 0.5))
-    q, e, gb1, gb2 = closed_box(g)
-    res = step_transport(g, p, prev, q, e, gb1, gb2, dt=0.1, sources=(np.ones((1, 1)), np.ones((1, 1))))
+    q, e, gb = closed_box(g)
+    res = step_transport(g, p, prev, q, e, gb, dt=0.1, sources=(np.ones((1, 1)), np.ones((1, 1))))
     assert res.conc.c1.values[0, 0] == pytest.approx(2.1, abs=1e-12)
     assert res.conc.c2.values[0, 0] == pytest.approx(0.6, abs=1e-12)
 
@@ -142,8 +138,8 @@ def test_two_cell_diffusion_hand_solution():
     g = Grid(2, 1, 2.0, 1.0)
     p = PhysParams(theta=1.0, D=(1.0, 1.0))
     prev = Concentrations(CellField(g, np.array([[1.0, 0.0]])), CellField.zeros(g))
-    q, e, gb1, gb2 = closed_box(g)
-    res = step_transport(g, p, prev, q, e, gb1, gb2, dt=1.0)
+    q, e, gb = closed_box(g)
+    res = step_transport(g, p, prev, q, e, gb, dt=1.0)
     assert np.allclose(res.conc.c1.values, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
     # an x strip couples its cells through D[0] and the x spacing alone: with
     # hx = 1, hy = 0.5 and D = (2, 7) the step is (I + 2 L) c = (1, 0), so
@@ -151,14 +147,23 @@ def test_two_cell_diffusion_hand_solution():
     g = Grid(2, 1, 2.0, 0.5)
     p = PhysParams(theta=1.0, D=(2.0, 7.0))
     prev = Concentrations(CellField(g, np.array([[1.0, 0.0]])), CellField.zeros(g))
-    q, e, gb1, gb2 = closed_box(g)
-    res = step_transport(g, p, prev, q, e, gb1, gb2, dt=1.0)
+    q, e, gb = closed_box(g)
+    res = step_transport(g, p, prev, q, e, gb, dt=1.0)
     assert np.allclose(res.conc.c1.values, [[0.6, 0.4]], atol=1e-12)
     drift = FaceField(g, [[0.0, 1.0, 0.0]], np.zeros((2, 2)))
-    res = step_transport(g, p, prev, drift, e, gb1, gb2, dt=1.0)
+    res = step_transport(g, p, prev, drift, e, gb, dt=1.0)
     b_minus, b_plus = bernoulli(-0.5), bernoulli(0.5)
     expected = np.linalg.solve([[1.0 + 2.0 * b_minus, -2.0 * b_plus], [-2.0 * b_minus, 1.0 + 2.0 * b_plus]], [1.0, 0.0])
     assert np.allclose(res.conc.c1.values.ravel(), expected, atol=1e-12)
+    # the electric drift kappa z_l E takes each species' own valence: with
+    # kappa = 0.5, z = (2, -1) and E = 1 c1 moves at u = 1 as above and c2
+    # against the field at u = -0.5, P = -0.25
+    p = PhysParams(theta=1.0, D=(2.0, 7.0), kappa=0.5, z1=2, z2=-1)
+    res = step_transport(g, p, Concentrations(prev.c1, prev.c1), q, drift, gb, dt=1.0)
+    assert np.allclose(res.conc.c1.values.ravel(), expected, atol=1e-12)
+    b_minus, b_plus = bernoulli(0.25), bernoulli(-0.25)
+    expected = np.linalg.solve([[1.0 + 2.0 * b_minus, -2.0 * b_plus], [-2.0 * b_minus, 1.0 + 2.0 * b_plus]], [1.0, 0.0])
+    assert np.allclose(res.conc.c2.values.ravel(), expected, atol=1e-12)
 
 
 def test_porosity_scales_the_time_derivative():
@@ -166,8 +171,8 @@ def test_porosity_scales_the_time_derivative():
     g = Grid(1, 1, 1.0, 1.0)
     p = PhysParams(theta=0.5)
     prev = Concentrations(CellField.full(g, 1.0), CellField.full(g, 1.0))
-    q, e, gb1, gb2 = closed_box(g)
-    res = step_transport(g, p, prev, q, e, gb1, gb2, dt=0.1, sources=(np.ones((1, 1)), np.zeros((1, 1))))
+    q, e, gb = closed_box(g)
+    res = step_transport(g, p, prev, q, e, gb, dt=0.1, sources=(np.ones((1, 1)), np.zeros((1, 1))))
     assert res.conc.c1.values[0, 0] == pytest.approx(1.2, abs=1e-12)
 
 
@@ -175,9 +180,9 @@ def test_inflow_boundary_adds_mass():
     g = Grid(2, 1, 1.0, 1.0)
     p = PhysParams(theta=1.0)
     prev = Concentrations(CellField.zeros(g), CellField.zeros(g))
-    q, e, _, gb2 = closed_box(g)
+    q, e, (_, gb2) = closed_box(g)
     g1 = BoundaryField(g, left=2.0)  # inflow 2 across a face of length 1
-    res = step_transport(g, p, prev, q, e, g1, gb2, dt=0.25)
+    res = step_transport(g, p, prev, q, e, (g1, gb2), dt=0.25)
     added = mass(res.conc.c1)
     assert added == pytest.approx(0.25 * 2.0 * 1.0, abs=1e-12)
     assert mass(res.conc.c2) == pytest.approx(0.0, abs=1e-14)
@@ -202,15 +207,15 @@ def random_problem(rng, reaction=None):
     e = FaceField(g, rng.normal(0.0, 3.0, size=(ny, nx + 1)), rng.normal(0.0, 3.0, size=(ny + 1, nx)))
     g1 = BoundaryField(g, left=rng.uniform(0.0, 1.0, size=ny), top=rng.uniform(0.0, 1.0, size=nx))
     g2 = BoundaryField(g, right=rng.uniform(0.0, 1.0, size=ny))
-    return g, p, prev, q, e, g1, g2
+    return g, p, prev, q, e, (g1, g2)
 
 
 def test_nonnegativity_survives_arbitrary_drift():
     """M-matrix structure: no drift field can push concentrations negative."""
     rng = np.random.default_rng(101)
     for _ in range(40):
-        g, p, prev, q, e, g1, g2 = random_problem(rng)
-        res = step_transport(g, p, prev, q, e, g1, g2, dt=float(rng.uniform(0.01, 0.5)))
+        g, p, prev, q, e, gin = random_problem(rng)
+        res = step_transport(g, p, prev, q, e, gin, dt=float(rng.uniform(0.01, 0.5)))
         assert min(res.conc.c1.values.min(), res.conc.c2.values.min()) >= -1e-12
 
 
@@ -219,14 +224,11 @@ def test_mass_balance_with_reaction_and_inflow():
     rng = np.random.default_rng(202)
     for _ in range(25):
         reaction = ReactionSpec("exchange", float(rng.uniform(0.0, 2.0)))
-        g, p, prev, q, e, g1, g2 = random_problem(rng, reaction=reaction)
+        g, p, prev, q, e, gin = random_problem(rng, reaction=reaction)
         dt = float(rng.uniform(0.01, 0.2))
-        res = step_transport(g, p, prev, q, e, g1, g2, dt=dt)
+        res = step_transport(g, p, prev, q, e, gin, dt=dt)
         vol = g.cell_volume
-        for conc_new, conc_old, gb, rate in [
-            (res.conc.c1, prev.c1, g1, res.r1),
-            (res.conc.c2, prev.c2, g2, res.r2),
-        ]:
+        for conc_new, conc_old, gb, rate in zip(res.conc, prev, gin, res.rates):
             lhs = p.theta * (mass(conc_new) - mass(conc_old))
             rhs = dt * (gb.boundary_integral() + p.theta * float(rate.sum()) * vol)
             scale = max(
@@ -246,8 +248,8 @@ def test_exchange_conserves_total_mass_in_closed_box():
         CellField(g, rng.uniform(0.0, 1.0, size=(3, 3))),
         CellField(g, rng.uniform(0.0, 1.0, size=(3, 3))),
     )
-    q, e, g1, g2 = closed_box(g)
-    res = step_transport(g, p, prev, q, e, g1, g2, dt=0.1)
+    q, e, gb = closed_box(g)
+    res = step_transport(g, p, prev, q, e, gb, dt=0.1)
     before = mass(prev.c1) + mass(prev.c2)
     after = mass(res.conc.c1) + mass(res.conc.c2)
     assert after == pytest.approx(before, abs=1e-12)
@@ -256,14 +258,14 @@ def test_exchange_conserves_total_mass_in_closed_box():
 def test_step_is_affine_in_sources():
     """One linear solve means source responses superpose exactly."""
     rng = np.random.default_rng(303)
-    g, p, prev, q, e, g1, g2 = random_problem(rng)
+    g, p, prev, q, e, gin = random_problem(rng)
     dt = 0.07
     s_a = rng.normal(size=g.shape)
     s_b = rng.normal(size=g.shape)
     zeros = np.zeros(g.shape)
 
     def run(s):
-        return step_transport(g, p, prev, q, e, g1, g2, dt, sources=(s, zeros))
+        return step_transport(g, p, prev, q, e, gin, dt, sources=(s, zeros))
 
     c_ab = run(s_a + s_b).conc.c1.values
     c_a = run(s_a).conc.c1.values
