@@ -14,11 +14,10 @@ assembled in the bounds module.
 """
 
 from . import bounds, config, darcy, gauss, gummel, linalg, mesh, mms, monitors, runner, schedule, transport
-from .params import PhysParams, ReactionSpec
+from .params import PhysParams
 
 __all__ = [
     "PhysParams",
-    "ReactionSpec",
     "bounds",
     "config",
     "darcy",

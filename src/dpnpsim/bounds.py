@@ -2,7 +2,9 @@
 
 The transport scheme is designed around a chain of estimates; this module
 evaluates their constants from the configured data so the monitors can check
-the simulation against them:
+the simulation against them.  The reaction enters only through C_R, the
+Lipschitz constant of the rate functions, which for the exchange reaction is
+params.exchange_rate (0 without reaction):
 
   B0          compact closed form of the exponential rate of the weighted
               L2 energy estimate,
@@ -113,12 +115,7 @@ def compute_B0(params, norms):
     """Compact closed form of the energy-estimate rate (reported only)."""
     pre = max(2.0 / params.theta, 2.0 / params.alpha_D)
     mid = 12.0 * params.kappa**2 * params.max_z**2 / params.alpha_D
-    bracket = (
-        norms.sigma_inf**2
-        + norms.rhob_inf
-        + norms.f_inf**2
-        + 3.0 * params.theta * params.reaction.lipschitz
-    )
+    bracket = norms.sigma_inf**2 + norms.rhob_inf + norms.f_inf**2 + 3.0 * params.theta * params.exchange_rate
     return pre * mid * bracket
 
 
@@ -139,7 +136,7 @@ def compute_energy_rate(params, norms):
     a_d = params.alpha_D
     drift = 2.0 * params.kappa**2 * params.max_z**2 * (6.0 / a_d * norms.sigma_inf**2 + norms.rhob_inf)
     convection = 6.0 / a_d * norms.f_inf**2
-    reaction = 3.0 * params.theta * params.max_z * params.reaction.lipschitz
+    reaction = 3.0 * params.theta * params.max_z * params.exchange_rate
     trace = 12.0 / a_d if max(norms.g_inf) > 0.0 else 0.0
     return pre * (drift + convection + reaction + trace)
 
@@ -167,7 +164,7 @@ def compute_moser_B0(params, norms, C0):
     K0 = 2.0 * params.kappa**2 * params.max_z * (6.0 / params.alpha_D * norms.sigma_inf**2 + norms.rhob_inf)
     with np.errstate(over="ignore"):
         K1 = float(params.kappa**4 * params.max_z**8 * np.float64(C0) ** 4)
-    bracket = norms.f_inf + 1.0 + K0 + K1 + 3.0 * params.theta * params.reaction.lipschitz
+    bracket = norms.f_inf + 1.0 + K0 + K1 + 3.0 * params.theta * params.exchange_rate
     return pre * mid * bracket
 
 

@@ -37,8 +37,8 @@ import numpy as np
 
 from .darcy import balanced
 from .gummel import SweepSettings
-from .mesh import SIDES, BoundaryField, CellField, Grid
-from .params import PhysParams, ReactionSpec
+from .mesh import SIDES, CellField, Grid
+from .params import PhysParams
 from .schedule import BoundarySpec, Ramp, Schedule
 from .transport import Concentrations
 
@@ -346,29 +346,30 @@ def parse_config(source):
     length = [r.number(g, "grid", key, default=1.0, low_strict=0.0) for key in ("lx", "ly")]
 
     ph = r.block(doc, "physics", _PHYSICS_KEYS, required=True)
-    theta = r.number(ph, "physics", "theta", default=1.0)
-    d_pair = r.pair(ph, "physics", "D", (1.0, 1.0))
-    k_pair = r.pair(ph, "physics", "K", (1.0, 1.0))
-    mu = r.number(ph, "physics", "mu", default=1.0, low_strict=0.0)
-    eps_s = r.number(ph, "physics", "eps_s", default=1.0, low_strict=0.0)
-    kappa = r.number(ph, "physics", "kappa", default=1.0, low=0.0)
-    z1 = r.integer(ph, "physics", "z1", default=1)
-    z2 = r.integer(ph, "physics", "z2", default=-1)
+    phys = PhysParams()  # the physics defaults
+    theta = r.number(ph, "physics", "theta", default=phys.theta)
+    d_pair = r.pair(ph, "physics", "D", phys.D)
+    k_pair = r.pair(ph, "physics", "K", phys.K)
+    mu = r.number(ph, "physics", "mu", default=phys.mu, low_strict=0.0)
+    eps_s = r.number(ph, "physics", "eps_s", default=phys.eps_s, low_strict=0.0)
+    kappa = r.number(ph, "physics", "kappa", default=phys.kappa, low=0.0)
+    z1 = r.integer(ph, "physics", "z1", default=phys.z1)
+    z2 = r.integer(ph, "physics", "z2", default=phys.z2)
     if not 0.0 < theta <= 1.0:
         r.flag("physics.theta must lie in (0, 1], got %g" % theta)
-        theta = 1.0
+        theta = phys.theta
     if not z1 > 0 > z2:
         r.flag("physics valencies must satisfy z1 > 0 > z2, got z1=%d, z2=%d" % (z1, z2))
-        z1, z2 = 1, -1
-    reaction = ReactionSpec("none", 0.0)
+        z1, z2 = phys.z1, phys.z2
+    exchange_rate = phys.exchange_rate
     if "reaction" in ph:
         rb = r.obj(ph["reaction"], "physics.reaction", _REACTION_KEYS)
         kind = rb.get("kind", "none")
-        rate = r.number(rb, "physics.reaction", "rate", default=0.0, low=0.0)
+        rate = r.number(rb, "physics.reaction", "rate", default=phys.exchange_rate, low=0.0)
         if kind not in ("none", "exchange"):
             r.flag("physics.reaction.kind must be 'none' or 'exchange', got %r" % kind)
-        else:
-            reaction = ReactionSpec(kind, rate)
+        elif kind == "exchange":  # "none" is the exchange at rate 0
+            exchange_rate = rate
 
     ini = r.block(doc, "initial", _INITIAL_KEYS, required=True)
     c_specs = []
@@ -411,11 +412,11 @@ def parse_config(source):
     grid = initial = rho_b_field = None
     if None not in n:
         grid = Grid(*n, *length)
-        f_bf = BoundaryField(grid, **boundary["f"][0])
-        if not balanced(f_bf):
+        specs = {name: BoundarySpec(grid, ramp, **sides) for name, (sides, ramp) in boundary.items()}
+        if not balanced(specs["f"].base):
             r.flag(
                 "boundary.f must have zero total flux for the incompressible flow problem; "
-                "net integral is %g" % f_bf.boundary_integral()
+                "net integral is %g" % specs["f"].base.boundary_integral()
             )
         if all(s is not None for s in c_specs):
             conc = [_on_grid(r, grid, s, "initial." + n, nonneg=True) for n, s in zip(_INITIAL_KEYS, c_specs)]
@@ -436,7 +437,7 @@ def parse_config(source):
                 kappa=kappa,
                 z1=z1,
                 z2=z2,
-                reaction=reaction,
+                exchange_rate=exchange_rate,
                 T_end=t_end,
                 dt=dt,
             )
@@ -446,8 +447,7 @@ def parse_config(source):
     if r.violations:
         raise ConfigError(r.violations)
 
-    specs = {name: BoundarySpec(grid, **sides, ramp=ramp) for name, (sides, ramp) in boundary.items()}
-    schedule = Schedule(grid, specs["sigma"], specs["f"], tuple(specs[n] for n in _INFLOW_KEYS), rho_b_field)
+    schedule = Schedule(specs["sigma"], specs["f"], tuple(specs[n] for n in _INFLOW_KEYS), rho_b_field)
     return RunConfig(
         grid=grid,
         params=params,

@@ -1,26 +1,7 @@
 """Physical parameters of the two-species electrokinetic system."""
 
 import math
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class ReactionSpec:
-    """Inter-species exchange reaction r1 = rate * (c2+ - c1+), r2 = -r1."""
-
-    kind: str = "none"
-    rate: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "exchange"):
-            raise ValueError("reaction kind must be 'none' or 'exchange', got %r" % (self.kind,))
-        if not (self.rate >= 0.0):
-            raise ValueError("reaction rate must be nonnegative, got %g" % self.rate)
-
-    @property
-    def lipschitz(self):
-        """Lipschitz constant of the rate functions (0 when there is no reaction)."""
-        return self.rate if self.kind == "exchange" else 0.0
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -32,8 +13,11 @@ class PhysParams:
     formulated for the rescaled field E = -eps_s D grad(phi)).  kappa is the
     composite mobility coefficient multiplying z_l * E in the drift velocity,
     u_l = q + kappa * z_l * E.  z1 and z2 are the (integer) valencies with
-    z1 > 0 > z2.  T_end and dt are the run horizon and the nominal step,
-    finite and positive with dt <= T_end.
+    z1 > 0 > z2.  exchange_rate >= 0 is the rate of the inter-species
+    exchange r1 = exchange_rate (c2+ - c1+), r2 = -r1, and so the Lipschitz
+    constant C_R of the rate functions; 0 means no reaction.  T_end and dt
+    are the run horizon and the nominal step, finite and positive with
+    dt <= T_end.
     """
 
     theta: float = 1.0
@@ -44,7 +28,7 @@ class PhysParams:
     kappa: float = 1.0
     z1: int = 1
     z2: int = -1
-    reaction: ReactionSpec = field(default_factory=ReactionSpec)
+    exchange_rate: float = 0.0
     T_end: float = 1.0
     dt: float = 0.1
 
@@ -62,6 +46,8 @@ class PhysParams:
             raise ValueError("eps_s must be positive, got %g" % self.eps_s)
         if not (self.kappa >= 0.0):
             raise ValueError("kappa must be nonnegative, got %g" % self.kappa)
+        if not (self.exchange_rate >= 0.0):
+            raise ValueError("exchange_rate must be nonnegative, got %g" % self.exchange_rate)
         if not (isinstance(self.z1, int) and isinstance(self.z2, int) and self.z1 > 0 > self.z2):
             raise ValueError("valencies must satisfy z1 > 0 > z2 (integers), got z1=%r z2=%r" % (self.z1, self.z2))
         for name in ("T_end", "dt"):

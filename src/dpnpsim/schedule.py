@@ -1,12 +1,12 @@
 """Time-dependent boundary and volume data for a simulation run.
 
-Boundary data is piecewise constant per side (mesh.SIDES, outward
-convention) with an optional named time ramp shared by all sides of one
-field.  Two ramp kinds exist: "const" (factor 1 for all t) and "linear"
-(factor 0 before t0, rising linearly to 1 at t1, then flat).  Both have
-closed-form maxima and squared time integrals, which the bounds module uses
-to evaluate the data norms entering the a-priori constants exactly.  The
-inflows g are a pair indexed by species, g[0] = g1 and g[1] = g2.
+A BoundarySpec is one boundary field: a mesh.BoundaryField of per-side
+outward values (keywords mesh.SIDES) times an optional named time ramp
+shared by all its sides.  Two ramp kinds exist: "const" (factor 1 for all t)
+and "linear" (factor 0 before t0, rising linearly to 1 at t1, then flat).
+Both have closed-form maxima and squared time integrals, which the bounds
+module uses to evaluate the data norms entering the a-priori constants
+exactly.  The inflows g are a pair indexed by species, g[0] = g1 and g[1] = g2.
 """
 
 from dataclasses import dataclass
@@ -53,11 +53,13 @@ class Ramp:
 
 
 class BoundarySpec:
-    """Per-side outward values (scalars or per-face arrays) times a ramp."""
+    """Per-side outward values (scalars or per-face arrays) times a ramp.
 
-    def __init__(self, grid, left=0.0, right=0.0, bottom=0.0, top=0.0, ramp=None):
-        self.grid = grid
-        self.base = BoundaryField(grid, left=left, right=right, bottom=bottom, top=top)
+    The side keywords are those of BoundaryField (mesh.SIDES); an absent side is zero.
+    """
+
+    def __init__(self, grid, ramp=None, **sides):
+        self.base = BoundaryField(grid, **sides)
         self.ramp = ramp or Ramp()
 
     def at(self, t):
@@ -69,7 +71,8 @@ class BoundarySpec:
 
     def l2_time_boundary(self, T):
         """L2 norm over the time-boundary cylinder [0, T] x boundary."""
-        space_sq = sum((v**2).sum() * area for pair, area in zip(self.base.sides, self.grid.face_area) for v in pair)
+        areas = self.base.grid.face_area
+        space_sq = sum((v**2).sum() * area for pair, area in zip(self.base.sides, areas) for v in pair)
         return float(np.sqrt(space_sq * self.ramp.int_sq(T)))
 
 
@@ -87,8 +90,7 @@ class StepData:
 class Schedule:
     """Bundles the boundary fields sigma and f, the inflow pair g and the background charge."""
 
-    def __init__(self, grid, sigma, f, g, rho_b):
-        self.grid = grid
+    def __init__(self, sigma, f, g, rho_b):
         self.sigma = sigma
         self.f = f
         self.g = g

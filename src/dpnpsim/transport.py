@@ -12,10 +12,11 @@ B(x) = x / (e^x - 1).  Off-diagonal entries are -B(.) <= 0 and the flux
 columns telescope, so the step matrix is an M-matrix for *any* drift field
 and nonnegative data produce nonnegative concentrations up to solver noise.
 
-The exchange reaction r_1 = rate (c_2+ - c_1+), r_2 = -r_1 is linearized to
-preserve that structure: the production term uses the lagged opposite
-species, clamped at zero, explicitly on the right side; the consumption term
-sits implicitly on the diagonal.  At any nonnegative fixed point the pair
+The exchange reaction r_1 = k (c_2+ - c_1+), r_2 = -r_1, whose rate
+k = params.exchange_rate (0 without reaction) is also its Lipschitz constant,
+is linearized to preserve that structure: the production term uses the
+lagged opposite species, clamped at zero, explicitly on the right side; the
+consumption term sits implicitly on the diagonal.  At any nonnegative fixed point the pair
 coincides with the exchange rates r_1, r_2.  The rates actually applied are
 returned so the discrete mass balance can be checked exactly.
 
@@ -105,7 +106,7 @@ def step_transport(grid, params, c_prev, q_faces, e_faces, g, dt, c_lag=None, so
     """
     if c_lag is None:
         c_lag = c_prev
-    k_rate = params.reaction.lipschitz
+    k_rate = params.exchange_rate
     kappa = params.kappa
     lagged = [np.maximum(c.values, 0.0) for c in reversed(c_lag)]  # the opposite species, clamped
 

@@ -12,4 +12,4 @@ def constant_schedule(grid, sigma=None, f=None, g1=None, g2=None, rho_b=None):
 
     if rho_b is None:
         rho_b = CellField.zeros(grid)
-    return Schedule(grid, spec(sigma), spec(f), (spec(g1), spec(g2)), rho_b)
+    return Schedule(spec(sigma), spec(f), (spec(g1), spec(g2)), rho_b)

@@ -33,7 +33,7 @@ from dpnpsim.gummel import SweepSettings, advance
 from dpnpsim.linalg import solve_nonsym, solve_spd
 from dpnpsim.mesh import BoundaryField, CellField, Grid
 from dpnpsim.mms import run_mms
-from dpnpsim.params import PhysParams, ReactionSpec
+from dpnpsim.params import PhysParams
 from dpnpsim.schedule import BoundarySpec, Ramp, Schedule
 from dpnpsim.transport import Concentrations, _species_system, free_charge, step_transport
 from matrix_helpers import to_dense
@@ -115,7 +115,7 @@ def _random_setup(seed):
         kappa=rng.uniform(0.02, 0.05),
         z1=int(rng.integers(1, 4)),
         z2=-int(rng.integers(1, 4)),
-        reaction=ReactionSpec("exchange", rng.uniform(0.02, 0.2)),
+        exchange_rate=rng.uniform(0.02, 0.2),
         T_end=SUITE_STEPS * SUITE_DT,
         dt=SUITE_DT,
     )
@@ -132,7 +132,6 @@ def _random_setup(seed):
     g1_ramp = Ramp("linear", 0.0, rng.uniform(0.02, 0.1)) if rng.random() < 0.3 else None
 
     schedule = Schedule(
-        grid,
         sigma=BoundarySpec(grid, **sigma),
         f=BoundarySpec(grid, **f),
         g=(BoundarySpec(grid, **g1, ramp=g1_ramp), BoundarySpec(grid, **g2)),
@@ -235,7 +234,6 @@ def test_09_symmetric_electrolyte():
     w = CellField(grid, 0.5 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
     initial = Concentrations(w, CellField(grid, w.values.copy()))
     schedule = Schedule(
-        grid,
         sigma=BoundarySpec(grid),
         f=BoundarySpec(grid, bottom=-0.2, top=0.2),
         g=(BoundarySpec(grid, left=0.05), BoundarySpec(grid, left=0.05)),
@@ -297,13 +295,13 @@ def test_11_linear_solver_oracle():
             params = PhysParams(
                 theta=float(rng.uniform(0.1, 1.0)),
                 D=tuple(float(v) for v in rng.uniform(0.1, 10.0, size=2)),
-                reaction=ReactionSpec("exchange", float(rng.uniform(0.0, 1.0))),
+                exchange_rate=float(rng.uniform(0.0, 1.0)),
             )
             speed = 10.0 ** rng.uniform(-1.0, 3.0)
             ufx = speed * rng.uniform(-1.0, 1.0, size=(ny, nx + 1))
             ufy = speed * rng.uniform(-1.0, 1.0, size=(ny + 1, nx))
             g = BoundaryField(grid, *(rng.uniform(0.0, 0.1, size=n) for n in (ny, ny, nx, nx)))
-            k_rate = params.reaction.lipschitz
+            k_rate = params.exchange_rate
             production = k_rate * rng.uniform(0.0, 1.0, size=(ny, nx))
             c_prev = rng.uniform(0.0, 1.0, size=(ny, nx))
             dt = 10.0 ** rng.uniform(-4.0, -1.0)

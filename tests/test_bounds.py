@@ -48,7 +48,7 @@ from dpnpsim.bounds import (
 )
 from dpnpsim.config import parse_config
 from dpnpsim.mesh import CellField, Grid
-from dpnpsim.params import PhysParams, ReactionSpec
+from dpnpsim.params import PhysParams
 from dpnpsim.transport import Concentrations
 
 from schedule_helpers import constant_schedule
@@ -81,7 +81,7 @@ def test_B0_scales_quadratically_in_kappa_and_z():
 
 def test_B0_includes_reaction_term():
     g, initial, sched = make_setup()
-    p = PhysParams(theta=1.0, kappa=1.0, reaction=ReactionSpec("exchange", 2.0))
+    p = PhysParams(theta=1.0, kappa=1.0, exchange_rate=2.0)
     norms = compute_data_norms(g, sched, initial, T=1.0)
     # bracket = 3 * theta * rate = 6, prefactors 2 * 12
     assert compute_B0(p, norms) == pytest.approx(144.0)
@@ -139,7 +139,7 @@ def test_energy_rate_reaction_term_not_kappa_scaled():
     # exchange rate 0.3, theta = 0.5, z = (1, -2):
     # max(2/0.5, 2) * 3 * 0.5 * 2 * 0.3 = 4 * 0.9 = 3.6 even at kappa = 0.
     g, initial, sched = make_setup()
-    p = PhysParams(theta=0.5, D=(1.0, 1.0), kappa=0.0, z2=-2, reaction=ReactionSpec("exchange", 0.3))
+    p = PhysParams(theta=0.5, D=(1.0, 1.0), kappa=0.0, z2=-2, exchange_rate=0.3)
     norms = compute_data_norms(g, sched, initial, T=1.0)
     assert compute_B0(p, norms) == 0.0
     assert compute_energy_rate(p, norms) == pytest.approx(3.6)
@@ -247,7 +247,6 @@ def test_norms_use_exact_ramp_integrals():
     from dpnpsim.schedule import BoundarySpec, Ramp, Schedule
 
     sched = Schedule(
-        g,
         sigma=BoundarySpec(g),
         f=BoundarySpec(g),
         g=(BoundarySpec(g, left=2.0, ramp=Ramp("linear", t0=0.0, t1=1.0)), BoundarySpec(g)),

@@ -69,7 +69,7 @@ def test_valid_document_wires_everything():
     assert p.D == (1.0, 0.5)
     assert p.K == (2.0, 2.0)
     assert (p.z1, p.z2) == (2, -1)
-    assert p.reaction.kind == "exchange" and p.reaction.rate == 0.1
+    assert p.exchange_rate == 0.1
     assert (p.T_end, p.dt) == (0.1, 0.005)
 
     # gaussian peaks at its center, expression matches numpy evaluation
@@ -111,7 +111,7 @@ def test_defaults_fill_in():
     assert cfg.out_dir == "out"
     assert cfg.snapshot_stride == 1
     assert cfg.params.theta == 1.0 and cfg.params.kappa == 1.0
-    assert cfg.params.reaction.kind == "none"
+    assert cfg.params.exchange_rate == 0.0  # no reaction
     np.testing.assert_allclose(cfg.initial.c1.values, 1.0)
     np.testing.assert_allclose(cfg.schedule.rho_b.values, 0.0)
     # boundary omitted entirely: all data defaults to zero
@@ -214,6 +214,23 @@ def test_field_spec_validation():
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps(doc))
         assert exc.value.violations == ["initial.c1.kind must be one of constant, gaussian, expression, got %r" % kind]
+
+
+def test_reaction_kind_and_rate_become_one_exchange_rate():
+    # kind "none" is the exchange at rate 0, whatever rate is given; any other kind is flagged
+    doc = base_doc()
+    doc["physics"]["reaction"] = {"kind": "implode"}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert exc.value.violations == ["physics.reaction.kind must be 'none' or 'exchange', got 'implode'"]
+    doc["physics"]["reaction"] = {"kind": "none", "rate": 0.7}
+    assert parse_config(json.dumps(doc)).params.exchange_rate == 0.0
+    doc["physics"]["reaction"] = {"kind": "exchange", "rate": 0.7}
+    assert parse_config(json.dumps(doc)).params.exchange_rate == 0.7
+    doc["physics"]["reaction"] = {"kind": "exchange", "rate": -0.5}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert exc.value.violations == ["physics.reaction.rate must be >= 0, got -0.5"]
 
 
 def _set(doc, path, value):

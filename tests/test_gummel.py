@@ -51,7 +51,7 @@ from dpnpsim.gummel import (
 )
 from dpnpsim.linalg import SolveReport, SolverError
 from dpnpsim.mesh import CellField, Grid
-from dpnpsim.params import PhysParams, ReactionSpec
+from dpnpsim.params import PhysParams
 from dpnpsim.transport import Concentrations, step_transport
 
 from schedule_helpers import constant_schedule
@@ -78,7 +78,7 @@ def coupled_setup(n=12):
         kappa=0.1,
         z1=1,
         z2=-2,
-        reaction=ReactionSpec("exchange", 0.1),
+        exchange_rate=0.1,
         T_end=0.05,
         dt=0.01,
     )
@@ -125,7 +125,7 @@ def test_swapping_the_axes_commutes_with_a_coupled_step():
         g = Grid(*pair(nx, ny), *pair(lx, ly))
         p = PhysParams(
             theta=0.8, D=pair(0.7, 1.6), K=pair(1.3, 0.4), mu=1.1, eps_s=1.7, kappa=0.3, z1=2, z2=-1,
-            reaction=ReactionSpec("exchange", 0.1), T_end=0.02, dt=0.02,
+            exchange_rate=0.1, T_end=0.02, dt=0.02,
         )
         init = Concentrations(CellField(g, plane(c1)), CellField(g, plane(c2)))
         sched = constant_schedule(
@@ -162,7 +162,7 @@ def test_exchanging_the_species_commutes_with_a_coupled_step():
         z1, z2 = (2, -1) if exchanged else (1, -2)
         p = PhysParams(
             theta=0.8, D=(1.0, 1.3), K=(1.0, 0.7), kappa=3.0, z1=z1, z2=z2,
-            reaction=ReactionSpec("exchange", 0.2), T_end=0.01, dt=0.01,
+            exchange_rate=0.2, T_end=0.01, dt=0.01,
         )
         init = Concentrations(*pair(CellField(g, c1), CellField(g, c2)))
         g1, g2 = pair({"left": 0.03}, {"right": 0.02, "top": 0.01})

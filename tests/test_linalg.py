@@ -36,7 +36,7 @@ from dpnpsim.linalg import (
     two_point_matrix,
 )
 from dpnpsim.mesh import BoundaryField, FaceField, Grid
-from dpnpsim.params import PhysParams, ReactionSpec
+from dpnpsim.params import PhysParams
 from dpnpsim.transport import _species_system
 from matrix_helpers import to_dense
 
@@ -314,7 +314,7 @@ def test_drift_free_transport_solve_takes_one_iteration():
     # with zero drift the SG matrix is exactly the operator its basis
     # diagonalizes, so the first preconditioned step solves it
     g = Grid(12, 9, 1.0, 0.8)
-    params = PhysParams(theta=0.8, D=(1.0, 2.0), reaction=ReactionSpec("exchange", 0.1))
+    params = PhysParams(theta=0.8, D=(1.0, 2.0), exchange_rate=0.1)
     rng = np.random.default_rng(3)
     zero = FaceField.zeros(g)
     A, rhs, basis = _species_system(

@@ -28,7 +28,7 @@ from dpnpsim.monitors import (
     sign_condition,
     weighted_energy,
 )
-from dpnpsim.params import PhysParams, ReactionSpec
+from dpnpsim.params import PhysParams
 from dpnpsim.transport import Concentrations
 
 from schedule_helpers import constant_schedule
@@ -102,12 +102,12 @@ def test_weighted_energy_frozen_value_and_homogeneity():
     assert weighted_energy(PhysParams(z1=2, z2=-3), uniform_conc(g, 1.0, 1.0)) == pytest.approx(5.0)
 
 
-def small_run(reaction=None, kappa=0.3):
+def small_run(exchange_rate=0.2, kappa=0.3):
     g = Grid(8, 8, 1.0, 1.0)
     p = PhysParams(
         theta=0.8,
         kappa=kappa,
-        reaction=reaction or ReactionSpec("exchange", 0.2),
+        exchange_rate=exchange_rate,
         T_end=0.02,
         dt=0.01,
     )
@@ -202,7 +202,7 @@ def test_monitor_csv_row_matches_header_and_serializes_cleanly():
 
 
 def test_mass_balance_flag_over_longer_run():
-    g, p, initial, sched = small_run(reaction=ReactionSpec("exchange", 0.5))
+    g, p, initial, sched = small_run(exchange_rate=0.5)
     result = advance(g, replace(p, T_end=0.05, dt=0.005), initial, sched)
     for m in result.monitors:
         assert max(m.mass_residual1, m.mass_residual2) <= 1e-10

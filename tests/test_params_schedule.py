@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dpnpsim.mesh import BoundaryField, CellField, Grid
-from dpnpsim.params import PhysParams, ReactionSpec
+from dpnpsim.params import PhysParams
 from dpnpsim.schedule import BoundarySpec, Ramp, Schedule, StepData
 
 from schedule_helpers import constant_schedule
@@ -39,13 +39,12 @@ def test_params_validation_messages():
         PhysParams(T_end=0.1, dt=0.2)
 
 
-def test_reaction_spec_validation_and_lipschitz():
-    assert ReactionSpec("none", 0.0).lipschitz == 0.0
-    assert ReactionSpec("exchange", 2.5).lipschitz == 2.5
-    with pytest.raises(ValueError):
-        ReactionSpec("implode", 1.0)
-    with pytest.raises(ValueError):
-        ReactionSpec("exchange", -1.0)
+def test_exchange_rate_defaults_to_no_reaction_and_must_be_nonnegative():
+    # the reaction kinds ('none' is the exchange at rate 0) are a config rule, tested in test_config
+    assert PhysParams().exchange_rate == 0.0
+    assert PhysParams(exchange_rate=2.5).exchange_rate == 2.5
+    with pytest.raises(ValueError, match="exchange_rate must be nonnegative"):
+        PhysParams(exchange_rate=-1.0)
 
 
 def test_const_ramp_is_identity():
@@ -83,6 +82,8 @@ def test_boundary_spec_at_and_norms():
     assert spec.l2_time_boundary(2.0) == pytest.approx(np.sqrt(4.0 * (2.0 / 3.0)))
     # a left face spans hy: on a 2x2 grid of 1 x 3 the side has length 3, space_sq = 4.0 * 3.0
     assert BoundarySpec(Grid(2, 2, 1.0, 3.0), left=2.0).l2_time_boundary(2.0) == pytest.approx(np.sqrt(12.0 * 2.0))
+    with pytest.raises(TypeError):  # the sides are BoundaryField's keywords, so an unknown one is refused
+        BoundarySpec(g, front=1.0)
 
 
 def test_constant_schedule_wiring_and_sources():
@@ -108,7 +109,6 @@ def test_constant_schedule_wiring_and_sources():
 def test_schedule_evaluates_ramps_per_field():
     g = Grid(2, 1, 1.0, 1.0)
     sched = Schedule(
-        g,
         sigma=BoundarySpec(g, left=1.0),
         f=BoundarySpec(g, left=-1.0, right=1.0, ramp=Ramp("linear", t0=0.0, t1=1.0)),
         g=(BoundarySpec(g), BoundarySpec(g)),

@@ -10,6 +10,16 @@ A failed attempt is given up as soon as its contraction rate shows that the
 sweep budget cannot reach tol, so it costs a few sweeps rather than the
 whole budget of 50: at most 10 wasted sweeps per halving.
 
+On the demo's charged data (sigma and background charge nonzero) the
+a-priori constants overflow: the sup flag is vacuous in every case
+(C_M = inf), and so is the energy flag from kappa = 200 (C0_hat_energy is
+6e90 or inf, and the largest energy/bound ratio reads 0.000).  Those cases
+show that the march recovers, not that the bounds hold.  With sigma = 0 and
+no background charge the energy bound does not depend on kappa, because the
+sign condition makes the drift term dissipative; there the march reaches
+0.85-0.99 of the bound, so the energy flag is a live check of that
+mechanism.  C_M is still inf there, so the sup flag stays vacuous.
+
 kappa 200 with z = (1, -2) is the benchmark's strong-16 case; its accepted
 path (steps, sweeps and halvings) is pinned, since giving up early must not
 change which attempts succeed there.
@@ -17,6 +27,7 @@ change which attempts succeed there.
 
 import copy
 import json
+import math
 import os
 
 import pytest
@@ -30,15 +41,26 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(ROOT, "configs", "demo.json"), encoding="utf-8") as fh:
     DEMO = json.load(fh)
 
-CASES = [(kappa, z) for kappa in (10.0, 200.0, 1000.0) for z in ((1, -2), (1, -1))] + [(200.0, (3, -3))]
+CASES = [(kappa, z) for kappa in (10.0, 200.0, 1000.0) for z in ((1, -2), (1, -1))] + [
+    (200.0, (3, -3)),
+    (200.0, (1, -3)),
+]
+UNCHARGED = [(kappa, z) for kappa in (200.0, 1000.0) for z in ((1, -2), (3, -1))]
 
 
-@pytest.mark.parametrize("kappa, z", CASES, ids=["kappa%g-z%d%d" % (k, z1, z2) for k, (z1, z2) in CASES])
-def test_strong_coupling_recovers_with_every_monitor_passing(kappa, z):
+def _ids(cases):
+    return ["kappa%g-z%d%d" % (k, z1, z2) for k, (z1, z2) in cases]
+
+
+def _march(kappa, z, uncharged=False):
+    """The demo on 16x16 to t = 0.01 at this coupling; every monitor passes and each halving wastes <= 10 sweeps."""
     doc = copy.deepcopy(DEMO)
     doc["grid"].update(nx=16, ny=16)
     doc["physics"].update(kappa=kappa, z1=z[0], z2=z[1])
     doc["time"]["t_end"] = 0.01
+    if uncharged:
+        del doc["boundary"]["sigma"]
+        doc["background_charge"] = 0.0
     cfg = parse_config(doc)
     res = advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
 
@@ -49,5 +71,18 @@ def test_strong_coupling_recovers_with_every_monitor_passing(kappa, z):
 
     halvings = sum(r.halvings for r in res.reports)
     assert sum(r.wasted_sweeps for r in res.reports) <= 10 * halvings
+    return res, halvings
+
+
+@pytest.mark.parametrize("kappa, z", CASES, ids=_ids(CASES))
+def test_strong_coupling_recovers_with_every_monitor_passing(kappa, z):
+    res, halvings = _march(kappa, z)
     if (kappa, z) == (200.0, (1, -2)):
         assert (len(res.reports), sum(r.sweeps for r in res.reports), halvings) == (7, 165, 11)
+
+
+@pytest.mark.parametrize("kappa, z", UNCHARGED, ids=_ids(UNCHARGED))
+def test_uncharged_strong_coupling_keeps_a_finite_energy_bound_that_bites(kappa, z):
+    res, _ = _march(kappa, z, uncharged=True)
+    assert all(math.isfinite(m.energy_bound) for m in res.monitors)
+    assert max(m.energy / m.energy_bound for m in res.monitors) > 0.5

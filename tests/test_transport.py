@@ -31,7 +31,7 @@ import pytest
 from dpnpsim import runner, transport
 from dpnpsim.config import load_config
 from dpnpsim.mesh import BoundaryField, CellField, FaceField, Grid
-from dpnpsim.params import PhysParams, ReactionSpec
+from dpnpsim.params import PhysParams
 from dpnpsim.transport import (
     Concentrations,
     bernoulli,
@@ -48,14 +48,9 @@ def sg_flux(d_face, h, u_face, c_left, c_right):
     return (d_face / h) * (bernoulli(-P) * c_left - bernoulli(P) * c_right)
 
 
-def reaction_rates(spec, c1, c2):
-    """Exchange rates r1 = rate (c2+ - c1+), r2 = -r1 (zeros for kind 'none')."""
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    if spec.kind == "none":
-        r1 = np.zeros(np.broadcast(c1, c2).shape)
-    else:
-        r1 = spec.rate * (np.maximum(c2, 0.0) - np.maximum(c1, 0.0))
+def reaction_rates(rate, c1, c2):
+    """Exchange rates r1 = rate (c2+ - c1+), r2 = -r1 (zeros at rate 0, no reaction)."""
+    r1 = rate * (np.maximum(c2, 0.0) - np.maximum(c1, 0.0))
     return r1, -r1
 
 
@@ -107,13 +102,13 @@ def test_sg_flux_drift_limit_upwinds():
 
 
 def test_reaction_rates_frozen_examples():
-    r1, r2 = reaction_rates(ReactionSpec("exchange", 2.0), -1.0, 3.0)
+    r1, r2 = reaction_rates(2.0, -1.0, 3.0)
     assert r1 == pytest.approx(6.0)
     assert r2 == pytest.approx(-6.0)
-    r1, r2 = reaction_rates(ReactionSpec("exchange", 0.5), 4.0, 1.0)
+    r1, r2 = reaction_rates(0.5, 4.0, 1.0)
     assert r1 == pytest.approx(-1.5)
     assert r2 == pytest.approx(1.5)
-    r1, r2 = reaction_rates(ReactionSpec("none", 0.0), 5.0, 2.0)
+    r1, r2 = reaction_rates(0.0, 5.0, 2.0)
     assert np.all(r1 == 0.0) and np.all(r2 == 0.0)
 
 
@@ -188,7 +183,7 @@ def test_inflow_boundary_adds_mass():
     assert mass(res.conc.c2) == pytest.approx(0.0, abs=1e-14)
 
 
-def random_problem(rng, reaction=None):
+def random_problem(rng, exchange_rate=0.0):
     nx, ny = (int(v) for v in rng.integers(2, 10, size=2))
     g = Grid(nx, ny, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
     p = PhysParams(
@@ -197,7 +192,7 @@ def random_problem(rng, reaction=None):
         kappa=float(rng.uniform(0.0, 1.0)),
         z1=int(rng.integers(1, 3)),
         z2=-int(rng.integers(1, 3)),
-        reaction=reaction or ReactionSpec("none", 0.0),
+        exchange_rate=exchange_rate,
     )
     prev = Concentrations(
         CellField(g, rng.uniform(0.0, 2.0, size=(ny, nx))),
@@ -223,8 +218,7 @@ def test_mass_balance_with_reaction_and_inflow():
     """theta * d/dt of each species mass = boundary inflow + theta * reaction."""
     rng = np.random.default_rng(202)
     for _ in range(25):
-        reaction = ReactionSpec("exchange", float(rng.uniform(0.0, 2.0)))
-        g, p, prev, q, e, gin = random_problem(rng, reaction=reaction)
+        g, p, prev, q, e, gin = random_problem(rng, exchange_rate=float(rng.uniform(0.0, 2.0)))
         dt = float(rng.uniform(0.01, 0.2))
         res = step_transport(g, p, prev, q, e, gin, dt=dt)
         vol = g.cell_volume
@@ -242,7 +236,7 @@ def test_mass_balance_with_reaction_and_inflow():
 
 def test_exchange_conserves_total_mass_in_closed_box():
     g = Grid(3, 3, 1.0, 1.0)
-    p = PhysParams(theta=0.7, reaction=ReactionSpec("exchange", 1.5))
+    p = PhysParams(theta=0.7, exchange_rate=1.5)
     rng = np.random.default_rng(7)
     prev = Concentrations(
         CellField(g, rng.uniform(0.0, 1.0, size=(3, 3))),
