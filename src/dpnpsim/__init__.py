@@ -10,11 +10,20 @@ Every a-priori estimate the scheme is designed around (non-negativity, the
 sign condition of the charge nonlinearity, weighted L2 energy growth, L-inf
 boundedness, discrete mass balance, divergence consistency of the recovered
 fluxes) is evaluated at runtime by the monitors module against the constants
-assembled in the bounds module.
+assembled in the bounds module.  Imported before numpy, the package runs
+OpenBLAS on one thread unless OPENBLAS/GOTO/OMP_NUM_THREADS sets a count.
 """
 
-from . import bounds, config, darcy, gauss, gummel, linalg, mesh, mms, monitors, runner, schedule, transport
-from .params import PhysParams
+import os
+import sys
+
+# On the grids served (<= 128^2 cells) a second OpenBLAS thread only slows numpy's import and spins after calls.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")  # OpenBLAS's lookup order
+if "numpy" not in sys.modules and not any(os.environ.get(v) for v in _THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from . import bounds, config, darcy, gauss, gummel, linalg, mesh, mms, monitors, runner, schedule, transport  # noqa: E402
+from .params import PhysParams  # noqa: E402
 
 __all__ = [
     "PhysParams",

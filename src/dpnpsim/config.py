@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .darcy import balanced
+from .darcy import imbalance
 from .gummel import SweepSettings
 from .mesh import SIDES, CellField, Grid
 from .params import PhysParams
@@ -281,7 +281,7 @@ def _read_field_spec(reader, raw, where):
 
 
 def _read_boundary_field(reader, raw, name):
-    """Returns (sides dict, Ramp) of boundary.<name>, zero and constant where absent or invalid."""
+    """Returns (sides dict, Ramp or None) of boundary.<name>: zero sides and no ramp where absent or invalid."""
     where = "boundary." + name
     raw = {} if raw is None else reader.obj(raw, where, _SIDE_KEYS)
     sides = {}
@@ -291,19 +291,14 @@ def _read_boundary_field(reader, raw, name):
             reader.flag("%s.%s is an inflow and must be nonnegative, got %g" % (where, s, v))
             v = 0.0
         sides[s] = v
-    ramp = Ramp("const")
+    ramp = None
     if "ramp" in raw:
         rr = reader.obj(raw["ramp"], where + ".ramp", _RAMP_KEYS)
-        kind = rr.get("kind", "const")
-        if kind not in ("const", "linear"):
-            reader.flag("%s.ramp.kind must be 'const' or 'linear', got %r" % (where, kind))
-        elif kind == "linear":
-            t0 = reader.number(rr, where + ".ramp", "t0", default=0.0, low=0.0)
-            t1 = reader.number(rr, where + ".ramp", "t1", required=True)
-            if t1 is not None and t1 <= t0:
-                reader.flag("%s.ramp needs t1 > t0, got t0=%g, t1=%g" % (where, t0, t1))
-            elif t1 is not None:
-                ramp = Ramp("linear", t0, t1)
+        times = {k: reader.number(rr, where + ".ramp", k) for k in ("t0", "t1") if k in rr}
+        try:  # Ramp checks kind and times; a time read as None is already flagged
+            ramp = None if None in times.values() else Ramp(rr.get("kind", "const"), **times)
+        except ValueError as exc:
+            reader.flag("%s.ramp: %s" % (where, exc))
     return sides, ramp
 
 
@@ -413,11 +408,8 @@ def parse_config(source):
     if None not in n:
         grid = Grid(*n, *length)
         specs = {name: BoundarySpec(grid, ramp, **sides) for name, (sides, ramp) in boundary.items()}
-        if not balanced(specs["f"].base):
-            r.flag(
-                "boundary.f must have zero total flux for the incompressible flow problem; "
-                "net integral is %g" % specs["f"].base.boundary_integral()
-            )
+        if net := imbalance(specs["f"].base):
+            r.flag("boundary.f must have zero total flux for the incompressible flow problem; net integral is %g" % net)
         if all(s is not None for s in c_specs):
             conc = [_on_grid(r, grid, s, "initial." + n, nonneg=True) for n, s in zip(_INITIAL_KEYS, c_specs)]
             if all(c is not None for c in conc):

@@ -35,17 +35,21 @@ class FlowState:
     velocity_scale: float
 
 
-def balanced(f_bc):
-    """Whether the boundary flux f integrates to zero: to BALANCE_RTOL of max(integral |f|, 1)."""
-    return abs(f_bc.boundary_integral()) <= BALANCE_RTOL * max(f_bc.abs_integral(), 1.0)
+def imbalance(f_bc):
+    """The boundary integral of f where |integral f| > BALANCE_RTOL max(integral |f|, 1), else 0.0.
+
+    Both integrals are taken of f / s, s = max(max |f|, 1), so neither overflows; the net times s may be inf.
+    """
+    scale = max(f_bc.max_abs(), 1.0)
+    unit = f_bc.scaled(1.0 / scale)
+    net = unit.boundary_integral()
+    return 0.0 if abs(net) <= BALANCE_RTOL * max(unit.abs_integral(), 1.0 / scale) else net * scale
 
 
 def solve_darcy(grid, params, rho_f, e_faces, f_bc):
     """Solve for (p, q) given the free charge, the electric field, and q.nu = f."""
-    if not balanced(f_bc):
-        raise IncompatibleFlowData(
-            "Darcy boundary data must balance: boundary integral of f is %.3e" % f_bc.boundary_integral()
-        )
+    if net := imbalance(f_bc):
+        raise IncompatibleFlowData("Darcy boundary data must balance: boundary integral of f is %.3e" % net)
 
     m = tuple(k / params.mu for k in params.K)
     vol = grid.cell_volume

@@ -31,16 +31,18 @@ def _fmt(value):
     return repr(float(value))
 
 
-def snapshot_rows(grid, params, state):
-    """Yield csv rows (lists of strings) for one state, header first, then one per cell with j outermost."""
-    yield ["i", "j", "x", "y", "c1", "c2", "p", "phi", "rho_f"]
-    x, y = grid.cell_centers()
-    conc = [c.values for c in state.conc]
-    planes = (x, y, *conc, state.flow.p.values, state.electro.phi.values, free_charge(params, state.conc).values)
-    nx, ny = grid.n
-    cells = ((str(i), str(j)) for j in range(ny) for i in range(nx))
-    for (i, j), *values in zip(cells, *(map(repr, a.ravel().tolist()) for a in planes)):
-        yield [i, j, *values]
+def row_templates(grid):
+    """Per grid row j, its snapshot lines with a %s slot after each cell's "i,j,x,y,"; one list serves a whole run."""
+    x, y = (c.tolist() for c in grid.centers)
+    return ["".join("%d,%d,%r,%r,%%s\n" % (i, j, xi, yj) for i, xi in enumerate(x)) for j, yj in enumerate(y)]
+
+
+def snapshot_text(templates, params, state):
+    """Yield one snapshot file in pieces: the header line, then the lines of each grid row j."""
+    yield "i,j,x,y,c1,c2,p,phi,rho_f\n"
+    planes = (f.values for f in (*state.conc, state.flow.p, state.electro.phi, free_charge(params, state.conc)))
+    for template, *rows in zip(templates, *planes):  # a row at a time: no column is held whole
+        yield template % tuple(map(",".join, zip(*(map(repr, r.tolist()) for r in rows))))
 
 
 def write_csv(path, rows):
@@ -116,12 +118,14 @@ def run(cfg, out_dir=None):
     wall = time.perf_counter() - t_start
 
     files = []
+    templates = row_templates(cfg.grid)
     last = len(result.states) - 1
     for k, state in enumerate(result.states):
         if k % cfg.snapshot_stride != 0 and k != last:
             continue
         name = "snapshot_%06d.csv" % k
-        write_csv(os.path.join(target, name), snapshot_rows(cfg.grid, cfg.params, state))
+        with open(os.path.join(target, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(snapshot_text(templates, cfg.params, state))
         files.append(name)
 
     write_csv(

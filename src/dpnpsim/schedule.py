@@ -22,13 +22,13 @@ class Ramp:
 
     kind: str = "const"
     t0: float = 0.0
-    t1: float = 1.0
+    t1: float = None  # a linear ramp needs one
 
     def __post_init__(self):
         if self.kind not in ("const", "linear"):
             raise ValueError("ramp kind must be 'const' or 'linear', got %r" % (self.kind,))
-        if self.kind == "linear" and not (self.t1 > self.t0 >= 0.0):
-            raise ValueError("linear ramp needs t1 > t0 >= 0, got t0=%g t1=%g" % (self.t0, self.t1))
+        if self.kind == "linear" and not (self.t1 is not None and self.t1 > self.t0 >= 0.0):
+            raise ValueError("linear ramp needs t1 > t0 >= 0, got t0=%s t1=%s" % (self.t0, self.t1))
 
     def factor(self, t):
         if self.kind == "const":

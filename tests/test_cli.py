@@ -111,7 +111,11 @@ def test_snapshot_rows_list_every_cell_j_major_with_exact_values(tmp_path):
     cfg = load_config(write_cfg(tmp_path, grid={"nx": 4, "ny": 3}))
     out = runner.run(cfg, out_dir=str(tmp_path / "out"))
     grid, state = cfg.grid, out.result.states[-1]
-    rows = list(runner.snapshot_rows(grid, cfg.params, state))
+    pieces = list(runner.snapshot_text(runner.row_templates(grid), cfg.params, state))
+    assert len(pieces) == 1 + grid.n[1]  # the header, then one piece per grid row j
+    text = "".join(pieces)
+    assert text.endswith("\n")
+    rows = [line.split(",") for line in text[:-1].split("\n")]
     assert rows[0] == ["i", "j", "x", "y", "c1", "c2", "p", "phi", "rho_f"]
     assert len(rows) == 1 + 12
     planes = (
@@ -125,8 +129,7 @@ def test_snapshot_rows_list_every_cell_j_major_with_exact_values(tmp_path):
         j, i = divmod(k, grid.n[0])
         assert row[:2] == [str(i), str(j)]
         assert [float(v) for v in row[2:]] == [grid.centers[0][i], grid.centers[1][j]] + [a[j, i] for a in planes]
-    # the final snapshot on disk is exactly these rows
-    text = "".join(",".join(row) + "\n" for row in rows)
+    # the final snapshot on disk is exactly this text
     assert read(os.path.join(out.out_dir, "snapshot_%06d.csv" % (len(out.result.states) - 1))).decode() == text
 
 

@@ -25,9 +25,10 @@ from dpnpsim.config import (
     load_config,
     parse_config,
 )
-from dpnpsim.darcy import IncompatibleFlowData, balanced, solve_darcy
+from dpnpsim.darcy import IncompatibleFlowData, imbalance, solve_darcy
 from dpnpsim.gummel import SweepSettings
 from dpnpsim.mesh import BoundaryField, Grid
+from dpnpsim.schedule import Ramp
 
 
 def base_doc():
@@ -188,13 +189,29 @@ def test_not_json_and_wrong_top_level():
 
 
 def test_ramp_validation():
+    # schedule.Ramp makes the checks; each bad ramp is one violation that names it
+    needs = "boundary.f.ramp: linear ramp needs t1 > t0 >= 0"
+    for ramp, fragment in (
+        ({"kind": "linear", "t0": 0.1, "t1": 0.1}, needs),
+        ({"kind": "linear", "t0": -0.1, "t1": 0.05}, needs),
+        ({"kind": "linear", "t0": 0.0}, needs + ", got t0=0.0 t1=None"),
+        ({"kind": "linear", "t0": "soon", "t1": 0.05}, "boundary.f.ramp.t0 must be a finite number"),
+        ({"kind": "linear", "t1": [1]}, "boundary.f.ramp.t1 must be a finite number"),
+        ({"kind": "smooth"}, "boundary.f.ramp: ramp kind must be 'const' or 'linear', got 'smooth'"),
+        ({"kind": ["linear"]}, "boundary.f.ramp: ramp kind must be"),
+    ):
+        doc = base_doc()
+        doc["boundary"]["f"]["ramp"] = ramp
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert len(exc.value.violations) == 1, ramp
+        assert exc.value.violations[0].startswith(fragment), exc.value.violations
+    # a constant ramp ignores its times, and a linear one without t0 starts at 0
     doc = base_doc()
-    doc["boundary"]["f"]["ramp"] = {"kind": "linear", "t0": 0.1, "t1": 0.1}
-    with pytest.raises(ConfigError, match="needs t1 > t0"):
-        parse_config(json.dumps(doc))
-    doc["boundary"]["f"]["ramp"] = {"kind": "smooth"}
-    with pytest.raises(ConfigError, match="ramp.kind"):
-        parse_config(json.dumps(doc))
+    doc["boundary"]["f"]["ramp"] = {"kind": "const", "t1": 0.5}
+    assert parse_config(json.dumps(doc)).schedule.f.ramp.factor(0.0) == 1.0
+    doc["boundary"]["f"]["ramp"] = {"kind": "linear", "t1": 0.5}
+    assert parse_config(json.dumps(doc)).schedule.f.ramp == Ramp("linear", 0.0, 0.5)
 
 
 def test_field_spec_validation():
@@ -313,7 +330,7 @@ def test_flux_balance_rule_is_shared_with_the_darcy_solve():
     for net, ok in ((1e-10, True), (1e-9, False)):  # net flux against a tolerance of 1e-10 * 2
         doc = base_doc()
         doc["boundary"]["f"] = {"left": -1.0, "right": 1.0 + net}
-        assert balanced(BoundaryField(grid, left=-1.0, right=1.0 + net)) is ok
+        assert (imbalance(BoundaryField(grid, left=-1.0, right=1.0 + net)) == 0.0) is ok
         if ok:
             parse_config(json.dumps(doc))
             continue
@@ -321,6 +338,22 @@ def test_flux_balance_rule_is_shared_with_the_darcy_solve():
             parse_config(json.dumps(doc))
         with pytest.raises(IncompatibleFlowData):
             solve_darcy(grid, None, None, None, BoundaryField(grid, left=-1.0, right=1.0 + net))
+
+
+def test_flux_balance_of_huge_data_does_not_overflow():
+    # the rule is applied to f / max |f|, so sums near the float limit neither warn nor read as nan
+    with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "demo.json")) as fh:
+        doc = json.load(fh)
+    doc["boundary"]["f"] = {"left": -1e308, "right": 1e308}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parse_config(json.dumps(doc))
+        doc["boundary"]["f"] = {"left": 1e308, "right": 1e308}  # both outflows
+        with pytest.raises(ConfigError, match="zero total flux .*; net integral is inf"):
+            parse_config(json.dumps(doc))
+        doc["boundary"]["f"] = {"left": -1e308, "right": 0.999e308}
+        with pytest.raises(ConfigError, match=r"net integral is -1e\+305"):
+            parse_config(json.dumps(doc))
 
 
 def test_expression_violations_flow_into_config_error():
