@@ -68,7 +68,8 @@ def solve_darcy(grid, params, rho_f, e_faces, f_bc):
     b = b2.ravel()
     velocity_scale = float(np.linalg.norm(b)) / vol
 
-    x, _ = solve_spd(fv_laplacian(grid, m), b - b.mean(), tol=SOLVE_TOL)  # the zero-mean solution
+    A, basis = fv_laplacian(grid, m)
+    x, _ = solve_spd(A, b - b.mean(), SOLVE_TOL, basis)  # the zero-mean solution
     p = CellField(grid, x)
 
     q = FaceField.zeros(grid)

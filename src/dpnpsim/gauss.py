@@ -23,27 +23,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import neumann_laplacian, solve_spd
-from .mesh import CellField, FaceField, cell_divergence
+from .linalg import cosine_basis, solve_spd, two_point_matrix
+from .mesh import CellField, FaceField
 
 SOLVE_TOL = 1e-12  # relative residual target of every Gauss and Darcy solve
 
 
 @functools.lru_cache(maxsize=8)
 def fv_laplacian(grid, coef):
-    """Symmetric matrix of the two-point flux operator with zero-flux boundaries, with its eigenbasis.
+    """(A, basis): the symmetric matrix of the two-point flux operator with zero-flux boundaries, and its eigenbasis.
 
-    Row c holds sum_faces t_f (phi_c - phi_nbr) with t_f =
+    Row c of A holds sum_faces t_f (phi_c - phi_nbr) with t_f =
     grid.transmissibility(coef)[a] on the faces normal to axis a; boundary
     faces contribute nothing (their fluxes are data on the right side).
+    basis = linalg.cosine_basis(grid, t, 0.0) diagonalizes A.
 
     Memoized on (grid, coef), so every Gauss and Darcy solve of a run reuses
     one matrix and eigenbasis: grids hash by identity and are never mutated
     after construction, so a key cannot go stale, and the shared arrays are
-    read-only (linalg.neumann_laplacian), so no caller can corrupt a later
-    solve.
+    read-only, so no caller can corrupt a later solve.
     """
-    return neumann_laplacian(grid, grid.transmissibility(coef))
+    t = grid.transmissibility(coef)
+    A = two_point_matrix(grid, 0.0, tuple((ta, ta) for ta in t))
+    A.diagonals.flags.writeable = False
+    return A, cosine_basis(grid, t, 0.0)
 
 
 @dataclass
@@ -78,7 +81,8 @@ def solve_gauss(grid, params, rho_f, rho_b, sigma):
     charge_scale = float(np.linalg.norm(b)) / vol
 
     # the operator's range is the zero-sum vectors; x is the zero-mean solution
-    x, _ = solve_spd(fv_laplacian(grid, eps), b - b.mean(), tol=SOLVE_TOL)
+    A, basis = fv_laplacian(grid, eps)
+    x, _ = solve_spd(A, b - b.mean(), SOLVE_TOL, basis)
     phi = CellField(grid, x)
 
     e = FaceField.zeros(grid)
@@ -87,10 +91,3 @@ def solve_gauss(grid, params, rho_f, rho_b, sigma):
     e.set_boundary_outward(sigma)
 
     return ElectroState(phi, e, float(shift), charge_scale)
-
-
-def gauss_residual(grid, electro, rho_f, rho_b):
-    """Sup norm of div(E) - (rho_f + rho_b - charge_shift)."""
-    div = cell_divergence(grid, electro.e_faces).values
-    rho = rho_f.values + rho_b.values - electro.charge_shift
-    return float(np.abs(div - rho).max())

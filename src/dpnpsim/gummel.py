@@ -9,8 +9,11 @@ with the free charge frozen at the current concentration iterate:
   4. damping         c^{k+1} = damping * raw + (1 - damping) * c^k
 
 until the weighted increment r_k = sqrt(sum_l |z_l| sum (c^{k+1} - c^k)^2 vol)
-drops below tol.  After convergence the field and flow are rebuilt from the
-converged concentrations so the stored state is internally consistent.
+drops below tol.  The step then accepts the raw concentrations of the last
+transport step, not their damped mix with c^k: the reaction rates stored
+with the state are the ones that step applied, so the mass identity the
+monitors check holds for them.  The field and flow are rebuilt from those
+concentrations so the stored state is internally consistent.
 Concentrations, inflows and applied rates are pairs indexed by species
 (0 = c1, 1 = c2); the increment and the damping loop over them.
 
@@ -151,15 +154,15 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
                     GummelReport(k, tuple(residuals)),
                 )
 
-        # rebuild the elliptic fields from the converged concentrations
-        electro, flow = _fields(grid, params, c_k, data)
+        # accept the transport output, whose rates are stored, and rebuild the elliptic fields from it
+        electro, flow = _fields(grid, params, result.conc, data)
     except SolverError as exc:
         raise GummelError(
             "linear solve failed after %d completed sweeps: %s" % (len(residuals), exc),
             GummelReport(len(residuals), tuple(residuals)),
         ) from exc
 
-    state = State(state_prev.time + dt, electro, flow, c_k, result.rates)
+    state = State(state_prev.time + dt, electro, flow, result.conc, result.rates)
     return state, GummelReport(len(residuals), tuple(residuals))
 
 

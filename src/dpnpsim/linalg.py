@@ -52,8 +52,6 @@ class SparseMatrix:
     its diagonals.  A @ x adds them in that order to a zero vector, so each
     row is summed in column order, as a compressed-row matvec sums it.
     Checked on construction: all values are finite.
-
-    A neumann_laplacian also carries eigenbasis = cosine_basis(grid, t, 0.0).
     """
 
     def __init__(self, offsets, diagonals):
@@ -155,17 +153,6 @@ def _eigen_solve(basis, v):
     return (w @ q[0].T).ravel()
 
 
-def neumann_laplacian(grid, t):
-    """Two-point Laplacian with face weight t[a] on the faces normal to axis a and zero-flux boundaries, with its eigenbasis.
-
-    eigenbasis = cosine_basis(grid, t, 0.0); every array is read-only.
-    """
-    A = two_point_matrix(grid, 0.0, tuple((ta, ta) for ta in t))
-    A.eigenbasis = cosine_basis(grid, t, 0.0)
-    A.diagonals.flags.writeable = False
-    return A
-
-
 _FLOOR_EPS = 4.0 * np.finfo(float).eps
 _FLOOR_CAP = float(np.sqrt(np.finfo(float).eps))
 _MAX_RESTARTS = 5
@@ -188,9 +175,10 @@ def _true_residual(A, b, x, target):
     return residual, np.isfinite(residual) and residual <= target(x)
 
 
-def solve_spd(A, b, tol):
-    """Solve a neumann_laplacian A for a zero-sum b in its eigenbasis (on a 2D grid x = Qy ((Qy^T B Qx) * inv_eig) Qx^T).
+def solve_spd(A, b, tol, basis):
+    """Solve a Neumann two-point Laplacian A for a zero-sum b in its eigenbasis (on a 2D grid x = Qy ((Qy^T B Qx) * inv_eig) Qx^T).
 
+    basis = (q, inv_eig) as from cosine_basis at shift 0 with A's face weights.
     Returns (x, SolveReport) with the zero-mean x and iterations 1 (0 and
     x = 0 for b = 0) when the true residual is finite and meets max(tol ||b||,
     4 eps (||A||_inf ||x|| + ||b||)), the rounding floor below which no float64
@@ -201,7 +189,7 @@ def solve_spd(A, b, tol):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(b.shape[0]), SolveReport(0, 0.0)
-    x = _eigen_solve(A.eigenbasis, b)
+    x = _eigen_solve(basis, b)
     residual, accepted = _true_residual(A, b, x, _target(A, bnorm, tol))
     report = SolveReport(1, residual)
     if not accepted:

@@ -1,15 +1,13 @@
 """Runtime monitors: every invariant the scheme is built around, checked per step.
 
-Monitors observe; they do not steer the simulation and (with one exception)
-they do not raise.  Violations are recorded as flags in the MonitorReport and
-it is up to the caller -- the check subcommand, the acceptance tests -- to
-decide what a failed flag means.  The exception is the pointwise sign
-condition: for admissible states (concentrations above the -1e-12 fuzz) the
-summand (z1 c1 - |z2| c2)((z1 c1)^2 - (|z2| c2)^2) is nonnegative cell by
-cell as a matter of algebra, so a violation beyond fuzz indicates a
-programming error and raises naming the cell.  check_state only takes that
-raising path when the precondition actually holds, which keeps corrupted
-states observable.
+Monitors observe; they do not steer the simulation and they do not raise.
+Each check is recorded as one flag in the MonitorReport, next to the values
+it judged, and it is up to the caller -- the check subcommand, the
+acceptance tests -- to decide what a failed flag means.  The pointwise sign
+condition (z1 c1 - |z2| c2)((z1 c1)^2 - (|z2| c2)^2) >= 0 is such a flag
+too: for concentrations above the -1e-12 fuzz a summand can fall below
+-1e-12 only at a valence above about 6e7, so a sign failure with nonneg_ok
+set is a breakdown the report shows, not one that aborts the run.
 
 The divergence checks compare against thresholds derived from the linear
 solves that produced the state: 10 x gauss.SOLVE_TOL x the recorded
@@ -21,16 +19,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .gauss import SOLVE_TOL, gauss_residual
+from .gauss import SOLVE_TOL
 from .mesh import cell_divergence
 from .transport import free_charge
 
 NONNEG_FUZZ = -1e-12
 SIGN_FUZZ = -1e-12
-
-
-class InvariantViolation(RuntimeError):
-    """An algebraic identity failed beyond rounding fuzz -- a bug, not data."""
 
 
 def _sign_summands(params, conc):
@@ -40,21 +34,14 @@ def _sign_summands(params, conc):
     return (a - b) * (a * a - b * b)
 
 
-def sign_condition(params, conc):
-    """Volume-weighted sum of (z1 c1 - |z2| c2)((z1 c1)^2 - (|z2| c2)^2).
+def divergence_defect(grid, faces, source, scale):
+    """(||div faces - source||_inf, threshold 10 SOLVE_TOL scale, ok): ok also at a 1e-15 floor.
 
-    Raises InvariantViolation if any cell's summand falls below -1e-12:
-    for concentrations above the nonnegativity fuzz this is algebraically
-    impossible, so it can only mean broken code.
+    scale is the rhs-based scale the solve that produced the faces recorded.
     """
-    s = _sign_summands(params, conc)
-    m = s.min()
-    if m < SIGN_FUZZ:
-        j, i = np.unravel_index(int(s.argmin()), s.shape)
-        raise InvariantViolation(
-            "sign-condition summand %.3e < %.0e at cell (i=%d, j=%d)" % (m, SIGN_FUZZ, i, j)
-        )
-    return float(s.sum() * conc[0].grid.cell_volume)
+    residual = float(np.abs(cell_divergence(grid, faces).values - source).max())
+    threshold = 10.0 * SOLVE_TOL * scale
+    return residual, threshold, residual <= max(threshold, 1e-15)
 
 
 def weighted_sum_sq(params, planes, vol):
@@ -69,7 +56,10 @@ def weighted_energy(params, conc):
 
 @dataclass
 class MonitorReport:
-    """One row of runtime checks for one accepted step."""
+    """One row of runtime checks for one accepted step.
+
+    FLAGS names the *_ok fields in field order; all_ok is their conjunction.
+    """
 
     time: float
     min_c1: float
@@ -96,8 +86,6 @@ class MonitorReport:
     sup_bound: float
     sup_ok: bool
 
-    FLAGS = ("nonneg_ok", "sign_ok", "energy_ok", "mass_ok", "gauss_ok", "darcy_ok", "sup_ok")
-
     def all_ok(self):
         return all(getattr(self, f) for f in self.FLAGS)
 
@@ -114,6 +102,9 @@ class MonitorReport:
             else:  # every other field is a number
                 out.append(repr(float(v)))
         return out
+
+
+MonitorReport.FLAGS = tuple(f.name for f in fields(MonitorReport) if f.name.endswith("_ok"))
 
 
 def _mass_balance(grid, params, state, prev, dt, data):
@@ -144,9 +135,8 @@ def check_state(grid, params, bounds_eval, state, prev, dt, data):
     """Evaluate every monitored invariant for one accepted step.
 
     prev is the previous accepted state; data is the step data (boundary
-    values, background charge) at state.time.  Never raises for violations
-    that are observations about the state -- only for a sign-condition
-    breakdown on an otherwise admissible state, which is a code bug.
+    values, background charge) at state.time.  Raises for no violation:
+    each is a flag of the report.
     """
     conc = state.conc
     mins = [float(c.values.min()) for c in conc]
@@ -157,8 +147,6 @@ def check_state(grid, params, bounds_eval, state, prev, dt, data):
     sign_min = float(summands.min())
     sign_value = float(summands.sum() * grid.cell_volume)
     sign_ok = sign_min >= SIGN_FUZZ
-    if nonneg_ok and not sign_ok:
-        sign_condition(params, conc)  # raises: on an admissible state this is a bug
 
     energy = weighted_energy(params, conc)
     energy_bound = bounds_eval.energy_bound_sq(state.time)
@@ -167,14 +155,11 @@ def check_state(grid, params, bounds_eval, state, prev, dt, data):
     mass = _mass_balance(grid, params, state, prev, dt, data)
     mass_ok = max(mass) <= 1e-10
 
-    gauss_res = gauss_residual(grid, state.electro, free_charge(params, conc), data.rho_b)
-    gauss_thr = 10.0 * SOLVE_TOL * state.electro.charge_scale
-    gauss_ok = gauss_res <= max(gauss_thr, 1e-15)
-
-    div_q = cell_divergence(grid, state.flow.q_faces).values
-    darcy_res = float(np.abs(div_q).max())
-    darcy_thr = 10.0 * SOLVE_TOL * state.flow.velocity_scale
-    darcy_ok = darcy_res <= max(darcy_thr, 1e-15)
+    electro, flow = state.electro, state.flow
+    # Gauss: div E = rho_f + rho_b less the shift the solve subtracted; Darcy: div q = 0
+    rho = free_charge(params, conc).values + data.rho_b.values - electro.charge_shift
+    gauss_res, gauss_thr, gauss_ok = divergence_defect(grid, electro.e_faces, rho, electro.charge_scale)
+    darcy_res, darcy_thr, darcy_ok = divergence_defect(grid, flow.q_faces, 0.0, flow.velocity_scale)
 
     sup_total = float(sum(np.abs(c.values).max() for c in conc))
     sup_bound = bounds_eval.sup_bound()

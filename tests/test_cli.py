@@ -14,7 +14,7 @@ from dataclasses import fields
 
 import pytest
 
-from dpnpsim import runner, transport
+from dpnpsim import monitors, runner, transport
 from dpnpsim.bounds import BoundsEvaluator, BoundsLedger, DataNorms
 from dpnpsim.cli import main
 from dpnpsim.config import load_config
@@ -167,7 +167,9 @@ def test_run_and_check_print_the_same_counts_footer(tmp_path, capsys):
 
 
 def test_config_damping_reaches_the_march(tmp_path):
-    # damping only slows the sweep, so a smaller value must cost more sweeps
+    # at this weak coupling the undamped sweep contracts well, so damping only
+    # slows it and a smaller value must cost more sweeps (at strong coupling
+    # damping can save sweeps: test_strong_coupling)
     sweeps = {}
     for damping in (1.0, 0.5):
         cfg = load_config(write_cfg(tmp_path, time={"t_end": 0.02, "dt": 0.01, "damping": damping}))
@@ -185,6 +187,24 @@ def test_check_fails_when_a_monitor_trips(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL  mass" in out
     assert "first at t=" in out
+
+
+def test_check_fails_on_a_sign_breakdown_of_an_admissible_state(tmp_path, capsys, monkeypatch):
+    # a negative summand on states whose concentrations all stay admissible is
+    # a FAIL line of check, not an exception that aborts the march
+    def forced(params, conc):
+        s = sign_summands(params, conc)
+        s[0, 0] = -1.0
+        return s
+
+    sign_summands = monitors._sign_summands
+    monkeypatch.setattr(monitors, "_sign_summands", forced)
+    cfg = write_cfg(tmp_path, time={"t_end": 0.02, "dt": 0.01})
+    assert main(["check", cfg]) == 1
+    out = capsys.readouterr().out
+    assert "PASS  nonneg" in out
+    assert "FAIL  sign          (2 of 2 steps, first at t=0.01)" in out
+    assert out.count("FAIL") == 1
 
 
 def test_config_violations_exit_2(tmp_path, capsys):

@@ -13,43 +13,51 @@ import numpy as np
 import pytest
 
 from dpnpsim import darcy, gauss
-from dpnpsim.gauss import SOLVE_TOL, fv_laplacian, gauss_residual, solve_gauss
+from dpnpsim.gauss import SOLVE_TOL, fv_laplacian, solve_gauss
 from dpnpsim.linalg import solve_spd
 from dpnpsim.mesh import BoundaryField, CellField, Grid
 from dpnpsim.mms import project_zero_mean
+from dpnpsim.monitors import divergence_defect
 from dpnpsim.params import PhysParams
 from matrix_helpers import to_dense
 
 
+def gauss_residual(g, st, rho_f, rho_b):
+    """The monitors' Gauss defect: sup norm of div(E) - (rho_f + rho_b - charge_shift)."""
+    rho = rho_f.values + rho_b.values - st.charge_shift
+    return divergence_defect(g, st.e_faces, rho, st.charge_scale)[0]
+
+
 def test_two_cell_assembly_by_hand():
     g = Grid(2, 1, 2.0, 1.0)  # hx = hy = 1
-    A = fv_laplacian(g, (1.0, 1.0))
+    A, _ = fv_laplacian(g, (1.0, 1.0))
     assert np.allclose(to_dense(A), [[1.0, -1.0], [-1.0, 1.0]])
     # anisotropy scales the x-coupling only
-    A2 = fv_laplacian(g, (2.0, 5.0))
+    A2, _ = fv_laplacian(g, (2.0, 5.0))
     assert np.allclose(to_dense(A2), [[2.0, -2.0], [-2.0, 2.0]])
 
 
 def test_single_cell_assembly_is_zero():
     g = Grid(1, 1, 1.0, 1.0)
-    A = fv_laplacian(g, (1.0, 1.0))
+    A, _ = fv_laplacian(g, (1.0, 1.0))
     assert A.diagonals.shape == (5, 1)
     assert np.array_equal(to_dense(A), [[0.0]])
 
 
 def test_assembly_is_memoized_and_read_only():
     g = Grid(3, 2, 1.0, 1.0)
-    A = fv_laplacian(g, (0.7, 1.3))
-    assert fv_laplacian(g, (0.7, 1.3)) is A
-    assert fv_laplacian(Grid(3, 2, 1.0, 1.0), (0.7, 1.3)) is not A  # keyed on the grid instance
+    A, (q, inv_eig) = fv_laplacian(g, (0.7, 1.3))
+    assert fv_laplacian(g, (0.7, 1.3))[0] is A
+    assert fv_laplacian(Grid(3, 2, 1.0, 1.0), (0.7, 1.3))[0] is not A  # keyed on the grid instance
     assert isinstance(A.offsets, tuple)
-    with pytest.raises(ValueError):
-        A.diagonals[0, 0] = A.diagonals[0, 0]
+    for arr in (A.diagonals, inv_eig) + q:
+        with pytest.raises(ValueError):
+            arr[0, 0] = arr[0, 0]
 
 
 def test_assembly_rows_sum_to_zero_and_symmetric():
     g = Grid(5, 4, 1.5, 1.0)
-    A = to_dense(fv_laplacian(g, (0.7, 1.3)))
+    A = to_dense(fv_laplacian(g, (0.7, 1.3))[0])
     assert np.allclose(A, A.T)
     assert np.allclose(A.sum(axis=1), 0.0, atol=1e-14)
     # eigenvalues nonnegative with a single zero mode (the constant)
@@ -145,8 +153,8 @@ def test_gauss_and_darcy_match_dense_pseudo_inverse(monkeypatch):
     """
     seen = []
 
-    def spy(A, b, tol):
-        x, report = solve_spd(A, b, tol=tol)
+    def spy(A, b, tol, basis):
+        x, report = solve_spd(A, b, tol, basis)
         seen.append((A, b, report))
         return x, report
 

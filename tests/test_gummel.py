@@ -8,7 +8,9 @@ Key scenarios:
     exactly two sweeps.
 
   * Damping changes the path, never the fixed point: a run with damping
-    0.7 lands within a few tol of the undamped run.  (The sweep start and
+    0.7 lands within a few tol of the undamped run.  A damped step stores
+    the transport output whose reaction rates it stores, so the mass
+    identity the monitors check holds to rounding.  (The sweep start and
     the post-convergence sweep are checked by acceptance criteria 8 and 12
     on the randomized suite.)
 
@@ -36,12 +38,15 @@ Key scenarios:
 """
 
 import inspect
+import json
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dpnpsim import gummel
+from dpnpsim.config import parse_config
 from dpnpsim.gummel import (
     GummelError,
     SweepSettings,
@@ -359,6 +364,20 @@ def test_damping_reaches_the_same_fixed_point():
     assert weighted_dist(g, p, base.states[-1], damped.states[-1]) <= 10 * tol
     # damping slows the sweep but must not change the answer
     assert sum(r.sweeps for r in damped.reports) > sum(r.sweeps for r in base.reports)
+
+
+def test_damped_step_keeps_the_mass_identity_of_its_stored_rates():
+    # the demo physics on 8x8 at damping 0.5: storing the damped mix with the
+    # rates of the raw transport output missed the identity by
+    # (1 - damping)(raw - c^k), 3.6e-11 here
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["grid"].update(nx=8, ny=8)
+    doc["time"].update(t_end=0.02, damping=0.5)
+    cfg = parse_config(doc)
+    res = advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
+    assert max(max(m.mass_residual1, m.mass_residual2) for m in res.monitors) <= 1e-13
 
 
 def test_symmetric_electrolyte_keeps_species_identical():

@@ -7,10 +7,11 @@ Frozen oracles (hand arithmetic):
   weighted energy with z = (1, -1) and both species at 1 on a unit cell:
   1 + 1 = 2, and it scales quadratically in the concentrations.
 
-Flag semantics: a state with a genuinely negative concentration is an
-observation (nonneg flag drops, nothing raises), while a sign-condition
-breakdown on an admissible state raises InvariantViolation naming the cell,
-because that combination is algebraically impossible without a code bug.
+Flag semantics: check_state only observes.  A state with a genuinely
+negative concentration drops the nonneg flag, and a negative sign summand on
+an admissible state (all concentrations above the -1e-12 fuzz, reachable
+only at a valence above about 6e7) drops the sign flag with nonneg set; in
+neither case does anything raise.
 """
 
 from dataclasses import replace
@@ -21,13 +22,7 @@ import pytest
 from dpnpsim.bounds import BoundsEvaluator
 from dpnpsim.gummel import advance, initial_state
 from dpnpsim.mesh import CellField, Grid
-from dpnpsim.monitors import (
-    InvariantViolation,
-    MonitorReport,
-    check_state,
-    sign_condition,
-    weighted_energy,
-)
+from dpnpsim.monitors import MonitorReport, check_state, weighted_energy
 from dpnpsim.params import PhysParams
 from dpnpsim.transport import Concentrations
 
@@ -69,26 +64,43 @@ def test_algebraic_inequality_nonnegative_randomized():
         assert algebraic_inequality(a, b, p) >= 0.0
 
 
+def checked(grid, params, conc):
+    """check_state's report on conc, held as the state after a zero-length step from itself."""
+    sched = constant_schedule(grid)
+    state = initial_state(grid, params, conc, sched.at(0.0))
+    state.applied = tuple(np.zeros(grid.shape) for _ in conc)
+    ev = BoundsEvaluator(grid, params, sched, conc)
+    return check_state(grid, params, ev, state, state, 0.0, sched.at(0.0))
+
+
 def test_sign_condition_frozen_values():
     g = Grid(1, 1, 1.0, 1.0)
-    assert sign_condition(PhysParams(z1=1, z2=-1), uniform_conc(g, 2.0, 1.0)) == pytest.approx(3.0)
-    assert sign_condition(PhysParams(z1=2, z2=-3), uniform_conc(g, 3.0, 2.0)) == pytest.approx(0.0)
+    assert checked(g, PhysParams(z1=1, z2=-1), uniform_conc(g, 2.0, 1.0)).sign_value == pytest.approx(3.0)
+    assert checked(g, PhysParams(z1=2, z2=-3), uniform_conc(g, 3.0, 2.0)).sign_value == pytest.approx(0.0)
 
 
 def test_sign_condition_scales_with_volume():
     g = Grid(4, 4, 2.0, 2.0)
-    v = sign_condition(PhysParams(), uniform_conc(g, 2.0, 1.0))
-    assert v == pytest.approx(3.0 * 4.0)  # same summand over volume 4
+    report = checked(g, PhysParams(), uniform_conc(g, 2.0, 1.0))
+    assert report.sign_value == pytest.approx(3.0 * 4.0)  # same summand over volume 4
+    assert report.sign_min_summand == pytest.approx(3.0)
+    assert report.sign_ok
 
 
-def test_sign_condition_raises_naming_the_cell():
+def test_negative_summand_on_an_admissible_state_is_observed_not_raised():
+    # at z1 = 10**9 the fuzz-level c1 = -1e-12 makes a = z1 c1 = -1e-3, so with
+    # c2 = 0 the summand a^3 = -1e-9 falls below the -1e-12 fuzz while every
+    # concentration stays admissible
     g = Grid(3, 2, 1.0, 1.0)
     c1 = np.full((2, 3), 2.0)
+    c1[1, 2] = -1e-12
     c2 = np.full((2, 3), 1.0)
-    c1[1, 2] = -5.0  # summand (z1 c1 - c2)((z1 c1)^2 - c2^2) = (-6)(24) < 0
-    conc = Concentrations(CellField(g, c1), CellField(g, c2))
-    with pytest.raises(InvariantViolation, match=r"cell \(i=2, j=1\)"):
-        sign_condition(PhysParams(), conc)
+    c2[1, 2] = 0.0
+    report = checked(g, PhysParams(z1=10**9), Concentrations(CellField(g, c1), CellField(g, c2)))
+    assert report.nonneg_ok
+    assert not report.sign_ok
+    assert report.sign_min_summand == pytest.approx(-1e-9)
+    assert not report.all_ok()
 
 
 def test_weighted_energy_frozen_value_and_homogeneity():
@@ -155,7 +167,7 @@ def test_check_state_observes_corrupted_state_without_raising():
     assert not report.nonneg_ok
     assert report.min_c1 == pytest.approx(-0.2)
     assert not report.all_ok()
-    # the sign diagnostics are still reported, just not via the raising path
+    # the sign diagnostics are reported alongside
     assert report.sign_min_summand < 0.0
 
 
