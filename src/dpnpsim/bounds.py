@@ -50,8 +50,9 @@ params.exchange_rate (0 without reaction):
               constants nominal = 1); reported only, never asserted.
 
 Only C0_hat_energy and C_M are ever checked against simulation output.
-C_M is computed through logarithms so extreme data saturates to inf instead
-of raising; cm_log10 stays meaningful either way.
+C_M is computed through logarithms and the powers of the data in float64, so
+extreme data saturates to inf instead of raising; cm_log10 stays meaningful
+either way.
 """
 
 import math
@@ -111,11 +112,18 @@ def compute_data_norms(grid, schedule, initial, T):
     )
 
 
+def _pow(x, n):
+    """x**n in float64, saturating to inf where a Python float power raises OverflowError."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(x) ** n)
+
+
 def compute_B0(params, norms):
     """Compact closed form of the energy-estimate rate (reported only)."""
     pre = max(2.0 / params.theta, 2.0 / params.alpha_D)
-    mid = 12.0 * params.kappa**2 * params.max_z**2 / params.alpha_D
-    bracket = norms.sigma_inf**2 + norms.rhob_inf + norms.f_inf**2 + 3.0 * params.theta * params.exchange_rate
+    mid = 12.0 * _pow(params.kappa, 2) * _pow(params.max_z, 2) / params.alpha_D
+    bracket = _pow(norms.sigma_inf, 2) + norms.rhob_inf + _pow(norms.f_inf, 2)
+    bracket += 3.0 * params.theta * params.exchange_rate
     return pre * mid * bracket
 
 
@@ -134,8 +142,9 @@ def compute_energy_rate(params, norms):
     """
     pre = max(2.0 / params.theta, 2.0 / params.alpha_D)
     a_d = params.alpha_D
-    drift = 2.0 * params.kappa**2 * params.max_z**2 * (6.0 / a_d * norms.sigma_inf**2 + norms.rhob_inf)
-    convection = 6.0 / a_d * norms.f_inf**2
+    coupling = 2.0 * _pow(params.kappa, 2) * _pow(params.max_z, 2)
+    drift = coupling * (6.0 / a_d * _pow(norms.sigma_inf, 2) + norms.rhob_inf)
+    convection = 6.0 / a_d * _pow(norms.f_inf, 2)
     reaction = 3.0 * params.theta * params.max_z * params.exchange_rate
     trace = 12.0 / a_d if max(norms.g_inf) > 0.0 else 0.0
     return pre * (drift + convection + reaction + trace)
@@ -161,9 +170,8 @@ def compute_moser_B0(params, norms, C0):
     """Rate of the sup-norm iteration (nominal interpolation constants)."""
     pre = min(2.0 / params.theta, 2.0 / params.alpha_D)
     mid = 12.0 * params.max_z / params.alpha_D
-    K0 = 2.0 * params.kappa**2 * params.max_z * (6.0 / params.alpha_D * norms.sigma_inf**2 + norms.rhob_inf)
-    with np.errstate(over="ignore"):
-        K1 = float(params.kappa**4 * params.max_z**8 * np.float64(C0) ** 4)
+    K0 = 2.0 * _pow(params.kappa, 2) * params.max_z * (6.0 / params.alpha_D * _pow(norms.sigma_inf, 2) + norms.rhob_inf)
+    K1 = _pow(params.kappa, 4) * _pow(params.max_z, 8) * _pow(C0, 4)
     bracket = norms.f_inf + 1.0 + K0 + K1 + 3.0 * params.theta * params.exchange_rate
     return pre * mid * bracket
 

@@ -1,19 +1,19 @@
 """Gummel decoupling: implicit time steps solved by a damped fixed-point sweep.
 
-The sweep starts from the previous time level, c^0 = c(t_n).  One sweep,
-with the free charge frozen at the current concentration iterate:
+The sweep iterates whole states: it starts from the previous state,
+(c^0, E^0, q^0) = (c, E, q)(t_n), and one sweep is
 
-  1. field solve     rho_f(c^k)             -> phi, E
-  2. flow solve      rho_f(c^k), E          -> p, q
-  3. transport step  E, q, lagged reactions -> raw concentrations
-  4. damping         c^{k+1} = damping * raw + (1 - damping) * c^k
+  1. transport step  E^k, q^k, lagged reactions -> raw concentrations
+  2. damping         c^{k+1} = damping * raw + (1 - damping) * c^k
+  3. field solve     rho_f(c^{k+1})           -> phi, E^{k+1}
+  4. flow solve      rho_f(c^{k+1}), E^{k+1}  -> p, q^{k+1}
 
 until the weighted increment r_k = sqrt(sum_l |z_l| sum (c^{k+1} - c^k)^2 vol)
 drops below tol.  The step then accepts the raw concentrations of the last
 transport step, not their damped mix with c^k: the reaction rates stored
 with the state are the ones that step applied, so the mass identity the
-monitors check holds for them.  The field and flow are rebuilt from those
-concentrations so the stored state is internally consistent.
+monitors check holds for them.  The last sweep's one field and flow solve
+takes those concentrations, so the stored state is internally consistent.
 Concentrations, inflows and applied rates are pairs indexed by species
 (0 = c1, 1 = c2); the increment and the damping loop over them.
 
@@ -129,33 +129,33 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
     linear solve of the step.
     """
     c_prev = c_k = state_prev.conc
+    electro, flow = state_prev.electro, state_prev.flow
     residuals = []
+    converged = False
     try:
-        while True:
-            electro, flow = _fields(grid, params, c_k, data)
+        while not converged:
             result = step_transport(
                 grid, params, c_prev, flow.q_faces, electro.e_faces, data.g, dt, c_lag=c_k, sources=data.sources
             )
             c_next = _damped(grid, settings.damping, result.conc, c_k)
             residuals.append(_increment(params, grid, c_next, c_k))
-            c_k = c_next
             k, r = len(residuals), residuals[-1]
-            if r <= settings.tol:
-                break
-            # rate 0 before any is measured, so only the spent budget ends the first sweep
-            theta = r / residuals[-2] if k > 1 else 0.0
-            left = settings.max_sweeps - k
-            # theta >= 1 first: theta**left overflows for a large theta
-            if theta >= 1.0 or r * theta**left > settings.tol:
-                raise GummelError(
-                    "Gummel sweep gave up after %d of %d sweeps: residual %.3e > tol %.3e and at "
-                    "contraction rate theta %.3g the %d sweeps left cannot reach tol"
-                    % (k, settings.max_sweeps, r, settings.tol, theta, left),
-                    GummelReport(k, tuple(residuals)),
-                )
-
-        # accept the transport output, whose rates are stored, and rebuild the elliptic fields from it
-        electro, flow = _fields(grid, params, result.conc, data)
+            converged = r <= settings.tol
+            if not converged:
+                # rate 0 before any is measured, so only the spent budget ends the first sweep
+                theta = r / residuals[-2] if k > 1 else 0.0
+                left = settings.max_sweeps - k
+                # theta >= 1 first: theta**left overflows for a large theta
+                if theta >= 1.0 or r * theta**left > settings.tol:
+                    raise GummelError(
+                        "Gummel sweep gave up after %d of %d sweeps: residual %.3e > tol %.3e and at "
+                        "contraction rate theta %.3g the %d sweeps left cannot reach tol"
+                        % (k, settings.max_sweeps, r, settings.tol, theta, left),
+                        GummelReport(k, tuple(residuals)),
+                    )
+            # converged: the accepted transport output, whose rates are stored, gets the state's fields
+            c_k = result.conc if converged else c_next
+            electro, flow = _fields(grid, params, c_k, data)
     except SolverError as exc:
         raise GummelError(
             "linear solve failed after %d completed sweeps: %s" % (len(residuals), exc),

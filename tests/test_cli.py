@@ -7,6 +7,7 @@ byte-identical CSV and bounds files (summary.json is excluded because it
 records the wall time).
 """
 
+import glob
 import json
 import os
 import re
@@ -20,6 +21,9 @@ from dpnpsim.cli import main
 from dpnpsim.config import load_config
 from dpnpsim.monitors import MonitorReport
 from dpnpsim.transport import free_charge
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
 
 
 def write_cfg(tmp_path, name="run.json", **overrides):
@@ -166,6 +170,15 @@ def test_run_and_check_print_the_same_counts_footer(tmp_path, capsys):
     assert re.findall(pattern, run_out) == re.findall(pattern, check_out) == [footer]
 
 
+@pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+def test_every_shipped_config_passes_check(path, capsys):
+    assert main(["check", path]) == 0
+    *verdicts, footer = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in verdicts] == [["PASS", flag.removesuffix("_ok")] for flag in MonitorReport.FLAGS]
+    assert len(verdicts) == 7
+    assert re.fullmatch(r"steps: \d+ +sweeps: \d+ +halvings: \d+ +wasted: \d+", footer)
+
+
 def test_config_damping_reaches_the_march(tmp_path):
     # at this weak coupling the undamped sweep contracts well, so damping only
     # slows it and a smaller value must cost more sweeps (at strong coupling
@@ -208,7 +221,7 @@ def test_check_fails_on_a_sign_breakdown_of_an_admissible_state(tmp_path, capsys
 
 
 def test_config_violations_exit_2(tmp_path, capsys):
-    # the solver tolerances are constants and the sweep always starts from the previous time level
+    # the solver tolerances are constants and the sweep always starts from the previous state
     unknown = {"lin_tol": 1e-12, "lin_tol_transport": 1e-14, "init_iterate": "previous"}
     cfg = write_cfg(tmp_path, grid={"nx": 0}, physics={"theta": 7.0}, time=unknown)
     assert main(["run", cfg]) == 2
@@ -314,6 +327,34 @@ def test_bounds_prints_ledger_and_csv(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "quantity,value" in out
     assert "g_inf_1" in out
+
+
+def demo_on_8x8(tmp_path, **physics):
+    """configs/demo.json on an 8x8 grid with the given physics keys replaced; returns its path."""
+    with open(os.path.join(ROOT, "configs", "demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["grid"].update(nx=8, ny=8)
+    doc["physics"].update(physics)
+    path = tmp_path / "demo8.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "physics", [{"kappa": 1e100}, {"kappa": 1e160}, {"z1": 10**40}], ids=["kappa**4", "kappa**2", "max_z**8"]
+)
+def test_extreme_coupling_saturates_the_bounds_to_inf(tmp_path, capsys, physics):
+    # a float power that overflows raises OverflowError; the constants saturate to inf instead
+    assert main(["bounds", demo_on_8x8(tmp_path, **physics)]) == 0
+    assert re.search(r"^  CM += inf$", capsys.readouterr().out, re.M)
+
+
+def test_check_at_extreme_coupling_fails_through_its_message(tmp_path, capsys):
+    # the bounds are inf, so the march itself breaks down, and says so
+    assert main(["check", demo_on_8x8(tmp_path, kappa=1e100)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("check failed: linear solve failed")
+    assert "PASS" not in captured.out
 
 
 def test_bounds_csv_lists_every_ledger_and_norm_field_in_order(tmp_path):

@@ -141,7 +141,7 @@ def test_all_violations_reported_at_once():
     doc["boundary"]["g1"]["left"] = -0.5
     doc["time"]["dt"] = 0.5  # exceeds t_end
     doc["time"]["damping"] = 0.0
-    doc["time"]["init_iterate"] = "zero"  # not a setting: the sweep starts from the previous time level
+    doc["time"]["init_iterate"] = "zero"  # not a setting: the sweep starts from the previous state
     doc["time"]["lin_tol"] = 1e-12  # the exact Gauss and Darcy solves have no tolerance setting
     doc["extra_block"] = {}
     with pytest.raises(ConfigError) as exc:

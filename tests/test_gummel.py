@@ -14,6 +14,11 @@ Key scenarios:
     the post-convergence sweep are checked by acceptance criteria 8 and 12
     on the randomized suite.)
 
+  * The sweep iterates whole states: an attempt starts from the fields
+    stored with the previous state, and each completed sweep solves the
+    field and flow once, the converged sweep's solve giving the accepted
+    state its fields.
+
   * A step too large for the allotted sweeps is halved until it converges;
     the shortened steps are accepted and the march still lands exactly on
     the requested end time.  A failed linear solve fails the step the same
@@ -459,10 +464,45 @@ def test_advance_halves_dt_on_linear_solver_failure(monkeypatch):
     assert tried[-1] == pytest.approx(0.02 / 2**10)
 
 
+def count_calls(monkeypatch, names):
+    """Patch each named gummel function to count its calls; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(gummel, name, counting(name, getattr(gummel, name)))
+    return calls
+
+
+def test_each_completed_sweep_solves_the_fields_once(monkeypatch):
+    # an attempt starts from the fields stored with state_prev and each sweep
+    # ends in one field solve, the converged sweep's being the accepted
+    # state's: S sweeps make S solves, and an attempt given up at sweep k,
+    # before that sweep's field solve, makes k - 1
+    g, p, init, sched = coupled_setup(6)
+    st0 = initial_state(g, p, init, sched.at(0.0))
+    calls = count_calls(monkeypatch, ("solve_gauss", "solve_darcy"))
+    _, rep = gummel_step(g, p, st0, sched.at(0.01), 0.01)
+    assert rep.sweeps >= 2
+    assert calls == {"solve_gauss": rep.sweeps, "solve_darcy": rep.sweeps}
+
+    calls.update(solve_gauss=0, solve_darcy=0)
+    with pytest.raises(GummelError) as exc:
+        gummel_step(g, p, st0, sched.at(0.01), 0.01, SweepSettings(tol=1e-300, max_sweeps=3))
+    assert exc.value.report.sweeps == 2
+    assert calls == {"solve_gauss": 1, "solve_darcy": 1}
+
+
 def test_late_linear_solver_failure_counts_the_completed_sweeps(monkeypatch):
-    # a solve that fails after the sweep converged (in the rebuild of the
-    # field from the converged iterate here) still fails the step, and the
-    # step's completed sweeps count as wasted
+    # a solve that fails after the sweep converged (in the field solve of the
+    # converged sweep here, which gives the accepted state its fields) still
+    # fails the step, and the step's completed sweeps count as wasted
     g, p, init, sched = coupled_setup(n=6)
     p = replace(p, T_end=0.02, dt=0.02)
     st0 = initial_state(g, p, init, sched.at(0.0))
@@ -470,15 +510,15 @@ def test_late_linear_solver_failure_counts_the_completed_sweeps(monkeypatch):
     real_solve_gauss = gummel.solve_gauss
     calls = []
 
-    def failing_in_the_rebuild(*args, **kwargs):
-        # call 1 solves the t = 0 state, the next converged_sweeps calls the
-        # nominal step's sweeps, and the one after them its rebuild
+    def failing_in_the_converged_sweep(*args, **kwargs):
+        # call 1 solves the t = 0 state and the next converged_sweeps calls
+        # end the nominal step's sweeps, the last of them the converged one
         calls.append(args)
-        if len(calls) == converged_sweeps + 2:
+        if len(calls) == converged_sweeps + 1:
             raise SolverError("no convergence", SolveReport(1, 1.0))
         return real_solve_gauss(*args, **kwargs)
 
-    monkeypatch.setattr(gummel, "solve_gauss", failing_in_the_rebuild)
+    monkeypatch.setattr(gummel, "solve_gauss", failing_in_the_converged_sweep)
     res = advance(g, p, init, sched)
     assert res.reports[0].halvings == 1
     assert res.reports[0].wasted_sweeps == converged_sweeps
