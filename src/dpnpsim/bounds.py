@@ -50,9 +50,10 @@ params.exchange_rate (0 without reaction):
               constants nominal = 1); reported only, never asserted.
 
 Only C0_hat_energy and C_M are ever checked against simulation output.
-C_M is computed through logarithms and the powers of the data in float64, so
-extreme data saturates to inf instead of raising; cm_log10 stays meaningful
-either way.
+C_M is computed through logarithms, every power in float64, and every
+product of an inf-prone coefficient with data as 0 where the data are 0, so
+extreme data saturates to inf instead of raising or giving nan; cm_log10
+stays meaningful either way.
 """
 
 import math
@@ -118,13 +119,18 @@ def _pow(x, n):
         return float(np.float64(x) ** n)
 
 
+def _mul(*factors):
+    """The product of nonnegative factors, left to right; 0 where one is 0, even beside an inf coefficient."""
+    return 0.0 if 0.0 in factors else math.prod(factors)
+
+
 def compute_B0(params, norms):
     """Compact closed form of the energy-estimate rate (reported only)."""
     pre = max(2.0 / params.theta, 2.0 / params.alpha_D)
     mid = 12.0 * _pow(params.kappa, 2) * _pow(params.max_z, 2) / params.alpha_D
     bracket = _pow(norms.sigma_inf, 2) + norms.rhob_inf + _pow(norms.f_inf, 2)
     bracket += 3.0 * params.theta * params.exchange_rate
-    return pre * mid * bracket
+    return _mul(pre, mid, bracket)
 
 
 def compute_energy_rate(params, norms):
@@ -143,7 +149,7 @@ def compute_energy_rate(params, norms):
     pre = max(2.0 / params.theta, 2.0 / params.alpha_D)
     a_d = params.alpha_D
     coupling = 2.0 * _pow(params.kappa, 2) * _pow(params.max_z, 2)
-    drift = coupling * (6.0 / a_d * _pow(norms.sigma_inf, 2) + norms.rhob_inf)
+    drift = _mul(coupling, 6.0 / a_d * _pow(norms.sigma_inf, 2) + norms.rhob_inf)
     convection = 6.0 / a_d * _pow(norms.f_inf, 2)
     reaction = 3.0 * params.theta * params.max_z * params.exchange_rate
     trace = 12.0 / a_d if max(norms.g_inf) > 0.0 else 0.0
@@ -157,12 +163,12 @@ def compute_energy_bound(params, norms, B0, T, g_weight=1.0):
     uses 1.0, the enforced bound uses max(2/theta, 2/alpha_D) because
     moving the source term through the energy inequality costs 2/theta.
     """
-    data = sum(abs(z) * n**2 for z, n in zip(params.z, norms.c0_l2)) + g_weight * params.max_z * sum(
-        n**2 for n in norms.g_l2
+    data = sum(abs(z) * _pow(n, 2) for z, n in zip(params.z, norms.c0_l2)) + g_weight * params.max_z * sum(
+        _pow(n, 2) for n in norms.g_l2
     )
     with np.errstate(over="ignore"):
-        c0_hat = float(np.sqrt(np.exp(B0 * T) * data))
-    c0 = c0_hat + math.sqrt(B0) * params.max_z * math.sqrt(T) * c0_hat + params.max_z * sum(norms.g_l2)
+        c0_hat = float(np.sqrt(_mul(np.exp(_mul(B0, T)), data)))
+    c0 = c0_hat + _mul(math.sqrt(B0), params.max_z, math.sqrt(T), c0_hat) + params.max_z * sum(norms.g_l2)
     return c0_hat, c0
 
 
@@ -170,8 +176,9 @@ def compute_moser_B0(params, norms, C0):
     """Rate of the sup-norm iteration (nominal interpolation constants)."""
     pre = min(2.0 / params.theta, 2.0 / params.alpha_D)
     mid = 12.0 * params.max_z / params.alpha_D
-    K0 = 2.0 * _pow(params.kappa, 2) * params.max_z * (6.0 / params.alpha_D * _pow(norms.sigma_inf, 2) + norms.rhob_inf)
-    K1 = _pow(params.kappa, 4) * _pow(params.max_z, 8) * _pow(C0, 4)
+    field_data = 6.0 / params.alpha_D * _pow(norms.sigma_inf, 2) + norms.rhob_inf
+    K0 = _mul(2.0, _pow(params.kappa, 2), params.max_z, field_data)
+    K1 = _mul(_pow(params.kappa, 4), _pow(params.max_z, 8), _pow(C0, 4))
     bracket = norms.f_inf + 1.0 + K0 + K1 + 3.0 * params.theta * params.exchange_rate
     return pre * mid * bracket
 
@@ -180,10 +187,11 @@ def compute_CM(norms, B0_moser, T):
     """Return (C_M, log10(C_M)); inf-safe via log-space evaluation."""
     a = sum(norms.c0_inf) + sum(norms.g_inf)
     b = sum(norms.g_inf)
-    x = 0.5 * B0_moser * T
     if a == 0.0 and b == 0.0:
         return 0.0, float("-inf")
-    ln = np.logaddexp(math.log(2.0 * a) + x, math.log(b) if b > 0.0 else -np.inf)
+    ln = math.log(2.0 * a) + _mul(0.5, B0_moser, T)
+    if b > 0.0:
+        ln = np.logaddexp(ln, math.log(b))
     with np.errstate(over="ignore"):
         cm = float(np.exp(ln))
     return cm, float(ln / math.log(10.0))
@@ -202,7 +210,7 @@ def compute_Ce_Cf(params, norms, C0, CM, T):
     ea = params.eps_s * params.alpha_D
     with np.errstate(over="ignore", invalid="ignore"):
         C1f = (2.0 * theta_z / ea) * Ce * CM
-        C2f = (4.0 * CK / (mu * aK**2) + 2.0 * CK / aK + 2.0 / aK) * norms.f_inf**2 + theta_z * (
+        C2f = (4.0 * CK / (mu * aK**2) + 2.0 * CK / aK + 2.0 / aK) * _pow(norms.f_inf, 2) + theta_z * (
             8.0 / (ea * aK) + 1.0 / (ea * aK * mu) + 2.0 / aK
         ) * Ce * CM
         Cf = C2f + 2.0 * mu * CK * C2f + C1f
@@ -255,7 +263,7 @@ class BoundsEvaluator:
 
     def energy_bound_sq(self, t):
         """C0_hat_energy(t)^2, the admissible weighted energy at time t."""
-        return _enforced_energy(self.params, self.norms(t), t)[1] ** 2
+        return _pow(_enforced_energy(self.params, self.norms(t), t)[1], 2)
 
     def sup_bound(self):
         """C_M at the run horizon (the sup-norm estimate is stated at T_end)."""

@@ -14,6 +14,8 @@ transport step, not their damped mix with c^k: the reaction rates stored
 with the state are the ones that step applied, so the mass identity the
 monitors check holds for them.  The last sweep's one field and flow solve
 takes those concentrations, so the stored state is internally consistent.
+Where sigma, f or rho_b changed since t_n, the first sweep runs on fields of
+the old data: it is never accepted, and its increment measures no rate.
 Concentrations, inflows and applied rates are pairs indexed by species
 (0 = c1, 1 = c2); the increment and the damping loop over them.
 
@@ -32,6 +34,8 @@ monitors on every accepted state.
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import monitors
 from .bounds import BoundsEvaluator
@@ -74,6 +78,7 @@ class State:
     electro: object
     flow: object
     conc: Concentrations
+    data: object  # the StepData the fields were solved with
     applied: tuple = None  # the reaction rates the step applied, one array per species
 
 
@@ -114,10 +119,15 @@ def _fields(grid, params, conc, data):
     return electro, flow
 
 
+def _field_inputs(data):
+    """What the field and flow solve reads of the step data: the sides of sigma and f, and rho_b."""
+    return [v for field in (data.sigma, data.f) for pair in field.sides for v in pair] + [data.rho_b.values]
+
+
 def initial_state(grid, params, initial, data):
     """Consistent t = 0 state: field and flow solved from the initial charge."""
     electro, flow = _fields(grid, params, initial, data)
-    return State(0.0, electro, flow, initial)
+    return State(0.0, electro, flow, initial, data)
 
 
 def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
@@ -130,6 +140,8 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
     """
     c_prev = c_k = state_prev.conc
     electro, flow = state_prev.electro, state_prev.flow
+    # the first sweep on this step's fields: sweep 1 runs on state_prev's, the old data's if sigma, f or rho_b changed
+    first = 1 if all(map(np.array_equal, _field_inputs(state_prev.data), _field_inputs(data))) else 2
     residuals = []
     converged = False
     try:
@@ -140,15 +152,16 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
             c_next = _damped(grid, settings.damping, result.conc, c_k)
             residuals.append(_increment(params, grid, c_next, c_k))
             k, r = len(residuals), residuals[-1]
-            converged = r <= settings.tol
+            converged = r <= settings.tol and k >= first
             if not converged:
-                # rate 0 before any is measured, so only the spent budget ends the first sweep
-                theta = r / residuals[-2] if k > 1 else 0.0
+                # rate 0 before two sweeps on this step's fields measure one
+                theta = r / residuals[-2] if k > first else 0.0
                 left = settings.max_sweeps - k
-                # theta >= 1 first: theta**left overflows for a large theta
-                if theta >= 1.0 or r * theta**left > settings.tol:
+                # the spent budget first (a sweep on stale fields may end it below tol), and
+                # theta >= 1 before theta**left, which overflows for a large theta
+                if left == 0 or theta >= 1.0 or r * theta**left > settings.tol:
                     raise GummelError(
-                        "Gummel sweep gave up after %d of %d sweeps: residual %.3e > tol %.3e and at "
+                        "Gummel sweep gave up after %d of %d sweeps: residual %.3e, tol %.3e, and at "
                         "contraction rate theta %.3g the %d sweeps left cannot reach tol"
                         % (k, settings.max_sweeps, r, settings.tol, theta, left),
                         GummelReport(k, tuple(residuals)),
@@ -162,7 +175,7 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
             GummelReport(len(residuals), tuple(residuals)),
         ) from exc
 
-    state = State(state_prev.time + dt, electro, flow, result.conc, result.rates)
+    state = State(state_prev.time + dt, electro, flow, result.conc, data, result.rates)
     return state, GummelReport(len(residuals), tuple(residuals))
 
 

@@ -329,29 +329,33 @@ def test_bounds_prints_ledger_and_csv(tmp_path, capsys):
     assert "g_inf_1" in out
 
 
-def demo_on_8x8(tmp_path, **physics):
-    """configs/demo.json on an 8x8 grid with the given physics keys replaced; returns its path."""
-    with open(os.path.join(ROOT, "configs", "demo.json"), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["grid"].update(nx=8, ny=8)
-    doc["physics"].update(physics)
-    path = tmp_path / "demo8.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+ZERO_DATA = {"initial": {"c1": 0.0, "c2": 0.0}, "boundary": {"g1": {"left": 0.0}}}
+HUGE_F = {"f": {"left": -1e160, "right": 1e160}}
 
 
 @pytest.mark.parametrize(
-    "physics", [{"kappa": 1e100}, {"kappa": 1e160}, {"z1": 10**40}], ids=["kappa**4", "kappa**2", "max_z**8"]
+    "overrides, cm",
+    [
+        ({"physics": {"kappa": 1e100}}, "inf"),
+        ({"physics": {"kappa": 1e160}}, "inf"),  # with sigma = rho_b = 0, so inf * 0 must stay 0
+        ({"physics": {"z1": 10**40}}, "inf"),
+        ({"boundary": HUGE_F}, "inf"),
+        ({"physics": {"kappa": 0.0}, "boundary": HUGE_F}, "inf"),
+        (dict(ZERO_DATA, physics={"kappa": 1e160}), "0.0"),
+        (dict(ZERO_DATA, boundary=dict(ZERO_DATA["boundary"], **HUGE_F)), "0.0"),
+    ],
+    ids=["kappa**4", "kappa**2", "max_z**8", "f_inf**2", "kappa=0", "zero-data", "zero-data-f_inf**2"],
 )
-def test_extreme_coupling_saturates_the_bounds_to_inf(tmp_path, capsys, physics):
-    # a float power that overflows raises OverflowError; the constants saturate to inf instead
-    assert main(["bounds", demo_on_8x8(tmp_path, **physics)]) == 0
-    assert re.search(r"^  CM += inf$", capsys.readouterr().out, re.M)
+def test_extreme_data_saturates_the_bounds(tmp_path, capsys, overrides, cm):
+    # a float power that overflows raises OverflowError and inf * 0 is nan;
+    # the constants saturate to inf instead, and a term without data stays 0
+    assert main(["bounds", write_cfg(tmp_path, **overrides)]) == 0
+    assert re.search(r"^  CM += %s$" % cm, capsys.readouterr().out, re.M)
 
 
 def test_check_at_extreme_coupling_fails_through_its_message(tmp_path, capsys):
     # the bounds are inf, so the march itself breaks down, and says so
-    assert main(["check", demo_on_8x8(tmp_path, kappa=1e100)]) == 1
+    assert main(["check", write_cfg(tmp_path, physics={"kappa": 1e100})]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("check failed: linear solve failed")
     assert "PASS" not in captured.out

@@ -17,7 +17,8 @@ Key scenarios:
   * The sweep iterates whole states: an attempt starts from the fields
     stored with the previous state, and each completed sweep solves the
     field and flow once, the converged sweep's solve giving the accepted
-    state its fields.
+    state its fields.  Where sigma, f or rho_b changed, the first sweep ran
+    on the old data's fields: it is never accepted and measures no rate.
 
   * A step too large for the allotted sweeps is halved until it converges;
     the shortened steps are accepted and the march still lands exactly on
@@ -62,6 +63,7 @@ from dpnpsim.gummel import (
 from dpnpsim.linalg import SolveReport, SolverError
 from dpnpsim.mesh import CellField, Grid
 from dpnpsim.params import PhysParams
+from dpnpsim.schedule import BoundarySpec, Ramp, Schedule
 from dpnpsim.transport import Concentrations, step_transport
 
 from schedule_helpers import constant_schedule
@@ -497,6 +499,34 @@ def test_each_completed_sweep_solves_the_fields_once(monkeypatch):
         gummel_step(g, p, st0, sched.at(0.01), 0.01, SweepSettings(tol=1e-300, max_sweeps=3))
     assert exc.value.report.sweeps == 2
     assert calls == {"solve_gauss": 1, "solve_darcy": 1}
+
+
+def test_a_sweep_on_the_previous_datas_fields_is_never_accepted():
+    # a neutral state at rest is a fixed point of the sweep on its own fields;
+    # at the onset of a sigma ramp its stored fields are the old data's, so
+    # the first sweep returns c_prev unchanged and must not be accepted: the
+    # accepted state responds to the new field and an extra transport step on
+    # its fields moves c by no more than tol (acceptance criterion 12)
+    g = Grid(8, 8, 1.0, 1.0)
+    p = PhysParams(theta=0.8, kappa=1.0, z1=1, z2=-1, T_end=0.03, dt=0.01)
+    rest = Concentrations(CellField.full(g, 0.5), CellField.full(g, 0.5))
+    onset = Ramp("linear", t0=0.01, t1=0.03)
+    sigma = BoundarySpec(g, ramp=onset, left=0.05, right=-0.05)
+    none = BoundarySpec(g)
+    sched = Schedule(sigma, none, (none, none), CellField.zeros(g))
+    res = advance(g, p, rest, sched)
+    assert [(r.sweeps > 1, r.halvings) for r in res.reports] == [(False, 0), (True, 0), (True, 0)]
+    for prev, state in zip(res.states, res.states[1:]):
+        extra = step_transport(
+            g, p, prev.conc, state.flow.q_faces, state.electro.e_faces, (none.at(0), none.at(0)),
+            state.time - prev.time, c_lag=state.conc,
+        )
+        assert weighted_dist(g, p, replace(state, conc=extra.conc), state) <= 1e-10
+    assert np.abs(res.states[2].conc.c1.values - 0.5).max() > 1e-4
+
+    # a budget of one sweep is spent on the stale fields: the step is given up, not run past its budget
+    with pytest.raises(GummelError):
+        gummel_step(g, p, res.states[1], sched.at(0.02), 0.01, SweepSettings(max_sweeps=1))
 
 
 def test_late_linear_solver_failure_counts_the_completed_sweeps(monkeypatch):

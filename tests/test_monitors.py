@@ -160,6 +160,7 @@ def test_check_state_observes_corrupted_state_without_raising():
         electro=state.electro,
         flow=state.flow,
         conc=Concentrations(CellField(g, bad_c1), CellField(g, bad_c2)),
+        data=data,
         applied=(np.zeros((8, 8)), np.zeros((8, 8))),
     )
     ev = BoundsEvaluator(g, p, sched, initial)
