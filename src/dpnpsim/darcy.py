@@ -7,18 +7,20 @@ neighboring cells and E is already a face field; the dielectric entry for the
 face direction divides it.  Pressure is gauged to zero volume-weighted mean.
 Boundary data f must balance (integral zero) -- incompatible data is an
 error here, not something to repair, because a net in/outflow has no steady
-incompressible solution.
+incompressible solution.  The balance is judged once per boundary field,
+not on every solve: a march passes the same f to every sweep of a step.
 
 As in the field equation, the reported velocity_scale = ||rhs||_2 / volume
 turns the linear residual into a bound on ||div q||_inf.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gauss import SOLVE_TOL, fv_laplacian
-from .linalg import solve_spd
+from .linalg import norm, solve_spd
 from .mesh import CellField, FaceField
 
 BALANCE_RTOL = 1e-10
@@ -46,9 +48,15 @@ def imbalance(f_bc):
     return 0.0 if abs(net) <= BALANCE_RTOL * max(unit.abs_integral(), 1.0 / scale) else net * scale
 
 
+@functools.lru_cache(maxsize=4)
+def _checked_imbalance(f_bc):
+    """imbalance(f_bc), memoized: boundary fields hash by identity and their sides are read-only."""
+    return imbalance(f_bc)
+
+
 def solve_darcy(grid, params, rho_f, e_faces, f_bc):
     """Solve for (p, q) given the free charge, the electric field, and q.nu = f."""
-    if net := imbalance(f_bc):
+    if net := _checked_imbalance(f_bc):
         raise IncompatibleFlowData("Darcy boundary data must balance: boundary integral of f is %.3e" % net)
 
     m = tuple(k / params.mu for k in params.K)
@@ -66,7 +74,7 @@ def solve_darcy(grid, params, rho_f, e_faces, f_bc):
         b2[grid.along(a, upper)] += drift[a] * grid.face_area[a]
     f_bc.add_to_cells(b2, -1.0)  # prescribed boundary outflow
     b = b2.ravel()
-    velocity_scale = float(np.linalg.norm(b)) / vol
+    velocity_scale = norm(b) / vol
 
     A, basis = fv_laplacian(grid, m)
     x, _ = solve_spd(A, b - b.mean(), SOLVE_TOL, basis)  # the zero-mean solution

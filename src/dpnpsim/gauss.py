@@ -21,9 +21,7 @@ Its matrix, fv_laplacian, is solved exactly in its cosine eigenbasis.
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
-from .linalg import cosine_basis, solve_spd, two_point_matrix
+from .linalg import cosine_basis, norm, solve_spd, two_point_matrix
 from .mesh import CellField, FaceField
 
 SOLVE_TOL = 1e-12  # relative residual target of every Gauss and Darcy solve
@@ -78,7 +76,7 @@ def solve_gauss(grid, params, rho_f, rho_b, sigma):
     b2 = rho_used * vol
     sigma.add_to_cells(b2, -1.0)
     b = b2.ravel()
-    charge_scale = float(np.linalg.norm(b)) / vol
+    charge_scale = norm(b) / vol
 
     # the operator's range is the zero-sum vectors; x is the zero-mean solution
     A, basis = fv_laplacian(grid, eps)

@@ -88,7 +88,7 @@ def _as_plane(values, shape, what):
         values = values.reshape(shape)
     if values.shape != shape:
         raise ValueError("%s expects shape %s, got %s" % (what, shape, values.shape))
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("%s contains non-finite entries" % what)
     return values
 
@@ -120,7 +120,9 @@ class FaceField:
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, *(np.zeros(grid.face_shape[a]) for a in grid.axes))
+        field = cls.__new__(cls)  # zero planes of the face shapes need no check
+        field.grid, field.planes = grid, tuple(np.zeros(shape) for shape in grid.face_shape)
+        return field
 
     def set_boundary_outward(self, bf):
         """Stamp outward-convention boundary values onto the boundary faces."""
@@ -130,15 +132,15 @@ class FaceField:
 
 
 def _side(values, n, name):
-    if values is None:
-        return np.zeros(n)
-    values = np.asarray(values, dtype=float)
+    """One side's values as a read-only copy."""
+    values = np.zeros(n) if values is None else np.array(values, dtype=float)
     if values.ndim == 0:
         values = np.full(n, float(values))
     if values.shape != (n,):
         raise ValueError("boundary side %s expects %d values, got shape %s" % (name, n, values.shape))
     if not np.all(np.isfinite(values)):
         raise ValueError("boundary side %s contains non-finite entries" % name)
+    values.flags.writeable = False
     return values
 
 
@@ -146,6 +148,7 @@ class BoundaryField:
     """One value per boundary face, in the outward convention: sides[a] is the (low, high) pair of axis a.
 
     Each keyword of SIDES takes a scalar or one value per face of its side; an absent side is zero.
+    The sides are read-only copies, so a field never changes after construction.
     """
 
     def __init__(self, grid, left=None, right=None, bottom=None, top=None):
@@ -159,12 +162,24 @@ class BoundaryField:
     def add_to_cells(self, plane, sign=1.0):
         """Add sign * value * face measure of every boundary face to its cell of the (ny, nx) plane, in place.
 
-        The sides are added in the order of SIDES: left, right, bottom, top.
+        sign is +1 or -1.  The sides are added in the order of SIDES: left, right, bottom, top.
         """
+        for key, term in self._cell_terms:
+            cells = plane[key]  # a view: the update lands in plane
+            if sign > 0:
+                cells += term
+            else:
+                cells -= term
+
+    @functools.cached_property
+    def _cell_terms(self):
+        """Per side, in the order of SIDES, the key of its cells and value * face measure; computed once per field."""
         g = self.grid
-        for a, pair in enumerate(self.sides):
-            for (end, _), values in zip(_ENDS, pair):
-                plane[g.along(a, end)] += sign * values * g.face_area[a]
+        return [
+            (g.along(a, end), values * g.face_area[a])
+            for a, pair in enumerate(self.sides)
+            for (end, _), values in zip(_ENDS, pair)
+        ]
 
     def _integral(self, f):
         sums = ((f(low).sum() + f(high).sum()) * area for (low, high), area in zip(self.sides, self.grid.face_area))

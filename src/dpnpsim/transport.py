@@ -23,6 +23,14 @@ returned so the discrete mass balance can be checked exactly.
 Every per-species quantity is a pair indexed by species, 0 = c1 and 1 = c2:
 the concentrations, the inflows g, the valencies params.z, the sources and
 the applied rates.
+
+The two species' systems differ only in the valence of the drift, so they
+share their drift-free part, diffusion plus the 1/dt and reaction shift,
+and its cosine basis.  On grids of at most STACK_CELLS cells they are
+assembled as one block-diagonal system and solved in one BiCGStab call,
+started from the lagged concentrations; each species still meets its own
+target SOLVE_TOL ||b_l||.  Larger grids solve one species at a time, since
+the stack doubles the solve's working set (see STACK_CELLS).
 """
 
 from typing import NamedTuple
@@ -54,17 +62,17 @@ def bernoulli(x):
     Stable for all float inputs: series near zero, exact limits B(0) = 1,
     B(x) -> 0 for large positive x, B(x) -> -x for large negative x.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
+    scalar = np.ndim(x) == 0
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.minimum(x, 709.0)
+    np.expm1(out, out=out)
+    with np.errstate(invalid="ignore"):  # 0 / 0 at x = 0, which the series replaces
+        np.divide(x, out, out=out)
+    out[x > 709.0] = 0.0
     small = np.abs(x) < 1e-5
     xs = x[small]
     out[small] = 1.0 - xs / 2.0 + xs * xs / 12.0
-    xb = x[~small]
-    with np.errstate(over="ignore"):
-        out[~small] = np.where(xb > 709.0, 0.0, xb / np.expm1(np.minimum(xb, 709.0)))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return float(out[0]) if scalar else out
 
 
 class TransportResult(NamedTuple):
@@ -74,25 +82,43 @@ class TransportResult(NamedTuple):
     rates: tuple
 
 
-def _species_system(grid, params, c_prev_vals, u_planes, g, dt, k_rate, production, source):
-    """Assemble the implicit SG system for one species; returns (matrix, rhs, cosine basis of its drift-free part).
+def _species_system(grid, params, z, c_prev, q_faces, e_faces, g, dt, production, sources):
+    """Assemble the implicit SG systems of k species as one block-diagonal system: (matrix, (k, n) rhs, basis).
 
-    u_planes[a] is the species' drift velocity on the faces normal to axis a.
+    z, g and the cell planes c_prev, production and sources (or None) hold
+    species l at index l, whose drift is u_l = q + kappa z_l E.  The
+    blocks share their drift-free part, and basis is its cosine basis.
     """
     vol = grid.cell_volume
     theta = params.theta
     t = grid.transmissibility(params.D)
-    shift = theta * vol / dt + theta * vol * k_rate
+    shift = theta * vol / dt + theta * vol * params.exchange_rate
+    kz = params.kappa * np.asarray(z, dtype=float)[:, None, None]
 
-    # the Peclet numbers of the interior faces normal to each axis
-    P = [u[grid.along(a, slice(1, -1))] * h / D for a, (u, h, D) in enumerate(zip(u_planes, grid.h, params.D))]
-    A = two_point_matrix(grid, shift, [(ta * bernoulli(-Pa), ta * bernoulli(Pa)) for ta, Pa in zip(t, P)])
+    weights = []  # per axis, the pair (t B(-P), t B(P)) stacked on a leading axis
+    for a, (q, e, h, D, ta) in enumerate(zip(q_faces.planes, e_faces.planes, grid.h, params.D, t)):
+        interior = grid.along(a, slice(1, -1))
+        P = (q[interior] + kz * e[interior]) * h / D  # the Peclet numbers of the interior faces normal to a
+        w = bernoulli(np.array((-P, P)))
+        w *= ta
+        weights.append(w)
+    A = two_point_matrix(grid, shift, weights, blocks=len(z))
 
-    rhs = theta * vol / dt * c_prev_vals + theta * vol * production
-    if source is not None:
-        rhs = rhs + np.asarray(source, dtype=float) * vol
-    g.add_to_cells(rhs)
-    return A, rhs.ravel(), cosine_basis(grid, t, shift)
+    rhs = theta * vol / dt * np.asarray(c_prev) + theta * vol * np.asarray(production)
+    if sources is not None:
+        rhs = rhs + np.asarray(sources, dtype=float) * vol
+    for plane, g_l in zip(rhs, g):
+        g_l.add_to_cells(plane)
+    return A, rhs.reshape(len(z), -1), cosine_basis(grid, t, shift)
+
+
+# The largest grid, in cells, on which both species are solved as one stacked system; larger grids
+# solve one species at a time.  Stacking halves the solves, so their per-call numpy overhead, but doubles
+# the solve's working set.  One demo-physics transport step, stacked against one species at a time,
+# measured on a 2-CPU VM with one BLAS thread 0.37 against 0.62 ms at 16^2 and 0.60 against 1.46 ms at
+# 32^2, about even from 40^2 to 80^2 (1.0-2.9 ms either way), and 9.6 against 5.8 ms at 128^2, where
+# its tracemalloc peak is 5.8 MB against 3.15 MB.
+STACK_CELLS = 64 * 64
 
 
 def step_transport(grid, params, c_prev, q_faces, e_faces, g, dt, c_lag=None, sources=None):
@@ -100,22 +126,27 @@ def step_transport(grid, params, c_prev, q_faces, e_faces, g, dt, c_lag=None, so
 
     g is the pair of inflow boundary fields; c_lag supplies the
     opposite-species concentrations for the reaction production terms
-    (defaults to c_prev); sources optionally adds manufactured volumetric
-    rates (s1, s2) to the right sides.  Each species system is solved to the
-    relative residual SOLVE_TOL.
+    (defaults to c_prev) and the start of the solve; sources optionally adds
+    manufactured volumetric rates (s1, s2) to the right sides.  Each species
+    system is solved to the relative residual SOLVE_TOL, both in one stacked
+    solve on grids of at most STACK_CELLS cells.
     """
     if c_lag is None:
         c_lag = c_prev
     k_rate = params.exchange_rate
-    kappa = params.kappa
     lagged = [np.maximum(c.values, 0.0) for c in reversed(c_lag)]  # the opposite species, clamped
 
     new = []
-    for prev, g_l, z, lag, src in zip(c_prev, g, params.z, lagged, sources or (None, None)):
-        u_planes = [q + kappa * z * e for q, e in zip(q_faces.planes, e_faces.planes)]
-        A, rhs, basis = _species_system(grid, params, prev.values, u_planes, g_l, dt, k_rate, k_rate * lag, src)
-        x, _ = solve_nonsym(A, rhs, SOLVE_TOL, basis)
-        new.append(CellField(grid, x))
+    chunk = 2 if grid.n_cells <= STACK_CELLS else 1
+    for lo in range(0, 2, chunk):
+        ls = slice(lo, lo + chunk)
+        A, rhs, basis = _species_system(
+            grid, params, params.z[ls], [c.values for c in c_prev[ls]], q_faces, e_faces, g[ls], dt,
+            [k_rate * lag for lag in lagged[ls]], None if sources is None else sources[ls],
+        )
+        x, _ = solve_nonsym(A, rhs, SOLVE_TOL, basis, [c.values for c in c_lag[ls]])
+        del A, rhs  # before the next chunk's system is assembled
+        new.extend(CellField(grid, x_l) for x_l in x)
 
     rates = tuple(k_rate * (lag - c.values) for lag, c in zip(lagged, new))
     return TransportResult(Concentrations(*new), rates)

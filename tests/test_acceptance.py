@@ -31,7 +31,7 @@ from dpnpsim.darcy import solve_darcy
 from dpnpsim.gauss import fv_laplacian, solve_gauss
 from dpnpsim.gummel import SweepSettings, advance
 from dpnpsim.linalg import solve_nonsym, solve_spd
-from dpnpsim.mesh import BoundaryField, CellField, Grid
+from dpnpsim.mesh import BoundaryField, CellField, FaceField, Grid
 from dpnpsim.mms import run_mms
 from dpnpsim.params import PhysParams
 from dpnpsim.schedule import BoundarySpec, Ramp, Schedule
@@ -272,11 +272,13 @@ def test_11_linear_solver_oracle():
 
     Even k: the Gauss/Darcy operator as production builds it (fv_laplacian,
     nx, ny in [1, 20], random lengths, per-axis coefficients in [0.1, 10]) with
-    a zero-sum right side, against the dense minimum-norm solution.  Odd k: a
-    Scharfetter-Gummel species system as production builds and solves it
-    (_species_system and its cosine basis, nx, ny in [1, 20], random
-    porosity, diffusivities, reaction rate, face drifts up to 1e3, inflows
-    and dt in [1e-4, 1e-1]), against numpy.linalg.solve.
+    a zero-sum right side, against the dense minimum-norm solution.  Odd k: the
+    stacked two-species Scharfetter-Gummel system as production builds and
+    solves it (_species_system with per-species valences and its cosine
+    basis, nx, ny in [1, 20], random porosity, diffusivities, reaction rate,
+    flow and electric faces giving drifts up to about 1e3, inflows and dt in
+    [1e-4, 1e-1], started from random concentrations), against
+    numpy.linalg.solve.
     """
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -295,19 +297,23 @@ def test_11_linear_solver_oracle():
             params = PhysParams(
                 theta=float(rng.uniform(0.1, 1.0)),
                 D=tuple(float(v) for v in rng.uniform(0.1, 10.0, size=2)),
+                kappa=float(rng.uniform(0.0, 1.0)),
+                z1=int(rng.integers(1, 4)),
+                z2=-int(rng.integers(1, 4)),
                 exchange_rate=float(rng.uniform(0.0, 1.0)),
             )
-            speed = 10.0 ** rng.uniform(-1.0, 3.0)
-            ufx = speed * rng.uniform(-1.0, 1.0, size=(ny, nx + 1))
-            ufy = speed * rng.uniform(-1.0, 1.0, size=(ny + 1, nx))
-            g = BoundaryField(grid, *(rng.uniform(0.0, 0.1, size=n) for n in (ny, ny, nx, nx)))
-            k_rate = params.exchange_rate
-            production = k_rate * rng.uniform(0.0, 1.0, size=(ny, nx))
-            c_prev = rng.uniform(0.0, 1.0, size=(ny, nx))
+            speed = 10.0 ** rng.uniform(-1.0, 3.0) / 2.0
+            q, e = (
+                FaceField(grid, *(speed * rng.uniform(-1.0, 1.0, size=shape) for shape in grid.face_shape))
+                for _ in range(2)
+            )
+            g = tuple(BoundaryField(grid, *(rng.uniform(0.0, 0.1, size=n) for n in (ny, ny, nx, nx))) for _ in range(2))
+            production = params.exchange_rate * rng.uniform(0.0, 1.0, size=(2, ny, nx))
+            c_prev = rng.uniform(0.0, 1.0, size=(2, ny, nx))
             dt = 10.0 ** rng.uniform(-4.0, -1.0)
-            mat, b, basis = _species_system(grid, params, c_prev, (ufx, ufy), g, dt, k_rate, production, None)
-            expected = np.linalg.solve(to_dense(mat), b)
-            x, _ = solve_nonsym(mat, b, 1e-14, basis)
+            mat, b, basis = _species_system(grid, params, params.z, c_prev, q, e, g, dt, production, None)
+            expected = np.linalg.solve(to_dense(mat), b.ravel()).reshape(b.shape)
+            x, _ = solve_nonsym(mat, b, 1e-14, basis, rng.uniform(0.0, 1.0, size=b.shape))
         worst = max(worst, float(np.abs(x - expected).max()))
     ok = worst <= 1e-8
     _verdict(11, "linear-solver oracle", ok, "max deviation from dense solve %.3e <= 1e-8 (200 systems)" % worst)

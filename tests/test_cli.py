@@ -11,6 +11,7 @@ import glob
 import json
 import os
 import re
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -359,6 +360,37 @@ def test_check_at_extreme_coupling_fails_through_its_message(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("check failed: linear solve failed")
     assert "PASS" not in captured.out
+
+
+def _demo_cfg(tmp_path, **physics):
+    with open(os.path.join(ROOT, "configs", "demo.json")) as f:
+        doc = json.load(f)
+    doc["physics"].update(physics)
+    path = tmp_path / "demo.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("kappa 1e100, demo 32x32", "check failed: linear solve failed"),
+        ("kappa 1e160, 8x8", "check failed: linear solve failed"),
+        ("sigma +-1e200, 8x8", "check failed: eigenbasis solve missed"),
+    ],
+)
+def test_check_on_overflowing_data_fails_through_its_message_without_a_warning(tmp_path, capsys, case, message):
+    # the sums of squares in the solvers' norms and inner products overflow
+    # to inf; the solves then fail and say so, and no numpy warning is raised
+    cfg = {
+        "kappa 1e100, demo 32x32": lambda: _demo_cfg(tmp_path, kappa=1e100),
+        "kappa 1e160, 8x8": lambda: write_cfg(tmp_path, physics={"kappa": 1e160}),
+        "sigma +-1e200, 8x8": lambda: write_cfg(tmp_path, boundary={"sigma": {"left": 1e200, "right": -1e200}}),
+    }[case]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", cfg]) == 1
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_bounds_csv_lists_every_ledger_and_norm_field_in_order(tmp_path):

@@ -4,12 +4,17 @@ Frozen oracles: with permeability K, viscosity mu and boundary normal flux
 +-K/mu on the two x-sides, the exact solution is a uniform horizontal
 velocity with linear pressure -- reproduced to rounding on every grid
 because two-point differences of linear functions are exact.  Imbalanced
-boundary data must raise IncompatibleFlowData before any solve.
+boundary data must raise IncompatibleFlowData before any solve; a march
+judges that balance once per boundary field, not on every sweep.
 """
+
+import os
 
 import numpy as np
 import pytest
 
+from dpnpsim import darcy, gummel, runner
+from dpnpsim.config import load_config
 from dpnpsim.darcy import IncompatibleFlowData, solve_darcy
 from dpnpsim.gauss import SOLVE_TOL, solve_gauss
 from dpnpsim.mesh import BoundaryField, CellField, FaceField, Grid, cell_divergence
@@ -44,6 +49,21 @@ def test_imbalanced_boundary_data_raises():
     p = PhysParams()
     with pytest.raises(IncompatibleFlowData):
         solve_darcy(g, p, CellField.zeros(g), FaceField.zeros(g), BoundaryField(g, left=1.0))
+
+
+def test_a_march_checks_the_balance_once_per_boundary_field(monkeypatch):
+    # the demo ramps f up to t = 0.05, so its steps pass several distinct
+    # fields, each to every sweep of its step
+    checked, passed = [], []
+    real_imbalance, real_solve = darcy.imbalance, gummel.solve_darcy
+    monkeypatch.setattr(darcy, "imbalance", lambda f_bc: checked.append(f_bc) or real_imbalance(f_bc))
+    monkeypatch.setattr(gummel, "solve_darcy", lambda *args: passed.append(args[-1]) or real_solve(*args))
+    demo = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "demo.json")
+    ok, _ = runner.check(load_config(demo))
+    assert ok
+    distinct = {id(f): f for f in passed}  # passed keeps every field alive, so no id is reused
+    assert len(checked) == len(distinct) < len(passed) / 5
+    assert all(any(f is g for g in checked) for f in distinct.values())
 
 
 def test_velocity_is_divergence_free_random_data():

@@ -16,20 +16,28 @@ drift, so nonnegative data can only produce nonnegative states (to solver
 fuzz); discrete mass balance holds to 1e-10 relative; the step is affine,
 so responses to sources superpose.
 
-Iteration guard: the shipped demo (20 steps of 4 sweeps, 160 transport
-solves) takes 472 preconditioned BiCGStab iterations in all, and Jacobi
-took 9,778; more than 600 means the cosine-basis preconditioner has stopped
-matching the drift-free transport operator.
+Memory guard: one step on 128^2 demo physics allocates at most 3.5 MB
+beyond what was live before it (3.15 MB solving the species one at a
+time, 5.8 MB stacked).
+
+Iteration guard: the shipped demo (20 steps of 4 sweeps, one stacked
+two-species transport solve per sweep) takes 160 preconditioned BiCGStab
+iterations in all; 160 per-species solves from zero took 472, and Jacobi
+took 9,778.  More than 300, 3.75 a solve, means the cosine-basis
+preconditioner has stopped matching the drift-free transport operator.
 """
 
+import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dpnpsim import runner, transport
-from dpnpsim.config import load_config
+from dpnpsim.config import load_config, parse_config
+from dpnpsim.gummel import initial_state
 from dpnpsim.mesh import BoundaryField, CellField, FaceField, Grid
 from dpnpsim.params import PhysParams
 from dpnpsim.transport import (
@@ -282,4 +290,24 @@ def test_demo_transport_solves_stay_preconditioned(monkeypatch):
     ok, lines = runner.check(load_config(demo))
     assert ok
     assert lines[-1] == "steps: 20   sweeps: 80   halvings: 0   wasted: 0"
-    assert len(iterations) == 160 and sum(iterations) <= 600, sum(iterations)
+    assert len(iterations) == 80 and sum(iterations) <= 300, sum(iterations)
+
+
+def test_fine_grid_step_keeps_its_memory():
+    demo = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "demo.json")
+    with open(demo) as fh:
+        doc = json.load(fh)
+    doc["grid"].update(nx=128, ny=128)
+    cfg = parse_config(doc)
+    state = initial_state(cfg.grid, cfg.params, cfg.initial, cfg.schedule.at(0.0))
+    data = cfg.schedule.at(cfg.params.dt)
+    args = (cfg.grid, cfg.params, state.conc, state.flow.q_faces, state.electro.e_faces, data.g, cfg.params.dt)
+    step_transport(*args)  # the cosine basis is built once per grid and dt, outside the measure
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        step_transport(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5e6, peak
