@@ -194,37 +194,25 @@ class _Reader:
             return {}
         return self.obj(doc[name], "block %r" % name, allowed)
 
-    def number(self, sub, where, key, default=None, required=False, low=None, low_strict=None):
+    def number(self, sub, where, key, default=None, required=False, integer=False, low=None, strict=False, high=None):
+        """sub[key], a finite float (int where integer) with v >= low (> where strict) or v in (low, high]; else default."""
         if key not in sub:
             if required:
                 self.flag("%s.%s is required" % (where, key))
             return default
         v = sub[key]
-        if not _finite(v):
-            self.flag("%s.%s must be a finite number, got %r" % (where, key, v))
+        if not _finite(v) or (integer and not isinstance(v, int)):
+            self.flag("%s.%s must be a finite %s, got %r" % (where, key, "integer" if integer else "number", v))
             return default
-        v = float(v)
-        if low is not None and v < low:
-            self.flag("%s.%s must be >= %g, got %g" % (where, key, low, v))
-            return default
-        if low_strict is not None and v <= low_strict:
-            self.flag("%s.%s must be > %g, got %g" % (where, key, low_strict, v))
-            return default
-        return v
-
-    def integer(self, sub, where, key, default=None, required=False, low=None):
-        if key not in sub:
-            if required:
-                self.flag("%s.%s is required" % (where, key))
-            return default
-        v = sub[key]
-        if not (isinstance(v, int) and _finite(v)):
-            self.flag("%s.%s must be a finite integer, got %r" % (where, key, v))
-            return default
-        if low is not None and v < low:
-            self.flag("%s.%s must be >= %d, got %d" % (where, key, low, v))
-            return default
-        return v
+        v, fmt = (v, "%d") if integer else (float(v), "%g")
+        if high is not None and not low < v <= high:
+            rule = "lie in (%g, %g]" % (low, high)
+        elif high is None and low is not None and not (v > low if strict else v >= low):
+            rule = ("be > " if strict else "be >= ") + fmt % low
+        else:
+            return v
+        self.flag("%s.%s must %s, got %s" % (where, key, rule, fmt % v))
+        return default
 
     def pair(self, sub, where, key, default):
         if key not in sub:
@@ -262,7 +250,7 @@ def _read_field_spec(reader, raw, where):
         ok = isinstance(center, (list, tuple)) and len(center) == 2 and all(_finite(c) for c in center)
         if not ok:
             reader.flag("%s.center must be [x, y], got %r" % (where, center))
-        width = reader.number(raw, where, "width", required=True, low_strict=0.0)
+        width = reader.number(raw, where, "width", required=True, low=0.0, strict=True)
         amp = reader.number(raw, where, "amplitude", required=True)
         if not ok or width is None or amp is None:
             return None
@@ -337,22 +325,19 @@ def parse_config(source):
             r.flag("unknown top-level block %r (allowed: %s)" % (key, ", ".join(_BLOCKS)))
 
     g = r.block(doc, "grid", _GRID_KEYS, required=True)
-    n = [r.integer(g, "grid", key, required=True, low=1) for key in ("nx", "ny")]
-    length = [r.number(g, "grid", key, default=1.0, low_strict=0.0) for key in ("lx", "ly")]
+    n = [r.number(g, "grid", key, required=True, integer=True, low=1) for key in ("nx", "ny")]
+    length = [r.number(g, "grid", key, default=1.0, low=0.0, strict=True) for key in ("lx", "ly")]
 
     ph = r.block(doc, "physics", _PHYSICS_KEYS, required=True)
     phys = PhysParams()  # the physics defaults
-    theta = r.number(ph, "physics", "theta", default=phys.theta)
+    theta = r.number(ph, "physics", "theta", default=phys.theta, low=0.0, high=1.0)
     d_pair = r.pair(ph, "physics", "D", phys.D)
     k_pair = r.pair(ph, "physics", "K", phys.K)
-    mu = r.number(ph, "physics", "mu", default=phys.mu, low_strict=0.0)
-    eps_s = r.number(ph, "physics", "eps_s", default=phys.eps_s, low_strict=0.0)
+    mu = r.number(ph, "physics", "mu", default=phys.mu, low=0.0, strict=True)
+    eps_s = r.number(ph, "physics", "eps_s", default=phys.eps_s, low=0.0, strict=True)
     kappa = r.number(ph, "physics", "kappa", default=phys.kappa, low=0.0)
-    z1 = r.integer(ph, "physics", "z1", default=phys.z1)
-    z2 = r.integer(ph, "physics", "z2", default=phys.z2)
-    if not 0.0 < theta <= 1.0:
-        r.flag("physics.theta must lie in (0, 1], got %g" % theta)
-        theta = phys.theta
+    z1 = r.number(ph, "physics", "z1", default=phys.z1, integer=True)
+    z2 = r.number(ph, "physics", "z2", default=phys.z2, integer=True)
     if not z1 > 0 > z2:
         r.flag("physics valencies must satisfy z1 > 0 > z2, got z1=%d, z2=%d" % (z1, z2))
         z1, z2 = phys.z1, phys.z2
@@ -381,16 +366,13 @@ def parse_config(source):
     boundary = {name: _read_boundary_field(r, bnd.get(name), name) for name in _BOUNDARY_KEYS}
 
     tm = r.block(doc, "time", _TIME_KEYS, required=True)
-    t_end = r.number(tm, "time", "t_end", required=True, low_strict=0.0)
-    dt = r.number(tm, "time", "dt", required=True, low_strict=0.0)
+    t_end = r.number(tm, "time", "t_end", required=True, low=0.0, strict=True)
+    dt = r.number(tm, "time", "dt", required=True, low=0.0, strict=True)
     # each key is checked here, not by SweepSettings, so that every bad key is reported
     defaults = SweepSettings()
-    tol = r.number(tm, "time", "tol", default=defaults.tol, low_strict=0.0)
-    max_sweeps = r.integer(tm, "time", "max_sweeps", default=defaults.max_sweeps, low=1)
-    damping = r.number(tm, "time", "damping", default=defaults.damping)
-    if not 0.0 < damping <= 1.0:
-        r.flag("time.damping must lie in (0, 1], got %g" % damping)
-        damping = defaults.damping
+    tol = r.number(tm, "time", "tol", default=defaults.tol, low=0.0, strict=True)
+    max_sweeps = r.number(tm, "time", "max_sweeps", default=defaults.max_sweeps, integer=True, low=1)
+    damping = r.number(tm, "time", "damping", default=defaults.damping, low=0.0, high=1.0)
     if t_end is not None and dt is not None and dt > t_end:
         r.flag("time.dt must not exceed time.t_end, got dt=%g, t_end=%g" % (dt, t_end))
         dt = t_end
@@ -400,7 +382,7 @@ def parse_config(source):
     if not isinstance(out_dir, str) or not out_dir:
         r.flag("output.directory must be a nonempty string, got %r" % out_dir)
         out_dir = "out"
-    stride = r.integer(out, "output", "snapshot_stride", default=1, low=1)
+    stride = r.number(out, "output", "snapshot_stride", default=1, integer=True, low=1)
 
     # Everything below needs a valid grid; build it only if the geometry
     # parsed, and keep collecting violations that do not need it.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauss import SOLVE_TOL, fv_laplacian
-from .linalg import norm, solve_spd
+from .linalg import norms, solve_spd
 from .mesh import CellField, FaceField
 
 BALANCE_RTOL = 1e-10
@@ -54,6 +54,7 @@ def _checked_imbalance(f_bc):
     return imbalance(f_bc)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by two_point_matrix or the solve
 def solve_darcy(grid, params, rho_f, e_faces, f_bc):
     """Solve for (p, q) given the free charge, the electric field, and q.nu = f."""
     if net := _checked_imbalance(f_bc):
@@ -74,7 +75,7 @@ def solve_darcy(grid, params, rho_f, e_faces, f_bc):
         b2[grid.along(a, upper)] += drift[a] * grid.face_area[a]
     f_bc.add_to_cells(b2, -1.0)  # prescribed boundary outflow
     b = b2.ravel()
-    velocity_scale = norm(b) / vol
+    velocity_scale = norms(b[None])[0] / vol
 
     A, basis = fv_laplacian(grid, m)
     x, _ = solve_spd(A, b - b.mean(), SOLVE_TOL, basis)  # the zero-mean solution

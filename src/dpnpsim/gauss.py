@@ -21,7 +21,9 @@ Its matrix, fv_laplacian, is solved exactly in its cosine eigenbasis.
 import functools
 from dataclasses import dataclass
 
-from .linalg import cosine_basis, norm, solve_spd, two_point_matrix
+import numpy as np
+
+from .linalg import cosine_basis, norms, solve_spd, two_point_matrix
 from .mesh import CellField, FaceField
 
 SOLVE_TOL = 1e-12  # relative residual target of every Gauss and Darcy solve
@@ -62,6 +64,7 @@ class ElectroState:
     charge_scale: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by two_point_matrix or the solve
 def solve_gauss(grid, params, rho_f, rho_b, sigma):
     """Solve the field equation for (phi, E) given charges and boundary flux sigma."""
     eps = params.epsilon
@@ -76,7 +79,7 @@ def solve_gauss(grid, params, rho_f, rho_b, sigma):
     b2 = rho_used * vol
     sigma.add_to_cells(b2, -1.0)
     b = b2.ravel()
-    charge_scale = norm(b) / vol
+    charge_scale = norms(b[None])[0] / vol
 
     # the operator's range is the zero-sum vectors; x is the zero-mean solution
     A, basis = fv_laplacian(grid, eps)

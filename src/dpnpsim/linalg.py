@@ -23,11 +23,9 @@ solve_nonsym runs BiCGStab (van der Vorst, SIAM J. Sci. Stat. Comput. 13,
 preconditioned by the basis of their drift-free part (Elman, Silvester &
 Wathen, Finite Elements and Fast Iterative Solvers, 2nd ed., ch. 8-9).
 It takes the species' right sides as a (k, n) stack, shares one Krylov
-iteration between the blocks, starts from a given x0 (the transport step
-passes the lagged concentrations) and returns at once where x0 already
-meets every target.  The stack doubles the working set, so the transport
-step stacks only up to transport.STACK_CELLS cells (64^2): at 128^2 the
-stacked step peaked at 5.8 MB of allocations against 3.15 MB.
+iteration between the blocks and starts from a required x0 (the transport
+step passes the lagged concentrations); every start judges its iterate by
+the true residual, so an x0 that meets every target returns at once.
 """
 
 import functools
@@ -105,6 +103,7 @@ class SparseMatrix:
         return np.abs(self.diagonals).sum(axis=0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def two_point_matrix(grid, diag, weights, blocks=1):
     """Cell-centred two-point-flux matrix on a structured grid, held on the diagonals 0 and +-stride per axis.
 
@@ -116,7 +115,8 @@ def two_point_matrix(grid, diag, weights, blocks=1):
     to axis a, each a scalar or an array of the cell-plane shape less one
     along a.  With blocks = k the weights may carry a leading axis of k and
     the matrix is block-diagonal, one grid's block after another: a block's
-    entries past the grid's edges are zero, so none couples two blocks.
+    entries past the grid's edges are zero, so none couples two blocks.  Where
+    the weights overflow, SolverError with residual inf, and no numpy warning.
     """
     d = len(grid.n)
     planes = np.zeros((2 * d + 1, blocks) + grid.shape)
@@ -128,7 +128,10 @@ def two_point_matrix(grid, diag, weights, blocks=1):
         planes[(d - 1 - a,) + upper] = -w_minus  # the neighbour below along a
         planes[(d + 1 + a,) + lower] = -w_plus  # the neighbour above
     offsets = tuple(-s for s in reversed(grid.stride)) + (0,) + grid.stride
-    return SparseMatrix(offsets, planes.reshape(2 * d + 1, blocks * grid.n_cells))
+    try:
+        return SparseMatrix(offsets, planes.reshape(2 * d + 1, blocks * grid.n_cells))
+    except ValueError as exc:
+        raise SolverError("two-point %s" % exc, SolveReport(0, math.inf)) from None
 
 
 @functools.lru_cache(maxsize=8)
@@ -188,28 +191,34 @@ def _eigen_solve(basis, v):
 _FLOOR_EPS = 4.0 * np.finfo(float).eps
 _FLOOR_CAP = float(np.sqrt(np.finfo(float).eps))
 _MAX_RESTARTS = 5
+_UNDERFLOW = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)  # 2^-485: a smaller norm may have lost squares
 
 
-def norm(v):
-    """sqrt(v @ v), bit for bit np.linalg.norm of a 1-D float64 v, but inf without a warning where v @ v overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(v @ v))
+def norms(v):
+    """The 2-norms of the blocks of a (k, n) stack, bit for bit np.linalg.norm(v_l), as Python floats (fast to compare).
 
-
-def _norms(v):
-    """The 2-norms of the blocks of a (k, n) stack, bit for bit norm(v_l), as Python floats (fast to compare)."""
-    return np.sqrt(v[:, None, :] @ v[:, :, None]).ravel().tolist()
+    A block whose squares may have underflowed (its norm is below _UNDERFLOW) is scaled up, never down, by the
+    power of two of its largest entry first: exactly, so entries below 1e-154 do not read 0 and zeros still do.
+    A norm that overflows is inf; the callers keep numpy from warning.
+    """
+    out = np.sqrt(v[:, None, :] @ v[:, :, None]).ravel().tolist()
+    if min(out) < _UNDERFLOW:
+        e = np.minimum(np.frexp(np.abs(v).max(axis=1))[1], 0)
+        w = np.ldexp(v, -e[:, None])
+        out = np.ldexp(np.sqrt(w[:, None, :] @ w[:, :, None]).ravel(), e).tolist()
+    return out
 
 
 def _target(A, bnorm, tol):
     """misses(residual, x): whether some block's residual exceeds its stopping target at x (NaN exceeds none).
 
     The target of block l is max(tol ||b_l||, min(4 eps (||A_l||_inf ||x_l||
-    + ||b_l||), sqrt(eps) ||b_l||)), A_l the l-th diagonal block of A.  The
-    rounding floor is capped at sqrt(eps) ||b_l||: an iterate grown large
-    (off the range of a singular A) would otherwise lift the floor towards
-    ||b_l|| and certify an x that solves nothing.  The floor needs ||x_l||,
-    so it is evaluated only for residuals between tol ||b_l|| and the cap.
+    + ||b_l||), sqrt(eps) ||b_l||)), A_l the l-th diagonal block of A: below
+    the rounding floor 4 eps (...) no float64 x can certify a smaller
+    residual, and the cap keeps an iterate grown large (off the range of a
+    singular A) from lifting the floor towards ||b_l|| and certifying an x
+    that solves nothing.  The floor needs ||x_l||, so it is evaluated only
+    for residuals between tol ||b_l|| and the cap.
     """
     anorm = A.abs_row_sums.reshape(len(bnorm), -1).max(axis=1).tolist()
     tol_b = [tol * bn for bn in bnorm]
@@ -221,16 +230,17 @@ def _target(A, bnorm, tol):
             return True
         if not any(r > t for r, t in zip(residual, tol_b)):
             return False
-        floor = [_FLOOR_EPS * (an * xn + bn) for an, xn, bn in zip(anorm, _norms(x), bnorm)]
+        floor = [_FLOOR_EPS * (an * xn + bn) for an, xn, bn in zip(anorm, norms(x), bnorm)]
         return any(r > max(t, min(f, c)) for r, t, f, c in zip(residual, tol_b, floor, cap))
 
     return misses
 
 
 def _true_residual(A, b, x, misses):
-    """(per-block ||b_l - A_l x_l||, accepted) for the (k, n) stacks b and x: only finite residuals are accepted."""
-    residual = _norms(b - A @ x)
-    return residual, all(map(math.isfinite, residual)) and not misses(residual, x)
+    """(r = b - A x, its block norms ||r_l||, accepted) for the (k, n) stacks b and x: only finite norms are accepted."""
+    r = b - A @ x
+    residual = norms(r)
+    return r, residual, all(map(math.isfinite, residual)) and not misses(residual, x)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -239,18 +249,16 @@ def solve_spd(A, b, tol, basis):
 
     basis = (q, inv_eig) as from cosine_basis at shift 0 with A's face weights.
     Returns (x, SolveReport) with the zero-mean x and iterations 1 (0 and
-    x = 0 for b = 0) when the true residual is finite and meets max(tol ||b||,
-    4 eps (||A||_inf ||x|| + ||b||)), the rounding floor below which no float64
-    x can certify a smaller residual, capped at sqrt(eps) ||b||; otherwise, as
-    for a b that does not sum to zero or is not finite (an overflow makes it
-    inf, without a warning), SolverError is raised.
+    x = 0 for b = 0) when the true residual is finite and meets its target
+    (see _target); otherwise, as for a b that does not sum to zero or is not
+    finite (an overflow makes it inf, without a warning), SolverError is raised.
     """
     b = np.asarray(b, dtype=float).reshape(1, -1)
-    bnorm = _norms(b)
+    bnorm = norms(b)
     if bnorm[0] == 0.0:
         return np.zeros(b.shape[1]), SolveReport(0, 0.0)
     x = _eigen_solve(basis, b)
-    (residual,), accepted = _true_residual(A, b, x, _target(A, bnorm, tol))
+    _, (residual,), accepted = _true_residual(A, b, x, _target(A, bnorm, tol))
     report = SolveReport(1, residual)
     if not accepted:
         raise SolverError("eigenbasis solve missed tol=%.3g (residual %.3g)" % (tol, residual), report)
@@ -258,7 +266,7 @@ def solve_spd(A, b, tol, basis):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve_nonsym(A, b, tol, basis, x0=None):
+def solve_nonsym(A, b, tol, basis, x0):
     """BiCGStab for a nonsymmetric SparseMatrix A (the transport M-matrices), right-preconditioned by basis.
 
     b is one right side, or a (k, n) stack of them for a block-diagonal A of
@@ -266,45 +274,38 @@ def solve_nonsym(A, b, tol, basis, x0=None):
     preconditions every block by inverting the operator it diagonalizes (for
     the transport systems, their drift-free part).  The blocks share one
     iteration, each scaled by the power of two that brings ||b_l|| into
-    [1/2, 1) so that no block dominates the inner products.  x0, of b's
-    shape, is the start (0 where it is None or b_l = 0).  Returns (x,
-    SolveReport) once every block's true residual meets its own target, as
-    in solve_spd, at once (0 iterations) if x0 does; the report carries the
-    largest block residual, and the iterate whose largest scaled block
-    residual is smallest is kept for the last check.  An
-    iteration whose half-step residual s already meets the targets at
-    x + alpha p_hat stops there.  A breakdown, which counts as an iteration,
-    or a recurrence residual that meets the targets while the true residual
-    does not, restarts BiCGStab from x.  Raises SolverError when 10 n
-    iterations or _MAX_RESTARTS + 1 starts end it short of the targets.
+    [1/2, 1) so that no block dominates the inner products.  Each start, the
+    first from x0 (of b's shape; 0 where b_l = 0), returns (x, SolveReport)
+    if the true residual b - A x meets every block's own target, as in
+    solve_spd; the report carries the largest block residual.  Else it
+    iterates until the recurrence residual meets the targets (at x + alpha
+    p_hat where the half-step residual s does) or breaks down, which counts
+    as an iteration.  After 10 n iterations or _MAX_RESTARTS restarts a last
+    start only judges, then the iterate of smallest largest scaled block
+    residual is judged; SolverError is raised if that misses too.
     """
     b = np.asarray(b, dtype=float)
     stack = b.reshape(-1, b.shape[-1])
-    n = stack.shape[1]
-    max_iter = 10 * n
-    scale = np.ldexp(1.0, -np.frexp(_norms(stack))[1])[:, None]  # exact: a power of two per block
+    max_iter = 10 * stack.shape[1]
+    scale = np.ldexp(1.0, -np.frexp(norms(stack))[1])[:, None]  # exact: a power of two per block
     stack = stack * scale
-    bnorm = _norms(stack)
+    bnorm = norms(stack)
     misses = _target(A, bnorm, tol)
-    if x0 is None:
-        x, r = np.zeros_like(stack), stack
-    else:
-        x = np.array(x0, dtype=float).reshape(stack.shape)
-        x *= scale
-        x[np.equal(bnorm, 0.0)] = 0.0
-        r = stack - A @ x
+    x = np.where(np.equal(bnorm, 0.0)[:, None], 0.0, np.reshape(x0, stack.shape) * scale)
 
     def result(x, residual):
         return (x / scale).reshape(b.shape), SolveReport(iterations, float(np.max(residual / scale[:, 0])))
 
     iterations = 0
-    rnorm = _norms(r)
-    if all(map(math.isfinite, rnorm)) and not misses(rnorm, x):
-        return result(x, rnorm)
-    best_x, best_norm = x, max(rnorm)  # iterates are rebound, never written in place
-
-    for _ in range(_MAX_RESTARTS + 1):  # each start from (x, r = b - A x)
-        r_hat = r.copy()
+    for start in range(_MAX_RESTARTS + 2):  # each from (x, r = b - A x); the last only judges x
+        r, rnorm, accepted = _true_residual(A, stack, x, misses)
+        if accepted:
+            return result(x, rnorm)
+        if start == 0:
+            best_x, best_norm = x, max(rnorm)  # iterates are rebound, never written in place
+        if start > _MAX_RESTARTS or iterations >= max_iter:
+            break
+        r_hat = r
         rho = alpha = omega = 1.0
         v = p = np.zeros_like(r)
         while iterations < max_iter:
@@ -322,7 +323,7 @@ def solve_nonsym(A, b, tol, basis, x0=None):
                 break
             alpha = rho / denom
             s = r - alpha * v
-            snorm = _norms(s)
+            snorm = norms(s)
             x_half = x + alpha * p_hat
             if not misses(snorm, x_half):
                 x, rnorm = x_half, snorm
@@ -335,25 +336,18 @@ def solve_nonsym(A, b, tol, basis, x0=None):
                 omega = float(np.vdot(t, s)) / tt
                 x = x_half + omega * s_hat
                 r = s - omega * t
-                rnorm = _norms(r)
+                rnorm = norms(r)
                 if abs(omega) < _BREAKDOWN:
                     break
             if max(rnorm) < best_norm:  # the blocks are scaled alike, so the largest residual ranks iterates
                 best_x, best_norm = x, max(rnorm)
-            if misses(rnorm, x):
-                continue
-            residual, accepted = _true_residual(A, stack, x, misses)
-            if accepted:
-                return result(x, residual)
-            break  # the recurrence drifted from the true residual
-        if iterations >= max_iter:
-            break
-        r = stack - A @ x
+            if not misses(rnorm, x):
+                break  # the next start judges x by its true residual
 
-    residual, accepted = _true_residual(A, stack, best_x, misses)
-    if accepted:
-        return result(best_x, residual)
+    _, residual, accepted = _true_residual(A, stack, best_x, misses)
     x, report = result(best_x, residual)
+    if accepted:
+        return x, report
     raise SolverError(
         "BiCGStab did not reach tol=%.3g within %d iterations (residual %.3g)" % (tol, iterations, report.residual),
         report,

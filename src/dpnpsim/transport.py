@@ -29,8 +29,8 @@ share their drift-free part, diffusion plus the 1/dt and reaction shift,
 and its cosine basis.  On grids of at most STACK_CELLS cells they are
 assembled as one block-diagonal system and solved in one BiCGStab call,
 started from the lagged concentrations; each species still meets its own
-target SOLVE_TOL ||b_l||.  Larger grids solve one species at a time, since
-the stack doubles the solve's working set (see STACK_CELLS).
+target SOLVE_TOL ||b_l||.  Larger grids solve one species at a time (see
+STACK_CELLS).
 """
 
 from typing import NamedTuple
@@ -82,6 +82,7 @@ class TransportResult(NamedTuple):
     rates: tuple
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by two_point_matrix or the solve
 def _species_system(grid, params, z, c_prev, q_faces, e_faces, g, dt, production, sources):
     """Assemble the implicit SG systems of k species as one block-diagonal system: (matrix, (k, n) rhs, basis).
 
@@ -113,11 +114,10 @@ def _species_system(grid, params, z, c_prev, q_faces, e_faces, g, dt, production
 
 
 # The largest grid, in cells, on which both species are solved as one stacked system; larger grids
-# solve one species at a time.  Stacking halves the solves, so their per-call numpy overhead, but doubles
-# the solve's working set.  One demo-physics transport step, stacked against one species at a time,
-# measured on a 2-CPU VM with one BLAS thread 0.37 against 0.62 ms at 16^2 and 0.60 against 1.46 ms at
-# 32^2, about even from 40^2 to 80^2 (1.0-2.9 ms either way), and 9.6 against 5.8 ms at 128^2, where
-# its tracemalloc peak is 5.8 MB against 3.15 MB.
+# solve one species at a time.  Stacking halves the solves and their per-call numpy overhead, but the
+# stack doubles the solve's working set.  Stacked at every grid size, the 128^2 demo benchmark peaked at
+# 48.3 against 44.7 MB resident (+8%, 3 interleaved pairs on a 2-CPU VM) and one 128^2 step at 5.77
+# against 3.15 MB of tracemalloc allocations, with no slower run (0.38-0.45 s against 0.43-0.56 s).
 STACK_CELLS = 64 * 64
 
 

@@ -362,9 +362,12 @@ def test_check_at_extreme_coupling_fails_through_its_message(tmp_path, capsys):
     assert "PASS" not in captured.out
 
 
-def _demo_cfg(tmp_path, **physics):
+def _demo_cfg(tmp_path, n=32, t_end=0.1, **physics):
+    """configs/demo.json on an n x n grid up to t_end, with physics overrides."""
     with open(os.path.join(ROOT, "configs", "demo.json")) as f:
         doc = json.load(f)
+    doc["grid"].update(nx=n, ny=n)
+    doc["time"]["t_end"] = t_end
     doc["physics"].update(physics)
     path = tmp_path / "demo.json"
     path.write_text(json.dumps(doc))
@@ -377,15 +380,23 @@ def _demo_cfg(tmp_path, **physics):
         ("kappa 1e100, demo 32x32", "check failed: linear solve failed"),
         ("kappa 1e160, 8x8", "check failed: linear solve failed"),
         ("sigma +-1e200, 8x8", "check failed: eigenbasis solve missed"),
+        ("kappa 1.7e308, demo 8x8", "check failed: linear solve failed"),
+        ("eps_s 1e300, D 1e10, demo 8x8", "check failed: two-point matrix values must be finite"),
+        ("K 1e300, mu 1e-10, demo 8x8", "check failed: two-point matrix values must be finite"),
     ],
 )
 def test_check_on_overflowing_data_fails_through_its_message_without_a_warning(tmp_path, capsys, case, message):
     # the sums of squares in the solvers' norms and inner products overflow
-    # to inf; the solves then fail and say so, and no numpy warning is raised
+    # to inf, or the coefficients do (kappa z, eps_s D, K / mu) and with
+    # them the matrix; the solves then fail and say so, and no numpy warning
+    # is raised
     cfg = {
         "kappa 1e100, demo 32x32": lambda: _demo_cfg(tmp_path, kappa=1e100),
         "kappa 1e160, 8x8": lambda: write_cfg(tmp_path, physics={"kappa": 1e160}),
         "sigma +-1e200, 8x8": lambda: write_cfg(tmp_path, boundary={"sigma": {"left": 1e200, "right": -1e200}}),
+        "kappa 1.7e308, demo 8x8": lambda: _demo_cfg(tmp_path, 8, 0.01, kappa=1.7e308),
+        "eps_s 1e300, D 1e10, demo 8x8": lambda: _demo_cfg(tmp_path, 8, 0.01, eps_s=1e300, D=[1e10, 1e10]),
+        "K 1e300, mu 1e-10, demo 8x8": lambda: _demo_cfg(tmp_path, 8, 0.01, K=[1e300, 1e300], mu=1e-10),
     }[case]()
     with warnings.catch_warnings():
         warnings.simplefilter("error")

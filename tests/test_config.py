@@ -279,6 +279,58 @@ def test_each_object_flags_a_non_object_and_unknown_keys(path, value, fragment):
     assert exc.value.violations[0].startswith(fragment)
 
 
+_HUGE = 10**400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "path, value, violation",
+    [
+        ("grid.nx", 0, "grid.nx must be >= 1, got 0"),
+        ("grid.nx", 8.0, "grid.nx must be a finite integer, got 8.0"),
+        ("grid.ny", True, "grid.ny must be a finite integer, got True"),
+        ("grid.ny", _HUGE, "grid.ny must be a finite integer, got %r" % _HUGE),
+        ("grid.lx", 0, "grid.lx must be > 0, got 0"),
+        ("grid.ly", "1", "grid.ly must be a finite number, got '1'"),
+        ("physics.theta", 0, "physics.theta must lie in (0, 1], got 0"),
+        ("physics.theta", 1.5, "physics.theta must lie in (0, 1], got 1.5"),
+        ("physics.theta", None, "physics.theta must be a finite number, got None"),
+        ("physics.mu", 0.0, "physics.mu must be > 0, got 0"),
+        ("physics.mu", False, "physics.mu must be a finite number, got False"),
+        ("physics.eps_s", -1e-300, "physics.eps_s must be > 0, got -1e-300"),
+        ("physics.kappa", -0.5, "physics.kappa must be >= 0, got -0.5"),
+        ("physics.kappa", [1], "physics.kappa must be a finite number, got [1]"),
+        ("physics.z1", 1.0, "physics.z1 must be a finite integer, got 1.0"),
+        ("physics.z1", 0, "physics valencies must satisfy z1 > 0 > z2, got z1=0, z2=-1"),
+        ("physics.z2", _HUGE, "physics.z2 must be a finite integer, got %r" % _HUGE),
+        ("physics.z2", 1, "physics valencies must satisfy z1 > 0 > z2, got z1=2, z2=1"),
+        ("physics.reaction.rate", -0.5, "physics.reaction.rate must be >= 0, got -0.5"),
+        ("physics.reaction.rate", "fast", "physics.reaction.rate must be a finite number, got 'fast'"),
+        ("time.t_end", 0, "time.t_end must be > 0, got 0"),
+        ("time.t_end", _HUGE, "time.t_end must be a finite number, got %r" % _HUGE),
+        ("time.dt", -0.005, "time.dt must be > 0, got -0.005"),
+        ("time.tol", 0, "time.tol must be > 0, got 0"),
+        ("time.tol", True, "time.tol must be a finite number, got True"),
+        ("time.max_sweeps", 0, "time.max_sweeps must be >= 1, got 0"),
+        ("time.max_sweeps", -10**7, "time.max_sweeps must be >= 1, got -10000000"),
+        ("time.max_sweeps", 5.0, "time.max_sweeps must be a finite integer, got 5.0"),
+        ("time.damping", 0, "time.damping must lie in (0, 1], got 0"),
+        ("time.damping", 2, "time.damping must lie in (0, 1], got 2"),
+        ("time.damping", "1", "time.damping must be a finite number, got '1'"),
+        ("output.snapshot_stride", 0, "output.snapshot_stride must be >= 1, got 0"),
+        ("output.snapshot_stride", 2.5, "output.snapshot_stride must be a finite integer, got 2.5"),
+        ("initial.c1.width", 0, "initial.c1.width must be > 0, got 0"),
+        ("initial.c1.width", None, "initial.c1.width must be a finite number, got None"),
+    ],
+)
+def test_each_bounded_key_flags_exactly_its_violation(path, value, violation):
+    # integers print with %d and other numbers with %g; a bad value is one violation, and its default stands in
+    doc = base_doc()
+    _set(doc, path, value)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert exc.value.violations == [violation]
+
+
 def test_readme_configuration_example_parses():
     # the documented schema is the one parse_config reads
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

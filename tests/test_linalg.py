@@ -19,7 +19,9 @@ which applies x / diag(A); the cosine basis is checked against the dense
 drift-free two-point matrix, and it makes a drift-free transport solve
 exact in one iteration.  A stacked two-species solve meets each block's
 own target even when the right sides differ by 1e8 in norm, and a start
-that already meets the target returns after 0 iterations.
+that already meets the target returns after 0 iterations.  A right side of
+entries below 1e-154, whose squares underflow, is solved and not read as 0,
+and a two-point matrix whose weights overflow fails as a solve.
 """
 
 import warnings
@@ -215,7 +217,7 @@ def test_solve_nonsym_raises_on_rhs_off_the_range():
     A, _ = fv_laplacian(Grid(8, 5, 1.0, 1.0), (1.0, 1.0))
     b = np.ones(40)
     with pytest.raises(SolverError) as err:
-        solve_nonsym(A, b, 1e-14, jacobi(A))
+        solve_nonsym(A, b, 1e-14, jacobi(A), np.zeros_like(b))
     assert err.value.report.residual >= np.linalg.norm(b)
 
 
@@ -237,8 +239,38 @@ def test_nonfinite_residual_is_never_accepted(case, solver):
         if solver == "spd":
             solve_spd(A, b, 1e-10, basis)
         else:
-            solve_nonsym(A, b, 1e-10, basis)
+            solve_nonsym(A, b, 1e-10, basis, np.zeros_like(b))
     assert not np.isfinite(err.value.report.residual)
+
+
+@pytest.mark.parametrize("solver", ["spd", "nonsym"])
+def test_tiny_right_side_is_solved_not_read_as_zero(solver):
+    # every entry below 1e-154: the squares in sqrt(b @ b) underflow to 0, so
+    # each block is scaled up by a power of two before its norm is taken; x
+    # meets the target, and the report is the true residual scaled back
+    if solver == "spd":
+        A, basis = fv_laplacian(Grid(3, 1, 3.0, 1.0), (1.0, 1.0))
+        b = np.array([1.0, 1.0, -2.0]) * 1e-170
+        x, rep = solve_spd(A, b, 1e-12, basis)
+        expected = np.linalg.lstsq(to_dense(A), b, rcond=None)[0]
+    else:
+        A = laplacian_1d(3)
+        b = np.array([1.0, 2.0, 3.0]) * 1e-170
+        x, rep = solve_nonsym(A, b, 1e-12, jacobi(A), np.zeros_like(b))
+        expected = np.linalg.solve(to_dense(A), b)
+    assert rep.iterations > 0
+    assert np.allclose(x, expected, rtol=1e-10, atol=0.0)
+    bnorm = 1e-170 * np.linalg.norm(1e170 * b)
+    assert rep.residual == pytest.approx(1e-170 * np.linalg.norm(1e170 * (b - to_dense(A) @ x)), rel=1e-12)
+    assert rep.residual <= 1e-12 * bnorm
+
+
+def test_overflowing_two_point_matrix_fails_as_a_solve():
+    # a face weight that overflows the diagonal sum makes the system unsolvable: SolverError, no warning
+    with warnings.catch_warnings(), pytest.raises(SolverError, match="two-point matrix values must be finite") as err:
+        warnings.simplefilter("error")
+        two_point_matrix(Grid(2, 2, 1.0, 1.0), 0.0, ((1e308, 1e308), (1e308, 1e308)))
+    assert err.value.report == SolveReport(0, np.inf)
 
 
 def test_solve_nonsym_matches_dense_solver():
@@ -251,14 +283,14 @@ def test_solve_nonsym_matches_dense_solver():
         rows, cols = np.nonzero(dense)
         A = SparseMatrix.from_coo(n, rows, cols, dense[rows, cols])
         b = rng.normal(size=n)
-        x, rep = solve_nonsym(A, b, 1e-12, jacobi(A))
+        x, rep = solve_nonsym(A, b, 1e-12, jacobi(A), np.zeros_like(b))
         assert np.allclose(x, np.linalg.solve(dense, b), atol=1e-7)
         assert rep.residual == pytest.approx(np.linalg.norm(b - dense @ x), abs=1e-12)
 
 
 def test_solve_nonsym_zero_rhs_and_cap():
     A = laplacian_1d(4, shift=0.5)
-    x, rep = solve_nonsym(A, np.zeros(4), 1e-10, jacobi(A))
+    x, rep = solve_nonsym(A, np.zeros(4), 1e-10, jacobi(A), np.zeros(4))
     assert np.all(x == 0.0) and rep == SolveReport(0, 0.0)
     # a singular 4x4 system with b off its range: BiCGStab neither converges
     # nor breaks down, so the cap of 10 n iterations ends it
@@ -266,13 +298,13 @@ def test_solve_nonsym_zero_rhs_and_cap():
     rows, cols = np.nonzero(dense)
     A = SparseMatrix.from_coo(4, rows, cols, dense[rows, cols])
     with pytest.raises(SolverError, match="within 40 iterations") as err:
-        solve_nonsym(A, np.array([0.0, 0.0, 1.0, 0.0]), 1e-12, jacobi(A))
+        solve_nonsym(A, np.array([0.0, 0.0, 1.0, 0.0]), 1e-12, jacobi(A), np.zeros(4))
     assert err.value.report.iterations == 40
     # unpreconditioned, the iterate grows to ~1e14, which would lift the
     # rounding floor 4 eps ||A||_inf ||x|| past its true residual 0.44 ||b||;
     # the floor is capped at sqrt(eps) ||b||, so the solve still raises
     with pytest.raises(SolverError) as err:
-        solve_nonsym(A, np.array([0.0, 0.0, 1.0, 0.0]), 1e-12, ((np.eye(1), np.eye(4)), np.ones((4, 1))))
+        solve_nonsym(A, np.array([0.0, 0.0, 1.0, 0.0]), 1e-12, ((np.eye(1), np.eye(4)), np.ones((4, 1))), np.zeros(4))
     assert err.value.report.residual > 0.1
 
 
@@ -287,7 +319,7 @@ def test_breakdown_restarts_share_one_cap():
     A = SparseMatrix.from_coo(2, [0, 1], [1, 0], [1.0, -1.0])
     b = np.array([1.0, 0.0])
     with pytest.raises(SolverError) as err:
-        solve_nonsym(A, b, 1e-10, jacobi(A))
+        solve_nonsym(A, b, 1e-10, jacobi(A), np.zeros_like(b))
     assert err.value.report == SolveReport(6, np.linalg.norm(b))
 
 
@@ -329,7 +361,7 @@ def test_drift_free_transport_solve_takes_one_iteration():
         g, params, params.z, rng.uniform(0.0, 1.0, (2, 9, 12)), zero, zero,
         (BoundaryField(g, left=0.02), BoundaryField(g)), 0.005, rng.uniform(0.0, 0.1, (2, 9, 12)), None,
     )
-    x, rep = solve_nonsym(A, rhs, 1e-14, basis)
+    x, rep = solve_nonsym(A, rhs, 1e-14, basis, np.zeros_like(rhs))
     assert rep.iterations == 1
     assert rep.residual == pytest.approx(max(np.linalg.norm(rhs - (A @ x), axis=1)), abs=1e-15)
     assert np.allclose(x.ravel(), np.linalg.solve(to_dense(A), rhs.ravel()), rtol=1e-12, atol=0.0)
@@ -355,20 +387,20 @@ def test_stacked_solve_meets_each_blocks_own_target():
     A, b, basis = _stacked_transport_system(1e-8)
     bnorm = np.linalg.norm(b, axis=1)
     assert bnorm[0] > 1e7 * bnorm[1] > 0.0
-    x, rep = solve_nonsym(A, b, SOLVE_TOL, basis)
+    x, rep = solve_nonsym(A, b, SOLVE_TOL, basis, np.zeros_like(b))
     residual = np.linalg.norm(b - A @ x, axis=1)
     assert np.all(residual <= SOLVE_TOL * bnorm), residual / bnorm
     assert rep.residual == residual.max()
     n = b.shape[1]
     for l in range(2):
         block = SparseMatrix(A.offsets, A.diagonals[:, l * n:(l + 1) * n])
-        alone, _ = solve_nonsym(block, b[l], SOLVE_TOL, basis)
+        alone, _ = solve_nonsym(block, b[l], SOLVE_TOL, basis, np.zeros_like(b[l]))
         assert np.allclose(x[l], alone, rtol=1e-12, atol=0.0)
 
 
 def test_warm_start_that_meets_the_target_returns_at_once():
     A, b, basis = _stacked_transport_system(0.5)
-    x, rep = solve_nonsym(A, b, SOLVE_TOL, basis)
+    x, rep = solve_nonsym(A, b, SOLVE_TOL, basis, np.zeros_like(b))
     assert rep.iterations > 0
     again, rep0 = solve_nonsym(A, b, SOLVE_TOL, basis, x)
     assert np.array_equal(again, x)
