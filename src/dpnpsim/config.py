@@ -251,6 +251,9 @@ def _read_field_spec(reader, raw, where):
         if not ok:
             reader.flag("%s.center must be [x, y], got %r" % (where, center))
         width = reader.number(raw, where, "width", required=True, low=0.0, strict=True)
+        if width is not None and width > math.sqrt(np.finfo(float).max):  # width**2 would raise OverflowError
+            reader.flag("%s.width must have a finite square, got %g" % (where, width))
+            width = None
         amp = reader.number(raw, where, "amplitude", required=True)
         if not ok or width is None or amp is None:
             return None

@@ -1,23 +1,25 @@
-"""Gummel decoupling: implicit time steps solved by a damped fixed-point sweep.
+"""Gummel decoupling: implicit time steps solved by a relaxed fixed-point sweep.
 
 The sweep iterates whole states: it starts from the previous state,
 (c^0, E^0, q^0) = (c, E, q)(t_n), and one sweep is
 
   1. transport step  E^k, q^k, lagged reactions -> raw concentrations
-  2. damping         c^{k+1} = damping * raw + (1 - damping) * c^k
+  2. relaxation      c^{k+1} = c^k + omega_k d_k,  d_k = raw - c^k
   3. field solve     rho_f(c^{k+1})           -> phi, E^{k+1}
   4. flow solve      rho_f(c^{k+1}), E^{k+1}  -> p, q^{k+1}
 
-until the weighted increment r_k = sqrt(sum_l |z_l| sum (c^{k+1} - c^k)^2 vol)
-drops below tol.  The step then accepts the raw concentrations of the last
-transport step, not their damped mix with c^k: the reaction rates stored
-with the state are the ones that step applied, so the mass identity the
-monitors check holds for them.  The last sweep's one field and flow solve
-takes those concentrations, so the stored state is internally consistent.
-Where sigma, f or rho_b changed since t_n, the first sweep runs on fields of
-the old data: it is never accepted, and its increment measures no rate.
-Concentrations, inflows and applied rates are pairs indexed by species
-(0 = c1, 1 = c2); the increment and the damping loop over them.
+until the weighted increment r_k = sqrt(sum_l |z_l| sum d_k^2 vol) drops
+below tol.  omega starts at damping; from the second sweep on this step's
+fields it is Aitken's -omega_{k-1} <d_{k-1}, d_k - d_{k-1}> / |d_k - d_{k-1}|^2
+(|z_l|-weighted; Kuettler & Wall, Comput. Mech. 43, 2008) clipped to [0.05, 1].
+The step accepts the raw concentrations of the last transport step, not
+their relaxed mix with c^k: the reaction rates stored with the state are
+the ones that step applied, so the mass identity the monitors check holds
+for them.  The last sweep's one field and flow solve takes those
+concentrations, so the stored state is internally consistent.  Where sigma,
+f or rho_b changed since t_n, the first sweep runs on the old data's fields:
+it is never accepted and measures no rate and no omega.  Concentrations,
+inflows and applied rates are pairs indexed by species (0 = c1, 1 = c2).
 
 A step fails in one way: gummel_step raises GummelError, both when the
 sweep cannot converge and when a linear solve inside the step fails (the
@@ -25,11 +27,12 @@ SolverError becomes its __cause__).  The sweep is given up after sweep k
 once its contraction rate theta_k = r_k / r_{k-1} is >= 1 or too slow for
 the sweeps left, r_k * theta_k**(max_sweeps - k) > tol (the divergence and
 slow-convergence stop of Hairer & Wanner, Solving ODEs II, IV.8); at
-k = max_sweeps that is the spent budget.  advance() walks the step sequence
-0 -> params.T_end in steps of params.dt, halving dt for a failed step (up to
-10 halvings; the shortened step is accepted and subsequent steps resume the
-nominal dt), evaluates the boundary schedule at each new time, and runs the
-monitors on every accepted state.
+k = max_sweeps that is the spent budget.  advance() walks 0 -> params.T_end,
+halving dt for a failed step down to the absolute floor params.dt / 2**10;
+the next step keeps a halved dt and doubles an unhalved one up to params.dt
+(Gustafsson & Soederlind, SIAM J. Sci. Comput. 18, 1997).  It evaluates the
+boundary schedule at each new time and runs the monitors on every accepted
+state.
 """
 
 import math
@@ -59,7 +62,7 @@ class SweepSettings:
 
     tol: float = 1e-10  # weighted increment at which the sweep stops
     max_sweeps: int = 50
-    damping: float = 1.0
+    damping: float = 1.0  # omega at the start of every attempt
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -105,10 +108,11 @@ def _increment(params, grid, conc_new, conc_old):
     return math.sqrt(monitors.weighted_sum_sq(params, diffs, grid.cell_volume))
 
 
-def _damped(grid, damping, raw, old):
-    if damping == 1.0:
-        return raw
-    return Concentrations(*(CellField(grid, damping * r.values + (1.0 - damping) * o.values) for r, o in zip(raw, old)))
+def _aitken(params, omega, d_old, d):
+    """The next relaxation factor from two successive sweep updates; omega itself where they are equal."""
+    dd = [a - b for a, b in zip(d, d_old)]
+    num, den = (sum(abs(z) * float(np.vdot(a, b)) for z, a, b in zip(params.z, u, dd)) for u in (d_old, dd))
+    return omega if den == 0.0 else min(max(-omega * num / den, 0.05), 1.0)
 
 
 def _fields(grid, params, conc, data):
@@ -143,14 +147,14 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
     # the first sweep on this step's fields: sweep 1 runs on state_prev's, the old data's if sigma, f or rho_b changed
     first = 1 if all(map(np.array_equal, _field_inputs(state_prev.data), _field_inputs(data))) else 2
     residuals = []
+    omega, d_old = settings.damping, None
     converged = False
     try:
         while not converged:
             result = step_transport(
                 grid, params, c_prev, flow.q_faces, electro.e_faces, data.g, dt, c_lag=c_k, sources=data.sources
             )
-            c_next = _damped(grid, settings.damping, result.conc, c_k)
-            residuals.append(_increment(params, grid, c_next, c_k))
+            residuals.append(_increment(params, grid, result.conc, c_k))
             k, r = len(residuals), residuals[-1]
             converged = r <= settings.tol and k >= first
             if not converged:
@@ -166,8 +170,14 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
                         % (k, settings.max_sweeps, r, settings.tol, theta, left),
                         GummelReport(k, tuple(residuals)),
                     )
-            # converged: the accepted transport output, whose rates are stored, gets the state's fields
-            c_k = result.conc if converged else c_next
+                d = [new.values - old.values for new, old in zip(result.conc, c_k)]
+                omega = omega if d_old is None else _aitken(params, omega, d_old, d)
+                d_old = d if k >= first else None
+            # the accepted transport output (its rates are stored) or c^k + omega d gets the fields
+            if converged or omega == 1.0:
+                c_k = result.conc
+            else:
+                c_k = Concentrations(*(CellField(grid, old.values + omega * dl) for old, dl in zip(c_k, d)))
             electro, flow = _fields(grid, params, c_k, data)
     except SolverError as exc:
         raise GummelError(
@@ -192,12 +202,13 @@ class SimResult:
 def advance(grid, params, initial, schedule, settings=SweepSettings()):
     """March from 0 to params.T_end in steps of params.dt; returns SimResult with one State per accepted step.
 
-    A step that fails (GummelError) is retried at half the step size, up to
-    10 halvings, and the shortened step is accepted as a real step; a
-    failure that persists after 10 halvings is re-raised.  The final step is
-    clipped to land on T_end exactly.  Each accepted step's report counts its
-    halvings and, as wasted_sweeps, the completed sweeps of its failed
-    attempts, each stopped as soon as its sweep cannot converge.
+    A step that fails (GummelError) is retried at half the step size and
+    the shortened step is accepted as a real step; the next step tries it
+    again if it was halved, else twice it, up to params.dt.  A failure at
+    the absolute floor params.dt / 2**MAX_HALVINGS is re-raised.  The final
+    step is clipped to land on T_end exactly.  Each accepted step's report
+    counts its halvings and, as wasted_sweeps, the completed sweeps of its
+    failed attempts, each stopped as soon as its sweep cannot converge.
     """
     T_end, dt = params.T_end, params.dt
     state = initial_state(grid, params, initial, schedule.at(0.0))
@@ -217,11 +228,12 @@ def advance(grid, params, initial, schedule, settings=SweepSettings()):
                 new_state, rep = gummel_step(grid, params, state, data, dt_try, settings)
                 break
             except GummelError as exc:
-                halvings += 1
-                if halvings > MAX_HALVINGS:
+                if dt_try * 0.5 < params.dt / 2**MAX_HALVINGS:
                     raise
+                halvings += 1
                 wasted += exc.report.sweeps
                 dt_try *= 0.5
+        dt = dt_try if halvings else min(2.0 * dt_try, params.dt)
         rep = replace(rep, halvings=halvings, wasted_sweeps=wasted)
         monitor_rows.append(monitors.check_state(grid, params, evaluator, new_state, state, dt_try, data))
         states.append(new_state)

@@ -320,6 +320,7 @@ _HUGE = 10**400  # a JSON integer too large for a float
         ("output.snapshot_stride", 2.5, "output.snapshot_stride must be a finite integer, got 2.5"),
         ("initial.c1.width", 0, "initial.c1.width must be > 0, got 0"),
         ("initial.c1.width", None, "initial.c1.width must be a finite number, got None"),
+        ("initial.c1.width", 1e308, "initial.c1.width must have a finite square, got 1e+308"),
     ],
 )
 def test_each_bounded_key_flags_exactly_its_violation(path, value, violation):
@@ -329,6 +330,25 @@ def test_each_bounded_key_flags_exactly_its_violation(path, value, violation):
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(doc))
     assert exc.value.violations == [violation]
+
+
+def test_gaussian_width_is_refused_exactly_where_its_square_overflows():
+    # width**2 used to raise OverflowError out of parse_config; the widest
+    # accepted bump is flat at its amplitude, and the bump keeps width**2
+    widest = math.sqrt(1.7976931348623157e308)
+    doc = base_doc()
+    doc["initial"]["c1"]["width"] = widest
+    cfg = parse_config(json.dumps(doc))
+    assert np.array_equal(cfg.initial.c1.values, np.full(cfg.grid.shape, 0.5))
+    doc["initial"]["c1"]["width"] = math.nextafter(widest, math.inf)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert exc.value.violations == ["initial.c1.width must have a finite square, got 1.34078e+154"]
+
+    doc["initial"]["c1"]["width"] = 0.3
+    x, y = Grid(8, 4, 2.0, 1.0).cell_centers()
+    bump = 0.5 * np.exp(-((x - 1.0) ** 2 + (y - 0.5) ** 2) / (2.0 * 0.3**2))
+    assert np.array_equal(parse_config(json.dumps(doc)).initial.c1.values, bump)
 
 
 def test_readme_configuration_example_parses():

@@ -23,7 +23,11 @@ Key scenarios:
   * A step too large for the allotted sweeps is halved until it converges;
     the shortened steps are accepted and the march still lands exactly on
     the requested end time.  A failed linear solve fails the step the same
-    way: gummel_step raises GummelError chained from the SolverError.
+    way: gummel_step raises GummelError chained from the SolverError.  The
+    next step keeps a halved dt and doubles an unhalved one up to the
+    nominal dt, so a failure above dt/2 costs at most one halving per two
+    accepted steps; the floor nominal dt / 2**10 stays absolute, so a
+    kept dt does not lower it.
 
   * An attempt is given up as soon as its sweep cannot converge: when the
     increment grows, or when its contraction rate theta cannot bring it
@@ -464,6 +468,49 @@ def test_advance_halves_dt_on_linear_solver_failure(monkeypatch):
     assert exc.value.report.sweeps == 0
     assert len(tried) == gummel.MAX_HALVINGS + 1  # the nominal step and 10 halvings
     assert tried[-1] == pytest.approx(0.02 / 2**10)
+
+
+def test_a_halved_dt_is_kept_for_the_next_step(monkeypatch):
+    # every attempt above dt/2 fails: the halved step is kept and then
+    # doubled, so the march halves every other step, not every step
+    g, p, init, sched = coupled_setup(n=6)
+    p = replace(p, T_end=0.2, dt=0.02)
+    real_step_transport = gummel.step_transport
+    tried = []
+
+    def failing_above_half_dt(*args, **kwargs):
+        tried.append(dt_of(args, kwargs))
+        if tried[-1] > 0.01:
+            raise SolverError("no convergence", SolveReport(1, 1.0))
+        return real_step_transport(*args, **kwargs)
+
+    monkeypatch.setattr(gummel, "step_transport", failing_above_half_dt)
+    res = advance(g, p, init, sched)
+    halvings = [r.halvings for r in res.reports]
+    assert 2 * sum(halvings) <= len(res.reports)
+    assert halvings[:4] == [1, 0, 1, 0]
+    assert res.states[-1].time == pytest.approx(0.2, abs=1e-12)
+
+
+def test_a_kept_dt_does_not_lower_the_absolute_floor(monkeypatch):
+    # the first step is halved to 0.01 and kept; every later attempt fails:
+    # the second step tries 0.01 down to 0.02 / 2**10 (10 attempts) and raises
+    g, p, init, sched = coupled_setup(n=6)
+    p = replace(p, T_end=0.1, dt=0.02)
+    real_gummel_step = gummel.gummel_step
+    tried = []
+
+    def failing_after_the_first_step(grid, params, state_prev, data, dt, settings):
+        if state_prev.time > 0.0 or dt > 0.01:
+            tried.append(dt)
+            raise GummelError("forced failure", gummel.GummelReport(0, ()))
+        return real_gummel_step(grid, params, state_prev, data, dt, settings)
+
+    monkeypatch.setattr(gummel, "gummel_step", failing_after_the_first_step)
+    with pytest.raises(GummelError, match="forced failure"):
+        advance(g, p, init, sched)
+    assert tried[0] == 0.02
+    assert tried[1:] == [0.02 / 2**j for j in range(1, gummel.MAX_HALVINGS + 1)]
 
 
 def count_calls(monkeypatch, names):
