@@ -22,23 +22,7 @@ _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 if "numpy" not in sys.modules and not any(os.environ.get(v) for v in _THREAD_VARIABLES):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import bounds, config, darcy, gauss, gummel, linalg, mesh, mms, monitors, runner, schedule, transport  # noqa: E402
-from .params import PhysParams  # noqa: E402
-
-__all__ = [
-    "PhysParams",
-    "bounds",
-    "config",
-    "darcy",
-    "gauss",
-    "gummel",
-    "linalg",
-    "mesh",
-    "mms",
-    "monitors",
-    "runner",
-    "schedule",
-    "transport",
-]
+# not mms, which run and check never call: dpnpsim.cli and `import dpnpsim.mms` load it
+from . import bounds, config, darcy, gauss, gummel, linalg, mesh, monitors, runner, schedule, transport  # noqa: E402
 
 __version__ = "0.1.0"

@@ -103,9 +103,9 @@ class GummelError(RuntimeError):
         self.report = report
 
 
-def _increment(params, grid, conc_new, conc_old):
-    diffs = [new.values - old.values for new, old in zip(conc_new, conc_old)]
-    return math.sqrt(monitors.weighted_sum_sq(params, diffs, grid.cell_volume))
+def _increment(params, grid, d):
+    """The weighted norm r = sqrt(sum_l |z_l| sum d_l^2 vol) of one sweep's update pair d."""
+    return math.sqrt(monitors.weighted_sum_sq(params, d, grid.cell_volume))
 
 
 def _aitken(params, omega, d_old, d):
@@ -154,7 +154,8 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
             result = step_transport(
                 grid, params, c_prev, flow.q_faces, electro.e_faces, data.g, dt, c_lag=c_k, sources=data.sources
             )
-            residuals.append(_increment(params, grid, result.conc, c_k))
+            d = [new.values - old.values for new, old in zip(result.conc, c_k)]
+            residuals.append(_increment(params, grid, d))
             k, r = len(residuals), residuals[-1]
             converged = r <= settings.tol and k >= first
             if not converged:
@@ -170,7 +171,6 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
                         % (k, settings.max_sweeps, r, settings.tol, theta, left),
                         GummelReport(k, tuple(residuals)),
                     )
-                d = [new.values - old.values for new, old in zip(result.conc, c_k)]
                 omega = omega if d_old is None else _aitken(params, omega, d_old, d)
                 d_old = d if k >= first else None
             # the accepted transport output (its rates are stored) or c^k + omega d gets the fields

@@ -33,8 +33,8 @@ def _fmt(value):
 
 def row_templates(grid):
     """Per grid row j, its snapshot lines with a %s slot after each cell's "i,j,x,y,"; one list serves a whole run."""
-    x, y = (c.tolist() for c in grid.centers)
-    return ["".join("%d,%d,%r,%r,%%s\n" % (i, j, xi, yj) for i, xi in enumerate(x)) for j, yj in enumerate(y)]
+    x, y = (list(map(repr, c.tolist())) for c in grid.centers)
+    return ["".join("%d,%d,%s,%s,%%s\n" % (i, j, xi, yj) for i, xi in enumerate(x)) for j, yj in enumerate(y)]
 
 
 def snapshot_text(templates, params, state):

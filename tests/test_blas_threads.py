@@ -1,10 +1,13 @@
-"""Importing dpnpsim runs OpenBLAS on one thread unless the caller chose a thread count.
+"""Importing dpnpsim runs OpenBLAS on one thread unless the caller chose a thread count, and loads no mms.
 
 Each case starts a fresh interpreter, since the setting can act only before
 numpy is first imported, with the three thread variables OpenBLAS reads
-removed from its environment and the given ones put back.
+removed from its environment and the given ones put back.  run and check
+never call the manufactured-solution module, so a bare `import dpnpsim`
+followed by a check leaves it unloaded (and uncompiled).
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -37,3 +40,21 @@ def openblas_threads_after(code, **preset):
 )
 def test_import_sets_one_openblas_thread_only_when_no_count_was_chosen(code, preset, expected):
     assert openblas_threads_after(code, **preset) == expected
+
+
+def test_import_and_check_load_no_mms():
+    config = {
+        "grid": {"nx": 6, "ny": 6},
+        "physics": {"kappa": 0.1, "z1": 1, "z2": -2},
+        "initial": {"c1": {"kind": "expression", "expr": "0.5 + 0.2*cos(pi*x)"}, "c2": 0.3},
+        "boundary": {"g1": {"left": 0.05}},
+        "time": {"t_end": 0.02, "dt": 0.01},
+    }
+    code = (
+        "import sys; import dpnpsim; ok, _ = dpnpsim.runner.check(dpnpsim.config.parse_config(sys.argv[1])); "
+        "print(ok, 'dpnpsim.mms' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(config)], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "False"]

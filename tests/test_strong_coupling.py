@@ -25,10 +25,12 @@ mechanism.  C_M is still inf there, so the sup flag stays vacuous.
 
 kappa 200 with z = (1, -2) is the benchmark's strong-16 case; its accepted
 path (steps, sweeps and halvings) is pinned, since giving up early must not
-change which attempts succeed there.  The damping test compares damping 0.5
-with the plain sweep's path before relaxation and dt memory (165 sweeps, 11
-halvings); with both, damping 0.5 takes the same 52 sweeps and 2 halvings
-as damping 1.0 here and wastes 11 sweeps against 6.
+change which attempts succeed there.  The damping test runs kappa 1000 with
+z = (1, -2) at damping 0.5 and 1.0: 16 steps, 195 sweeps, 10 halvings and
+66 wasted sweeps against 25, 261, 15 and 45, so damping 0.5 saves sweeps,
+halvings and transport solves (sweeps + wasted, 261 against 306).  At
+kappa 200 it saves nothing: it takes the same 52 sweeps and 2 halvings as
+damping 1.0 and wastes 11 sweeps against 6.
 """
 
 import copy
@@ -93,9 +95,11 @@ def test_strong_coupling_recovers_with_every_monitor_passing(kappa, z):
 
 
 def test_damping_saves_sweeps_and_halvings_at_strong_coupling():
-    res, halvings = _march(200.0, (1, -2), damping=0.5)
-    assert sum(r.sweeps for r in res.reports) < 165
-    assert halvings < 11
+    (damped, damped_halvings), (plain, plain_halvings) = (_march(1000.0, (1, -2), damping=d) for d in (0.5, 1.0))
+    assert sum(r.sweeps for r in damped.reports) < sum(r.sweeps for r in plain.reports)
+    assert damped_halvings < plain_halvings
+    solves = [sum(r.sweeps + r.wasted_sweeps for r in res.reports) for res in (damped, plain)]
+    assert solves[0] < solves[1]
 
 
 @pytest.mark.parametrize("kappa, z", UNCHARGED, ids=_ids(UNCHARGED))
