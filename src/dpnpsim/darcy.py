@@ -9,9 +9,9 @@ Boundary data f must balance (integral zero) -- incompatible data is an
 error here, not something to repair, because a net in/outflow has no steady
 incompressible solution.  The balance is judged once per boundary field,
 not on every solve: a march passes the same f to every sweep of a step.
-
-As in the field equation, the reported velocity_scale = ||rhs||_2 / volume
-turns the linear residual into a bound on ||div q||_inf.
+The solve itself is gauss.solve_neumann with the body force as face drift;
+its scale, velocity_scale, turns the linear residual into a bound on
+||div q||_inf.
 """
 
 import functools
@@ -19,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import SOLVE_TOL, fv_laplacian
-from .linalg import norms, solve_spd
+# fv_laplacian and solve_spd are not called here but stay bound: the benchmark's tracer reads darcy.__dict__[name]
+# for both, and its patches feed the same counters as those of the gauss globals that solve_neumann calls.
+from .gauss import fv_laplacian, solve_neumann
+from .linalg import solve_spd
 from .mesh import CellField, FaceField
 
 BALANCE_RTOL = 1e-10
@@ -61,29 +63,11 @@ def solve_darcy(grid, params, rho_f, e_faces, f_bc):
         raise IncompatibleFlowData("Darcy boundary data must balance: boundary integral of f is %.3e" % net)
 
     m = tuple(k / params.mu for k in params.K)
-    vol = grid.cell_volume
     r = rho_f.values
     lower, upper, interior = slice(None, -1), slice(1, None), slice(1, -1)
-
     drift = []  # m rho_f E / eps on the interior faces normal to each axis, rho_f averaged from the two cells
-    b2 = np.zeros(grid.shape)
     for a, eps in enumerate(params.epsilon):
         r_face = 0.5 * (r[grid.along(a, upper)] + r[grid.along(a, lower)])
         drift.append(m[a] * r_face * e_faces.planes[a][grid.along(a, interior)] / eps)
-        # its flux through the face: subtracted in the cell below along the axis, added above
-        b2[grid.along(a, lower)] -= drift[a] * grid.face_area[a]
-        b2[grid.along(a, upper)] += drift[a] * grid.face_area[a]
-    f_bc.add_to_cells(b2, -1.0)  # prescribed boundary outflow
-    b = b2.ravel()
-    velocity_scale = norms(b[None])[0] / vol
-
-    A, basis = fv_laplacian(grid, m)
-    x, _ = solve_spd(A, b - b.mean(), SOLVE_TOL, basis)  # the zero-mean solution
-    p = CellField(grid, x)
-
-    q = FaceField.zeros(grid)
-    for a, plane in enumerate(q.planes):
-        plane[grid.along(a, interior)] = m[a] * (-grid.diff(p.values, a) / grid.h[a]) + drift[a]
-    q.set_boundary_outward(f_bc)
-
+    p, q, velocity_scale = solve_neumann(grid, m, np.zeros(grid.shape), f_bc, drift)
     return FlowState(p, q, velocity_scale)

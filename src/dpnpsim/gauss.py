@@ -8,14 +8,8 @@ subtracting a uniform shift from the background charge; the shift is recorded
 on the returned state so monitors can check the divergence identity against
 the background that was actually used.
 
-Two-point fluxes on the uniform grid make the cell equations
-
-    sum over faces of E.nu * face_area = (rho_f + rho_b) * cell_volume
-
-a singular symmetric system whose residual translates directly into the
-divergence defect: ||div E - rho_total||_inf <= ||residual||_2 / cell_volume,
-which is what the reported charge_scale = ||rhs||_2 / cell_volume is for.
-Its matrix, fv_laplacian, is solved exactly in its cosine eigenbasis.
+The same pure Neumann problem, with the permeability for coefficient and an
+extra face flux, is the Darcy solve; solve_neumann is shared by both.
 """
 
 import functools
@@ -67,28 +61,45 @@ class ElectroState:
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by two_point_matrix or the solve
 def solve_gauss(grid, params, rho_f, rho_b, sigma):
     """Solve the field equation for (phi, E) given charges and boundary flux sigma."""
-    eps = params.epsilon
-    vol = grid.cell_volume
-
     rho_tot = rho_f.values + rho_b.values
-    total_charge = rho_tot.sum() * vol
+    total_charge = rho_tot.sum() * grid.cell_volume
     boundary_flux = sigma.boundary_integral()
     shift = (total_charge - boundary_flux) / grid.total_volume
-    rho_used = rho_tot - shift
+    phi, e, charge_scale = solve_neumann(grid, params.epsilon, rho_tot - shift, sigma)
+    return ElectroState(phi, e, float(shift), charge_scale)
 
-    b2 = rho_used * vol
-    sigma.add_to_cells(b2, -1.0)
+
+def solve_neumann(grid, coef, source, bc, drift=()):
+    """(u, faces, scale): the zero-mean u with div(F) = source, F = -coef grad(u) + drift and F.nu = bc.
+
+    drift, if given, holds per axis the extra flux on the interior faces
+    normal to it.  Two-point fluxes on the uniform grid make the cell
+    equations
+
+        sum over faces of F.nu * face_area = source * cell_volume
+
+    a singular symmetric system, fv_laplacian, solved exactly in its cosine
+    eigenbasis.  Its residual translates directly into the divergence
+    defect: ||div F - source||_inf <= ||residual||_2 / cell_volume, which is
+    what scale = ||rhs||_2 / cell_volume is for.
+    """
+    b2 = source * grid.cell_volume
+    for a, d in enumerate(drift):  # the flux through a face leaves the cell below it along a and enters the one above
+        b2[grid.along(a, slice(None, -1))] -= d * grid.face_area[a]
+        b2[grid.along(a, slice(1, None))] += d * grid.face_area[a]
+    bc.add_to_cells(b2, -1.0)
     b = b2.ravel()
-    charge_scale = norms(b[None])[0] / vol
+    scale = norms(b[None])[0] / grid.cell_volume
 
     # the operator's range is the zero-sum vectors; x is the zero-mean solution
-    A, basis = fv_laplacian(grid, eps)
+    A, basis = fv_laplacian(grid, coef)
     x, _ = solve_spd(A, b - b.mean(), SOLVE_TOL, basis)
-    phi = CellField(grid, x)
+    u = CellField(grid, x)
 
-    e = FaceField.zeros(grid)
-    for a, plane in enumerate(e.planes):
-        plane[grid.along(a, slice(1, -1))] = -eps[a] * grid.diff(phi.values, a) / grid.h[a]
-    e.set_boundary_outward(sigma)
-
-    return ElectroState(phi, e, float(shift), charge_scale)
+    faces = FaceField.zeros(grid)
+    for a, plane in enumerate(faces.planes):
+        plane[grid.along(a, slice(1, -1))] = -coef[a] * grid.diff(u.values, a) / grid.h[a]
+    for a, d in enumerate(drift):
+        faces.planes[a][grid.along(a, slice(1, -1))] += d
+    faces.set_boundary_outward(bc)
+    return u, faces, scale

@@ -5,7 +5,9 @@ Frozen oracles: with permeability K, viscosity mu and boundary normal flux
 velocity with linear pressure -- reproduced to rounding on every grid
 because two-point differences of linear functions are exact.  Imbalanced
 boundary data must raise IncompatibleFlowData before any solve; a march
-judges that balance once per boundary field, not on every sweep.
+judges that balance once per boundary field, not on every sweep.  With no
+charge, eps = K / mu and the same balanced flux data, the field and the flow
+are one Neumann problem and come out bit for bit the same.
 """
 
 import os
@@ -122,3 +124,26 @@ def test_electric_body_force_drives_flow():
     i = 3
     q_law = -m * (st.p.values[:, i] - st.p.values[:, i - 1]) / g.h[0] + m * 1.0
     assert np.allclose(st.q_faces.planes[0][:, i], q_law, atol=1e-11)
+
+
+def test_gauss_and_darcy_solve_one_neumann_problem_bit_for_bit():
+    """No charge, eps = K / mu and the same balanced data: the same potential, faces and scale.
+
+    The grids are not dyadic (h = 1/24, 1.3/7, 1/9 ...), so a face flux that
+    divides by h before it multiplies by the coefficient would round
+    differently from one that multiplies first.
+    """
+    p = PhysParams(D=(0.8, 1.2), eps_s=2.0, K=(1.6, 2.4), mu=1.0)
+    assert p.epsilon == tuple(k / p.mu for k in p.K)
+    rng = np.random.default_rng(41)
+    for nx, ny, lx, ly in [(48, 24, 2.0, 1.0), (7, 5, 1.3, 0.7), (12, 9, 1.0, 1.0)]:
+        g = Grid(nx, ny, lx, ly)
+        v, w = rng.normal(size=ny), rng.normal(size=nx)
+        data = BoundaryField(g, left=v, right=-v, bottom=w, top=-w)
+        zero = CellField.zeros(g)
+        electro = solve_gauss(g, p, zero, zero, data)
+        flow = solve_darcy(g, p, zero, electro.e_faces, data)
+        assert electro.charge_shift == 0.0
+        assert np.array_equal(electro.phi.values, flow.p.values)
+        assert all(np.array_equal(e, q) for e, q in zip(electro.e_faces.planes, flow.q_faces.planes))
+        assert electro.charge_scale == flow.velocity_scale

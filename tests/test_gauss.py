@@ -146,10 +146,11 @@ def test_divergence_residual_below_threshold_random_data():
 def test_gauss_and_darcy_match_dense_pseudo_inverse(monkeypatch):
     """Both elliptic layers solve their system as the dense pseudo-inverse does.
 
-    The systems are caught at the solve_spd call of each layer, on thin,
-    single-cell and anisotropic grids with lx = 2, ly = 0.5,
-    eps = (0.7, 1.9) and K = (0.3, 2.0).  On the 1x1 grid the projected right
-    side is zero, so the solve short-circuits with 0 iterations.
+    The systems are caught at the one solve_spd call both layers share, in
+    gauss.solve_neumann, on thin, single-cell and anisotropic grids with
+    lx = 2, ly = 0.5, eps = (0.7, 1.9) and K = (0.3, 2.0).  On the 1x1 grid
+    the projected right side is zero, so the solve short-circuits with 0
+    iterations.
     """
     seen = []
 
@@ -159,7 +160,6 @@ def test_gauss_and_darcy_match_dense_pseudo_inverse(monkeypatch):
         return x, report
 
     monkeypatch.setattr(gauss, "solve_spd", spy)
-    monkeypatch.setattr(darcy, "solve_spd", spy)
     p = PhysParams(eps_s=1.0, D=(0.7, 1.9), K=(0.3, 2.0), mu=1.0)
     rng = np.random.default_rng(29)
     for nx, ny in [(1, 1), (1, 5), (5, 1), (7, 3)]:

@@ -25,7 +25,9 @@ mechanism.  C_M is still inf there, so the sup flag stays vacuous.
 
 kappa 200 with z = (1, -2) is the benchmark's strong-16 case; its accepted
 path (steps, sweeps and halvings) is pinned, since giving up early must not
-change which attempts succeed there.  The damping test runs kappa 1000 with
+change which attempts succeed there.  On 64x64, the largest grid whose two
+species are solved as one stacked system, it takes the same path: 4 steps,
+52 sweeps, 2 halvings and 6 wasted sweeps.  The damping test runs kappa 1000 with
 z = (1, -2) at damping 0.5 and 1.0: 16 steps, 195 sweeps, 10 halvings and
 66 wasted sweeps against 25, 261, 15 and 45, so damping 0.5 saves sweeps,
 halvings and transport solves (sweeps + wasted, 261 against 306).  At
@@ -62,10 +64,10 @@ def _ids(cases):
     return ["kappa%g-z%d%d" % (k, z1, z2) for k, (z1, z2) in cases]
 
 
-def _march(kappa, z, uncharged=False, damping=1.0):
-    """The demo on 16x16 to t = 0.01 at this coupling; every monitor passes and each halving wastes <= 10 sweeps."""
+def _march(kappa, z, uncharged=False, damping=1.0, n=16):
+    """The demo on n x n to t = 0.01 at this coupling; every monitor passes and each halving wastes <= 10 sweeps."""
     doc = copy.deepcopy(DEMO)
-    doc["grid"].update(nx=16, ny=16)
+    doc["grid"].update(nx=n, ny=n)
     doc["physics"].update(kappa=kappa, z1=z[0], z2=z[1])
     doc["time"].update(t_end=0.01, damping=damping)
     if uncharged:
@@ -92,6 +94,11 @@ def test_strong_coupling_recovers_with_every_monitor_passing(kappa, z):
     if (kappa, z) == (1000.0, (1, -2)):
         assert sum(r.sweeps + r.wasted_sweeps for r in res.reports) <= 320
         assert halvings <= 20
+
+
+def test_strong_drift_on_the_largest_stacked_grid_takes_the_16x16_path():
+    res, halvings = _march(200.0, (1, -2), n=64)
+    assert (len(res.reports), sum(r.sweeps for r in res.reports), halvings) == (4, 52, 2)
 
 
 def test_damping_saves_sweeps_and_halvings_at_strong_coupling():
