@@ -30,9 +30,11 @@ params.exchange_rate (0 without reaction):
                                    + max|z| sum_l |g_l|_{L2([0,T] x bdry)}^2).
   C0_hat_energy(T)  the enforced energy bound:
               weighted_energy(t) <= C0_hat_energy(t)^2, same closed form but
-              with rate B0_energy and the inflow data term weighted by
+              with rate B0_energy, the inflow data term weighted by
               max(2/theta, 2/alpha_D) (absorbing the source term into the
-              energy derivative costs a factor 2/theta).
+              energy derivative costs a factor 2/theta), and the initial
+              term taken as weighted_energy(0) itself, not as the squares of
+              the rounded norms c0_l2.
   C0(T)       the full space-time energy constant (compact chain; feeds the
               sup-norm constant below),
               C0 = C0_hat + sqrt(B0) max|z| sqrt(T) C0_hat
@@ -60,6 +62,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .monitors import weighted_energy
 
 
 @dataclass(frozen=True)
@@ -156,16 +160,10 @@ def compute_energy_rate(params, norms):
     return pre * (drift + convection + reaction + trace)
 
 
-def compute_energy_bound(params, norms, B0, T, g_weight=1.0):
-    """Return (C0_hat, C0) for horizon T and the given rate.
-
-    g_weight multiplies the inflow data term: the compact reported bound
-    uses 1.0, the enforced bound uses max(2/theta, 2/alpha_D) because
-    moving the source term through the energy inequality costs 2/theta.
-    """
-    data = sum(abs(z) * _pow(n, 2) for z, n in zip(params.z, norms.c0_l2)) + g_weight * params.max_z * sum(
-        _pow(n, 2) for n in norms.g_l2
-    )
+def compute_energy_bound(params, norms, B0, T):
+    """Return (C0_hat, C0) for horizon T and the given rate (the compact, reported bound)."""
+    data = sum(abs(z) * _pow(n, 2) for z, n in zip(params.z, norms.c0_l2))
+    data += params.max_z * sum(_pow(n, 2) for n in norms.g_l2)
     with np.errstate(over="ignore"):
         c0_hat = float(np.sqrt(_mul(np.exp(_mul(B0, T)), data)))
     c0 = c0_hat + _mul(math.sqrt(B0), params.max_z, math.sqrt(T), c0_hat) + params.max_z * sum(norms.g_l2)
@@ -217,27 +215,21 @@ def compute_Ce_Cf(params, norms, C0, CM, T):
     return float(Ce), float(Cf)
 
 
-def _enforced_energy(params, norms, T):
-    """(B0_energy, C0_hat_energy) at horizon T: the rate and the bound the energy monitor enforces."""
-    rate = compute_energy_rate(params, norms)
-    g_weight = max(2.0 / params.theta, 2.0 / params.alpha_D)
-    return rate, compute_energy_bound(params, norms, rate, T, g_weight=g_weight)[0]
-
-
 class BoundsEvaluator:
     """The a-priori constants of one run: its ledger at params.T_end, built once on construction.
 
     ledger() returns that ledger and sup_bound() reads C_M off it; ledger(T)
     builds a new one at horizon T and keeps nothing.  energy_bound_sq(t)
-    evaluates only C0_hat_energy(t)^2, through the helper that gives the
-    ledger its C0_hat_energy, so the monitor and the report cannot differ.
-    norms(T) recomputes only the boundary-data norms: the others do not
-    depend on T and are taken once, on construction.
+    evaluates only C0_hat_energy(t)^2, and a ledger's C0_hat_energy is its
+    square root, so the monitor and the report cannot differ.  norms(T)
+    recomputes only the boundary-data norms: the others do not depend on T
+    and are taken once, on construction, as is the weighted initial energy.
     """
 
     def __init__(self, grid, params, schedule, initial):
         self.params = params
         self.schedule = schedule
+        self._c0_energy = weighted_energy(params, initial)
         self._end_norms = compute_data_norms(grid, schedule, initial, params.T_end)
         self._run_ledger = self.ledger(params.T_end)
 
@@ -252,18 +244,28 @@ class BoundsEvaluator:
         norms = self.norms(T)
         B0 = compute_B0(self.params, norms)
         c0_hat, c0 = compute_energy_bound(self.params, norms, B0, T)
-        b0e, c0_hat_e = _enforced_energy(self.params, norms, T)
+        b0e = compute_energy_rate(self.params, norms)
         b0m = compute_moser_B0(self.params, norms, c0)
         cm, cm_log10 = compute_CM(norms, b0m, T)
         ce, cf = compute_Ce_Cf(self.params, norms, c0, cm, T)
         return BoundsLedger(
-            T=T, B0=B0, B0_energy=b0e, B0_moser=b0m, C0_hat=c0_hat, C0_hat_energy=c0_hat_e,
-            C0=c0, CM=cm, cm_log10=cm_log10, Ce=ce, Cf=cf, norms=norms,
+            T=T, B0=B0, B0_energy=b0e, B0_moser=b0m, C0_hat=c0_hat, C0=c0,
+            C0_hat_energy=math.sqrt(self.energy_bound_sq(T)), CM=cm, cm_log10=cm_log10, Ce=ce, Cf=cf, norms=norms,
         )
 
     def energy_bound_sq(self, t):
-        """C0_hat_energy(t)^2, the admissible weighted energy at time t."""
-        return _pow(_enforced_energy(self.params, self.norms(t), t)[1], 2)
+        """C0_hat_energy(t)^2, the admissible weighted energy at time t.
+
+        The inflow data term is weighted by max(2/theta, 2/alpha_D), because
+        moving the source term through the energy inequality costs 2/theta.
+        The initial term is the weighted_energy the monitor takes of every
+        state, with no square root in between, so a state equal to the
+        initial data meets the bound at rate 0.
+        """
+        p, norms = self.params, self.norms(t)
+        inflow = max(2.0 / p.theta, 2.0 / p.alpha_D) * p.max_z * sum(_pow(n, 2) for n in norms.g_l2)
+        with np.errstate(over="ignore"):
+            return _mul(float(np.exp(_mul(compute_energy_rate(p, norms), t))), self._c0_energy + inflow)
 
     def sup_bound(self):
         """C_M at the run horizon (the sup-norm estimate is stated at T_end)."""

@@ -17,7 +17,6 @@ be written, or a failed check).
 import argparse
 import sys
 
-from . import mms as mms_mod
 from . import runner
 from .bounds import BoundsEvaluator
 from .config import ConfigError, load_config
@@ -76,12 +75,16 @@ def _cmd_check(args):
 
 
 def _cmd_mms(args):
+    from . import mms  # only this command reads the manufactured cases, so run, check and bounds start without them
+
+    if args.case not in mms.CASES:  # argparse's error: usage, the message, exit 2
+        args.error("unknown manufactured case %r; choose from %s" % (args.case, ", ".join(mms.CASES)))
     try:
-        grids = mms_mod.check_grids(_parse_grids(args.grids))
+        grids = mms.check_grids(_parse_grids(args.grids))
     except ValueError as exc:
         print("bad grid list %r: %s" % (args.grids, exc), file=sys.stderr)
         return 2
-    table = mms_mod.run_mms(args.case, grids)
+    table = mms.run_mms(args.case, grids)
     print(table.text())
     if args.csv:
         runner.write_csv(args.csv, table.csv_rows())
@@ -120,10 +123,10 @@ def main(argv=None):
     p_check.set_defaults(func=_cmd_check)
 
     p_mms = sub.add_parser("mms", help="manufactured-solution convergence study")
-    p_mms.add_argument("case", choices=mms_mod.CASES)
+    p_mms.add_argument("case", help="a manufactured case; an unknown name prints the list")
     p_mms.add_argument("--grids", default="16,32,64", help="comma list: '16,32,64' or '16x8,32x16'")
     p_mms.add_argument("--csv", help="also write the table to this CSV file")
-    p_mms.set_defaults(func=_cmd_mms)
+    p_mms.set_defaults(func=_cmd_mms, error=p_mms.error)
 
     p_bounds = sub.add_parser("bounds", help="evaluate the a-priori constants for a configuration")
     p_bounds.add_argument("config", help="path to a JSON configuration")

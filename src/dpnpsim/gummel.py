@@ -9,17 +9,18 @@ The sweep iterates whole states: it starts from the previous state,
   4. flow solve      rho_f(c^{k+1}), E^{k+1}  -> p, q^{k+1}
 
 until the weighted increment r_k = sqrt(sum_l |z_l| sum d_k^2 vol) drops
-below tol.  omega starts at damping; from the second sweep on this step's
-fields it is Aitken's -omega_{k-1} <d_{k-1}, d_k - d_{k-1}> / |d_k - d_{k-1}|^2
+below tol.  omega starts at damping; from the second sweep on it is
+Aitken's -omega_{k-1} <d_{k-1}, d_k - d_{k-1}> / |d_k - d_{k-1}|^2
 (|z_l|-weighted; Kuettler & Wall, Comput. Mech. 43, 2008) clipped to [0.05, 1].
 The step accepts the raw concentrations of the last transport step, not
 their relaxed mix with c^k: the reaction rates stored with the state are
 the ones that step applied, so the mass identity the monitors check holds
 for them.  The last sweep's one field and flow solve takes those
 concentrations, so the stored state is internally consistent.  Where sigma,
-f or rho_b changed since t_n, the first sweep runs on the old data's fields:
-it is never accepted and measures no rate and no omega.  Concentrations,
-inflows and applied rates are pairs indexed by species (0 = c1, 1 = c2).
+f or rho_b changed since t_n, E^0 and q^0 are solved again from c(t_n) and
+the new data before the first sweep, so every sweep runs on this step's
+fields.  Concentrations, inflows and applied rates are pairs indexed by
+species (0 = c1, 1 = c2).
 
 A step fails in one way: gummel_step raises GummelError, both when the
 sweep cannot converge and when a linear solve inside the step fails (the
@@ -144,41 +145,40 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
     """
     c_prev = c_k = state_prev.conc
     electro, flow = state_prev.electro, state_prev.flow
-    # the first sweep on this step's fields: sweep 1 runs on state_prev's, the old data's if sigma, f or rho_b changed
-    first = 1 if all(map(np.array_equal, _field_inputs(state_prev.data), _field_inputs(data))) else 2
     residuals = []
     omega, d_old = settings.damping, None
-    converged = False
     try:
-        while not converged:
+        if not all(map(np.array_equal, _field_inputs(state_prev.data), _field_inputs(data))):
+            electro, flow = _fields(grid, params, c_prev, data)
+        while True:
             result = step_transport(
                 grid, params, c_prev, flow.q_faces, electro.e_faces, data.g, dt, c_lag=c_k, sources=data.sources
             )
             d = [new.values - old.values for new, old in zip(result.conc, c_k)]
             residuals.append(_increment(params, grid, d))
             k, r = len(residuals), residuals[-1]
-            converged = r <= settings.tol and k >= first
-            if not converged:
-                # rate 0 before two sweeps on this step's fields measure one
-                theta = r / residuals[-2] if k > first else 0.0
-                left = settings.max_sweeps - k
-                # the spent budget first (a sweep on stale fields may end it below tol), and
-                # theta >= 1 before theta**left, which overflows for a large theta
-                if left == 0 or theta >= 1.0 or r * theta**left > settings.tol:
-                    raise GummelError(
-                        "Gummel sweep gave up after %d of %d sweeps: residual %.3e, tol %.3e, and at "
-                        "contraction rate theta %.3g the %d sweeps left cannot reach tol"
-                        % (k, settings.max_sweeps, r, settings.tol, theta, left),
-                        GummelReport(k, tuple(residuals)),
-                    )
-                omega = omega if d_old is None else _aitken(params, omega, d_old, d)
-                d_old = d if k >= first else None
-            # the accepted transport output (its rates are stored) or c^k + omega d gets the fields
-            if converged or omega == 1.0:
+            if r <= settings.tol:
+                break
+            theta = r / residuals[-2] if k > 1 else 0.0
+            left = settings.max_sweeps - k
+            # left == 0 ends the loop even for a nan residual, which fails every comparison;
+            # theta >= 1 before theta**left, which overflows for a large theta
+            if left == 0 or theta >= 1.0 or r * theta**left > settings.tol:
+                raise GummelError(
+                    "Gummel sweep gave up after %d of %d sweeps: residual %.3e, tol %.3e, and at "
+                    "contraction rate theta %.3g the %d sweeps left cannot reach tol"
+                    % (k, settings.max_sweeps, r, settings.tol, theta, left),
+                    GummelReport(k, tuple(residuals)),
+                )
+            omega = omega if d_old is None else _aitken(params, omega, d_old, d)
+            d_old = d
+            if omega == 1.0:
                 c_k = result.conc
             else:
                 c_k = Concentrations(*(CellField(grid, old.values + omega * dl) for old, dl in zip(c_k, d)))
             electro, flow = _fields(grid, params, c_k, data)
+        # the accepted transport output, whose rates are stored with it, gets the state's fields
+        electro, flow = _fields(grid, params, result.conc, data)
     except SolverError as exc:
         raise GummelError(
             "linear solve failed after %d completed sweeps: %s" % (len(residuals), exc),
@@ -217,15 +217,13 @@ def advance(grid, params, initial, schedule, settings=SweepSettings()):
     states = [state]
     reports = []
     monitor_rows = []
-    t = 0.0
     eps = 1e-12 * max(1.0, T_end)
-    while t < T_end - eps:
-        dt_try = min(dt, T_end - t)
+    while state.time < T_end - eps:
+        dt_try = min(dt, T_end - state.time)
         halvings = wasted = 0
         while True:
-            data = schedule.at(t + dt_try)
             try:
-                new_state, rep = gummel_step(grid, params, state, data, dt_try, settings)
+                new_state, rep = gummel_step(grid, params, state, schedule.at(state.time + dt_try), dt_try, settings)
                 break
             except GummelError as exc:
                 if dt_try * 0.5 < params.dt / 2**MAX_HALVINGS:
@@ -234,11 +232,9 @@ def advance(grid, params, initial, schedule, settings=SweepSettings()):
                 wasted += exc.report.sweeps
                 dt_try *= 0.5
         dt = dt_try if halvings else min(2.0 * dt_try, params.dt)
-        rep = replace(rep, halvings=halvings, wasted_sweeps=wasted)
-        monitor_rows.append(monitors.check_state(grid, params, evaluator, new_state, state, dt_try, data))
+        monitor_rows.append(monitors.check_state(grid, params, evaluator, new_state, state, dt_try))
         states.append(new_state)
-        reports.append(rep)
+        reports.append(replace(rep, halvings=halvings, wasted_sweeps=wasted))
         state = new_state
-        t = new_state.time
 
     return SimResult(states, reports, monitor_rows, evaluator.ledger())

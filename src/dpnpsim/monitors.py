@@ -107,7 +107,7 @@ class MonitorReport:
 MonitorReport.FLAGS = tuple(f.name for f in fields(MonitorReport) if f.name.endswith("_ok"))
 
 
-def _mass_balance(grid, params, state, prev, dt, data):
+def _mass_balance(grid, params, state, prev, dt):
     """Relative mass-balance residuals per species.
 
     Identity: theta * sum (c - c_prev) vol = dt * (boundary inflow integral
@@ -117,7 +117,7 @@ def _mass_balance(grid, params, state, prev, dt, data):
     vol = grid.cell_volume
     theta = params.theta
     res = []
-    for new, old, g, rate in zip(state.conc, prev.conc, data.g, state.applied):
+    for new, old, g, rate in zip(state.conc, prev.conc, state.data.g, state.applied):
         new_c, prev_c = new.values, old.values
         lhs = theta * (new_c - prev_c).sum() * vol
         rhs = dt * (g.boundary_integral() + theta * rate.sum() * vol)
@@ -131,12 +131,12 @@ def _mass_balance(grid, params, state, prev, dt, data):
     return res
 
 
-def check_state(grid, params, bounds_eval, state, prev, dt, data):
+def check_state(grid, params, bounds_eval, state, prev, dt):
     """Evaluate every monitored invariant for one accepted step.
 
-    prev is the previous accepted state; data is the step data (boundary
-    values, background charge) at state.time.  Raises for no violation:
-    each is a flag of the report.
+    prev is the previous accepted state; the step data (boundary values,
+    background charge) are state.data.  Raises for no violation: each is a
+    flag of the report.
     """
     conc = state.conc
     mins = [float(c.values.min()) for c in conc]
@@ -152,12 +152,12 @@ def check_state(grid, params, bounds_eval, state, prev, dt, data):
     energy_bound = bounds_eval.energy_bound_sq(state.time)
     energy_ok = energy <= energy_bound
 
-    mass = _mass_balance(grid, params, state, prev, dt, data)
+    mass = _mass_balance(grid, params, state, prev, dt)
     mass_ok = max(mass) <= 1e-10
 
     electro, flow = state.electro, state.flow
     # Gauss: div E = rho_f + rho_b less the shift the solve subtracted; Darcy: div q = 0
-    rho = free_charge(params, conc).values + data.rho_b.values - electro.charge_shift
+    rho = free_charge(params, conc).values + state.data.rho_b.values - electro.charge_shift
     gauss_res, gauss_thr, gauss_ok = divergence_defect(grid, electro.e_faces, rho, electro.charge_scale)
     darcy_res, darcy_thr, darcy_ok = divergence_defect(grid, flow.q_faces, 0.0, flow.velocity_scale)
 

@@ -4,7 +4,8 @@ Each case starts a fresh interpreter, since the setting can act only before
 numpy is first imported, with the three thread variables OpenBLAS reads
 removed from its environment and the given ones put back.  run and check
 never call the manufactured-solution module, so a bare `import dpnpsim`
-followed by a check leaves it unloaded (and uncompiled).
+followed by a check, or the console's `dpnpsim check`, leaves it unloaded
+(and uncompiled).
 """
 
 import json
@@ -42,19 +43,37 @@ def test_import_sets_one_openblas_thread_only_when_no_count_was_chosen(code, pre
     assert openblas_threads_after(code, **preset) == expected
 
 
+CONFIG = {
+    "grid": {"nx": 6, "ny": 6},
+    "physics": {"kappa": 0.1, "z1": 1, "z2": -2},
+    "initial": {"c1": {"kind": "expression", "expr": "0.5 + 0.2*cos(pi*x)"}, "c2": 0.3},
+    "boundary": {"g1": {"left": 0.05}},
+    "time": {"t_end": 0.02, "dt": 0.01},
+}
+
+
+def ok_and_mms_loaded(code, arg):
+    """The printed (ok, 'dpnpsim.mms' in sys.modules) of code run with arg in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code, arg], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()[-2:]
+
+
 def test_import_and_check_load_no_mms():
-    config = {
-        "grid": {"nx": 6, "ny": 6},
-        "physics": {"kappa": 0.1, "z1": 1, "z2": -2},
-        "initial": {"c1": {"kind": "expression", "expr": "0.5 + 0.2*cos(pi*x)"}, "c2": 0.3},
-        "boundary": {"g1": {"left": 0.05}},
-        "time": {"t_end": 0.02, "dt": 0.01},
-    }
     code = (
         "import sys; import dpnpsim; ok, _ = dpnpsim.runner.check(dpnpsim.config.parse_config(sys.argv[1])); "
         "print(ok, 'dpnpsim.mms' in sys.modules)"
     )
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(config)], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True", "False"]
+    assert ok_and_mms_loaded(code, json.dumps(CONFIG)) == ["True", "False"]
+
+
+def test_the_console_check_loads_no_mms(tmp_path):
+    # the console's `dpnpsim check` goes through cli.main, which imports mms only for `dpnpsim mms`
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(CONFIG))
+    code = (
+        "import sys; from dpnpsim import cli; ok = cli.main(['check', sys.argv[1]]) == 0; "
+        "print(ok, 'dpnpsim.mms' in sys.modules)"
+    )
+    assert ok_and_mms_loaded(code, str(path)) == ["True", "False"]

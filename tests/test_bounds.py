@@ -25,8 +25,8 @@ the horizon T; extreme data saturates C_M to inf while log10(C_M) stays
 finite and exact.
 
 One ledger per run: a march builds the full chain once, at T_end, and the
-energy monitor's per-step bound is bit for bit the C0_hat_energy a ledger
-at that time would report.
+C0_hat_energy a ledger at a step's time would report is bit for bit the
+square root of the energy monitor's bound at that step.
 """
 
 import json
@@ -148,14 +148,16 @@ def test_energy_rate_reaction_term_not_kappa_scaled():
 def test_enforced_bound_weights_inflow_data():
     # zero initial data, constant inflow 0.25 on the left edge of the unit
     # square over [0, 1]: ||g||^2 over time x boundary = 0.0625.  With zero
-    # rate the bound is g_weight * zmax * 0.0625.
+    # rate the compact bound squared is zmax * 0.0625; the enforced one
+    # weights it by max(2/theta, 2/alpha_D) = 2 and grows at the trace rate
+    # max(2/theta, 2/alpha_D) * 12/alpha_D = 24.
     g, initial, sched = make_setup(c1=0.0, c2=0.0, g1={"left": 0.25})
     p = PhysParams(theta=1.0, D=(1.0, 1.0), kappa=0.0)
     norms = compute_data_norms(g, sched, initial, T=1.0)
     c_plain, _ = compute_energy_bound(p, norms, 0.0, T=1.0)
-    c_weighted, _ = compute_energy_bound(p, norms, 0.0, T=1.0, g_weight=4.0)
     assert c_plain == pytest.approx(0.25)
-    assert c_weighted == pytest.approx(0.5)
+    ev = BoundsEvaluator(g, p, sched, initial)
+    assert ev.energy_bound_sq(1.0) == pytest.approx(math.exp(24.0) * 2.0 * 0.0625)
 
 
 def test_CM_frozen_value_2():
@@ -283,8 +285,9 @@ def test_a_march_builds_one_ledger_and_the_energy_bound_matches_it(monkeypatch):
     times = [m.time for m in res.monitors]
     assert len(times) == 4 and times[-1] == cfg.params.T_end
     for m in res.monitors:
-        assert m.energy_bound == ev.energy_bound_sq(m.time) == ev.ledger(m.time).C0_hat_energy ** 2
+        assert m.energy_bound == ev.energy_bound_sq(m.time)
+        assert ev.ledger(m.time).C0_hat_energy == math.sqrt(m.energy_bound)
     # ledger(T) builds a new ledger and keeps nothing
     at_end = ev.ledger(cfg.params.T_end)
     assert at_end == res.ledger and at_end is not res.ledger
-    assert ev.energy_bound_sq(cfg.params.T_end) == at_end.C0_hat_energy ** 2
+    assert at_end.C0_hat_energy == math.sqrt(ev.energy_bound_sq(cfg.params.T_end))

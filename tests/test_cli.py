@@ -314,7 +314,8 @@ def test_mms_rejects_bad_grid_list(capsys):
 def test_mms_rejects_unknown_case(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mms", "advection"])
-    assert exc.value.code == 2  # argparse rejects it via choices
+    assert exc.value.code == 2  # argparse's error exit
+    assert "choose from poisson, darcy, diffusion, driftdiffusion, coupled" in capsys.readouterr().err
 
 
 def test_bounds_prints_ledger_and_csv(tmp_path, capsys):

@@ -17,8 +17,9 @@ Key scenarios:
   * The sweep iterates whole states: an attempt starts from the fields
     stored with the previous state, and each completed sweep solves the
     field and flow once, the converged sweep's solve giving the accepted
-    state its fields.  Where sigma, f or rho_b changed, the first sweep ran
-    on the old data's fields: it is never accepted and measures no rate.
+    state its fields.  Where sigma, f or rho_b changed, the attempt first
+    solves the fields again from the previous concentrations and the new
+    data, so sweep one runs on this step's fields.
 
   * A step too large for the allotted sweeps is halved until it converges;
     the shortened steps are accepted and the march still lands exactly on
@@ -56,7 +57,9 @@ import numpy as np
 import pytest
 
 from dpnpsim import gummel
-from dpnpsim.config import parse_config
+from dpnpsim.config import load_config, parse_config
+from dpnpsim.darcy import solve_darcy
+from dpnpsim.gauss import solve_gauss
 from dpnpsim.gummel import (
     GummelError,
     SweepSettings,
@@ -68,7 +71,7 @@ from dpnpsim.linalg import SolveReport, SolverError
 from dpnpsim.mesh import CellField, Grid
 from dpnpsim.params import PhysParams
 from dpnpsim.schedule import BoundarySpec, Ramp, Schedule
-from dpnpsim.transport import Concentrations, step_transport
+from dpnpsim.transport import Concentrations, free_charge, step_transport
 
 from schedule_helpers import constant_schedule
 
@@ -548,19 +551,75 @@ def test_each_completed_sweep_solves_the_fields_once(monkeypatch):
     assert calls == {"solve_gauss": 1, "solve_darcy": 1}
 
 
-def test_a_sweep_on_the_previous_datas_fields_is_never_accepted():
-    # a neutral state at rest is a fixed point of the sweep on its own fields;
-    # at the onset of a sigma ramp its stored fields are the old data's, so
-    # the first sweep returns c_prev unchanged and must not be accepted: the
-    # accepted state responds to the new field and an extra transport step on
-    # its fields moves c by no more than tol (acceptance criterion 12)
+def test_steps_with_unchanged_data_make_no_extra_field_solve(monkeypatch):
+    # symmetric.json has constant data: its 20 steps of 2 sweeps make 40
+    # field solves, and the t = 0 state one more
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = load_config(os.path.join(root, "configs", "symmetric.json"))
+    calls = count_calls(monkeypatch, ("solve_gauss", "solve_darcy"))
+    res = advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
+    assert sum(r.sweeps for r in res.reports) == 40
+    assert calls == {"solve_gauss": 41, "solve_darcy": 41}
+
+
+def rest_under_a_sigma_ramp():
+    """A neutral state at rest on 8x8 and a sigma ramp that starts at t = 0.01."""
     g = Grid(8, 8, 1.0, 1.0)
     p = PhysParams(theta=0.8, kappa=1.0, z1=1, z2=-1, T_end=0.03, dt=0.01)
     rest = Concentrations(CellField.full(g, 0.5), CellField.full(g, 0.5))
-    onset = Ramp("linear", t0=0.01, t1=0.03)
-    sigma = BoundarySpec(g, ramp=onset, left=0.05, right=-0.05)
+    sigma = BoundarySpec(g, ramp=Ramp("linear", t0=0.01, t1=0.03), left=0.05, right=-0.05)
     none = BoundarySpec(g)
-    sched = Schedule(sigma, none, (none, none), CellField.zeros(g))
+    return g, p, rest, Schedule(sigma, none, (none, none), CellField.zeros(g))
+
+
+def test_sweep_one_of_a_ramp_step_runs_on_the_new_datas_fields(monkeypatch):
+    # from t = 0.01 to 0.02 sigma changes: the fields are solved again from
+    # c_n and the new data before sweep one, whose transport gets them
+    g, p, rest, sched = rest_under_a_sigma_ramp()
+    state = initial_state(g, p, rest, sched.at(0.01))
+    data = sched.at(0.02)
+    rho_f = free_charge(p, rest)
+    electro = solve_gauss(g, p, rho_f, data.rho_b, data.sigma)
+    flow = solve_darcy(g, p, rho_f, electro.e_faces, data.f)
+    assert np.abs(electro.e_faces.planes[0]).max() > 1e-3  # the new data's field, not the rest state's 0
+    real_step_transport = gummel.step_transport
+    faces = []
+
+    def spy(grid, params, c_prev, q_faces, e_faces, *args, **kwargs):
+        faces.append((q_faces, e_faces))
+        return real_step_transport(grid, params, c_prev, q_faces, e_faces, *args, **kwargs)
+
+    monkeypatch.setattr(gummel, "step_transport", spy)
+    calls = count_calls(monkeypatch, ("solve_gauss", "solve_darcy"))
+    _, rep = gummel_step(g, p, state, data, 0.01)
+    q_faces, e_faces = faces[0]
+    for got, want in zip(e_faces.planes + q_faces.planes, electro.e_faces.planes + flow.q_faces.planes):
+        assert np.array_equal(got, want)
+    # one solve before sweep one, then one per sweep
+    assert calls == {"solve_gauss": rep.sweeps + 1, "solve_darcy": rep.sweeps + 1}
+
+    # a failure of that solve fails the step before any sweep, so advance halves it
+    failed = SolverError("no convergence", SolveReport(1, 1.0))
+
+    def failing(*args, **kwargs):
+        raise failed
+
+    monkeypatch.setattr(gummel, "solve_gauss", failing)
+    faces.clear()
+    with pytest.raises(GummelError) as exc:
+        gummel_step(g, p, state, data, 0.01)
+    assert exc.value.__cause__ is failed
+    assert exc.value.report.sweeps == 0
+    assert faces == []
+
+
+def test_a_rest_state_responds_at_a_ramp_onset():
+    # a neutral state at rest is a fixed point of the sweep on its own fields;
+    # at the onset of a sigma ramp the accepted state responds to the new
+    # field, and an extra transport step on its fields moves c by no more
+    # than tol (acceptance criterion 12)
+    g, p, rest, sched = rest_under_a_sigma_ramp()
+    none = BoundarySpec(g)
     res = advance(g, p, rest, sched)
     assert [(r.sweeps > 1, r.halvings) for r in res.reports] == [(False, 0), (True, 0), (True, 0)]
     for prev, state in zip(res.states, res.states[1:]):
@@ -571,7 +630,7 @@ def test_a_sweep_on_the_previous_datas_fields_is_never_accepted():
         assert weighted_dist(g, p, replace(state, conc=extra.conc), state) <= 1e-10
     assert np.abs(res.states[2].conc.c1.values - 0.5).max() > 1e-4
 
-    # a budget of one sweep is spent on the stale fields: the step is given up, not run past its budget
+    # a budget of one sweep that does not reach tol: the step is given up, not run past its budget
     with pytest.raises(GummelError):
         gummel_step(g, p, res.states[1], sched.at(0.02), 0.01, SweepSettings(max_sweeps=1))
 

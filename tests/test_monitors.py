@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from dpnpsim.bounds import BoundsEvaluator
+from dpnpsim.config import parse_config
 from dpnpsim.gummel import advance, initial_state
 from dpnpsim.mesh import CellField, Grid
 from dpnpsim.monitors import MonitorReport, check_state, weighted_energy
@@ -70,7 +71,7 @@ def checked(grid, params, conc):
     state = initial_state(grid, params, conc, sched.at(0.0))
     state.applied = tuple(np.zeros(grid.shape) for _ in conc)
     ev = BoundsEvaluator(grid, params, sched, conc)
-    return check_state(grid, params, ev, state, state, 0.0, sched.at(0.0))
+    return check_state(grid, params, ev, state, state, 0.0)
 
 
 def test_sign_condition_frozen_values():
@@ -132,6 +133,19 @@ def small_run(exchange_rate=0.2, kappa=0.3):
     return g, p, initial, sched
 
 
+def test_a_state_equal_to_the_initial_data_meets_the_energy_bound():
+    # default physics, constant data and no boundary data: the energy rate is
+    # 0, so the bound is the initial weighted energy, which the unchanged
+    # state meets with equality (a bound squared back from its square root
+    # can miss it by an ulp)
+    doc = {"grid": {"nx": 6, "ny": 6}, "physics": {}, "initial": {"c1": 0.5, "c2": 0.3},
+           "time": {"t_end": 0.02, "dt": 0.01}}
+    cfg = parse_config(doc)
+    result = advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
+    energy = weighted_energy(cfg.params, cfg.initial)
+    assert [(m.energy, m.energy_bound, m.energy_ok) for m in result.monitors] == [(energy, energy, True)] * 2
+
+
 def test_check_state_all_flags_pass_on_accepted_steps():
     g, p, initial, sched = small_run()
     result = advance(g, p, initial, sched)
@@ -164,7 +178,7 @@ def test_check_state_observes_corrupted_state_without_raising():
         applied=(np.zeros((8, 8)), np.zeros((8, 8))),
     )
     ev = BoundsEvaluator(g, p, sched, initial)
-    report = check_state(g, p, ev, corrupted, state, 0.01, data)
+    report = check_state(g, p, ev, corrupted, state, 0.01)
     assert not report.nonneg_ok
     assert report.min_c1 == pytest.approx(-0.2)
     assert not report.all_ok()
