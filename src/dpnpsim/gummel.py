@@ -33,7 +33,8 @@ halving dt for a failed step down to the absolute floor params.dt / 2**10;
 the next step keeps a halved dt and doubles an unhalved one up to params.dt
 (Gustafsson & Soederlind, SIAM J. Sci. Comput. 18, 1997).  It evaluates the
 boundary schedule at each new time and runs the monitors on every accepted
-state.
+state, but keeps only the states of step 0, of every stride-th step and of
+the last step.
 """
 
 import math
@@ -191,16 +192,22 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
 
 @dataclass
 class SimResult:
-    """Everything advance() produced: accepted states and their reports."""
+    """Everything advance() produced: the kept states and a report and monitor row per accepted step."""
 
-    states: list
+    states: list  # the kept States: step 0, every stride-th accepted step and the last
+    steps: list  # the accepted-step index of each kept State
     reports: list  # GummelReport per accepted step
     monitors: list  # MonitorReport per accepted step
     ledger: object  # the a-priori bounds over [0, T_end]
 
 
-def advance(grid, params, initial, schedule, settings=SweepSettings()):
-    """March from 0 to params.T_end in steps of params.dt; returns SimResult with one State per accepted step.
+def advance(grid, params, initial, schedule, settings=SweepSettings(), stride=1):
+    """March from 0 to params.T_end in steps of params.dt; returns a SimResult.
+
+    The result keeps the State of step 0, of every stride-th accepted step
+    and of the last one, each under its step index; any other State is
+    dropped once the step after it is accepted, so the memory held grows
+    with the kept states, not with the steps.  stride=1 keeps every step.
 
     A step that fails (GummelError) is retried at half the step size and
     the shortened step is accepted as a real step; the next step tries it
@@ -214,7 +221,7 @@ def advance(grid, params, initial, schedule, settings=SweepSettings()):
     state = initial_state(grid, params, initial, schedule.at(0.0))
     evaluator = BoundsEvaluator(grid, params, schedule, initial)
 
-    states = [state]
+    states, steps = [state], [0]
     reports = []
     monitor_rows = []
     eps = 1e-12 * max(1.0, T_end)
@@ -233,8 +240,10 @@ def advance(grid, params, initial, schedule, settings=SweepSettings()):
                 dt_try *= 0.5
         dt = dt_try if halvings else min(2.0 * dt_try, params.dt)
         monitor_rows.append(monitors.check_state(grid, params, evaluator, new_state, state, dt_try))
-        states.append(new_state)
         reports.append(replace(rep, halvings=halvings, wasted_sweeps=wasted))
         state = new_state
+        if len(reports) % stride == 0 or state.time >= T_end - eps:  # the last step ends the loop
+            states.append(state)
+            steps.append(len(reports))
 
-    return SimResult(states, reports, monitor_rows, evaluator.ledger())
+    return SimResult(states, steps, reports, monitor_rows, evaluator.ledger())

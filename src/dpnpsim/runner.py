@@ -106,7 +106,7 @@ class RunOutput:
 
 
 def _advance(cfg):
-    return gummel.advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
+    return gummel.advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings, cfg.snapshot_stride)
 
 
 def run(cfg, out_dir=None):
@@ -119,10 +119,7 @@ def run(cfg, out_dir=None):
 
     files = []
     templates = row_templates(cfg.grid)
-    last = len(result.states) - 1
-    for k, state in enumerate(result.states):
-        if k % cfg.snapshot_stride != 0 and k != last:
-            continue
+    for k, state in zip(result.steps, result.states):
         name = "snapshot_%06d.csv" % k
         with open(os.path.join(target, name), "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(snapshot_text(templates, cfg.params, state))

@@ -7,10 +7,12 @@ byte-identical CSV and bounds files (summary.json is excluded because it
 records the wall time).
 """
 
+import gc
 import glob
 import json
 import os
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -19,7 +21,7 @@ import pytest
 from dpnpsim import monitors, runner, transport
 from dpnpsim.bounds import BoundsEvaluator, BoundsLedger, DataNorms
 from dpnpsim.cli import main
-from dpnpsim.config import load_config
+from dpnpsim.config import load_config, parse_config
 from dpnpsim.monitors import MonitorReport
 from dpnpsim.transport import free_charge
 
@@ -135,7 +137,41 @@ def test_snapshot_rows_list_every_cell_j_major_with_exact_values(tmp_path):
         assert row[:2] == [str(i), str(j)]
         assert [float(v) for v in row[2:]] == [grid.centers[0][i], grid.centers[1][j]] + [a[j, i] for a in planes]
     # the final snapshot on disk is exactly this text
-    assert read(os.path.join(out.out_dir, "snapshot_%06d.csv" % (len(out.result.states) - 1))).decode() == text
+    assert read(os.path.join(out.out_dir, "snapshot_%06d.csv" % len(out.result.reports))).decode() == text
+
+
+def _state_nbytes(state):
+    """The bytes of the arrays one State holds."""
+    planes = (*state.conc, state.electro.phi, state.flow.p)
+    faces = (state.electro.e_faces, state.flow.q_faces)
+    return sum(a.nbytes for a in (*(f.values for f in planes), *(a for f in faces for a in f.planes), *state.applied))
+
+
+def _march_held_by_a_run(tmp_path, n_steps):
+    """Run 32x32 demo physics for n_steps at stride n_steps: (bytes its output holds, kept steps, a state's bytes)."""
+    with open(os.path.join(ROOT, "configs", "demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["time"]["t_end"] = n_steps * doc["time"]["dt"]
+    doc["output"]["snapshot_stride"] = n_steps
+    cfg = parse_config(doc)
+    tracemalloc.start()
+    try:
+        out = runner.run(cfg, out_dir=str(tmp_path / str(n_steps)))
+        held = tracemalloc.get_traced_memory()[0]
+        steps, state_bytes = out.result.steps, _state_nbytes(out.result.states[-1])
+        del out
+        gc.collect()
+        return held - tracemalloc.get_traced_memory()[0], steps, state_bytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_runs_memory_grows_with_its_snapshots_not_its_steps(tmp_path):
+    held10, steps10, state_bytes = _march_held_by_a_run(tmp_path, 10)
+    held40, steps40, _ = _march_held_by_a_run(tmp_path, 40)
+    assert (steps10, steps40) == ([0, 10], [0, 40])
+    # a step may add its report and monitor row (a few kB), not a state (about 80 kB here)
+    assert (held40 - held10) / 30 < state_bytes / 10
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

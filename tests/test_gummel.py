@@ -35,6 +35,10 @@ Key scenarios:
     below tol in the sweeps left.  Scripted increments pin the rule, with
     the real sweep running underneath.
 
+  * advance keeps the states of step 0, of every stride-th step and of the
+    last step, bit for bit as with stride 1, and still a report and a
+    monitor row per accepted step.
+
   * Swapping the axes commutes with a coupled step: on a non-square grid
     with anisotropic D, K and epsilon and data on the x sides, the step on
     the swapped problem (y sides, parameter pairs swapped) gives the
@@ -360,6 +364,27 @@ def test_advance_lands_exactly_on_T_end_with_clipped_final_step():
     assert times[2] - times[1] == pytest.approx(0.02)
     assert times[3] - times[2] == pytest.approx(0.01)
     assert res.ledger is not None
+
+
+@pytest.mark.parametrize("n_steps, kept", [(7, [0, 5, 7]), (20, [0, 5, 10, 15, 20])])
+def test_a_stride_keeps_step_zero_every_stride_th_step_and_the_last(n_steps, kept):
+    g, p, init, sched = coupled_setup(8)
+    p = replace(p, T_end=n_steps * p.dt)
+    every = advance(g, p, init, sched)
+    strided = advance(g, p, init, sched, stride=5)
+    assert every.steps == list(range(n_steps + 1))
+    assert strided.steps == kept
+    assert [s.time for s in strided.states] == [every.states[k].time for k in kept]
+    # the kept states are the states of those steps, bit for bit
+    for k, state in zip(kept, strided.states):
+        ref = every.states[k]
+        for a, b in ((state.conc.c1, ref.conc.c1), (state.conc.c2, ref.conc.c2),
+                     (state.electro.phi, ref.electro.phi), (state.flow.p, ref.flow.p)):
+            assert np.array_equal(a.values, b.values)
+    # reports and monitor rows are still one per accepted step
+    assert len(strided.reports) == len(strided.monitors) == n_steps
+    assert strided.reports == every.reports
+    assert strided.monitors == every.monitors
 
 
 def test_all_monitors_pass_on_mild_coupled_run():
