@@ -272,7 +272,7 @@ def _read_field_spec(reader, raw, where):
 
 
 def _read_boundary_field(reader, raw, name):
-    """Returns (sides dict, Ramp or None) of boundary.<name>: zero sides and no ramp where absent or invalid."""
+    """Returns (sides dict, Ramp or None) of boundary.<name>: zero sides and no ramp where absent or unreadable."""
     where = "boundary." + name
     raw = {} if raw is None else reader.obj(raw, where, _SIDE_KEYS)
     sides = {}
@@ -280,7 +280,6 @@ def _read_boundary_field(reader, raw, name):
         v = reader.number(raw, where, s, default=0.0)
         if name in _INFLOW_KEYS and v < 0.0:
             reader.flag("%s.%s is an inflow and must be nonnegative, got %g" % (where, s, v))
-            v = 0.0
         sides[s] = v
     ramp = None
     if "ramp" in raw:
@@ -343,7 +342,6 @@ def parse_config(source):
     z2 = r.number(ph, "physics", "z2", default=phys.z2, integer=True)
     if not z1 > 0 > z2:
         r.flag("physics valencies must satisfy z1 > 0 > z2, got z1=%d, z2=%d" % (z1, z2))
-        z1, z2 = phys.z1, phys.z2
     exchange_rate = phys.exchange_rate
     if "reaction" in ph:
         rb = r.obj(ph["reaction"], "physics.reaction", _REACTION_KEYS)
@@ -378,17 +376,17 @@ def parse_config(source):
     damping = r.number(tm, "time", "damping", default=defaults.damping, low=0.0, high=1.0)
     if t_end is not None and dt is not None and dt > t_end:
         r.flag("time.dt must not exceed time.t_end, got dt=%g, t_end=%g" % (dt, t_end))
-        dt = t_end
 
     out = r.block(doc, "output", _OUTPUT_KEYS)
     out_dir = out.get("directory", "out")
     if not isinstance(out_dir, str) or not out_dir:
         r.flag("output.directory must be a nonempty string, got %r" % out_dir)
-        out_dir = "out"
     stride = r.number(out, "output", "snapshot_stride", default=1, integer=True, low=1)
 
     # Everything below needs a valid grid; build it only if the geometry
-    # parsed, and keep collecting violations that do not need it.
+    # parsed, and keep collecting violations that do not need it.  The records
+    # (PhysParams, Schedule, SweepSettings, RunConfig) are built only after the
+    # verdict, from values the reader has passed, so a bad value never reaches them.
     grid = initial = rho_b_field = None
     if None not in n:
         grid = Grid(*n, *length)
@@ -402,28 +400,22 @@ def parse_config(source):
         if rho_b_spec is not None:
             rho_b_field = _on_grid(r, grid, rho_b_spec, "background_charge", nonneg=False)
 
-    params = None
-    if t_end is not None and dt is not None:
-        try:
-            params = PhysParams(
-                theta=theta,
-                D=d_pair,
-                K=k_pair,
-                mu=mu,
-                eps_s=eps_s,
-                kappa=kappa,
-                z1=z1,
-                z2=z2,
-                exchange_rate=exchange_rate,
-                T_end=t_end,
-                dt=dt,
-            )
-        except ValueError as exc:
-            r.flag(str(exc))
-
     if r.violations:
         raise ConfigError(r.violations)
 
+    params = PhysParams(
+        theta=theta,
+        D=d_pair,
+        K=k_pair,
+        mu=mu,
+        eps_s=eps_s,
+        kappa=kappa,
+        z1=z1,
+        z2=z2,
+        exchange_rate=exchange_rate,
+        T_end=t_end,
+        dt=dt,
+    )
     schedule = Schedule(specs["sigma"], specs["f"], tuple(specs[n] for n in _INFLOW_KEYS), rho_b_field)
     return RunConfig(
         grid=grid,

@@ -165,11 +165,7 @@ class BoundaryField:
         sign is +1 or -1.  The sides are added in the order of SIDES: left, right, bottom, top.
         """
         for key, term in self._cell_terms:
-            cells = plane[key]  # a view: the update lands in plane
-            if sign > 0:
-                cells += term
-            else:
-                cells -= term
+            plane[key] += sign * term  # exact for sign = +-1: a + (-t) is a - t
 
     @functools.cached_property
     def _cell_terms(self):

@@ -41,8 +41,6 @@ from .params import PhysParams
 from .schedule import StepData
 from .transport import Concentrations, step_transport
 
-CASES = ("poisson", "darcy", "diffusion", "driftdiffusion", "coupled")
-
 
 @dataclass
 class ConvergenceTable:
@@ -284,6 +282,7 @@ _RUNNERS = {
     "driftdiffusion": _run_driftdiffusion,
     "coupled": _run_coupled,
 }
+CASES = tuple(_RUNNERS)
 
 
 def check_grids(grids):
@@ -312,7 +311,7 @@ def run_mms(case, grids):
     unit square and the material data are the unit defaults PhysParams(),
     whose isotropic permeability the darcy and coupled cases need.
     """
-    if case not in _RUNNERS:
+    if case not in CASES:
         raise ValueError("unknown manufactured case %r; choose from %s" % (case, ", ".join(CASES)))
     norm_grids = check_grids(grids)
     params = PhysParams()

@@ -161,7 +161,7 @@ def check_state(grid, params, bounds_eval, state, prev, dt):
     gauss_res, gauss_thr, gauss_ok = divergence_defect(grid, electro.e_faces, rho, electro.charge_scale)
     darcy_res, darcy_thr, darcy_ok = divergence_defect(grid, flow.q_faces, 0.0, flow.velocity_scale)
 
-    sup_total = float(sum(np.abs(c.values).max() for c in conc))
+    sup_total = float(sum(max(-lo, hi) for lo, hi in zip(mins, maxs)))
     sup_bound = bounds_eval.sup_bound()
     sup_ok = sup_total <= sup_bound
 

@@ -342,7 +342,7 @@ def test_mms_accepts_rectangular_grid_list(capsys):
 
 
 def test_mms_rejects_bad_grid_list(capsys):
-    for grids in ("eight", "0", "-4", "8,8", "8x16,16x8"):
+    for grids in ("eight", "0", "-4", "8,8", "8x16,16x8", ","):
         assert main(["mms", "poisson", "--grids", grids]) == 2
         assert "bad grid list" in capsys.readouterr().err
 

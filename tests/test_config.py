@@ -13,6 +13,7 @@ import os
 import re
 import warnings
 from dataclasses import fields, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -268,6 +269,7 @@ def _set(doc, path, value):
         ("boundary.sigma.k", 1, "unknown key 'k' in boundary.sigma (allowed: left, right, bottom, top, ramp)"),
         ("boundary.f.ramp.k", 1, "unknown key 'k' in boundary.f.ramp (allowed: kind, t0, t1)"),
         ("initial.c1.k", 1, "unknown key 'k' in initial.c1 (allowed"),
+        ("initial.c1", "high", "initial.c1 must be a number or a field spec object, got 'high'"),
     ],
 )
 def test_each_object_flags_a_non_object_and_unknown_keys(path, value, fragment):
@@ -321,15 +323,48 @@ _HUGE = 10**400  # a JSON integer too large for a float
         ("initial.c1.width", 0, "initial.c1.width must be > 0, got 0"),
         ("initial.c1.width", None, "initial.c1.width must be a finite number, got None"),
         ("initial.c1.width", 1e308, "initial.c1.width must have a finite square, got 1e+308"),
+        ("initial.c1", {"kind": "constant"}, "initial.c1.value is required"),
+        ("initial.c2.expr", 5, "initial.c2.expr must be a string, got 5"),
+        ("output.directory", "", "output.directory must be a nonempty string, got ''"),
     ],
 )
 def test_each_bounded_key_flags_exactly_its_violation(path, value, violation):
-    # integers print with %d and other numbers with %g; a bad value is one violation, and its default stands in
+    # integers print with %d and other numbers with %g; a bad value is one violation and leads to no other
     doc = base_doc()
     _set(doc, path, value)
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(doc))
     assert exc.value.violations == [violation]
+
+
+@pytest.mark.parametrize(
+    "path, value, record, expected",
+    [
+        ("physics.theta", 1, "params.theta", 1.0),
+        ("physics.kappa", 0, "params.kappa", 0.0),
+        ("physics.reaction.rate", 0, "params.exchange_rate", 0.0),
+        ("time.dt", 0.1, "params.dt", 0.1),  # equal to time.t_end
+        ("physics.mu", 1e-300, "params.mu", 1e-300),
+        ("physics.mu", 1e300, "params.mu", 1e300),
+        ("physics.eps_s", 1e-300, "params.eps_s", 1e-300),
+        ("physics.eps_s", 1e300, "params.eps_s", 1e300),
+        ("physics.D", [1e-300, 1e300], "params.D", (1e-300, 1e300)),
+        ("physics.K", [1e-300, 1e300], "params.K", (1e-300, 1e300)),
+        pytest.param("physics.z1", 10**300, "params.z", (10**300, -1), id="physics.z1-10**300"),
+        ("time.tol", 1e-300, "settings.tol", 1e-300),
+        ("time.max_sweeps", 1, "settings.max_sweeps", 1),
+        ("time.damping", 1, "settings.damping", 1.0),
+        ("output.snapshot_stride", 1, "snapshot_stride", 1),
+        ("grid.lx", 1e-300, "grid.length", (1e-300, 1.0)),
+        ("grid.ly", 1e300, "grid.length", (2.0, 1e300)),
+    ],
+)
+def test_every_edge_value_the_reader_accepts_builds_its_record(path, value, record, expected):
+    # the records are built after the verdict, unguarded: a record rule stricter
+    # than the reader's would escape parse_config as a bare ValueError here
+    doc = base_doc()
+    _set(doc, path, value)
+    assert attrgetter(record)(parse_config(json.dumps(doc))) == expected
 
 
 def test_gaussian_width_is_refused_exactly_where_its_square_overflows():
@@ -374,6 +409,8 @@ def test_expression_whitelist():
         ("__import__('os')", "calls something other than"),
         ("sin(x, y)", "exactly one argument"),
         ("x % 2", "forbidden operator"),
+        ("not x", "forbidden unary operator"),
+        ("~x", "forbidden unary operator"),
         ("x if y else 0", "forbidden syntax"),
         ("x.real", "forbidden syntax"),
         ("x < y", "forbidden syntax"),

@@ -128,6 +128,8 @@ def test_boundary_field_rejects_wrong_length():
     g = Grid(2, 3, 1.0, 1.0)
     with pytest.raises(ValueError):
         BoundaryField(g, left=np.ones(2))  # left needs ny = 3 values
+    with pytest.raises(ValueError, match="boundary side top contains non-finite entries"):
+        BoundaryField(g, top=[1.0, np.nan])
 
 
 def test_fields_reject_a_transposed_plane():

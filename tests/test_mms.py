@@ -103,6 +103,8 @@ def test_grid_list_is_checked_before_any_solve():
             run_mms("poisson", grids)
     with pytest.raises(ValueError, match="grid 0x4 needs"):
         run_mms("poisson", ((0, 4),))
+    with pytest.raises(ValueError, match="need at least one grid"):
+        run_mms("poisson", [])
 
 
 def test_table_text_and_csv_shape():

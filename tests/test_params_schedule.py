@@ -35,6 +35,10 @@ def test_params_validation_messages():
         PhysParams(D=(0.0, 1.0))
     with pytest.raises(ValueError):
         PhysParams(mu=-1.0)
+    with pytest.raises(ValueError, match="eps_s must be positive"):
+        PhysParams(eps_s=0.0)
+    with pytest.raises(ValueError, match="kappa must be nonnegative"):
+        PhysParams(kappa=-1.0)
     with pytest.raises(ValueError):
         PhysParams(T_end=0.1, dt=0.2)
 
