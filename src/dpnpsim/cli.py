@@ -42,18 +42,11 @@ def _load(path):
     try:
         return load_config(path)
     except OSError as exc:
-        print("cannot read %s: %s" % (path, exc), file=sys.stderr)
-        return None
-    except ConfigError as exc:
-        for v in exc.violations:
-            print(v, file=sys.stderr)
-        return None
+        raise ConfigError(["cannot read %s: %s" % (path, exc)]) from None
 
 
 def _cmd_run(args):
     cfg = _load(args.config)
-    if cfg is None:
-        return 2
     out = runner.run(cfg, out_dir=args.out)
     s = out.summary
     print("wrote %d files to %s" % (len(out.files), out.out_dir))
@@ -66,8 +59,6 @@ def _cmd_run(args):
 
 def _cmd_check(args):
     cfg = _load(args.config)
-    if cfg is None:
-        return 2
     ok, lines = runner.check(cfg)
     for line in lines:
         print(line)
@@ -94,8 +85,6 @@ def _cmd_mms(args):
 
 def _cmd_bounds(args):
     cfg = _load(args.config)
-    if cfg is None:
-        return 2
     ev = BoundsEvaluator(cfg.grid, cfg.params, cfg.schedule, cfg.initial)
     ledger = ev.ledger()
     print(runner.bounds_text(ledger), end="")
@@ -136,6 +125,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ConfigError as exc:  # the configuration cannot be read or is invalid: exit 2
+        for v in exc.violations:
+            print(v, file=sys.stderr)
+        return 2
     except (GummelError, SolverError, OSError) as exc:  # the march broke down or an output failed: exit 1
         print("%s failed: %s" % (args.command, exc), file=sys.stderr)
         return 1

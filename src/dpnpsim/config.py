@@ -7,7 +7,9 @@ A configuration is one JSON object with blocks
 (all optional except grid, physics, initial, and time).  `parse_config`
 validates the whole document before building anything and reports *every*
 violation at once in ConfigError.violations, each message naming the
-offending content; it never stops at the first problem.
+offending content; it never stops at the first problem.  A key that fills a
+field of PhysParams.DOMAINS or SweepSettings.DOMAINS is judged by that entry,
+so it gets the record's message under the key's name ("time.tol must be > 0").
 
 Scalar fields on cells (initial concentrations, background charge) are given
 as specs:
@@ -38,7 +40,7 @@ import numpy as np
 from .darcy import imbalance
 from .gummel import SweepSettings
 from .mesh import SIDES, CellField, Grid
-from .params import PhysParams
+from .params import PhysParams, finite_number, pair_violation, valence_violation, violation
 from .schedule import BoundarySpec, Ramp, Schedule
 from .transport import Concentrations
 
@@ -157,16 +159,6 @@ class RunConfig:
     snapshot_stride: int
 
 
-def _finite(v):
-    """True for a JSON number (not a bool) that is a finite float; a huge integer is not."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
 class _Reader:
     """Accumulates violations while pulling typed values out of the document."""
 
@@ -194,33 +186,24 @@ class _Reader:
             return {}
         return self.obj(doc[name], "block %r" % name, allowed)
 
-    def number(self, sub, where, key, default=None, required=False, integer=False, low=None, strict=False, high=None):
-        """sub[key], a finite float (int where integer) with v >= low (> where strict) or v in (low, high]; else default."""
+    def number(self, sub, where, key, default=None, required=False, **domain):
+        """sub[key], a float (an int where integer) inside the domain (see params.violation); else default."""
         if key not in sub:
             if required:
                 self.flag("%s.%s is required" % (where, key))
             return default
         v = sub[key]
-        if not _finite(v) or (integer and not isinstance(v, int)):
-            self.flag("%s.%s must be a finite %s, got %r" % (where, key, "integer" if integer else "number", v))
+        if message := violation("%s.%s" % (where, key), v, **domain):
+            self.flag(message)
             return default
-        v, fmt = (v, "%d") if integer else (float(v), "%g")
-        if high is not None and not low < v <= high:
-            rule = "lie in (%g, %g]" % (low, high)
-        elif high is None and low is not None and not (v > low if strict else v >= low):
-            rule = ("be > " if strict else "be >= ") + fmt % low
-        else:
-            return v
-        self.flag("%s.%s must %s, got %s" % (where, key, rule, fmt % v))
-        return default
+        return v if domain.get("integer") else float(v)
 
     def pair(self, sub, where, key, default):
         if key not in sub:
             return default
         v = sub[key]
-        ok = isinstance(v, (list, tuple)) and len(v) == 2 and all(_finite(c) and c > 0 for c in v)
-        if not ok:
-            self.flag("%s.%s must be a pair of positive numbers, got %r" % (where, key, v))
+        if message := pair_violation("%s.%s" % (where, key), v):
+            self.flag(message)
             return default
         return (float(v[0]), float(v[1]))
 
@@ -228,7 +211,7 @@ class _Reader:
 def _read_field_spec(reader, raw, where):
     """Returns a function (x, y) -> array, or None when invalid."""
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        if not _finite(raw):
+        if not finite_number(raw):
             reader.flag("%s must be finite, got %r" % (where, raw))
             return None
         return lambda x, y, v=float(raw): np.full(np.shape(x), v)
@@ -247,7 +230,7 @@ def _read_field_spec(reader, raw, where):
         return lambda x, y: np.full(np.shape(x), v)
     if kind == "gaussian":
         center = raw.get("center")
-        ok = isinstance(center, (list, tuple)) and len(center) == 2 and all(_finite(c) for c in center)
+        ok = isinstance(center, (list, tuple)) and len(center) == 2 and all(finite_number(c) for c in center)
         if not ok:
             reader.flag("%s.center must be [x, y], got %r" % (where, center))
         width = reader.number(raw, where, "width", required=True, low=0.0, strict=True)
@@ -331,22 +314,21 @@ def parse_config(source):
     length = [r.number(g, "grid", key, default=1.0, low=0.0, strict=True) for key in ("lx", "ly")]
 
     ph = r.block(doc, "physics", _PHYSICS_KEYS, required=True)
-    phys = PhysParams()  # the physics defaults
-    theta = r.number(ph, "physics", "theta", default=phys.theta, low=0.0, high=1.0)
-    d_pair = r.pair(ph, "physics", "D", phys.D)
-    k_pair = r.pair(ph, "physics", "K", phys.K)
-    mu = r.number(ph, "physics", "mu", default=phys.mu, low=0.0, strict=True)
-    eps_s = r.number(ph, "physics", "eps_s", default=phys.eps_s, low=0.0, strict=True)
-    kappa = r.number(ph, "physics", "kappa", default=phys.kappa, low=0.0)
-    z1 = r.number(ph, "physics", "z1", default=phys.z1, integer=True)
-    z2 = r.number(ph, "physics", "z2", default=phys.z2, integer=True)
-    if not z1 > 0 > z2:
-        r.flag("physics valencies must satisfy z1 > 0 > z2, got z1=%d, z2=%d" % (z1, z2))
-    exchange_rate = phys.exchange_rate
+    defaults, domains = PhysParams(), PhysParams.DOMAINS
+    phys = {  # the PhysParams fields of the physics keys, each judged by its field's domain
+        key: r.pair(ph, "physics", key, getattr(defaults, key))
+        if key in ("D", "K")
+        else r.number(ph, "physics", key, default=getattr(defaults, key), **domains[key])
+        for key in _PHYSICS_KEYS
+        if key != "reaction"
+    }
+    if message := valence_violation(phys["z1"], phys["z2"]):
+        r.flag("physics " + message)
+    exchange_rate = defaults.exchange_rate
     if "reaction" in ph:
         rb = r.obj(ph["reaction"], "physics.reaction", _REACTION_KEYS)
         kind = rb.get("kind", "none")
-        rate = r.number(rb, "physics.reaction", "rate", default=phys.exchange_rate, low=0.0)
+        rate = r.number(rb, "physics.reaction", "rate", default=exchange_rate, **domains["exchange_rate"])
         if kind not in ("none", "exchange"):
             r.flag("physics.reaction.kind must be 'none' or 'exchange', got %r" % kind)
         elif kind == "exchange":  # "none" is the exchange at rate 0
@@ -367,13 +349,10 @@ def parse_config(source):
     boundary = {name: _read_boundary_field(r, bnd.get(name), name) for name in _BOUNDARY_KEYS}
 
     tm = r.block(doc, "time", _TIME_KEYS, required=True)
-    t_end = r.number(tm, "time", "t_end", required=True, low=0.0, strict=True)
-    dt = r.number(tm, "time", "dt", required=True, low=0.0, strict=True)
-    # each key is checked here, not by SweepSettings, so that every bad key is reported
+    t_end = r.number(tm, "time", "t_end", required=True, **PhysParams.DOMAINS["T_end"])
+    dt = r.number(tm, "time", "dt", required=True, **PhysParams.DOMAINS["dt"])
     defaults = SweepSettings()
-    tol = r.number(tm, "time", "tol", default=defaults.tol, low=0.0, strict=True)
-    max_sweeps = r.number(tm, "time", "max_sweeps", default=defaults.max_sweeps, integer=True, low=1)
-    damping = r.number(tm, "time", "damping", default=defaults.damping, low=0.0, high=1.0)
+    sweep = {k: r.number(tm, "time", k, default=getattr(defaults, k), **d) for k, d in SweepSettings.DOMAINS.items()}
     if t_end is not None and dt is not None and dt > t_end:
         r.flag("time.dt must not exceed time.t_end, got dt=%g, t_end=%g" % (dt, t_end))
 
@@ -403,26 +382,14 @@ def parse_config(source):
     if r.violations:
         raise ConfigError(r.violations)
 
-    params = PhysParams(
-        theta=theta,
-        D=d_pair,
-        K=k_pair,
-        mu=mu,
-        eps_s=eps_s,
-        kappa=kappa,
-        z1=z1,
-        z2=z2,
-        exchange_rate=exchange_rate,
-        T_end=t_end,
-        dt=dt,
-    )
+    params = PhysParams(**phys, exchange_rate=exchange_rate, T_end=t_end, dt=dt)
     schedule = Schedule(specs["sigma"], specs["f"], tuple(specs[n] for n in _INFLOW_KEYS), rho_b_field)
     return RunConfig(
         grid=grid,
         params=params,
         initial=initial,
         schedule=schedule,
-        settings=SweepSettings(tol, max_sweeps, damping),
+        settings=SweepSettings(**sweep),
         out_dir=out_dir,
         snapshot_stride=stride,
     )

@@ -48,6 +48,7 @@ from .darcy import solve_darcy
 from .gauss import solve_gauss
 from .linalg import SolverError
 from .mesh import CellField
+from .params import check_domains
 from .transport import Concentrations, free_charge, step_transport
 
 MAX_HALVINGS = 10
@@ -57,22 +58,19 @@ MAX_HALVINGS = 10
 class SweepSettings:
     """Settings of the Gummel sweep; the field defaults are the production values.
 
-    The fields are the sweep keys of the configuration's time block.  The
-    linear solves inside a sweep use the fixed tolerances gauss.SOLVE_TOL
-    and transport.SOLVE_TOL.
+    The fields are the sweep keys of the configuration's time block, and
+    DOMAINS, in keyword arguments of params.violation, is the one statement
+    of their ranges.  The linear solves inside a sweep use the fixed
+    tolerances gauss.SOLVE_TOL and transport.SOLVE_TOL.
     """
 
     tol: float = 1e-10  # weighted increment at which the sweep stops
     max_sweeps: int = 50
     damping: float = 1.0  # omega at the start of every attempt
+    DOMAINS = dict(tol=dict(low=0, strict=True), max_sweeps=dict(integer=True, low=1), damping=dict(low=0, high=1))
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError("got tol=%g, but tol must be a finite number > 0" % self.tol)
-        if not self.max_sweeps >= 1:
-            raise ValueError("max_sweeps must be >= 1, got %r" % (self.max_sweeps,))
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1], got %g" % self.damping)
+        check_domains(self)
 
 
 @dataclass

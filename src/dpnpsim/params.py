@@ -1,7 +1,53 @@
-"""Physical parameters of the two-species electrokinetic system."""
+"""Physical parameters of the two-species electrokinetic system, and `violation`, the one judge of
+the admissible ranges that PhysParams.DOMAINS and gummel.SweepSettings.DOMAINS state for their fields."""
 
 import math
 from dataclasses import dataclass
+
+
+def finite_number(v):
+    """True for a number (not a bool) that is a finite float; an integer too large for a float is not."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def violation(name, v, low=None, strict=False, high=None, integer=False):
+    """The message "<name> must ..., got <v>" if v is not a finite number (an int where integer)
+    with v >= low, v > low where strict, or low < v <= high where high is given; else None."""
+    if not finite_number(v) or (integer and not isinstance(v, int)):
+        return "%s must be a finite %s, got %r" % (name, "integer" if integer else "number", v)
+    v, fmt = (v, "%d") if integer else (float(v), "%g")
+    if high is not None and not low < v <= high:
+        rule = "lie in (%g, %g]" % (low, high)
+    elif high is None and low is not None and not (v > low if strict else v >= low):
+        rule = ("be > " if strict else "be >= ") + fmt % low
+    else:
+        return None
+    return "%s must %s, got %s" % (name, rule, fmt % v)
+
+
+def pair_violation(name, t):
+    """The message if t is not a list or tuple of two finite positive numbers, else None."""
+    ok = isinstance(t, (list, tuple)) and len(t) == 2 and all(finite_number(v) and v > 0.0 for v in t)
+    return None if ok else "%s must be a pair of positive numbers, got %r" % (name, t)
+
+
+def valence_violation(z1, z2):
+    """The message if the integer valences break z1 > 0 > z2, else None."""
+    return None if z1 > 0 > z2 else "valencies must satisfy z1 > 0 > z2, got z1=%d, z2=%d" % (z1, z2)
+
+
+def check_domains(record):
+    """Raise ValueError with the message of the first field outside its DOMAINS entry; store floats as float."""
+    for name, domain in record.DOMAINS.items():
+        v = getattr(record, name)
+        if message := violation(name, v, **domain):
+            raise ValueError(message)
+        object.__setattr__(record, name, v if domain.get("integer") else float(v))
 
 
 @dataclass(frozen=True)
@@ -16,8 +62,9 @@ class PhysParams:
     z1 > 0 > z2.  exchange_rate >= 0 is the rate of the inter-species
     exchange r1 = exchange_rate (c2+ - c1+), r2 = -r1, and so the Lipschitz
     constant C_R of the rate functions; 0 means no reaction.  T_end and dt
-    are the run horizon and the nominal step, finite and positive with
-    dt <= T_end.
+    are the run horizon and the nominal step, positive with dt <= T_end.
+    DOMAINS, in keyword arguments of violation, is the one statement of the
+    scalar fields' ranges.
     """
 
     theta: float = 1.0
@@ -32,29 +79,22 @@ class PhysParams:
     T_end: float = 1.0
     dt: float = 0.1
 
+    DOMAINS = {
+        "theta": dict(low=0, high=1),
+        **dict.fromkeys(("mu", "eps_s", "T_end", "dt"), dict(low=0, strict=True)),
+        **dict.fromkeys(("kappa", "exchange_rate"), dict(low=0)),
+        **dict.fromkeys(("z1", "z2"), dict(integer=True)),
+    }
+
     def __post_init__(self):
-        if not (0.0 < self.theta <= 1.0):
-            raise ValueError("porosity theta must lie in (0, 1], got %g" % self.theta)
+        check_domains(self)
         for name in ("D", "K"):
             t = getattr(self, name)
-            if len(t) != 2 or not all(v > 0.0 for v in t):
-                raise ValueError("%s must be two positive diagonal entries, got %r" % (name, t))
+            if message := pair_violation(name, t):
+                raise ValueError(message)
             object.__setattr__(self, name, (float(t[0]), float(t[1])))
-        if not (self.mu > 0.0):
-            raise ValueError("viscosity mu must be positive, got %g" % self.mu)
-        if not (self.eps_s > 0.0):
-            raise ValueError("eps_s must be positive, got %g" % self.eps_s)
-        if not (self.kappa >= 0.0):
-            raise ValueError("kappa must be nonnegative, got %g" % self.kappa)
-        if not (self.exchange_rate >= 0.0):
-            raise ValueError("exchange_rate must be nonnegative, got %g" % self.exchange_rate)
-        if not (isinstance(self.z1, int) and isinstance(self.z2, int) and self.z1 > 0 > self.z2):
-            raise ValueError("valencies must satisfy z1 > 0 > z2 (integers), got z1=%r z2=%r" % (self.z1, self.z2))
-        for name in ("T_end", "dt"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError("%s must be a finite number > 0, got %g" % (name, v))
-            object.__setattr__(self, name, float(v))
+        if message := valence_violation(self.z1, self.z2):
+            raise ValueError(message)
         if not (self.T_end >= self.dt):
             raise ValueError("T_end must be at least dt, got T_end=%g dt=%g" % (self.T_end, self.dt))
 

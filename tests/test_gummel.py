@@ -54,6 +54,7 @@ Key scenarios:
 
 import inspect
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -61,7 +62,7 @@ import numpy as np
 import pytest
 
 from dpnpsim import gummel
-from dpnpsim.config import load_config, parse_config
+from dpnpsim.config import ConfigError, load_config, parse_config
 from dpnpsim.darcy import solve_darcy
 from dpnpsim.gauss import solve_gauss
 from dpnpsim.gummel import (
@@ -237,10 +238,14 @@ def test_step_validates_damping():
     [
         ({"max_sweeps": 0}, "max_sweeps must be >= 1, got 0"),
         ({"max_sweeps": -3}, "max_sweeps must be >= 1, got -3"),
-        ({"tol": -1.0}, "tol=-1,"),
-        ({"tol": 0.0}, "tol=0,"),
-        ({"tol": float("nan")}, "tol=nan,"),
-        ({"tol": float("inf")}, "tol=inf,"),
+        ({"tol": -1.0}, "tol must be > 0, got -1"),
+        ({"tol": 0.0}, "tol must be > 0, got 0"),
+        ({"tol": float("nan")}, "tol must be a finite number, got nan"),
+        ({"tol": float("inf")}, "tol must be a finite number, got inf"),
+        # the record accepted these two, which the config refused; no count of
+        # sweeps ever meets a fractional budget
+        ({"max_sweeps": 2.5}, "max_sweeps must be a finite integer, got 2.5"),
+        ({"max_sweeps": True}, "max_sweeps must be a finite integer, got True"),
     ],
 )
 def test_settings_reject_what_the_config_rejects(kw, message):
@@ -249,6 +254,15 @@ def test_settings_reject_what_the_config_rejects(kw, message):
     with pytest.raises(ValueError) as exc:
         SweepSettings(**kw)
     assert message in str(exc.value)
+    # one rule, one message: the config reports the record's under the key's name
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["time"].update(kw)
+    with pytest.raises(ConfigError) as cfg_exc:
+        parse_config(doc)
+    (violation,) = cfg_exc.value.violations
+    assert violation.removeprefix("time.") == str(exc.value)
 
 
 @pytest.mark.parametrize(
@@ -273,7 +287,8 @@ def test_advance_rejects_bad_step_and_horizon_before_any_solve(monkeypatch, name
         raise AssertionError("solved before the arguments were checked")
 
     monkeypatch.setattr(gummel, "solve_gauss", no_solve)
-    with pytest.raises(ValueError, match="%s must be a finite number > 0, got %g" % (name, value)):
+    rule = "be > 0, got %g" % value if math.isfinite(value) else "be a finite number, got %r" % value
+    with pytest.raises(ValueError, match="%s must %s" % (name, rule)):
         advance(g, replace(p, **{name: value}), init, sched)
 
 

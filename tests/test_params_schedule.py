@@ -5,9 +5,14 @@ frozen here against hand integrals (rise contributes width * s^3 / 3 in the
 scaled variable, the plateau contributes its own length).
 """
 
+import json
+import math
+import os
+
 import numpy as np
 import pytest
 
+from dpnpsim.config import ConfigError, parse_config
 from dpnpsim.mesh import BoundaryField, CellField, Grid
 from dpnpsim.params import PhysParams
 from dpnpsim.schedule import BoundarySpec, Ramp, Schedule, StepData
@@ -35,9 +40,9 @@ def test_params_validation_messages():
         PhysParams(D=(0.0, 1.0))
     with pytest.raises(ValueError):
         PhysParams(mu=-1.0)
-    with pytest.raises(ValueError, match="eps_s must be positive"):
+    with pytest.raises(ValueError, match="eps_s must be > 0, got 0"):
         PhysParams(eps_s=0.0)
-    with pytest.raises(ValueError, match="kappa must be nonnegative"):
+    with pytest.raises(ValueError, match="kappa must be >= 0, got -1"):
         PhysParams(kappa=-1.0)
     with pytest.raises(ValueError):
         PhysParams(T_end=0.1, dt=0.2)
@@ -47,8 +52,44 @@ def test_exchange_rate_defaults_to_no_reaction_and_must_be_nonnegative():
     # the reaction kinds ('none' is the exchange at rate 0) are a config rule, tested in test_config
     assert PhysParams().exchange_rate == 0.0
     assert PhysParams(exchange_rate=2.5).exchange_rate == 2.5
-    with pytest.raises(ValueError, match="exchange_rate must be nonnegative"):
+    with pytest.raises(ValueError, match="exchange_rate must be >= 0, got -1"):
         PhysParams(exchange_rate=-1.0)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("theta", 0),
+        ("theta", 1.5),
+        ("mu", 0.0),
+        ("eps_s", -1e-300),
+        ("kappa", -0.5),
+        ("reaction.rate", -0.5),
+        # the record accepted these six, which the config refused
+        ("mu", math.inf),
+        ("eps_s", math.inf),
+        ("kappa", math.inf),
+        ("reaction.rate", math.inf),
+        ("D", [1.0, math.inf]),
+        ("z1", True),
+    ],
+)
+def test_params_reject_what_the_config_rejects(key, value):
+    # one rule, one message: the config reports the record's under the key's
+    # name, physics.reaction.rate for the field exchange_rate
+    field = "exchange_rate" if key == "reaction.rate" else key
+    with pytest.raises(ValueError) as exc:
+        PhysParams(**{field: value})
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    block = doc["physics"]["reaction"] if key == "reaction.rate" else doc["physics"]
+    block[key.rpartition(".")[2]] = value
+    with pytest.raises(ConfigError) as cfg_exc:
+        parse_config(doc)
+    after_name = str(exc.value).removeprefix(field)
+    assert after_name.startswith(" must ")
+    assert cfg_exc.value.violations == ["physics." + key + after_name]
 
 
 def test_const_ramp_is_identity():
