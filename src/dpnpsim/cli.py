@@ -71,7 +71,8 @@ def _cmd_mms(args):
     if args.case not in mms.CASES:  # argparse's error: usage, the message, exit 2
         args.error("unknown manufactured case %r; choose from %s" % (args.case, ", ".join(mms.CASES)))
     try:
-        grids = mms.check_grids(_parse_grids(args.grids))
+        grids = _parse_grids(args.grids)
+        mms.check_grids(grids)
     except ValueError as exc:
         print("bad grid list %r: %s" % (args.grids, exc), file=sys.stderr)
         return 2

@@ -33,8 +33,9 @@ halving dt for a failed step down to the absolute floor params.dt / 2**10;
 the next step keeps a halved dt and doubles an unhalved one up to params.dt
 (Gustafsson & Soederlind, SIAM J. Sci. Comput. 18, 1997).  It evaluates the
 boundary schedule at each new time and runs the monitors on every accepted
-state, but keeps only the states of step 0, of every stride-th step and of
-the last step.
+state.  It hands the states of step 0, of every stride-th step and of the
+last step to a sink as soon as the march is done with each, so it holds
+about two states at any step count.
 """
 
 import math
@@ -192,34 +193,38 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
 class SimResult:
     """Everything advance() produced: the kept states and a report and monitor row per accepted step."""
 
-    states: list  # the kept States: step 0, every stride-th accepted step and the last
+    states: list  # the kept States: step 0, every stride-th accepted step and the last; only the last with a sink
     steps: list  # the accepted-step index of each kept State
     reports: list  # GummelReport per accepted step
     monitors: list  # MonitorReport per accepted step
     ledger: object  # the a-priori bounds over [0, T_end]
 
 
-def advance(grid, params, initial, schedule, settings=SweepSettings(), stride=1):
+def advance(grid, params, initial, schedule, settings=SweepSettings(), stride=1, sink=None):
     """March from 0 to params.T_end in steps of params.dt; returns a SimResult.
 
-    The result keeps the State of step 0, of every stride-th accepted step
-    and of the last one, each under its step index; any other State is
-    dropped once the step after it is accepted, so the memory held grows
-    with the kept states, not with the steps.  stride=1 keeps every step.
+    The State of step 0, of every stride-th accepted step and of the last
+    one goes to sink(k, state) under its step index k: state k once step
+    k + 1 is accepted, so never before the first gummel_step, and the last
+    after the loop.  The march then drops it, and holds at most two States
+    at any step count.  Without a sink the result keeps every State handed
+    over (stride=1 keeps every step); with one, it keeps only the last.
 
     A step that fails (GummelError) is retried at half the step size and
     the shortened step is accepted as a real step; the next step tries it
     again if it was halved, else twice it, up to params.dt.  A failure at
-    the absolute floor params.dt / 2**MAX_HALVINGS is re-raised.  The final
-    step is clipped to land on T_end exactly.  Each accepted step's report
-    counts its halvings and, as wasted_sweeps, the completed sweeps of its
-    failed attempts, each stopped as soon as its sweep cannot converge.
+    the absolute floor params.dt / 2**MAX_HALVINGS is re-raised; the sink
+    has had every state handed over before it.  The final step is clipped
+    to land on T_end exactly.  Each accepted step's report counts its
+    halvings and, as wasted_sweeps, the completed sweeps of its failed
+    attempts, each stopped as soon as its sweep cannot converge.
     """
     T_end, dt = params.T_end, params.dt
     state = initial_state(grid, params, initial, schedule.at(0.0))
     evaluator = BoundsEvaluator(grid, params, schedule, initial)
 
-    states, steps = [state], [0]
+    kept = {}  # step index -> State, filled by the default sink
+    sink = sink or kept.__setitem__
     reports = []
     monitor_rows = []
     eps = 1e-12 * max(1.0, T_end)
@@ -239,9 +244,10 @@ def advance(grid, params, initial, schedule, settings=SweepSettings(), stride=1)
         dt = dt_try if halvings else min(2.0 * dt_try, params.dt)
         monitor_rows.append(monitors.check_state(grid, params, evaluator, new_state, state, dt_try))
         reports.append(replace(rep, halvings=halvings, wasted_sweeps=wasted))
+        if (len(reports) - 1) % stride == 0:
+            sink(len(reports) - 1, state)
         state = new_state
-        if len(reports) % stride == 0 or state.time >= T_end - eps:  # the last step ends the loop
-            states.append(state)
-            steps.append(len(reports))
+    sink(len(reports), state)
 
-    return SimResult(states, steps, reports, monitor_rows, evaluator.ledger())
+    kept = kept or {len(reports): state}
+    return SimResult(list(kept.values()), list(kept), reports, monitor_rows, evaluator.ledger())

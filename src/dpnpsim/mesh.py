@@ -39,8 +39,8 @@ class Grid:
         lx, ly = float(lx), float(ly)
         if nx < 1 or ny < 1:
             raise ValueError("grid needs nx >= 1 and ny >= 1, got (%d, %d)" % (nx, ny))
-        if not (lx > 0.0 and ly > 0.0):
-            raise ValueError("domain lengths must be positive, got (%g, %g)" % (lx, ly))
+        if not (0.0 < lx < math.inf and 0.0 < ly < math.inf):
+            raise ValueError("domain lengths must be positive and finite, got (%g, %g)" % (lx, ly))
         self.n = (nx, ny)
         self.length = (lx, ly)
         d = len(self.n)

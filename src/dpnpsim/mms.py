@@ -286,22 +286,19 @@ CASES = tuple(_RUNNERS)
 
 
 def check_grids(grids):
-    """Grid list as (nx, ny) pairs; entries are ints (n -> n x n) or pairs.
+    """The unit-square Grids of a grid list whose entries are ints (n -> n x n) or (nx, ny) pairs.
 
-    Raises ValueError for an empty list, a size below 1, or two consecutive
-    grids with the same spacing h = max(grid.h) on the unit square, where
-    the observed order log(e0 / e1) / log(h0 / h1) is undefined.
+    Raises ValueError for an empty list, a size that Grid refuses, or two
+    consecutive grids with the same spacing h = max(grid.h), where the
+    observed order log(e0 / e1) / log(h0 / h1) is undefined.
     """
-    pairs = [(g, g) if isinstance(g, int) else (int(g[0]), int(g[1])) for g in grids]
-    if not pairs:
+    if not grids:
         raise ValueError("need at least one grid")
-    for nx, ny in pairs:
-        if nx < 1 or ny < 1:
-            raise ValueError("grid %dx%d needs nx >= 1 and ny >= 1" % (nx, ny))
-    for (nx0, ny0), (nx1, ny1) in zip(pairs, pairs[1:]):
-        if max(1.0 / nx0, 1.0 / ny0) == max(1.0 / nx1, 1.0 / ny1):
-            raise ValueError("consecutive grids %dx%d and %dx%d have the same spacing h" % (nx0, ny0, nx1, ny1))
-    return pairs
+    built = [Grid(*((g, g) if isinstance(g, int) else g), 1.0, 1.0) for g in grids]
+    for g0, g1 in zip(built, built[1:]):
+        if max(g0.h) == max(g1.h):
+            raise ValueError("consecutive grids %dx%d and %dx%d have the same spacing h" % (*g0.n, *g1.n))
+    return built
 
 
 def run_mms(case, grids):
@@ -313,13 +310,12 @@ def run_mms(case, grids):
     """
     if case not in CASES:
         raise ValueError("unknown manufactured case %r; choose from %s" % (case, ", ".join(CASES)))
-    norm_grids = check_grids(grids)
+    grids = check_grids(grids)
     params = PhysParams()
 
     errors = {}
     hs = []
-    for nx, ny in norm_grids:
-        grid = Grid(nx, ny, 1.0, 1.0)
+    for grid in grids:
         hs.append(max(grid.h))
         for f, e in _RUNNERS[case](grid, params).items():
             errors.setdefault(f, []).append(e)
@@ -333,4 +329,4 @@ def run_mms(case, grids):
             else:
                 ords.append(math.log(es[k - 1] / es[k]) / math.log(hs[k - 1] / hs[k]))
         orders[f] = ords
-    return ConvergenceTable(case, norm_grids, hs, errors, orders)
+    return ConvergenceTable(case, [grid.n for grid in grids], hs, errors, orders)

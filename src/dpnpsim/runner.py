@@ -10,7 +10,13 @@ A run produces, inside the configured output directory:
   bounds.txt            the evaluated a-priori constants and the data norms
                         they were computed from
   summary.json          step/sweep/halving statistics (with the sweeps spent
-                        on failed attempts), monitor verdict, wall time
+                        on failed attempts), monitor verdict, wall time of
+                        the march and its snapshot writes
+
+Each snapshot is written as soon as the march hands its state over (state k
+once step k + 1 is accepted), so a run holds about two states at any step
+count, as does check, which keeps none.  The other files follow the march,
+so a run that breaks down leaves only the snapshots already written.
 
 Floats are written with repr(), so rerunning the same configuration
 reproduces the CSV files byte for byte (summary.json contains the wall time
@@ -105,25 +111,28 @@ class RunOutput:
     summary: dict
 
 
-def _advance(cfg):
-    return gummel.advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings, cfg.snapshot_stride)
+def _advance(cfg, sink):
+    return gummel.advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings, cfg.snapshot_stride, sink)
 
 
 def run(cfg, out_dir=None):
-    """Advance the configured simulation and write every output file."""
+    """Advance the configured simulation, writing each snapshot as the march hands it over, then the other files."""
     target = out_dir or cfg.out_dir
     os.makedirs(target, exist_ok=True)
-    t_start = time.perf_counter()
-    result = _advance(cfg)
-    wall = time.perf_counter() - t_start
-
     files = []
-    templates = row_templates(cfg.grid)
-    for k, state in zip(result.steps, result.states):
+    templates = []  # formatted at the first write, after the first step, which keeps them out of the set-up
+
+    def write_snapshot(k, state):
+        if not templates:
+            templates.extend(row_templates(cfg.grid))
         name = "snapshot_%06d.csv" % k
         with open(os.path.join(target, name), "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(snapshot_text(templates, cfg.params, state))
         files.append(name)
+
+    t_start = time.perf_counter()
+    result = _advance(cfg, write_snapshot)
+    wall = time.perf_counter() - t_start
 
     write_csv(
         os.path.join(target, "monitors.csv"),
@@ -182,7 +191,7 @@ def run_summary(cfg, result, wall_time):
 
 def check(cfg):
     """Run without writing files; return (ok, human-readable verdict lines)."""
-    result = _advance(cfg)
+    result = _advance(cfg, lambda k, state: None)
     totals, failing = _tally(result)
     lines = []
     for flag, bad in failing.items():

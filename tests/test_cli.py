@@ -18,7 +18,7 @@ from dataclasses import fields
 
 import pytest
 
-from dpnpsim import monitors, runner, transport
+from dpnpsim import gummel, monitors, runner, transport
 from dpnpsim.bounds import BoundsEvaluator, BoundsLedger, DataNorms
 from dpnpsim.cli import main
 from dpnpsim.config import load_config, parse_config
@@ -147,31 +147,43 @@ def _state_nbytes(state):
     return sum(a.nbytes for a in (*(f.values for f in planes), *(a for f in faces for a in f.planes), *state.applied))
 
 
-def _march_held_by_a_run(tmp_path, n_steps):
-    """Run 32x32 demo physics for n_steps at stride n_steps: (bytes its output holds, kept steps, a state's bytes)."""
+def _traced_run(tmp_path, n_steps, stride):
+    """Run 32x32 demo physics for n_steps at a snapshot stride under tracemalloc.
+
+    Returns (bytes its output holds, peak bytes of the run, kept steps, a state's bytes).
+    """
     with open(os.path.join(ROOT, "configs", "demo.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["time"]["t_end"] = n_steps * doc["time"]["dt"]
-    doc["output"]["snapshot_stride"] = n_steps
+    doc["output"]["snapshot_stride"] = stride
     cfg = parse_config(doc)
     tracemalloc.start()
     try:
-        out = runner.run(cfg, out_dir=str(tmp_path / str(n_steps)))
-        held = tracemalloc.get_traced_memory()[0]
+        out = runner.run(cfg, out_dir=str(tmp_path / ("%d-%d" % (n_steps, stride))))
+        held, peak = tracemalloc.get_traced_memory()
         steps, state_bytes = out.result.steps, _state_nbytes(out.result.states[-1])
         del out
         gc.collect()
-        return held - tracemalloc.get_traced_memory()[0], steps, state_bytes
+        return held - tracemalloc.get_traced_memory()[0], peak, steps, state_bytes
     finally:
         tracemalloc.stop()
 
 
 def test_a_runs_memory_grows_with_its_snapshots_not_its_steps(tmp_path):
-    held10, steps10, state_bytes = _march_held_by_a_run(tmp_path, 10)
-    held40, steps40, _ = _march_held_by_a_run(tmp_path, 40)
-    assert (steps10, steps40) == ([0, 10], [0, 40])
+    held10, _, steps10, state_bytes = _traced_run(tmp_path, 10, stride=10)
+    held40, _, steps40, _ = _traced_run(tmp_path, 40, stride=40)
+    assert (steps10, steps40) == ([10], [40])  # a run's result holds only its final state
     # a step may add its report and monitor row (a few kB), not a state (about 80 kB here)
     assert (held40 - held10) / 30 < state_bytes / 10
+
+
+def test_a_runs_peak_memory_is_flat_in_its_snapshots(tmp_path):
+    _, peak10, _, state_bytes = _traced_run(tmp_path, 10, stride=1)
+    _, peak40, _, _ = _traced_run(tmp_path, 40, stride=1)
+    # 30 more snapshots may add 30 reports and monitor rows, not a held state each
+    written = sorted(n for n in os.listdir(tmp_path / "40-1") if n.startswith("snapshot_"))
+    assert written == ["snapshot_%06d.csv" % k for k in range(41)]
+    assert peak40 - peak10 < 3 * state_bytes
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -313,6 +325,26 @@ def test_unconverged_run_exits_1(tmp_path, capsys):
     )
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
     assert "run failed" in capsys.readouterr().err
+
+
+def test_a_run_that_breaks_down_keeps_the_snapshots_handed_over_and_writes_no_summary(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path, output={"snapshot_stride": 1}, time={"t_end": 0.05, "dt": 0.01})
+    step, accepted, failed = gummel.gummel_step, [], []
+
+    def fail_from_step_3(*args):
+        if len(accepted) == 2:
+            failed.append(args[4])
+            raise gummel.GummelError("scripted breakdown", gummel.GummelReport(0, ()))
+        accepted.append(step(*args))
+        return accepted[-1]
+
+    monkeypatch.setattr(gummel, "gummel_step", fail_from_step_3)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "run failed: scripted breakdown\n"
+    assert len(failed) == gummel.MAX_HALVINGS + 1  # step 3 halved down to the floor, then re-raised
+    # state k is handed over once step k + 1 is accepted: states 0 and 1 were, state 2 never was
+    assert sorted(os.listdir(out)) == ["snapshot_000000.csv", "snapshot_000001.csv"]
 
 
 def test_unwritable_output_paths_exit_1(tmp_path, capsys):

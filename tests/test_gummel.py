@@ -37,7 +37,8 @@ Key scenarios:
 
   * advance keeps the states of step 0, of every stride-th step and of the
     last step, bit for bit as with stride 1, and still a report and a
-    monitor row per accepted step.
+    monitor row per accepted step.  A sink gets those states, each once
+    the step after it is accepted, and the result then keeps only the last.
 
   * Swapping the axes commutes with a coupled step: on a non-square grid
     with anisotropic D, K and epsilon and data on the x sides, the step on
@@ -392,14 +393,45 @@ def test_a_stride_keeps_step_zero_every_stride_th_step_and_the_last(n_steps, kep
     assert [s.time for s in strided.states] == [every.states[k].time for k in kept]
     # the kept states are the states of those steps, bit for bit
     for k, state in zip(kept, strided.states):
-        ref = every.states[k]
-        for a, b in ((state.conc.c1, ref.conc.c1), (state.conc.c2, ref.conc.c2),
-                     (state.electro.phi, ref.electro.phi), (state.flow.p, ref.flow.p)):
-            assert np.array_equal(a.values, b.values)
+        _assert_same_fields(state, every.states[k])
     # reports and monitor rows are still one per accepted step
     assert len(strided.reports) == len(strided.monitors) == n_steps
     assert strided.reports == every.reports
     assert strided.monitors == every.monitors
+
+
+def _assert_same_fields(state, ref):
+    for a, b in ((state.conc.c1, ref.conc.c1), (state.conc.c2, ref.conc.c2),
+                 (state.electro.phi, ref.electro.phi), (state.flow.p, ref.flow.p)):
+        assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("n_steps", [7, 20])
+def test_a_sink_gets_each_kept_state_once_the_step_after_it_is_accepted(monkeypatch, n_steps):
+    g, p, init, sched = coupled_setup(8)
+    p = replace(p, T_end=n_steps * p.dt)
+    collected = advance(g, p, init, sched, stride=5)
+    returned = []  # one entry per gummel_step that returned a step
+    step = gummel.gummel_step
+
+    def counted(*args, **kwargs):
+        out = step(*args, **kwargs)
+        returned.append(out)
+        return out
+
+    monkeypatch.setattr(gummel, "gummel_step", counted)
+    handed = []
+    sunk = advance(g, p, init, sched, stride=5, sink=lambda k, state: handed.append((k, state, len(returned))))
+    # the sink gets the default collector's (k, state) pairs, bit for bit
+    assert [k for k, _, _ in handed] == collected.steps
+    for (_, state, _), ref in zip(handed, collected.states):
+        assert state.time == ref.time
+        _assert_same_fields(state, ref)
+    # state k arrives once gummel_step has returned step k + 1, the last after the march: none before step 1
+    assert [n for _, _, n in handed] == [min(k + 1, n_steps) for k in collected.steps]
+    # the result keeps only the last state, and every report and monitor row
+    assert sunk.steps == [n_steps] and sunk.states == [handed[-1][1]]
+    assert sunk.reports == collected.reports and sunk.monitors == collected.monitors
 
 
 def test_all_monitors_pass_on_mild_coupled_run():

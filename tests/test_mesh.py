@@ -43,9 +43,14 @@ def test_grid_coordinates_are_cell_and_face_midpoints():
 
 
 def test_grid_rejects_bad_dimensions():
-    for bad in [(0, 1, 1.0, 1.0), (1, 0, 1.0, 1.0), (1, 1, 0.0, 1.0), (1, 1, 1.0, -2.0)]:
+    inf, nan = float("inf"), float("nan")
+    for bad in [(0, 1, 1.0, 1.0), (1, 0, 1.0, 1.0), (1, 1, 0.0, 1.0), (1, 1, 1.0, -2.0),
+                (4, 4, inf, 1.0), (4, 4, 1.0, inf), (4, 4, nan, 1.0), (4, 4, 1.0, nan)]:
         with pytest.raises(ValueError):
             Grid(*bad)
+    # an infinite length would give h = inf and edges of 0 * inf
+    with pytest.raises(ValueError, match=r"domain lengths must be positive and finite, got \(inf, 1\)"):
+        Grid(4, 4, inf, 1.0)
 
 
 def test_cell_field_shape_and_integral():
