@@ -25,17 +25,9 @@ from .linalg import SolverError
 
 
 def _parse_grids(text):
-    grids = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "x" in part:
-            nx, ny = part.split("x", 1)
-            grids.append((int(nx), int(ny)))
-        else:
-            grids.append(int(part))
-    return grids
+    """The grid list "16,32" or "16x8,32x16" as ints and (nx, ny) pairs; blank entries are skipped."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    return [tuple(map(int, part.split("x", 1))) if "x" in part else int(part) for part in parts]
 
 
 def _load(path):
@@ -68,8 +60,10 @@ def _cmd_check(args):
 def _cmd_mms(args):
     from . import mms  # only this command reads the manufactured cases, so run, check and bounds start without them
 
-    if args.case not in mms.CASES:  # argparse's error: usage, the message, exit 2
-        args.error("unknown manufactured case %r; choose from %s" % (args.case, ", ".join(mms.CASES)))
+    try:
+        mms.check_case(args.case)
+    except ValueError as exc:
+        args.error(str(exc))  # argparse's error: usage, the message, exit 2
     try:
         grids = _parse_grids(args.grids)
         mms.check_grids(grids)

@@ -33,9 +33,9 @@ halving dt for a failed step down to the absolute floor params.dt / 2**10;
 the next step keeps a halved dt and doubles an unhalved one up to params.dt
 (Gustafsson & Soederlind, SIAM J. Sci. Comput. 18, 1997).  It evaluates the
 boundary schedule at each new time and runs the monitors on every accepted
-state.  It hands the states of step 0, of every stride-th step and of the
-last step to a sink as soon as the march is done with each, so it holds
-about two states at any step count.
+state.  It hands each state but the last to a sink once it is done with
+it and returns the last, so it holds about two states at any step count;
+which of them are written is the caller's choice.
 """
 
 import math
@@ -191,24 +191,20 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
 
 @dataclass
 class SimResult:
-    """Everything advance() produced: the kept states and a report and monitor row per accepted step."""
+    """What advance() returns besides the states it handed over: a report and monitor row per accepted step."""
 
-    states: list  # the kept States: step 0, every stride-th accepted step and the last; only the last with a sink
-    steps: list  # the accepted-step index of each kept State
+    states: list  # [the final State], a list only for perfbench/child.py's states[-1] until ROADMAP item 1(b)
     reports: list  # GummelReport per accepted step
     monitors: list  # MonitorReport per accepted step
     ledger: object  # the a-priori bounds over [0, T_end]
 
 
-def advance(grid, params, initial, schedule, settings=SweepSettings(), stride=1, sink=None):
+def advance(grid, params, initial, schedule, settings, sink):
     """March from 0 to params.T_end in steps of params.dt; returns a SimResult.
 
-    The State of step 0, of every stride-th accepted step and of the last
-    one goes to sink(k, state) under its step index k: state k once step
-    k + 1 is accepted, so never before the first gummel_step, and the last
-    after the loop.  The march then drops it, and holds at most two States
-    at any step count.  Without a sink the result keeps every State handed
-    over (stride=1 keeps every step); with one, it keeps only the last.
+    Every State but the final one goes to sink(k, state) under its step
+    index k once step k + 1 is accepted, never before the first
+    gummel_step, and is then dropped: the march holds at most two States.
 
     A step that fails (GummelError) is retried at half the step size and
     the shortened step is accepted as a real step; the next step tries it
@@ -223,8 +219,6 @@ def advance(grid, params, initial, schedule, settings=SweepSettings(), stride=1,
     state = initial_state(grid, params, initial, schedule.at(0.0))
     evaluator = BoundsEvaluator(grid, params, schedule, initial)
 
-    kept = {}  # step index -> State, filled by the default sink
-    sink = sink or kept.__setitem__
     reports = []
     monitor_rows = []
     eps = 1e-12 * max(1.0, T_end)
@@ -244,10 +238,6 @@ def advance(grid, params, initial, schedule, settings=SweepSettings(), stride=1,
         dt = dt_try if halvings else min(2.0 * dt_try, params.dt)
         monitor_rows.append(monitors.check_state(grid, params, evaluator, new_state, state, dt_try))
         reports.append(replace(rep, halvings=halvings, wasted_sweeps=wasted))
-        if (len(reports) - 1) % stride == 0:
-            sink(len(reports) - 1, state)
+        sink(len(reports) - 1, state)
         state = new_state
-    sink(len(reports), state)
-
-    kept = kept or {len(reports): state}
-    return SimResult(list(kept.values()), list(kept), reports, monitor_rows, evaluator.ledger())
+    return SimResult([state], reports, monitor_rows, evaluator.ledger())

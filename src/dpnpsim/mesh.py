@@ -35,10 +35,11 @@ class Grid:
     """
 
     def __init__(self, nx, ny, lx, ly):
-        nx, ny = int(nx), int(ny)
+        # integer counts: int() would cast 2.5 and "8", and operator.index would take a bool as 0 or 1
+        if not all(hasattr(n, "__index__") and not isinstance(n, bool) and n >= 1 for n in (nx, ny)):
+            raise ValueError("grid needs integers nx >= 1 and ny >= 1, got (%r, %r)" % (nx, ny))
+        nx, ny = operator.index(nx), operator.index(ny)
         lx, ly = float(lx), float(ly)
-        if nx < 1 or ny < 1:
-            raise ValueError("grid needs nx >= 1 and ny >= 1, got (%d, %d)" % (nx, ny))
         if not (0.0 < lx < math.inf and 0.0 < ly < math.inf):
             raise ValueError("domain lengths must be positive and finite, got (%g, %g)" % (lx, ly))
         self.n = (nx, ny)

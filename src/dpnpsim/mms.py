@@ -285,6 +285,12 @@ _RUNNERS = {
 CASES = tuple(_RUNNERS)
 
 
+def check_case(case):
+    """Raise ValueError, naming CASES, unless case is one of them."""
+    if case not in CASES:
+        raise ValueError("unknown manufactured case %r; choose from %s" % (case, ", ".join(CASES)))
+
+
 def check_grids(grids):
     """The unit-square Grids of a grid list whose entries are ints (n -> n x n) or (nx, ny) pairs.
 
@@ -308,8 +314,7 @@ def run_mms(case, grids):
     unit square and the material data are the unit defaults PhysParams(),
     whose isotropic permeability the darcy and coupled cases need.
     """
-    if case not in CASES:
-        raise ValueError("unknown manufactured case %r; choose from %s" % (case, ", ".join(CASES)))
+    check_case(case)
     grids = check_grids(grids)
     params = PhysParams()
 

@@ -13,10 +13,11 @@ A run produces, inside the configured output directory:
                         on failed attempts), monitor verdict, wall time of
                         the march and its snapshot writes
 
-Each snapshot is written as soon as the march hands its state over (state k
-once step k + 1 is accepted), so a run holds about two states at any step
-count, as does check, which keeps none.  The other files follow the march,
-so a run that breaks down leaves only the snapshots already written.
+The march hands over state k once step k + 1 is accepted and returns the
+final one; run alone picks the snapshots, state k where `snapshot_stride`
+divides k, then the final state.  So a run holds about two states at any
+step count, as does check, which keeps none.  The other files follow the
+march: a run that breaks down leaves only the snapshots already written.
 
 Floats are written with repr(), so rerunning the same configuration
 reproduces the CSV files byte for byte (summary.json contains the wall time
@@ -112,11 +113,11 @@ class RunOutput:
 
 
 def _advance(cfg, sink):
-    return gummel.advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings, cfg.snapshot_stride, sink)
+    return gummel.advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings, sink)
 
 
 def run(cfg, out_dir=None):
-    """Advance the configured simulation, writing each snapshot as the march hands it over, then the other files."""
+    """Advance the configured simulation, writing the snapshots as the march hands states over, then the other files."""
     target = out_dir or cfg.out_dir
     os.makedirs(target, exist_ok=True)
     files = []
@@ -130,8 +131,13 @@ def run(cfg, out_dir=None):
             fh.writelines(snapshot_text(templates, cfg.params, state))
         files.append(name)
 
+    def write_kept(k, state):
+        if k % cfg.snapshot_stride == 0:
+            write_snapshot(k, state)
+
     t_start = time.perf_counter()
-    result = _advance(cfg, write_snapshot)
+    result = _advance(cfg, write_kept)
+    write_snapshot(len(result.reports), result.states[-1])
     wall = time.perf_counter() - t_start
 
     write_csv(

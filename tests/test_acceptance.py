@@ -29,13 +29,14 @@ import pytest
 from dpnpsim.bounds import BoundsEvaluator
 from dpnpsim.darcy import solve_darcy
 from dpnpsim.gauss import fv_laplacian, solve_gauss
-from dpnpsim.gummel import SweepSettings, advance
+from dpnpsim.gummel import SweepSettings
 from dpnpsim.linalg import solve_nonsym, solve_spd
 from dpnpsim.mesh import BoundaryField, CellField, FaceField, Grid
 from dpnpsim.mms import run_mms
 from dpnpsim.params import PhysParams
 from dpnpsim.schedule import BoundarySpec, Ramp, Schedule
 from dpnpsim.transport import Concentrations, _species_system, free_charge, step_transport
+from march_helpers import march
 from matrix_helpers import to_dense
 
 SUITE_RUNS = 50
@@ -146,7 +147,7 @@ def suite():
     t0 = time.perf_counter()
     for i in range(SUITE_RUNS):
         grid, params, initial, schedule = _random_setup(1000 + i)
-        result = advance(grid, params, initial, schedule, SweepSettings(tol=SUITE_TOL))
+        result = march(grid, params, initial, schedule, SweepSettings(tol=SUITE_TOL))
         runs.append((grid, params, initial, schedule, result))
         if (i + 1) % 10 == 0:
             print("suite: %d/%d runs (%.0fs)" % (i + 1, SUITE_RUNS, time.perf_counter() - t0))
@@ -239,7 +240,7 @@ def test_09_symmetric_electrolyte():
         g=(BoundarySpec(grid, left=0.05), BoundarySpec(grid, left=0.05)),
         rho_b=CellField.zeros(grid),
     )
-    result = advance(grid, params, initial, schedule, SweepSettings(tol=1e-10))
+    result = march(grid, params, initial, schedule, SweepSettings(tol=1e-10))
     final = result.states[-1].conc
     gap = float(np.abs(final.c1.values - final.c2.values).max())
     ok = gap <= 1e-8

@@ -51,6 +51,7 @@ from dpnpsim.mesh import CellField, Grid
 from dpnpsim.params import PhysParams
 from dpnpsim.transport import Concentrations
 
+from march_helpers import march
 from schedule_helpers import constant_schedule
 
 
@@ -278,7 +279,7 @@ def test_a_march_builds_one_ledger_and_the_energy_bound_matches_it(monkeypatch):
 
     monkeypatch.setattr(gummel, "BoundsEvaluator", Recorded)
     monkeypatch.setattr(bounds, "compute_CM", counted_CM)
-    res = gummel.advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
+    res = march(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
     assert len(cm_calls) == 1
     (ev,) = evaluators
     assert ev.ledger() is ev.ledger() is res.ledger

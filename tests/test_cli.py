@@ -150,7 +150,7 @@ def _state_nbytes(state):
 def _traced_run(tmp_path, n_steps, stride):
     """Run 32x32 demo physics for n_steps at a snapshot stride under tracemalloc.
 
-    Returns (bytes its output holds, peak bytes of the run, kept steps, a state's bytes).
+    Returns (bytes its output holds, peak bytes of the run, the States its result holds, a state's bytes).
     """
     with open(os.path.join(ROOT, "configs", "demo.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -161,18 +161,18 @@ def _traced_run(tmp_path, n_steps, stride):
     try:
         out = runner.run(cfg, out_dir=str(tmp_path / ("%d-%d" % (n_steps, stride))))
         held, peak = tracemalloc.get_traced_memory()
-        steps, state_bytes = out.result.steps, _state_nbytes(out.result.states[-1])
+        states, state_bytes = len(out.result.states), _state_nbytes(out.result.states[-1])
         del out
         gc.collect()
-        return held - tracemalloc.get_traced_memory()[0], peak, steps, state_bytes
+        return held - tracemalloc.get_traced_memory()[0], peak, states, state_bytes
     finally:
         tracemalloc.stop()
 
 
 def test_a_runs_memory_grows_with_its_snapshots_not_its_steps(tmp_path):
-    held10, _, steps10, state_bytes = _traced_run(tmp_path, 10, stride=10)
-    held40, _, steps40, _ = _traced_run(tmp_path, 40, stride=40)
-    assert (steps10, steps40) == ([10], [40])  # a run's result holds only its final state
+    held10, _, states10, state_bytes = _traced_run(tmp_path, 10, stride=10)
+    held40, _, states40, _ = _traced_run(tmp_path, 40, stride=40)
+    assert (states10, states40) == (1, 1)  # a run's result holds only its final state
     # a step may add its report and monitor row (a few kB), not a state (about 80 kB here)
     assert (held40 - held10) / 30 < state_bytes / 10
 
@@ -184,6 +184,25 @@ def test_a_runs_peak_memory_is_flat_in_its_snapshots(tmp_path):
     written = sorted(n for n in os.listdir(tmp_path / "40-1") if n.startswith("snapshot_"))
     assert written == ["snapshot_%06d.csv" % k for k in range(41)]
     assert peak40 - peak10 < 3 * state_bytes
+
+
+@pytest.mark.parametrize("n_steps, kept", [(7, [0, 5, 7]), (20, [0, 5, 10, 15, 20])])
+def test_a_snapshot_stride_writes_step_zero_every_stride_th_step_and_the_last(tmp_path, n_steps, kept):
+    runs = {}
+    for stride in (1, 5):
+        cfg = write_cfg(tmp_path, time={"t_end": n_steps * 0.01, "dt": 0.01}, output={"snapshot_stride": stride})
+        runs[stride] = runner.run(load_config(cfg), out_dir=str(tmp_path / str(stride)))
+    others = ["bounds.txt", "monitors.csv", "summary.json"]
+    for stride, steps in ((1, range(n_steps + 1)), (5, kept)):
+        assert sorted(os.listdir(tmp_path / str(stride))) == sorted(others + ["snapshot_%06d.csv" % k for k in steps])
+    # the written states are those of their steps, bit for bit, and the monitor rows are one per accepted step
+    for name in os.listdir(tmp_path / "5"):
+        if name != "summary.json":
+            assert read(tmp_path / "5" / name) == read(tmp_path / "1" / name), name
+    assert len(read(tmp_path / "5" / "monitors.csv").splitlines()) == 1 + n_steps
+    counts = [{k: v for k, v in runs[stride].summary.items() if k != "wall_time_s"} for stride in (1, 5)]
+    assert counts[0] == counts[1] and counts[1]["steps"] == n_steps
+    assert runs[5].result.reports == runs[1].result.reports
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -25,8 +25,9 @@ import os
 import numpy as np
 
 from dpnpsim.config import parse_config
-from dpnpsim.gummel import advance
 from dpnpsim.monitors import MonitorReport
+
+from march_helpers import march
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -53,7 +54,7 @@ def _march_to_equilibrium(kappa, z, q_from):
     doc["time"].update(t_end=4.0, dt=0.04)
     cfg = parse_config(doc)
     p = cfg.params
-    res = advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
+    res = march(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
 
     for m in res.monitors:
         for flag in MonitorReport.FLAGS:

@@ -35,10 +35,10 @@ Key scenarios:
     below tol in the sweeps left.  Scripted increments pin the rule, with
     the real sweep running underneath.
 
-  * advance keeps the states of step 0, of every stride-th step and of the
-    last step, bit for bit as with stride 1, and still a report and a
-    monitor row per accepted step.  A sink gets those states, each once
-    the step after it is accepted, and the result then keeps only the last.
+  * advance hands every state but the last to its sink, each the State the
+    step made and each once the step after it is accepted, and returns only
+    the last, with a report and a monitor row per accepted step.  The other
+    tests read the whole march through march_helpers.march.
 
   * Swapping the axes commutes with a coupled step: on a non-square grid
     with anisotropic D, K and epsilon and data on the x sides, the step on
@@ -69,7 +69,6 @@ from dpnpsim.gauss import solve_gauss
 from dpnpsim.gummel import (
     GummelError,
     SweepSettings,
-    advance,
     gummel_step,
     initial_state,
 )
@@ -79,6 +78,7 @@ from dpnpsim.params import PhysParams
 from dpnpsim.schedule import BoundarySpec, Ramp, Schedule
 from dpnpsim.transport import Concentrations, free_charge, step_transport
 
+from march_helpers import march
 from schedule_helpers import constant_schedule
 
 
@@ -290,7 +290,7 @@ def test_advance_rejects_bad_step_and_horizon_before_any_solve(monkeypatch, name
     monkeypatch.setattr(gummel, "solve_gauss", no_solve)
     rule = "be > 0, got %g" % value if math.isfinite(value) else "be a finite number, got %r" % value
     with pytest.raises(ValueError, match="%s must %s" % (name, rule)):
-        advance(g, replace(p, **{name: value}), init, sched)
+        march(g, replace(p, **{name: value}), init, sched)
 
 
 def test_step_raises_with_report_when_sweeps_exhausted():
@@ -369,7 +369,7 @@ def test_converged_state_carries_applied_rates_and_time():
 
 def test_advance_lands_exactly_on_T_end_with_clipped_final_step():
     g, p, init, sched = coupled_setup(8)
-    res = advance(g, replace(p, dt=0.02), init, sched, SweepSettings(tol=1e-10))
+    res = march(g, replace(p, dt=0.02), init, sched, SweepSettings(tol=1e-10))
     times = [s.time for s in res.states]
     assert times[0] == 0.0
     assert len(res.states) == len(res.reports) + 1
@@ -382,24 +382,6 @@ def test_advance_lands_exactly_on_T_end_with_clipped_final_step():
     assert res.ledger is not None
 
 
-@pytest.mark.parametrize("n_steps, kept", [(7, [0, 5, 7]), (20, [0, 5, 10, 15, 20])])
-def test_a_stride_keeps_step_zero_every_stride_th_step_and_the_last(n_steps, kept):
-    g, p, init, sched = coupled_setup(8)
-    p = replace(p, T_end=n_steps * p.dt)
-    every = advance(g, p, init, sched)
-    strided = advance(g, p, init, sched, stride=5)
-    assert every.steps == list(range(n_steps + 1))
-    assert strided.steps == kept
-    assert [s.time for s in strided.states] == [every.states[k].time for k in kept]
-    # the kept states are the states of those steps, bit for bit
-    for k, state in zip(kept, strided.states):
-        _assert_same_fields(state, every.states[k])
-    # reports and monitor rows are still one per accepted step
-    assert len(strided.reports) == len(strided.monitors) == n_steps
-    assert strided.reports == every.reports
-    assert strided.monitors == every.monitors
-
-
 def _assert_same_fields(state, ref):
     for a, b in ((state.conc.c1, ref.conc.c1), (state.conc.c2, ref.conc.c2),
                  (state.electro.phi, ref.electro.phi), (state.flow.p, ref.flow.p)):
@@ -410,33 +392,40 @@ def _assert_same_fields(state, ref):
 def test_a_sink_gets_each_kept_state_once_the_step_after_it_is_accepted(monkeypatch, n_steps):
     g, p, init, sched = coupled_setup(8)
     p = replace(p, T_end=n_steps * p.dt)
-    collected = advance(g, p, init, sched, stride=5)
-    returned = []  # one entry per gummel_step that returned a step
-    step = gummel.gummel_step
+    whole = march(g, p, init, sched)
+    made = []  # the initial state, then the state of each gummel_step that returned
+    start, step = gummel.initial_state, gummel.gummel_step
 
-    def counted(*args, **kwargs):
-        out = step(*args, **kwargs)
-        returned.append(out)
+    def started(*args):
+        made.append(start(*args))
+        return made[-1]
+
+    def stepped(*args):
+        out = step(*args)
+        made.append(out[0])
         return out
 
-    monkeypatch.setattr(gummel, "gummel_step", counted)
+    monkeypatch.setattr(gummel, "initial_state", started)
+    monkeypatch.setattr(gummel, "gummel_step", stepped)
     handed = []
-    sunk = advance(g, p, init, sched, stride=5, sink=lambda k, state: handed.append((k, state, len(returned))))
-    # the sink gets the default collector's (k, state) pairs, bit for bit
-    assert [k for k, _, _ in handed] == collected.steps
-    for (_, state, _), ref in zip(handed, collected.states):
+    res = gummel.advance(g, p, init, sched, SweepSettings(), lambda k, state: handed.append((k, state, len(made))))
+    # the sink gets k = 0 ... n - 1 in order, each the very State made for step k
+    assert [k for k, _, _ in handed] == list(range(n_steps))
+    assert all(state is made[k] for k, state, _ in handed)
+    # state k arrives once gummel_step has returned step k + 1: none before step 1
+    assert [n for _, _, n in handed] == [k + 2 for k in range(n_steps)]
+    # the result holds only the last State, and a report and monitor row per step
+    assert len(made) == n_steps + 1 and len(res.states) == 1 and res.states[0] is made[-1]
+    # every State is the helper's march, bit for bit
+    for state, ref in zip([state for _, state, _ in handed] + res.states, whole.states, strict=True):
         assert state.time == ref.time
         _assert_same_fields(state, ref)
-    # state k arrives once gummel_step has returned step k + 1, the last after the march: none before step 1
-    assert [n for _, _, n in handed] == [min(k + 1, n_steps) for k in collected.steps]
-    # the result keeps only the last state, and every report and monitor row
-    assert sunk.steps == [n_steps] and sunk.states == [handed[-1][1]]
-    assert sunk.reports == collected.reports and sunk.monitors == collected.monitors
+    assert res.reports == whole.reports and res.monitors == whole.monitors
 
 
 def test_all_monitors_pass_on_mild_coupled_run():
     g, p, init, sched = coupled_setup()
-    res = advance(g, p, init, sched, SweepSettings(tol=1e-10))
+    res = march(g, p, init, sched, SweepSettings(tol=1e-10))
     for m in res.monitors:
         for flag in type(m).FLAGS:
             assert getattr(m, flag), "%s failed at t=%g" % (flag, m.time)
@@ -445,8 +434,8 @@ def test_all_monitors_pass_on_mild_coupled_run():
 def test_damping_reaches_the_same_fixed_point():
     g, p, init, sched = coupled_setup()
     tol = 1e-10
-    base = advance(g, p, init, sched, SweepSettings(tol=tol))
-    damped = advance(g, p, init, sched, SweepSettings(tol=tol, damping=0.7))
+    base = march(g, p, init, sched, SweepSettings(tol=tol))
+    damped = march(g, p, init, sched, SweepSettings(tol=tol, damping=0.7))
     assert weighted_dist(g, p, base.states[-1], damped.states[-1]) <= 10 * tol
     # damping slows the sweep but must not change the answer
     assert sum(r.sweeps for r in damped.reports) > sum(r.sweeps for r in base.reports)
@@ -462,7 +451,7 @@ def test_damped_step_keeps_the_mass_identity_of_its_stored_rates():
     doc["grid"].update(nx=8, ny=8)
     doc["time"].update(t_end=0.02, damping=0.5)
     cfg = parse_config(doc)
-    res = advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
+    res = march(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
     assert max(max(m.mass_residual1, m.mass_residual2) for m in res.monitors) <= 1e-13
 
 
@@ -477,7 +466,7 @@ def test_symmetric_electrolyte_keeps_species_identical():
     sched = constant_schedule(
         g, f={"bottom": -0.2, "top": 0.2}, g1={"left": 0.05}, g2={"left": 0.05}
     )
-    res = advance(g, p, init, sched, SweepSettings(tol=1e-10))
+    res = march(g, p, init, sched, SweepSettings(tol=1e-10))
     gap = max(np.abs(s.conc.c1.values - s.conc.c2.values).max() for s in res.states)
     assert gap <= 1e-8
 
@@ -491,7 +480,7 @@ def test_advance_halves_dt_until_the_sweep_converges():
     c1 = CellField(g, 0.8 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y))
     init = Concentrations(c1, CellField.full(g, 0.3))
     sched = constant_schedule(g, sigma={"left": 0.05, "right": -0.05})
-    res = advance(g, p, init, sched, SweepSettings(tol=1e-8, max_sweeps=6))
+    res = march(g, p, init, sched, SweepSettings(tol=1e-8, max_sweeps=6))
     halvings = [r.halvings for r in res.reports]
     assert max(halvings) >= 3
     # failed attempts stop as soon as their sweep cannot converge, short of the budget of 6
@@ -508,7 +497,7 @@ def test_advance_raises_after_exhausting_halvings():
     init = Concentrations(c1, CellField.full(g, 0.3))
     sched = constant_schedule(g, sigma={"left": 0.05, "right": -0.05})
     with pytest.raises(GummelError):
-        advance(g, p, init, sched, SweepSettings(tol=1e-300, max_sweeps=1))
+        march(g, p, init, sched, SweepSettings(tol=1e-300, max_sweeps=1))
 
 
 def test_advance_halves_dt_on_linear_solver_failure(monkeypatch):
@@ -524,7 +513,7 @@ def test_advance_halves_dt_on_linear_solver_failure(monkeypatch):
         return real_step_transport(*args, **kwargs)
 
     monkeypatch.setattr(gummel, "step_transport", failing_at_nominal_dt)
-    res = advance(g, p, init, sched)
+    res = march(g, p, init, sched)
     assert res.reports[0].halvings == 1
     assert res.reports[0].wasted_sweeps == 0  # the solve failed inside the first sweep
     assert res.states[1].time == pytest.approx(0.01, abs=1e-15)
@@ -538,7 +527,7 @@ def test_advance_halves_dt_on_linear_solver_failure(monkeypatch):
 
     monkeypatch.setattr(gummel, "step_transport", always_failing)
     with pytest.raises(GummelError) as exc:
-        advance(g, p, init, sched)
+        march(g, p, init, sched)
     assert exc.value.__cause__ is failed
     assert exc.value.report.sweeps == 0
     assert len(tried) == gummel.MAX_HALVINGS + 1  # the nominal step and 10 halvings
@@ -560,7 +549,7 @@ def test_a_halved_dt_is_kept_for_the_next_step(monkeypatch):
         return real_step_transport(*args, **kwargs)
 
     monkeypatch.setattr(gummel, "step_transport", failing_above_half_dt)
-    res = advance(g, p, init, sched)
+    res = march(g, p, init, sched)
     halvings = [r.halvings for r in res.reports]
     assert 2 * sum(halvings) <= len(res.reports)
     assert halvings[:4] == [1, 0, 1, 0]
@@ -583,7 +572,7 @@ def test_a_kept_dt_does_not_lower_the_absolute_floor(monkeypatch):
 
     monkeypatch.setattr(gummel, "gummel_step", failing_after_the_first_step)
     with pytest.raises(GummelError, match="forced failure"):
-        advance(g, p, init, sched)
+        march(g, p, init, sched)
     assert tried[0] == 0.02
     assert tried[1:] == [0.02 / 2**j for j in range(1, gummel.MAX_HALVINGS + 1)]
 
@@ -629,7 +618,7 @@ def test_steps_with_unchanged_data_make_no_extra_field_solve(monkeypatch):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     cfg = load_config(os.path.join(root, "configs", "symmetric.json"))
     calls = count_calls(monkeypatch, ("solve_gauss", "solve_darcy"))
-    res = advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
+    res = march(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
     assert sum(r.sweeps for r in res.reports) == 40
     assert calls == {"solve_gauss": 41, "solve_darcy": 41}
 
@@ -692,7 +681,7 @@ def test_a_rest_state_responds_at_a_ramp_onset():
     # than tol (acceptance criterion 12)
     g, p, rest, sched = rest_under_a_sigma_ramp()
     none = BoundarySpec(g)
-    res = advance(g, p, rest, sched)
+    res = march(g, p, rest, sched)
     assert [(r.sweeps > 1, r.halvings) for r in res.reports] == [(False, 0), (True, 0), (True, 0)]
     for prev, state in zip(res.states, res.states[1:]):
         extra = step_transport(
@@ -727,7 +716,7 @@ def test_late_linear_solver_failure_counts_the_completed_sweeps(monkeypatch):
         return real_solve_gauss(*args, **kwargs)
 
     monkeypatch.setattr(gummel, "solve_gauss", failing_in_the_converged_sweep)
-    res = advance(g, p, init, sched)
+    res = march(g, p, init, sched)
     assert res.reports[0].halvings == 1
     assert res.reports[0].wasted_sweeps == converged_sweeps
     assert res.states[-1].time == pytest.approx(0.02, abs=1e-12)

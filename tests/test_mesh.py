@@ -45,9 +45,18 @@ def test_grid_coordinates_are_cell_and_face_midpoints():
 def test_grid_rejects_bad_dimensions():
     inf, nan = float("inf"), float("nan")
     for bad in [(0, 1, 1.0, 1.0), (1, 0, 1.0, 1.0), (1, 1, 0.0, 1.0), (1, 1, 1.0, -2.0),
-                (4, 4, inf, 1.0), (4, 4, 1.0, inf), (4, 4, nan, 1.0), (4, 4, 1.0, nan)]:
+                (4, 4, inf, 1.0), (4, 4, 1.0, inf), (4, 4, nan, 1.0), (4, 4, 1.0, nan),
+                (2.5, 4, 1.0, 1.0), (4, 2.5, 1.0, 1.0), (True, 4, 1.0, 1.0), (4, True, 1.0, 1.0),
+                ("8", 4, 1.0, 1.0), (4, "8", 1.0, 1.0)]:
         with pytest.raises(ValueError):
             Grid(*bad)
+    # int() would cast these to a 2x4, a 1x4 and an 8x4 grid
+    for nx in (2.5, True, "8"):
+        with pytest.raises(ValueError, match=r"grid needs integers nx >= 1 and ny >= 1, got \(%r, 4\)" % nx):
+            Grid(nx, 4, 1.0, 1.0)
+    # numpy integers are counts, taken as ints
+    n = Grid(np.int64(8), np.int32(4), 1.0, 1.0).n
+    assert n == (8, 4) and all(type(v) is int for v in n)
     # an infinite length would give h = inf and edges of 0 * inf
     with pytest.raises(ValueError, match=r"domain lengths must be positive and finite, got \(inf, 1\)"):
         Grid(4, 4, inf, 1.0)

@@ -102,7 +102,7 @@ def test_grid_list_is_checked_before_any_solve():
         with pytest.raises(ValueError, match="8x.* have the same spacing h"):
             run_mms("poisson", grids)
     # Grid's own rule and message: one rule, one message
-    with pytest.raises(ValueError, match=r"grid needs nx >= 1 and ny >= 1, got \(0, 4\)"):
+    with pytest.raises(ValueError, match=r"grid needs integers nx >= 1 and ny >= 1, got \(0, 4\)"):
         run_mms("poisson", ((0, 4),))
     with pytest.raises(ValueError, match="need at least one grid"):
         run_mms("poisson", [])

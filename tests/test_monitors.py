@@ -21,12 +21,13 @@ import pytest
 
 from dpnpsim.bounds import BoundsEvaluator
 from dpnpsim.config import parse_config
-from dpnpsim.gummel import advance, initial_state
+from dpnpsim.gummel import initial_state
 from dpnpsim.mesh import CellField, Grid
 from dpnpsim.monitors import MonitorReport, check_state, weighted_energy
 from dpnpsim.params import PhysParams
 from dpnpsim.transport import Concentrations
 
+from march_helpers import march
 from schedule_helpers import constant_schedule
 
 
@@ -141,14 +142,14 @@ def test_a_state_equal_to_the_initial_data_meets_the_energy_bound():
     doc = {"grid": {"nx": 6, "ny": 6}, "physics": {}, "initial": {"c1": 0.5, "c2": 0.3},
            "time": {"t_end": 0.02, "dt": 0.01}}
     cfg = parse_config(doc)
-    result = advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
+    result = march(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
     energy = weighted_energy(cfg.params, cfg.initial)
     assert [(m.energy, m.energy_bound, m.energy_ok) for m in result.monitors] == [(energy, energy, True)] * 2
 
 
 def test_check_state_all_flags_pass_on_accepted_steps():
     g, p, initial, sched = small_run()
-    result = advance(g, p, initial, sched)
+    result = march(g, p, initial, sched)
     assert len(result.monitors) == 2
     for m in result.monitors:
         assert m.all_ok(), [f for f in MonitorReport.FLAGS if not getattr(m, f)]
@@ -188,7 +189,7 @@ def test_check_state_observes_corrupted_state_without_raising():
 
 def test_monitor_csv_row_matches_header_and_serializes_cleanly():
     g, p, initial, sched = small_run()
-    result = advance(g, p, initial, sched)
+    result = march(g, p, initial, sched)
     m = result.monitors[0]
     header = MonitorReport.csv_header()
     row = m.csv_row()
@@ -230,6 +231,6 @@ def test_monitor_csv_row_matches_header_and_serializes_cleanly():
 
 def test_mass_balance_flag_over_longer_run():
     g, p, initial, sched = small_run(exchange_rate=0.5)
-    result = advance(g, replace(p, T_end=0.05, dt=0.005), initial, sched)
+    result = march(g, replace(p, T_end=0.05, dt=0.005), initial, sched)
     for m in result.monitors:
         assert max(m.mass_residual1, m.mass_residual2) <= 1e-10

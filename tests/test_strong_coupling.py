@@ -44,8 +44,9 @@ import os
 import pytest
 
 from dpnpsim.config import parse_config
-from dpnpsim.gummel import advance
 from dpnpsim.monitors import MonitorReport
+
+from march_helpers import march
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -75,7 +76,7 @@ def _march(kappa, z, uncharged=False, damping=1.0, n=16):
         del doc["boundary"]["sigma"]
         doc["background_charge"] = 0.0
     cfg = parse_config(doc)
-    res = advance(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
+    res = march(cfg.grid, cfg.params, cfg.initial, cfg.schedule, cfg.settings)
 
     for m in res.monitors:
         for flag in MonitorReport.FLAGS:
