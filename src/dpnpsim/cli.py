@@ -65,8 +65,7 @@ def _cmd_mms(args):
     except ValueError as exc:
         args.error(str(exc))  # argparse's error: usage, the message, exit 2
     try:
-        grids = _parse_grids(args.grids)
-        mms.check_grids(grids)
+        grids = mms.check_grids(_parse_grids(args.grids))
     except ValueError as exc:
         print("bad grid list %r: %s" % (args.grids, exc), file=sys.stderr)
         return 2
@@ -85,8 +84,7 @@ def _cmd_bounds(args):
     print(runner.bounds_text(ledger), end="")
     if args.csv:
         print()
-        for row in runner.bounds_csv_rows(ledger):
-            print(",".join(row))
+        sys.stdout.writelines(map(runner.csv_line, runner.bounds_csv_rows(ledger)))
     return 0
 
 

@@ -9,7 +9,10 @@ validates the whole document before building anything and reports *every*
 violation at once in ConfigError.violations, each message naming the
 offending content; it never stops at the first problem.  A key that fills a
 field of PhysParams.DOMAINS or SweepSettings.DOMAINS is judged by that entry,
-so it gets the record's message under the key's name ("time.tol must be > 0").
+so it gets the record's message under the key's name ("time.tol must be > 0");
+the valence and horizon rules give params' messages after "physics " and
+"time.".  The key lists of the time and initial blocks and of a ramp are read
+off the records they fill.
 
 Scalar fields on cells (initial concentrations, background charge) are given
 as specs:
@@ -33,14 +36,14 @@ import ast
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .darcy import imbalance
 from .gummel import SweepSettings
 from .mesh import SIDES, CellField, Grid
-from .params import PhysParams, finite_number, pair_violation, valence_violation, violation
+from .params import PhysParams, finite_number, horizon_violation, stored, valence_violation, violation
 from .schedule import BoundarySpec, Ramp, Schedule
 from .transport import Concentrations
 
@@ -48,12 +51,12 @@ _BLOCKS = ("grid", "physics", "initial", "background_charge", "boundary", "time"
 _GRID_KEYS = ("nx", "ny", "lx", "ly")
 _PHYSICS_KEYS = ("theta", "D", "K", "mu", "eps_s", "kappa", "z1", "z2", "reaction")
 _REACTION_KEYS = ("kind", "rate")
-_INITIAL_KEYS = ("c1", "c2")
+_INITIAL_KEYS = Concentrations._fields
 _INFLOW_KEYS = ("g1", "g2")  # one per species
 _BOUNDARY_KEYS = ("sigma", "f") + _INFLOW_KEYS
 _SIDE_KEYS = SIDES + ("ramp",)
-_RAMP_KEYS = ("kind", "t0", "t1")
-_TIME_KEYS = ("t_end", "dt", "tol", "max_sweeps", "damping")
+_RAMP_KEYS = tuple(f.name for f in fields(Ramp))
+_TIME_KEYS = ("t_end", "dt", *SweepSettings.DOMAINS)
 _OUTPUT_KEYS = ("directory", "snapshot_stride")
 _SPEC_KEYS = {
     "constant": ("kind", "value"),
@@ -187,7 +190,7 @@ class _Reader:
         return self.obj(doc[name], "block %r" % name, allowed)
 
     def number(self, sub, where, key, default=None, required=False, **domain):
-        """sub[key], a float (an int where integer) inside the domain (see params.violation); else default."""
+        """sub[key] inside the domain (see params.violation), as params.stored stores it; else default."""
         if key not in sub:
             if required:
                 self.flag("%s.%s is required" % (where, key))
@@ -196,16 +199,7 @@ class _Reader:
         if message := violation("%s.%s" % (where, key), v, **domain):
             self.flag(message)
             return default
-        return v if domain.get("integer") else float(v)
-
-    def pair(self, sub, where, key, default):
-        if key not in sub:
-            return default
-        v = sub[key]
-        if message := pair_violation("%s.%s" % (where, key), v):
-            self.flag(message)
-            return default
-        return (float(v[0]), float(v[1]))
+        return stored(v, **domain)
 
 
 def _read_field_spec(reader, raw, where):
@@ -267,7 +261,7 @@ def _read_boundary_field(reader, raw, name):
     ramp = None
     if "ramp" in raw:
         rr = reader.obj(raw["ramp"], where + ".ramp", _RAMP_KEYS)
-        times = {k: reader.number(rr, where + ".ramp", k) for k in ("t0", "t1") if k in rr}
+        times = {k: reader.number(rr, where + ".ramp", k) for k in _RAMP_KEYS if k != "kind" and k in rr}
         try:  # Ramp checks kind and times; a time read as None is already flagged
             ramp = None if None in times.values() else Ramp(rr.get("kind", "const"), **times)
         except ValueError as exc:
@@ -316,9 +310,7 @@ def parse_config(source):
     ph = r.block(doc, "physics", _PHYSICS_KEYS, required=True)
     defaults, domains = PhysParams(), PhysParams.DOMAINS
     phys = {  # the PhysParams fields of the physics keys, each judged by its field's domain
-        key: r.pair(ph, "physics", key, getattr(defaults, key))
-        if key in ("D", "K")
-        else r.number(ph, "physics", key, default=getattr(defaults, key), **domains[key])
+        key: r.number(ph, "physics", key, default=getattr(defaults, key), **domains[key])
         for key in _PHYSICS_KEYS
         if key != "reaction"
     }
@@ -353,8 +345,8 @@ def parse_config(source):
     dt = r.number(tm, "time", "dt", required=True, **PhysParams.DOMAINS["dt"])
     defaults = SweepSettings()
     sweep = {k: r.number(tm, "time", k, default=getattr(defaults, k), **d) for k, d in SweepSettings.DOMAINS.items()}
-    if t_end is not None and dt is not None and dt > t_end:
-        r.flag("time.dt must not exceed time.t_end, got dt=%g, t_end=%g" % (dt, t_end))
+    if None not in (t_end, dt) and (message := horizon_violation(t_end, dt)):
+        r.flag("time." + message)
 
     out = r.block(doc, "output", _OUTPUT_KEYS)
     out_dir = out.get("directory", "out")

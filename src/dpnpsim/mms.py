@@ -71,11 +71,12 @@ class ConvergenceTable:
         return "\n".join(lines)
 
     def csv_rows(self):
+        """The table as rows of raw values for runner.csv_line; the first grid has no order."""
         rows = [["case", "nx", "ny", "h", "field", "error", "order"]]
         for k, ((nx, ny), h) in enumerate(zip(self.grids, self.hs)):
             for f in self.fields():
-                order = "" if k == 0 else repr(self.orders[f][k - 1])
-                rows.append([self.case, str(nx), str(ny), repr(h), f, repr(self.errors[f][k]), order])
+                order = "" if k == 0 else self.orders[f][k - 1]
+                rows.append([self.case, nx, ny, h, f, self.errors[f][k], order])
         return rows
 
 
@@ -292,7 +293,7 @@ def check_case(case):
 
 
 def check_grids(grids):
-    """The unit-square Grids of a grid list whose entries are ints (n -> n x n) or (nx, ny) pairs.
+    """The unit-square Grids of a grid list whose entries are ints (n -> n x n), (nx, ny) pairs or such Grids.
 
     Raises ValueError for an empty list, a size that Grid refuses, or two
     consecutive grids with the same spacing h = max(grid.h), where the
@@ -300,7 +301,7 @@ def check_grids(grids):
     """
     if not grids:
         raise ValueError("need at least one grid")
-    built = [Grid(*((g, g) if isinstance(g, int) else g), 1.0, 1.0) for g in grids]
+    built = [g if isinstance(g, Grid) else Grid(*((g, g) if isinstance(g, int) else g), 1.0, 1.0) for g in grids]
     for g0, g1 in zip(built, built[1:]):
         if max(g0.h) == max(g1.h):
             raise ValueError("consecutive grids %dx%d and %dx%d have the same spacing h" % (*g0.n, *g1.n))
@@ -310,9 +311,10 @@ def check_grids(grids):
 def run_mms(case, grids):
     """Run one manufactured case over a grid list; returns a ConvergenceTable.
 
-    grids is checked by check_grids before any solve; the domain is the
-    unit square and the material data are the unit defaults PhysParams(),
-    whose isotropic permeability the darcy and coupled cases need.
+    grids is checked by check_grids before any solve, which builds no Grid
+    that the list already holds; the domain is the unit square and the
+    material data are the unit defaults PhysParams(), whose isotropic
+    permeability the darcy and coupled cases need.
     """
     check_case(case)
     grids = check_grids(grids)

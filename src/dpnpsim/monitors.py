@@ -89,20 +89,6 @@ class MonitorReport:
     def all_ok(self):
         return all(getattr(self, f) for f in self.FLAGS)
 
-    @classmethod
-    def csv_header(cls):
-        return [f.name for f in fields(cls)]
-
-    def csv_row(self):
-        out = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, (bool, np.bool_)):
-                out.append("1" if v else "0")
-            else:  # every other field is a number
-                out.append(repr(float(v)))
-        return out
-
 
 MonitorReport.FLAGS = tuple(f.name for f in fields(MonitorReport) if f.name.endswith("_ok"))
 

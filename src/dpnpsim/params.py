@@ -1,5 +1,6 @@
 """Physical parameters of the two-species electrokinetic system, and `violation`, the one judge of
-the admissible ranges that PhysParams.DOMAINS and gummel.SweepSettings.DOMAINS state for their fields."""
+the admissible ranges that PhysParams.DOMAINS and gummel.SweepSettings.DOMAINS state for their fields;
+the two rules across fields, on the valences and on the horizon, have one statement each here too."""
 
 import math
 from dataclasses import dataclass
@@ -15,9 +16,13 @@ def finite_number(v):
         return False
 
 
-def violation(name, v, low=None, strict=False, high=None, integer=False):
+def violation(name, v, low=None, strict=False, high=None, integer=False, pair=False):
     """The message "<name> must ..., got <v>" if v is not a finite number (an int where integer)
-    with v >= low, v > low where strict, or low < v <= high where high is given; else None."""
+    with v >= low, v > low where strict, or low < v <= high where high is given, or, where
+    pair, a list or tuple of two finite positive numbers; else None."""
+    if pair:
+        ok = isinstance(v, (list, tuple)) and len(v) == 2 and all(finite_number(x) and x > 0.0 for x in v)
+        return None if ok else "%s must be a pair of positive numbers, got %r" % (name, v)
     if not finite_number(v) or (integer and not isinstance(v, int)):
         return "%s must be a finite %s, got %r" % (name, "integer" if integer else "number", v)
     v, fmt = (v, "%d") if integer else (float(v), "%g")
@@ -30,10 +35,9 @@ def violation(name, v, low=None, strict=False, high=None, integer=False):
     return "%s must %s, got %s" % (name, rule, fmt % v)
 
 
-def pair_violation(name, t):
-    """The message if t is not a list or tuple of two finite positive numbers, else None."""
-    ok = isinstance(t, (list, tuple)) and len(t) == 2 and all(finite_number(v) and v > 0.0 for v in t)
-    return None if ok else "%s must be a pair of positive numbers, got %r" % (name, t)
+def stored(v, integer=False, pair=False, **_):
+    """An admitted value as its record stores it: an int as it is, a pair as two floats, else a float."""
+    return v if integer else tuple(map(float, v)) if pair else float(v)
 
 
 def valence_violation(z1, z2):
@@ -41,13 +45,18 @@ def valence_violation(z1, z2):
     return None if z1 > 0 > z2 else "valencies must satisfy z1 > 0 > z2, got z1=%d, z2=%d" % (z1, z2)
 
 
+def horizon_violation(t_end, dt):
+    """The message if the step dt exceeds the horizon t_end, else None."""
+    return None if dt <= t_end else "dt must not exceed t_end, got dt=%g, t_end=%g" % (dt, t_end)
+
+
 def check_domains(record):
-    """Raise ValueError with the message of the first field outside its DOMAINS entry; store floats as float."""
+    """Raise ValueError with the message of the first field outside its DOMAINS entry; store each as stored does."""
     for name, domain in record.DOMAINS.items():
         v = getattr(record, name)
         if message := violation(name, v, **domain):
             raise ValueError(message)
-        object.__setattr__(record, name, v if domain.get("integer") else float(v))
+        object.__setattr__(record, name, stored(v, **domain))
 
 
 @dataclass(frozen=True)
@@ -63,8 +72,9 @@ class PhysParams:
     exchange r1 = exchange_rate (c2+ - c1+), r2 = -r1, and so the Lipschitz
     constant C_R of the rate functions; 0 means no reaction.  T_end and dt
     are the run horizon and the nominal step, positive with dt <= T_end.
-    DOMAINS, in keyword arguments of violation, is the one statement of the
-    scalar fields' ranges.
+    DOMAINS, in keyword arguments of violation, is the one statement of each
+    field's range; valence_violation and horizon_violation state the rules
+    that tie two fields.
     """
 
     theta: float = 1.0
@@ -84,19 +94,13 @@ class PhysParams:
         **dict.fromkeys(("mu", "eps_s", "T_end", "dt"), dict(low=0, strict=True)),
         **dict.fromkeys(("kappa", "exchange_rate"), dict(low=0)),
         **dict.fromkeys(("z1", "z2"), dict(integer=True)),
+        **dict.fromkeys(("D", "K"), dict(pair=True)),
     }
 
     def __post_init__(self):
         check_domains(self)
-        for name in ("D", "K"):
-            t = getattr(self, name)
-            if message := pair_violation(name, t):
-                raise ValueError(message)
-            object.__setattr__(self, name, (float(t[0]), float(t[1])))
-        if message := valence_violation(self.z1, self.z2):
+        if message := valence_violation(self.z1, self.z2) or horizon_violation(self.T_end, self.dt):
             raise ValueError(message)
-        if not (self.T_end >= self.dt):
-            raise ValueError("T_end must be at least dt, got T_end=%g dt=%g" % (self.T_end, self.dt))
 
     @property
     def z(self):

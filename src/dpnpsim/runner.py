@@ -21,13 +21,16 @@ march: a run that breaks down leaves only the snapshots already written.
 
 Floats are written with repr(), so rerunning the same configuration
 reproduces the CSV files byte for byte (summary.json contains the wall time
-and is exempt from that guarantee).
+and is exempt from that guarantee).  csv_line is the one cell format of
+every table, monitors.csv, `bounds --csv` and the `mms --csv` file alike.
 """
 
 import json
 import os
 import time
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from . import gummel
 from .monitors import MonitorReport
@@ -52,11 +55,23 @@ def snapshot_text(templates, params, state):
         yield template % tuple(map(",".join, zip(*(map(repr, r.tolist()) for r in rows))))
 
 
+def _cell(v):
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    return "%d" % v if isinstance(v, (int, np.integer)) else _fmt(v)
+
+
+def csv_line(row):
+    """One CSV line: text as it is, a flag as 1 or 0, an integer in decimal, any other number as repr of its float."""
+    return ",".join(map(_cell, row)) + "\n"
+
+
 def write_csv(path, rows):
-    """Write rows (lists of strings) to path, comma-separated, one line each."""
+    """Write rows of raw values to path, one csv_line each."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(map(csv_line, rows))
 
 
 # the one field reported under other names: (text label, CSV name)
@@ -95,12 +110,12 @@ def bounds_text(ledger):
 
 def bounds_csv_rows(ledger):
     constants, norms = _bounds_table(ledger)
-    rows = [["quantity", "value"], ["T", _fmt(ledger.T)]]
+    rows = [["quantity", "value"], ["T", ledger.T]]
     for _, name, value in constants + norms:
         if isinstance(value, tuple):
-            rows += [["%s_%d" % (name, k), _fmt(v)] for k, v in enumerate(value, start=1)]
+            rows += [["%s_%d" % (name, k), v] for k, v in enumerate(value, start=1)]
         else:
-            rows.append([name, _fmt(value)])
+            rows.append([name, value])
     return rows
 
 
@@ -140,10 +155,8 @@ def run(cfg, out_dir=None):
     write_snapshot(len(result.reports), result.states[-1])
     wall = time.perf_counter() - t_start
 
-    write_csv(
-        os.path.join(target, "monitors.csv"),
-        [MonitorReport.csv_header()] + [m.csv_row() for m in result.monitors],
-    )
+    names = [f.name for f in fields(MonitorReport)]
+    write_csv(os.path.join(target, "monitors.csv"), [names] + [[getattr(m, n) for n in names] for m in result.monitors])
     files.append("monitors.csv")
 
     with open(os.path.join(target, "bounds.txt"), "w", encoding="utf-8") as fh:

@@ -22,6 +22,7 @@ from dpnpsim import gummel, monitors, runner, transport
 from dpnpsim.bounds import BoundsEvaluator, BoundsLedger, DataNorms
 from dpnpsim.cli import main
 from dpnpsim.config import load_config, parse_config
+from dpnpsim.mesh import Grid
 from dpnpsim.monitors import MonitorReport
 from dpnpsim.transport import free_charge
 
@@ -81,7 +82,7 @@ def test_run_writes_all_outputs(tmp_path, capsys):
     ]
 
     mon = read(os.path.join(out, "monitors.csv")).decode().splitlines()
-    assert mon[0] == ",".join(MonitorReport.csv_header())
+    assert mon[0] + "\n" == runner.csv_line(f.name for f in fields(MonitorReport))
     assert len(mon) == 1 + 3  # header + one row per accepted step
     assert "np." not in mon[1]
 
@@ -385,6 +386,21 @@ def test_mms_prints_table_and_writes_csv(tmp_path, capsys):
     lines = read(csv_path).decode().splitlines()
     assert lines[0] == "case,nx,ny,h,field,error,order"
     assert len(lines) == 1 + 2 * 2  # two grids x two fields
+
+
+def test_an_mms_study_builds_each_grid_once(monkeypatch, capsys):
+    # the grid list is judged once, on the Grids the study then runs on
+    built = []
+    init = Grid.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Grid, "__init__", counting_init)
+    assert main(["mms", "poisson", "--grids", "8,16"]) == 0
+    assert "poisson" in capsys.readouterr().out
+    assert len(built) == 2
 
 
 def test_mms_accepts_rectangular_grid_list(capsys):

@@ -153,7 +153,7 @@ def test_all_violations_reported_at_once():
     assert "z1 > 0 > z2" in v
     assert "unknown key 'bogus'" in v
     assert "inflow and must be nonnegative" in v
-    assert "dt must not exceed time.t_end" in v
+    assert "time.dt must not exceed t_end, got dt=0.5, t_end=0.1" in v
     assert "time.damping must lie in (0, 1]" in v
     assert "unknown key 'init_iterate' in block 'time'" in v
     assert "unknown key 'lin_tol' in block 'time'" in v

@@ -72,6 +72,7 @@ def test_exchange_rate_defaults_to_no_reaction_and_must_be_nonnegative():
         ("reaction.rate", math.inf),
         ("D", [1.0, math.inf]),
         ("z1", True),
+        ("K", [1.0, 0.0]),
     ],
 )
 def test_params_reject_what_the_config_rejects(key, value):
@@ -90,6 +91,20 @@ def test_params_reject_what_the_config_rejects(key, value):
     after_name = str(exc.value).removeprefix(field)
     assert after_name.startswith(" must ")
     assert cfg_exc.value.violations == ["physics." + key + after_name]
+
+
+def test_params_reject_the_horizon_the_config_rejects():
+    # one rule, one message: the config reports the record's after "time."
+    with pytest.raises(ValueError) as exc:
+        PhysParams(T_end=0.1, dt=0.2)
+    assert str(exc.value) == "dt must not exceed t_end, got dt=0.2, t_end=0.1"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["time"].update(t_end=0.1, dt=0.2)
+    with pytest.raises(ConfigError) as cfg_exc:
+        parse_config(doc)
+    assert cfg_exc.value.violations == ["time." + str(exc.value)]
 
 
 def test_const_ramp_is_identity():
