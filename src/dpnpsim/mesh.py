@@ -16,6 +16,7 @@ after construction, so instances may be shared freely between threads.
 
 import functools
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -39,9 +40,15 @@ class Grid:
         if not all(hasattr(n, "__index__") and not isinstance(n, bool) and n >= 1 for n in (nx, ny)):
             raise ValueError("grid needs integers nx >= 1 and ny >= 1, got (%r, %r)" % (nx, ny))
         nx, ny = operator.index(nx), operator.index(ny)
+        # real lengths: float() would cast "1" and True, and raise OverflowError on an int past the largest float
+        try:
+            ok = all(isinstance(l, numbers.Real) and not isinstance(l, bool) and 0.0 < float(l) < math.inf for l in (lx, ly))
+        except OverflowError:
+            ok = False
+        if not ok:
+            shown = ("%g" % l if isinstance(l, float) else repr(l) for l in (lx, ly))
+            raise ValueError("domain lengths must be positive and finite, got (%s, %s)" % tuple(shown))
         lx, ly = float(lx), float(ly)
-        if not (0.0 < lx < math.inf and 0.0 < ly < math.inf):
-            raise ValueError("domain lengths must be positive and finite, got (%g, %g)" % (lx, ly))
         self.n = (nx, ny)
         self.length = (lx, ly)
         d = len(self.n)

@@ -295,13 +295,17 @@ def check_case(case):
 def check_grids(grids):
     """The unit-square Grids of a grid list whose entries are ints (n -> n x n), (nx, ny) pairs or such Grids.
 
-    Raises ValueError for an empty list, a size that Grid refuses, or two
+    Raises ValueError for an empty list, a size that Grid refuses, a Grid
+    off the unit square, where the manufactured solutions do not hold, or two
     consecutive grids with the same spacing h = max(grid.h), where the
     observed order log(e0 / e1) / log(h0 / h1) is undefined.
     """
     if not grids:
         raise ValueError("need at least one grid")
     built = [g if isinstance(g, Grid) else Grid(*((g, g) if isinstance(g, int) else g), 1.0, 1.0) for g in grids]
+    for g in built:
+        if g.length != (1.0, 1.0):
+            raise ValueError("grid %dx%d has lengths (%g, %g), not the unit square" % (*g.n, *g.length))
     for g0, g1 in zip(built, built[1:]):
         if max(g0.h) == max(g1.h):
             raise ValueError("consecutive grids %dx%d and %dx%d have the same spacing h" % (*g0.n, *g1.n))

@@ -5,7 +5,9 @@ numpy is first imported, with the three thread variables OpenBLAS reads
 removed from its environment and the given ones put back.  run and check
 never call the manufactured-solution module, so a bare `import dpnpsim`
 followed by a check, or the console's `dpnpsim check`, leaves it unloaded
-(and uncompiled).
+(and uncompiled).  Only a fresh interpreter also shows a warning raised at
+import and the `python -m dpnpsim.cli` path, so one check of the demo runs
+that way under PYTHONWARNINGS=error.
 """
 
 import json
@@ -77,3 +79,11 @@ def test_the_console_check_loads_no_mms(tmp_path):
         "print(ok, 'dpnpsim.mms' in sys.modules)"
     )
     assert ok_and_mms_loaded(code, str(path)) == ["True", "False"]
+
+
+def test_the_module_entry_point_checks_the_demo_with_warnings_as_errors():
+    demo = os.path.join(os.path.dirname(SRC), "configs", "demo.json")
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="error")
+    done = subprocess.run([sys.executable, "-m", "dpnpsim.cli", "check", demo], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.count("PASS") == 7 and done.stdout.endswith("wasted: 0\n")

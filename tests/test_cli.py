@@ -23,6 +23,7 @@ from dpnpsim.bounds import BoundsEvaluator, BoundsLedger, DataNorms
 from dpnpsim.cli import main
 from dpnpsim.config import load_config, parse_config
 from dpnpsim.mesh import Grid
+from dpnpsim.mms import CASES
 from dpnpsim.monitors import MonitorReport
 from dpnpsim.transport import free_charge
 
@@ -240,12 +241,29 @@ def test_run_and_check_print_the_same_counts_footer(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
-def test_every_shipped_config_passes_check(path, capsys):
+def test_every_shipped_config_passes_check(path, tmp_path, capsys):
     assert main(["check", path]) == 0
     *verdicts, footer = capsys.readouterr().out.splitlines()
     assert [line.split() for line in verdicts] == [["PASS", flag.removesuffix("_ok")] for flag in MonitorReport.FLAGS]
     assert len(verdicts) == 7
     assert re.fullmatch(r"steps: \d+ +sweeps: \d+ +halvings: \d+ +wasted: \d+", footer)
+    # run writes step 0, every snapshot_stride-th step and the last, each as a stride-1 run writes it
+    doc = json.loads(read(path))
+    stride, doc["output"]["snapshot_stride"] = doc["output"]["snapshot_stride"], 1
+    (tmp_path / "every.json").write_text(json.dumps(doc))
+    assert main(["run", path, "--out", str(tmp_path / "kept")]) == 0
+    assert main(["run", str(tmp_path / "every.json"), "--out", str(tmp_path / "every")]) == 0
+    assert capsys.readouterr().out.count(footer + "   monitors: ok") == 2
+    steps = int(footer.split()[1])
+    others = ["bounds.txt", "monitors.csv", "summary.json"]
+    snapshots = ["snapshot_%06d.csv" % k for k in sorted({*range(0, steps + 1, stride), steps})]
+    assert sorted(os.listdir(tmp_path / "kept")) == sorted(others + snapshots)
+    assert len(os.listdir(tmp_path / "every")) == len(others) + steps + 1
+    for name in others[:2] + snapshots:
+        assert read(tmp_path / "kept" / name) == read(tmp_path / "every" / name), name
+    # bounds prints the constants the run wrote, then the CSV table
+    assert main(["bounds", path, "--csv"]) == 0
+    assert capsys.readouterr().out.startswith(read(tmp_path / "kept" / "bounds.txt").decode() + "\nquantity,value\nT,")
 
 
 def test_config_damping_reaches_the_march(tmp_path):
@@ -299,8 +317,16 @@ def test_config_violations_exit_2(tmp_path, capsys):
     assert "theta" in err
     for key in unknown:
         assert "unknown key '%s' in block 'time'" % key in err
-    assert main(["check", cfg]) == 2
-    assert main(["bounds", cfg]) == 2
+    for command in ("check", "bounds"):
+        assert main([command, cfg]) == 2
+        assert capsys.readouterr().err == err
+    # a single violation is a single whole line
+    for time, line in (
+        ({"tol": 0}, "time.tol must be > 0, got 0"),
+        ({"t_end": 0.1, "dt": 0.2}, "time.dt must not exceed t_end, got dt=0.2, t_end=0.1"),
+    ):
+        assert main(["check", write_cfg(tmp_path, time=time)]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
 
 
 HUGE = 10**400  # a JSON integer too large for a float
@@ -331,8 +357,10 @@ def test_integer_too_large_for_a_float_is_one_violation(tmp_path, capsys, overri
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
-    assert main(["run", str(tmp_path / "nope.json")]) == 2
-    assert "cannot read" in capsys.readouterr().err
+    path = str(tmp_path / "nope.json")
+    for command in ("run", "check"):
+        assert main([command, path]) == 2
+        assert re.fullmatch(r"cannot read %s: .+\n" % re.escape(path), capsys.readouterr().err)
 
 
 def test_unconverged_run_exits_1(tmp_path, capsys):
@@ -343,8 +371,10 @@ def test_unconverged_run_exits_1(tmp_path, capsys):
         boundary={"sigma": {"left": 0.05, "right": -0.05}, "f": {}, "g1": {}},
         time={"t_end": 0.1, "dt": 0.1, "tol": 1e-30, "max_sweeps": 1},
     )
-    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert "run failed" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("run failed: ")
+    assert not (out / "monitors.csv").exists() and not (out / "summary.json").exists()
 
 
 def test_a_run_that_breaks_down_keeps_the_snapshots_handed_over_and_writes_no_summary(tmp_path, capsys, monkeypatch):
@@ -379,13 +409,14 @@ def test_unwritable_output_paths_exit_1(tmp_path, capsys):
 
 
 def test_mms_prints_table_and_writes_csv(tmp_path, capsys):
-    csv_path = str(tmp_path / "table.csv")
-    assert main(["mms", "poisson", "--grids", "8,16", "--csv", csv_path]) == 0
-    out = capsys.readouterr().out
-    assert "poisson" in out and "order" in out
-    lines = read(csv_path).decode().splitlines()
-    assert lines[0] == "case,nx,ny,h,field,error,order"
-    assert len(lines) == 1 + 2 * 2  # two grids x two fields
+    for case in CASES:
+        csv_path = str(tmp_path / (case + ".csv"))
+        assert main(["mms", case, "--grids", "8,16", "--csv", csv_path]) == 0
+        out = capsys.readouterr().out
+        assert case in out and "order" in out
+        lines = read(csv_path).decode().splitlines()
+        assert lines[0] == "case,nx,ny,h,field,error,order"
+        assert len(lines) == 1 + 2 * (4 if case == "coupled" else 2)  # two grids x two fields, four when coupled
 
 
 def test_an_mms_study_builds_each_grid_once(monkeypatch, capsys):

@@ -47,9 +47,17 @@ def test_grid_rejects_bad_dimensions():
     for bad in [(0, 1, 1.0, 1.0), (1, 0, 1.0, 1.0), (1, 1, 0.0, 1.0), (1, 1, 1.0, -2.0),
                 (4, 4, inf, 1.0), (4, 4, 1.0, inf), (4, 4, nan, 1.0), (4, 4, 1.0, nan),
                 (2.5, 4, 1.0, 1.0), (4, 2.5, 1.0, 1.0), (True, 4, 1.0, 1.0), (4, True, 1.0, 1.0),
-                ("8", 4, 1.0, 1.0), (4, "8", 1.0, 1.0)]:
+                ("8", 4, 1.0, 1.0), (4, "8", 1.0, 1.0),
+                (4, 4, "1", "2"), (4, 4, 1.0, "2"), (4, 4, True, 1.0), (4, 4, 1.0, True), (4, 4, 10**400, 1.0)]:
         with pytest.raises(ValueError):
             Grid(*bad)
+    # float() would cast "1" and True to a length of 1, and raise OverflowError on the int past the largest float
+    for lx, shown in (("1", "'1'"), (True, "True"), (10**400, "1" + "0" * 400)):
+        with pytest.raises(ValueError, match=r"domain lengths must be positive and finite, got \(%s, 1\)" % shown):
+            Grid(4, 4, lx, 1.0)
+    # numpy real scalars are lengths, taken as floats
+    length = Grid(4, 4, np.float32(2.0), np.int64(1)).length
+    assert length == (2.0, 1.0) and all(type(v) is float for v in length)
     # int() would cast these to a 2x4, a 1x4 and an 8x4 grid
     for nx in (2.5, True, "8"):
         with pytest.raises(ValueError, match=r"grid needs integers nx >= 1 and ny >= 1, got \(%r, 4\)" % nx):

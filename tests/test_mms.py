@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from dpnpsim import runner
+from dpnpsim.mesh import Grid
 from dpnpsim.mms import CASES, ConvergenceTable, project_zero_mean, run_mms
 
 
@@ -107,6 +108,9 @@ def test_grid_list_is_checked_before_any_solve():
         run_mms("poisson", ((0, 4),))
     with pytest.raises(ValueError, match="need at least one grid"):
         run_mms("poisson", [])
+    # the manufactured solutions hold on [0, 1]^2 only: on [0, 2] x [0, 1] poisson's phi error would read 0.84
+    with pytest.raises(ValueError, match=r"grid 8x8 has lengths \(2, 1\), not the unit square"):
+        run_mms("poisson", [Grid(8, 8, 2.0, 1.0), Grid(16, 16, 2.0, 1.0)])
 
 
 def test_table_text_and_csv_shape():
