@@ -9,7 +9,7 @@ The sweep iterates whole states: it starts from the previous state,
   4. flow solve      rho_f(c^{k+1}), E^{k+1}  -> p, q^{k+1}
 
 until the weighted increment r_k = sqrt(sum_l |z_l| sum d_k^2 vol) drops
-below tol.  omega starts at damping; from the second sweep on it is
+below tol.  omega_1 = 1 on every attempt; from the second sweep on it is
 Aitken's -omega_{k-1} <d_{k-1}, d_k - d_{k-1}> / |d_k - d_{k-1}|^2
 (|z_l|-weighted; Kuettler & Wall, Comput. Mech. 43, 2008) clipped to [0.05, 1].
 The step accepts the raw concentrations of the last transport step, not
@@ -67,8 +67,7 @@ class SweepSettings:
 
     tol: float = 1e-10  # weighted increment at which the sweep stops
     max_sweeps: int = 50
-    damping: float = 1.0  # omega at the start of every attempt
-    DOMAINS = dict(tol=dict(low=0, strict=True), max_sweeps=dict(integer=True, low=1), damping=dict(low=0, high=1))
+    DOMAINS = dict(tol=dict(low=0, strict=True), max_sweeps=dict(integer=True, low=1))
 
     def __post_init__(self):
         check_domains(self)
@@ -146,7 +145,7 @@ def gummel_step(grid, params, state_prev, data, dt, settings=SweepSettings()):
     c_prev = c_k = state_prev.conc
     electro, flow = state_prev.electro, state_prev.flow
     residuals = []
-    omega, d_old = settings.damping, None
+    omega, d_old = 1.0, None
     try:
         if not all(map(np.array_equal, _field_inputs(state_prev.data), _field_inputs(data))):
             electro, flow = _fields(grid, params, c_prev, data)

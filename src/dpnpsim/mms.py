@@ -128,33 +128,19 @@ def _run_poisson(grid, params):
 def _run_darcy(grid, params):
     m = params.K[0] / params.mu
     eps_x, eps_y = params.epsilon
-
-    def qx(x, y):
-        return math.pi * np.sin(math.pi * x) * np.cos(math.pi * y)
-
-    def qy(x, y):
-        return -math.pi * np.cos(math.pi * x) * np.sin(math.pi * y)
-
-    def px(x, y):
-        return -math.pi * np.sin(math.pi * x) * np.cos(math.pi * y)
-
-    def py(x, y):
-        return -math.pi * np.cos(math.pi * x) * np.sin(math.pi * y)
-
     X, Y = grid.cell_centers()
     p_ex = np.cos(math.pi * X) * np.cos(math.pi * Y)
     (xfx, yfx), (xfy, yfy) = _face_centers(grid)
+    # the exact flux q on the faces; grad p = (-qx, qy) there
+    qx = math.pi * np.sin(math.pi * xfx) * np.cos(math.pi * yfx)
+    qy = -math.pi * np.cos(math.pi * xfy) * np.sin(math.pi * yfy)
     # required body force b = (mu/K) q + grad p, injected as E with rho_f = 1
-    e = FaceField(
-        grid,
-        eps_x * (qx(xfx, yfx) / m + px(xfx, yfx)),
-        eps_y * (qy(xfy, yfy) / m + py(xfy, yfy)),
-    )
+    e = FaceField(grid, eps_x * (qx / m - qx), eps_y * (qy / m + qy))
     st = solve_darcy(grid, params, CellField.full(grid, 1.0), e, BoundaryField(grid))
     q = st.q_faces.planes
     return {
         "p": _aligned_error(grid, st.p.values, p_ex),
-        "q": _l2_faces(grid, (q[0] - qx(xfx, yfx), q[1] - qy(xfy, yfy))),
+        "q": _l2_faces(grid, (q[0] - qx, q[1] - qy)),
     }
 
 

@@ -214,9 +214,11 @@ def check(cfg):
     totals, failing = _tally(result)
     lines = []
     for flag, bad in failing.items():
-        detail = ""
-        if bad:
-            detail = "  (%d of %d steps, first at t=%s)" % (len(bad), len(result.monitors), _fmt(bad[0].time))
-        lines.append("%s  %-12s%s" % ("FAIL" if bad else "PASS", flag.removesuffix("_ok"), detail))
+        name = flag.removesuffix("_ok")
+        if not bad:
+            lines.append("PASS  " + name)
+        else:  # only a line with a detail pads the flag name, to put the details in one column
+            detail = "(%d of %d steps, first at t=%s)" % (len(bad), len(result.monitors), _fmt(bad[0].time))
+            lines.append("FAIL  %-12s  %s" % (name, detail))
     lines.append(counts_line(totals))
     return not any(failing.values()), lines

@@ -2,11 +2,11 @@
 
 A BoundarySpec is one boundary field: a mesh.BoundaryField of per-side
 outward values (keywords mesh.SIDES) times an optional named time ramp
-shared by all its sides.  Two ramp kinds exist: "const" (factor 1 for all t)
-and "linear" (factor 0 before t0, rising linearly to 1 at t1, then flat).
-Both have closed-form maxima and squared time integrals, which the bounds
-module uses to evaluate the data norms entering the a-priori constants
-exactly.  The inflows g are a pair indexed by species, g[0] = g1 and g[1] = g2.
+shared by all its sides.  Two ramp kinds exist: "const" (factor 1 for all t,
+no times) and "linear" (factor 0 before t0, rising linearly to 1 at t1, then
+flat).  Both have closed-form maxima and squared time integrals, which the
+bounds module uses to evaluate the data norms entering the a-priori
+constants exactly.  The inflows g are a pair indexed by species, g[0] = g1 and g[1] = g2.
 """
 
 from dataclasses import dataclass
@@ -29,6 +29,8 @@ class Ramp:
             raise ValueError("ramp kind must be 'const' or 'linear', got %r" % (self.kind,))
         if self.kind == "linear" and not (self.t1 is not None and self.t1 > self.t0 >= 0.0):
             raise ValueError("linear ramp needs t1 > t0 >= 0, got t0=%s t1=%s" % (self.t0, self.t1))
+        if self.kind == "const" and (self.t1 is not None or self.t0 != 0.0):
+            raise ValueError("const ramp takes no times (kind 'linear' does), got t0=%s t1=%s" % (self.t0, self.t1))
 
     def factor(self, t):
         if self.kind == "const":

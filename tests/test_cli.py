@@ -240,21 +240,32 @@ def test_run_and_check_print_the_same_counts_footer(tmp_path, capsys):
     assert re.findall(pattern, run_out) == re.findall(pattern, check_out) == [footer]
 
 
+# steps, sweeps, halvings and wasted sweeps of each shipped config: a change to a default path shows up here
+SHIPPED_COUNTS = {"demo.json": (20, 80, 0, 0), "ramped_inflow.json": (20, 78, 0, 0), "symmetric.json": (20, 40, 0, 0)}
+
+
+def no_trailing_blanks(out):
+    """out, after asserting that none of its lines ends in whitespace."""
+    assert [line for line in out.splitlines() if line != line.rstrip()] == []
+    return out
+
+
 @pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
 def test_every_shipped_config_passes_check(path, tmp_path, capsys):
     assert main(["check", path]) == 0
-    *verdicts, footer = capsys.readouterr().out.splitlines()
-    assert [line.split() for line in verdicts] == [["PASS", flag.removesuffix("_ok")] for flag in MonitorReport.FLAGS]
+    *verdicts, footer = no_trailing_blanks(capsys.readouterr().out).splitlines()
+    assert verdicts == ["PASS  " + flag.removesuffix("_ok") for flag in MonitorReport.FLAGS]
     assert len(verdicts) == 7
-    assert re.fullmatch(r"steps: \d+ +sweeps: \d+ +halvings: \d+ +wasted: \d+", footer)
+    counts = SHIPPED_COUNTS[os.path.basename(path)]
+    assert footer == "steps: %d   sweeps: %d   halvings: %d   wasted: %d" % counts
     # run writes step 0, every snapshot_stride-th step and the last, each as a stride-1 run writes it
     doc = json.loads(read(path))
     stride, doc["output"]["snapshot_stride"] = doc["output"]["snapshot_stride"], 1
     (tmp_path / "every.json").write_text(json.dumps(doc))
     assert main(["run", path, "--out", str(tmp_path / "kept")]) == 0
     assert main(["run", str(tmp_path / "every.json"), "--out", str(tmp_path / "every")]) == 0
-    assert capsys.readouterr().out.count(footer + "   monitors: ok") == 2
-    steps = int(footer.split()[1])
+    assert no_trailing_blanks(capsys.readouterr().out).count(footer + "   monitors: ok") == 2
+    steps = counts[0]
     others = ["bounds.txt", "monitors.csv", "summary.json"]
     snapshots = ["snapshot_%06d.csv" % k for k in sorted({*range(0, steps + 1, stride), steps})]
     assert sorted(os.listdir(tmp_path / "kept")) == sorted(others + snapshots)
@@ -263,20 +274,8 @@ def test_every_shipped_config_passes_check(path, tmp_path, capsys):
         assert read(tmp_path / "kept" / name) == read(tmp_path / "every" / name), name
     # bounds prints the constants the run wrote, then the CSV table
     assert main(["bounds", path, "--csv"]) == 0
-    assert capsys.readouterr().out.startswith(read(tmp_path / "kept" / "bounds.txt").decode() + "\nquantity,value\nT,")
-
-
-def test_config_damping_reaches_the_march(tmp_path):
-    # at this weak coupling the undamped sweep contracts well, so damping only
-    # slows it and a smaller value must cost more sweeps (at strong coupling
-    # damping can save sweeps: test_strong_coupling)
-    sweeps = {}
-    for damping in (1.0, 0.5):
-        cfg = load_config(write_cfg(tmp_path, time={"t_end": 0.02, "dt": 0.01, "damping": damping}))
-        ok, lines = runner.check(cfg)
-        assert ok
-        sweeps[damping] = int(re.search(r"sweeps: (\d+)", lines[-1]).group(1))
-    assert sweeps[0.5] > sweeps[1.0]
+    out = no_trailing_blanks(capsys.readouterr().out)
+    assert out.startswith(read(tmp_path / "kept" / "bounds.txt").decode() + "\nquantity,value\nT,")
 
 
 def test_check_fails_when_a_monitor_trips(tmp_path, capsys, monkeypatch):
@@ -301,7 +300,7 @@ def test_check_fails_on_a_sign_breakdown_of_an_admissible_state(tmp_path, capsys
     monkeypatch.setattr(monitors, "_sign_summands", forced)
     cfg = write_cfg(tmp_path, time={"t_end": 0.02, "dt": 0.01})
     assert main(["check", cfg]) == 1
-    out = capsys.readouterr().out
+    out = no_trailing_blanks(capsys.readouterr().out)
     assert "PASS  nonneg" in out
     assert "FAIL  sign          (2 of 2 steps, first at t=0.01)" in out
     assert out.count("FAIL") == 1
@@ -324,9 +323,11 @@ def test_config_violations_exit_2(tmp_path, capsys):
     for time, line in (
         ({"tol": 0}, "time.tol must be > 0, got 0"),
         ({"t_end": 0.1, "dt": 0.2}, "time.dt must not exceed t_end, got dt=0.2, t_end=0.1"),
+        ({"damping": 0.9}, "unknown key 'damping' in block 'time' (allowed: t_end, dt, tol, max_sweeps)"),
     ):
-        assert main(["check", write_cfg(tmp_path, time=time)]) == 2
-        assert capsys.readouterr().err.splitlines() == [line]
+        for command in ("run", "check"):
+            assert main([command, write_cfg(tmp_path, time=time)]) == 2
+            assert capsys.readouterr().err.splitlines() == [line]
 
 
 HUGE = 10**400  # a JSON integer too large for a float
@@ -412,7 +413,7 @@ def test_mms_prints_table_and_writes_csv(tmp_path, capsys):
     for case in CASES:
         csv_path = str(tmp_path / (case + ".csv"))
         assert main(["mms", case, "--grids", "8,16", "--csv", csv_path]) == 0
-        out = capsys.readouterr().out
+        out = no_trailing_blanks(capsys.readouterr().out)
         assert case in out and "order" in out
         lines = read(csv_path).decode().splitlines()
         assert lines[0] == "case,nx,ny,h,field,error,order"

@@ -109,7 +109,6 @@ def test_defaults_fill_in():
     assert cfg.settings == SweepSettings()  # the sweep defaults live in SweepSettings alone
     assert cfg.settings.tol == 1e-10
     assert cfg.settings.max_sweeps == 50
-    assert cfg.settings.damping == 1.0
     assert cfg.out_dir == "out"
     assert cfg.snapshot_stride == 1
     assert cfg.params.theta == 1.0 and cfg.params.kappa == 1.0
@@ -123,9 +122,9 @@ def test_defaults_fill_in():
 def test_sweep_settings_are_exactly_the_sweep_keys_of_the_time_block():
     # every SweepSettings field is set by a config key, so the sweep has no code-only option
     names = tuple(f.name for f in fields(SweepSettings))
-    assert names == ("tol", "max_sweeps", "damping")
+    assert names == ("tol", "max_sweeps")
     assert set(names) == set(_TIME_KEYS) - {"t_end", "dt"}
-    chosen = {"tol": 1e-8, "max_sweeps": 7, "damping": 0.5}
+    chosen = {"tol": 1e-8, "max_sweeps": 7}
     for name, value in chosen.items():
         assert value != getattr(SweepSettings(), name)
         doc = base_doc()
@@ -141,7 +140,7 @@ def test_all_violations_reported_at_once():
     doc["physics"]["bogus"] = 1
     doc["boundary"]["g1"]["left"] = -0.5
     doc["time"]["dt"] = 0.5  # exceeds t_end
-    doc["time"]["damping"] = 0.0
+    doc["time"]["damping"] = 0.9  # not a setting: omega starts at 1 on every attempt
     doc["time"]["init_iterate"] = "zero"  # not a setting: the sweep starts from the previous state
     doc["time"]["lin_tol"] = 1e-12  # the exact Gauss and Darcy solves have no tolerance setting
     doc["extra_block"] = {}
@@ -154,7 +153,7 @@ def test_all_violations_reported_at_once():
     assert "unknown key 'bogus'" in v
     assert "inflow and must be nonnegative" in v
     assert "time.dt must not exceed t_end, got dt=0.5, t_end=0.1" in v
-    assert "time.damping must lie in (0, 1]" in v
+    assert "unknown key 'damping' in block 'time' (allowed: t_end, dt, tol, max_sweeps)" in v
     assert "unknown key 'init_iterate' in block 'time'" in v
     assert "unknown key 'lin_tol' in block 'time'" in v
     assert "unknown top-level block 'extra_block'" in v
@@ -200,6 +199,9 @@ def test_ramp_validation():
         ({"kind": "linear", "t1": [1]}, "boundary.f.ramp.t1 must be a finite number"),
         ({"kind": "smooth"}, "boundary.f.ramp: ramp kind must be 'const' or 'linear', got 'smooth'"),
         ({"kind": ["linear"]}, "boundary.f.ramp: ramp kind must be"),
+        ({"t0": 0.0, "t1": 0.05}, "boundary.f.ramp: const ramp takes no times (kind 'linear' does), got t0=0.0 t1=0.05"),
+        ({"kind": "const", "t1": 0.5}, "boundary.f.ramp: const ramp takes no times"),
+        ({"kind": "const", "t0": 0.1}, "boundary.f.ramp: const ramp takes no times"),
     ):
         doc = base_doc()
         doc["boundary"]["f"]["ramp"] = ramp
@@ -207,10 +209,10 @@ def test_ramp_validation():
             parse_config(json.dumps(doc))
         assert len(exc.value.violations) == 1, ramp
         assert exc.value.violations[0].startswith(fragment), exc.value.violations
-    # a constant ramp ignores its times, and a linear one without t0 starts at 0
+    # a constant ramp's t0 may be its default 0, and a linear one without t0 starts at 0
     doc = base_doc()
-    doc["boundary"]["f"]["ramp"] = {"kind": "const", "t1": 0.5}
-    assert parse_config(json.dumps(doc)).schedule.f.ramp.factor(0.0) == 1.0
+    doc["boundary"]["f"]["ramp"] = {"kind": "const", "t0": 0}
+    assert parse_config(json.dumps(doc)).schedule.f.ramp == Ramp()
     doc["boundary"]["f"]["ramp"] = {"kind": "linear", "t1": 0.5}
     assert parse_config(json.dumps(doc)).schedule.f.ramp == Ramp("linear", 0.0, 0.5)
 
@@ -301,6 +303,9 @@ _HUGE = 10**400  # a JSON integer too large for a float
         ("physics.eps_s", -1e-300, "physics.eps_s must be > 0, got -1e-300"),
         ("physics.kappa", -0.5, "physics.kappa must be >= 0, got -0.5"),
         ("physics.kappa", [1], "physics.kappa must be a finite number, got [1]"),
+        ("physics.D", [1.0, 0.0], "physics.D must be a pair of positive numbers, got [1.0, 0.0]"),
+        ("physics.D", [1.0, 2.0, 3.0], "physics.D must be a pair of positive numbers, got [1.0, 2.0, 3.0]"),
+        ("physics.K", 1.0, "physics.K must be a pair of positive numbers, got 1.0"),
         ("physics.z1", 1.0, "physics.z1 must be a finite integer, got 1.0"),
         ("physics.z1", 0, "physics valencies must satisfy z1 > 0 > z2, got z1=0, z2=-1"),
         ("physics.z2", _HUGE, "physics.z2 must be a finite integer, got %r" % _HUGE),
@@ -315,9 +320,6 @@ _HUGE = 10**400  # a JSON integer too large for a float
         ("time.max_sweeps", 0, "time.max_sweeps must be >= 1, got 0"),
         ("time.max_sweeps", -10**7, "time.max_sweeps must be >= 1, got -10000000"),
         ("time.max_sweeps", 5.0, "time.max_sweeps must be a finite integer, got 5.0"),
-        ("time.damping", 0, "time.damping must lie in (0, 1], got 0"),
-        ("time.damping", 2, "time.damping must lie in (0, 1], got 2"),
-        ("time.damping", "1", "time.damping must be a finite number, got '1'"),
         ("output.snapshot_stride", 0, "output.snapshot_stride must be >= 1, got 0"),
         ("output.snapshot_stride", 2.5, "output.snapshot_stride must be a finite integer, got 2.5"),
         ("initial.c1.width", 0, "initial.c1.width must be > 0, got 0"),
@@ -353,7 +355,6 @@ def test_each_bounded_key_flags_exactly_its_violation(path, value, violation):
         pytest.param("physics.z1", 10**300, "params.z", (10**300, -1), id="physics.z1-10**300"),
         ("time.tol", 1e-300, "settings.tol", 1e-300),
         ("time.max_sweeps", 1, "settings.max_sweeps", 1),
-        ("time.damping", 1, "settings.damping", 1.0),
         ("output.snapshot_stride", 1, "snapshot_stride", 1),
         ("grid.lx", 1e-300, "grid.length", (1e-300, 1.0)),
         ("grid.ly", 1e300, "grid.length", (2.0, 1e300)),

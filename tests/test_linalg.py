@@ -14,8 +14,10 @@ Contract details under test: reported residuals are true residuals
 infinite residual is never accepted, b = 0
 short-circuits to x = 0 after zero iterations, and BiCGStab stops at its
 10 n iteration cap and after a fixed number of breakdown restarts.  The
-generic BiCGStab tests precondition with the diagonal basis of jacobi(A),
-which applies x / diag(A); the cosine basis is checked against the dense
+breakdowns r_hat.r = 0, r_hat.v = 0 and A s = 0 are each met on a small
+exact system, and the best iterate is returned when the last judgement
+passes it.  The generic BiCGStab tests precondition with the diagonal
+basis of jacobi(A), which applies x / diag(A); the cosine basis is checked against the dense
 drift-free two-point matrix, and it makes a drift-free transport solve
 exact in one iteration.  A stacked two-species solve meets each block's
 own target even when the right sides differ by 1e8 in norm, and a start
@@ -29,6 +31,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dpnpsim import linalg
 from dpnpsim.gauss import fv_laplacian
 from dpnpsim.linalg import (
     SolveReport,
@@ -50,6 +53,18 @@ def jacobi(A):
     d = np.diag(to_dense(A)).copy()
     d[d == 0.0] = 1.0
     return (np.eye(1), np.eye(d.shape[0])), (1.0 / d)[:, None]
+
+
+def dense_matrix(dense):
+    """The SparseMatrix of a dense array's nonzero entries."""
+    dense = np.asarray(dense, dtype=float)
+    rows, cols = np.nonzero(dense)
+    return SparseMatrix.from_coo(dense.shape[0], rows, cols, dense[rows, cols])
+
+
+def identity_basis(n):
+    """The basis whose preconditioner is the identity: BiCGStab runs unpreconditioned."""
+    return (np.eye(1), np.eye(n)), np.ones((n, 1))
 
 
 def laplacian_1d(n, shift=0.0):
@@ -280,8 +295,7 @@ def test_solve_nonsym_matches_dense_solver():
         dense = rng.normal(size=(n, n))
         dense[np.abs(dense) < 1.0] = 0.0
         np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + rng.uniform(1.0, 2.0, size=n))
-        rows, cols = np.nonzero(dense)
-        A = SparseMatrix.from_coo(n, rows, cols, dense[rows, cols])
+        A = dense_matrix(dense)
         b = rng.normal(size=n)
         x, rep = solve_nonsym(A, b, 1e-12, jacobi(A), np.zeros_like(b))
         assert np.allclose(x, np.linalg.solve(dense, b), atol=1e-7)
@@ -295,8 +309,7 @@ def test_solve_nonsym_zero_rhs_and_cap():
     # a singular 4x4 system with b off its range: BiCGStab neither converges
     # nor breaks down, so the cap of 10 n iterations ends it
     dense = np.array([[-1.0, 2.0, 1.0, -1.0], [-2.0, 0.0, -2.0, 1.0], [-2.0, 0.0, 1.0, 1.0], [1.0, -2.0, 1.0, 1.0]])
-    rows, cols = np.nonzero(dense)
-    A = SparseMatrix.from_coo(4, rows, cols, dense[rows, cols])
+    A = dense_matrix(dense)
     with pytest.raises(SolverError, match="within 40 iterations") as err:
         solve_nonsym(A, np.array([0.0, 0.0, 1.0, 0.0]), 1e-12, jacobi(A), np.zeros(4))
     assert err.value.report.iterations == 40
@@ -304,7 +317,7 @@ def test_solve_nonsym_zero_rhs_and_cap():
     # rounding floor 4 eps ||A||_inf ||x|| past its true residual 0.44 ||b||;
     # the floor is capped at sqrt(eps) ||b||, so the solve still raises
     with pytest.raises(SolverError) as err:
-        solve_nonsym(A, np.array([0.0, 0.0, 1.0, 0.0]), 1e-12, ((np.eye(1), np.eye(4)), np.ones((4, 1))), np.zeros(4))
+        solve_nonsym(A, np.array([0.0, 0.0, 1.0, 0.0]), 1e-12, identity_basis(4), np.zeros(4))
     assert err.value.report.residual > 0.1
 
 
@@ -321,6 +334,61 @@ def test_breakdown_restarts_share_one_cap():
     with pytest.raises(SolverError) as err:
         solve_nonsym(A, b, 1e-10, jacobi(A), np.zeros_like(b))
     assert err.value.report == SolveReport(6, np.linalg.norm(b))
+
+
+def test_a_residual_orthogonal_to_the_shadow_residual_restarts_the_solve():
+    """rho = r_hat.r = 0 in iteration 2 ends the start, which then restarts and converges.
+
+    With b = e1, alpha = 1 / A[0, 0] = 1 makes s orthogonal to r_hat = e1,
+    and A[0, 1] A[1, 0] + A[0, 2] A[2, 0] = 0 makes t = A s orthogonal to it
+    too, so r = s - omega t is, all exactly in floats.  Going on with rho = 0
+    would divide by it in iteration 3.
+    """
+    dense = np.array([[1.0, 1.0, 1.0], [1.0, 3.0, 1.0], [-1.0, 0.0, 4.0]])
+    b = np.array([1.0, 0.0, 0.0])
+    x, rep = solve_nonsym(dense_matrix(dense), b, 1e-12, identity_basis(3), np.zeros(3))
+    assert rep.iterations == 5  # 2 in the first start, the breakdown counted, and 3 more
+    assert np.allclose(x, np.linalg.solve(dense, b), rtol=0.0, atol=1e-15)
+    assert rep.residual <= 1e-15
+
+
+def test_a_zero_stabilizer_step_fails_as_a_breakdown():
+    """t = A s = 0 with s unconverged is a breakdown, not a division by |t|^2 = 0.
+
+    On the singular A = [[1, 1], [0, 0]] with b = (1, 1), off its range,
+    alpha = 1 gives s = (-1, 1), which A maps to 0.  Every start breaks down
+    there at x = 0, so the solve fails after the fifth restart, as the other
+    breakdowns do.
+    """
+    b = np.array([1.0, 1.0])
+    with pytest.raises(SolverError) as err:
+        solve_nonsym(dense_matrix([[1.0, 1.0], [0.0, 0.0]]), b, 1e-12, identity_basis(2), np.zeros(2))
+    assert err.value.report == SolveReport(6, np.linalg.norm(b))
+
+
+def test_best_iterate_is_returned_when_it_meets_the_target(monkeypatch):
+    """After the last start the iterate of smallest recurrence residual is judged, and returned if it passes.
+
+    The judge of each start is made to miss (as when the recurrence residual
+    has drifted from the true one), and a single restart is allowed, so only
+    that last judgement can accept: it returns the iterate the plain solve
+    returns.
+    """
+    A = laplacian_1d(6, shift=0.5)
+    b = np.arange(1.0, 7.0)
+    plain = solve_nonsym(A, b, 1e-12, jacobi(A), np.zeros(6))
+    judge, judged = linalg._true_residual, []
+
+    def missing_at_every_start(*args):
+        r, residual, accepted = judge(*args)
+        judged.append(accepted)
+        return r, residual, accepted and len(judged) > linalg._MAX_RESTARTS + 2
+
+    monkeypatch.setattr(linalg, "_MAX_RESTARTS", 0)
+    monkeypatch.setattr(linalg, "_true_residual", missing_at_every_start)
+    x, rep = solve_nonsym(A, b, 1e-12, jacobi(A), np.zeros(6))
+    assert judged == [False, True, True]  # the first start's x0, the restart's x, then the best iterate
+    assert np.array_equal(x, plain[0]) and rep == plain[1]
 
 
 def test_cosine_basis_diagonalizes_the_drift_free_operator():
